@@ -2,11 +2,13 @@
 inconsistency-based automatic cutoff.
 
 Single linkage is computed from the minimum spanning tree of the point
-set: sorting MST edges by (weight, smaller index, larger index) and
-replaying them through a union-find gives the merge history with a fully
-documented tie-break, and cut memberships that are invariant to input
-row permutations.  A streaming variant computes distances on the fly for
-corpora too large to hold a condensed distance matrix.
+set (Gower & Ross, 1969): sorting MST edges by (weight, smaller index,
+larger index) and replaying them through a union-find gives the merge
+history with a fully documented tie-break, and cut memberships that are
+invariant to input row permutations.  Prim's scan and the cophenetic walk
+read distances through a distance source, ``dists_from(i, targets)``, so
+one implementation serves both feature rows (distances computed on the
+fly, O(n*d) memory at every n) and a precomputed condensed matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "single_linkage_rows",
     "cophenetic_coefficient",
     "cophenetic_coefficient_rows",
-    "cophenetic_distances",
     "inconsistency_coefficients",
     "select_cutoff",
     "cut_clusters",
@@ -63,15 +64,10 @@ class CondensedDistances:
     values: np.ndarray
     n: int
 
-    def index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.n * i - i * (i + 1) // 2 + (j - i - 1)
-
-    def get(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return float(self.values[self.index(i, j)])
+    def index(self, i, j):
+        """Position of pair (i, j); elementwise over index arrays."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        return self.n * lo - lo * (lo + 1) // 2 + (hi - lo - 1)
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,17 @@ class Dendrogram:
         merge = self.merges[k]
         return merge.left, merge.right
 
-    def leaf_members(self) -> dict[int, list[int]]:
-        """Members of every node id (leaves and merge products)."""
-        members: dict[int, list[int]] = {i: [i] for i in range(self.n_leaves)}
-        for k, merge in enumerate(self.merges):
-            members[self.n_leaves + k] = members[merge.left] + members[merge.right]
-        return members
+    def leaves(self, node_id: int) -> list[int]:
+        """Leaf ids under a node, in no particular order."""
+        out: list[int] = []
+        stack = [node_id]
+        while stack:
+            node = stack.pop()
+            if node < self.n_leaves:
+                out.append(node)
+            else:
+                stack.extend(self.link_children(node - self.n_leaves))
+        return out
 
 
 @dataclass
@@ -110,42 +111,58 @@ class ClusterAssignment:
     min_size: int = 1
 
 
+def _row_source(rows: np.ndarray):
+    """Distance source over feature rows: Euclidean distances from row
+    ``i`` to each row in the index array ``targets``, computed on demand."""
+
+    def dists_from(i: int, targets: np.ndarray) -> np.ndarray:
+        diff = rows[targets]  # a fresh copy, so subtract in place
+        diff -= rows[i]
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    return dists_from
+
+
+def _condensed_source(distances: CondensedDistances):
+    """Distance source reading a precomputed condensed matrix."""
+
+    def dists_from(i: int, targets: np.ndarray) -> np.ndarray:
+        return distances.values[distances.index(i, targets)]
+
+    return dists_from
+
+
 def pairwise_distances(matrix) -> CondensedDistances:
     """Condensed Euclidean distances over the matrix rows."""
     rows = np.asarray(getattr(matrix, "values", matrix), dtype=np.float64)
     n = rows.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    pos = 0
-    for i in range(n - 1):
-        diff = rows[i + 1:] - rows[i]
-        seg = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        out[pos:pos + seg.shape[0]] = seg
-        pos += seg.shape[0]
-    return CondensedDistances(values=out, n=n)
+    dists_from = _row_source(rows)
+    values = np.concatenate([dists_from(i, np.arange(i + 1, n)) for i in range(n)])
+    return CondensedDistances(values=values, n=n)
 
 
-def _prim_mst(n: int, row_of) -> list[tuple[float, int, int]]:
-    """MST edges via Prim's scan; deterministic under equal weights."""
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.full(n, -1, dtype=np.int64)
-    in_tree[0] = True
+def _prim_mst(n: int, dists_from) -> list[tuple[float, int, int]]:
+    """MST edges via Prim's scan; deterministic under equal weights.
+
+    Each step computes distances only from the vertex just added to the
+    vertices still outside the tree, so every pair is computed once.
+    """
+    outside = np.arange(1, n)
+    best = np.full(outside.size, np.inf)
+    best_from = np.zeros(outside.size, dtype=np.int64)
     current = 0
     edges: list[tuple[float, int, int]] = []
-    for _ in range(n - 1):
-        row = row_of(current)
-        better = (~in_tree) & (row < best)
-        best[better] = row[better]
+    while outside.size:
+        dists = dists_from(current, outside)
+        better = dists < best
+        best[better] = dists[better]
         best_from[better] = current
-        masked = np.where(in_tree, np.inf, best)
-        nxt = int(np.argmin(masked))  # ties resolve to the smallest index
-        i, j = int(best_from[nxt]), nxt
-        edges.append((float(best[nxt]), min(i, j), max(i, j)))
-        in_tree[nxt] = True
-        best[nxt] = np.inf
-        current = nxt
+        k = int(np.argmin(best))  # outside ascends: ties go to the smallest index
+        i, current = int(best_from[k]), int(outside[k])
+        edges.append((float(best[k]), min(i, current), max(i, current)))
+        outside, best, best_from = (np.delete(a, k) for a in (outside, best, best_from))
     return edges
 
 
@@ -175,103 +192,67 @@ def _dendrogram_from_mst(n: int, edges: list[tuple[float, int, int]]) -> Dendrog
 
 def single_linkage(distances: CondensedDistances) -> Dendrogram:
     """Merge history under single linkage with documented tie-breaking."""
-    n = distances.n
-    if n == 1:
-        return Dendrogram(n_leaves=1, merges=())
-
-    def row_of(i: int) -> np.ndarray:
-        row = np.empty(n)
-        row[i] = np.inf
-        for j in range(n):
-            if j != i:
-                row[j] = distances.values[distances.index(i, j)]
-        return row
-
-    return _dendrogram_from_mst(n, _prim_mst(n, row_of))
+    return _dendrogram_from_mst(distances.n,
+                                _prim_mst(distances.n, _condensed_source(distances)))
 
 
 def single_linkage_rows(rows: np.ndarray) -> Dendrogram:
-    """Streaming variant: distances computed per row, O(n) extra memory."""
+    """Single linkage over feature rows in O(n*d) memory; the same
+    dendrogram as ``single_linkage(pairwise_distances(rows))``."""
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
-    if n == 1:
-        return Dendrogram(n_leaves=1, merges=())
-
-    def row_of(i: int) -> np.ndarray:
-        diff = rows - rows[i]
-        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        row[i] = np.inf
-        return row
-
-    return _dendrogram_from_mst(n, _prim_mst(n, row_of))
+    return _dendrogram_from_mst(n, _prim_mst(n, _row_source(rows)))
 
 
-def cophenetic_distances(dendrogram: Dendrogram) -> CondensedDistances:
-    """Merge height at which each leaf pair first joins."""
+def _cophenetic(dendrogram: Dendrogram, dists_from) -> float:
+    """Pearson correlation between original and cophenetic distances.
+
+    Each pair is visited once, under the merge that first joins it, by
+    looping over the smaller side of the merge.  Every distance-source
+    call is one chunk; chunk counts, means, second moments (M2) and
+    co-moments are combined pairwise (Chan, Golub & LeVeque), which stays
+    accurate where raw power sums cancel.  Returns NaN when either M2 is
+    not positive (constant distances or heights, fewer than two pairs),
+    which callers report as a degenerate-input flag.
+    """
     n = dendrogram.n_leaves
-    out = np.zeros(n * (n - 1) // 2, dtype=np.float64)
-    cond = CondensedDistances(values=out, n=n)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    count = 0
+    mean_x = mean_y = m2_x = m2_y = co = 0.0
     for k, merge in enumerate(dendrogram.merges):
-        left, right = members[merge.left], members[merge.right]
-        for a in left:
-            for b in right:
-                out[cond.index(a, b)] = merge.height
-        members[n + k] = left + right
-    return cond
+        small, large = sorted((members.pop(merge.left), members.pop(merge.right)), key=len)
+        targets = np.asarray(large)
+        for a in small:
+            dists = dists_from(a, targets)
+            chunk_mean = float(dists.mean())
+            dev = dists - chunk_mean
+            total = count + dists.size
+            dx, dy = chunk_mean - mean_x, merge.height - mean_y
+            weight = count * dists.size / total
+            m2_x += float(dev @ dev) + dx * dx * weight
+            m2_y += dy * dy * weight
+            co += dx * dy * weight
+            frac = dists.size / total  # 1.0 on the first chunk: exact means
+            mean_x += dx * frac
+            mean_y += dy * frac
+            count = total
+        large.extend(small)
+        members[n + k] = large
+    if m2_x <= 0.0 or m2_y <= 0.0:
+        return float("nan")
+    return co / math.sqrt(m2_x * m2_y)
 
 
 def cophenetic_coefficient(dendrogram: Dendrogram, distances: CondensedDistances) -> float:
-    """Pearson correlation between original and cophenetic distances.
-
-    Returns NaN when the correlation is undefined (all original distances
-    equal), which callers report as a degenerate-input flag.
-    """
-    orig = distances.values
-    coph = cophenetic_distances(dendrogram).values
-    if orig.size < 2:
-        return float("nan")
-    orig_dev = orig - orig.mean()
-    coph_dev = coph - coph.mean()
-    denom = math.sqrt(float(orig_dev @ orig_dev) * float(coph_dev @ coph_dev))
-    if denom == 0.0:
-        return float("nan")
-    return float(orig_dev @ coph_dev) / denom
+    """Cophenetic correlation against a condensed distance matrix (NaN
+    when undefined)."""
+    return _cophenetic(dendrogram, _condensed_source(distances))
 
 
 def cophenetic_coefficient_rows(dendrogram: Dendrogram, rows: np.ndarray) -> float:
-    """Streaming Pearson between original and cophenetic distances.
-
-    Walks every pair exactly once (grouped by the merge that first joins
-    it), recomputing original distances from the rows, so no condensed
-    matrix is materialized.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    n = dendrogram.n_leaves
-    if n < 3:
-        return float("nan") if n < 2 else 1.0
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    count = 0
-    sx = sy = sxx = syy = sxy = 0.0
-    for k, merge in enumerate(dendrogram.merges):
-        left, right = members.pop(merge.left), members.pop(merge.right)
-        h = merge.height
-        for a in left:
-            diff = rows[right] - rows[a]
-            dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            count += dists.size
-            sx += float(dists.sum())
-            sxx += float((dists * dists).sum())
-            sy += h * dists.size
-            syy += h * h * dists.size
-            sxy += h * float(dists.sum())
-        members[n + k] = left + right
-    var_x = sxx - sx * sx / count
-    var_y = syy - sy * sy / count
-    denom = math.sqrt(var_x * var_y)
-    if denom <= 0.0:
-        return float("nan")
-    return (sxy - sx * sy / count) / denom
+    """Cophenetic correlation against distances recomputed from the rows,
+    so no condensed matrix is materialized (NaN when undefined)."""
+    return _cophenetic(dendrogram, _row_source(np.asarray(rows, dtype=np.float64)))
 
 
 def inconsistency_coefficients(dendrogram: Dendrogram, depth: int = 2) -> np.ndarray:
@@ -338,38 +319,27 @@ def cut_clusters(
     """
     n = dendrogram.n_leaves
     labels = labels if labels is not None else list(range(n))
-    members = dendrogram.leaf_members()
     subtree_max = list(coefficients)
     for k in range(len(dendrogram.merges)):
         for child in dendrogram.link_children(k):
             if child >= n:
                 subtree_max[k] = max(subtree_max[k], subtree_max[child - n])
 
-    raw: dict[int, list[int]] = {}
-
-    def emit(node_id: int):
-        if node_id < n:
-            raw[node_id] = [node_id]
-            return
-        k = node_id - n
-        if subtree_max[k] < cutoff:
-            raw[node_id] = members[node_id]
-            return
-        left, right = dendrogram.link_children(k)
-        emit(left)
-        emit(right)
-
-    if dendrogram.merges:
-        emit(n + len(dendrogram.merges) - 1)
-    elif n == 1:
-        raw[0] = [0]
+    roots: list[int] = []
+    stack = [n + len(dendrogram.merges) - 1] if n else []
+    while stack:
+        node_id = stack.pop()
+        if node_id < n or subtree_max[node_id - n] < cutoff:
+            size = dendrogram.merges[node_id - n].size if node_id >= n else 1
+            if size >= min_size:
+                roots.append(node_id)
+        else:
+            stack.extend(dendrogram.link_children(node_id - n))
 
     result = ClusterAssignment(min_size=min_size)
     result.assignment = {labels[i]: None for i in range(n)}
-    for cluster_id, leaf_ids in sorted(raw.items()):
-        if len(leaf_ids) < min_size:
-            continue
-        tagged = tuple(labels[i] for i in sorted(leaf_ids))
+    for cluster_id in sorted(roots):
+        tagged = tuple(labels[i] for i in sorted(dendrogram.leaves(cluster_id)))
         result.clusters[cluster_id] = tagged
         for item in tagged:
             result.assignment[item] = cluster_id

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 import subprocess
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 FAMILY_KWARG = "add-kwarg"
 FAMILY_GUARD = "wrap-if"
 FAMILY_DICT = "dict-entry"
 NOISE = "noise"
+
+_EPOCH = datetime(2018, 1, 1, tzinfo=timezone.utc)
 
 _GIT_ENV_BASE = {
     "GIT_AUTHOR_NAME": "demo", "GIT_AUTHOR_EMAIL": "demo@example.org",
@@ -125,6 +128,11 @@ def _noise_pair(i):
     return before, after
 
 
+def _commit_stamp(clock: int) -> str:
+    """Author and committer date of the commit made at minute ``clock``."""
+    return (_EPOCH + timedelta(minutes=clock)).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 class _Repo:
     def __init__(self, path: Path):
         self.path = path
@@ -134,7 +142,7 @@ class _Repo:
 
     def _git(self, *args):
         env = dict(_GIT_ENV_BASE)
-        stamp = f"2018-01-01T{self.clock // 60:02d}:{self.clock % 60:02d}:00Z"
+        stamp = _commit_stamp(self.clock)
         env["GIT_AUTHOR_DATE"] = stamp
         env["GIT_COMMITTER_DATE"] = stamp
         env["HOME"] = str(self.path)

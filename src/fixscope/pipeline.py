@@ -129,7 +129,6 @@ class PipelineConfig:
     inconsistency_depth: int = 2
     min_cluster_size: int = 10
     cutoff: float | None = None
-    streaming_threshold: int = 16000
     alpha: float = 0.05
     control_mode: str = "exclusive"
     bonferroni: bool = False
@@ -419,7 +418,7 @@ class Pipeline:
             "cutoff": None, "cutoff_source": None,
             "inconsistency_depth": cfg.inconsistency_depth,
             "min_cluster_size": cfg.min_cluster_size,
-            "n_clusters": 0, "cluster_sizes": {}, "linkage_mode": None,
+            "n_clusters": 0, "cluster_sizes": {},
         }
         if not vectors:
             (self.out / "dendrogram.json").write_text(_json_dumps({"n_leaves": 0,
@@ -429,16 +428,8 @@ class Pipeline:
             return
         matrix = assemble_matrix(vectors)
         summary["n_features"] = len(matrix.feature_names)
-        n = len(matrix.hunk_ids)
-        if n > cfg.streaming_threshold:
-            summary["linkage_mode"] = "streaming"
-            dendrogram = fc.single_linkage_rows(matrix.values)
-            cophenetic = fc.cophenetic_coefficient_rows(dendrogram, matrix.values)
-        else:
-            summary["linkage_mode"] = "condensed"
-            distances = fc.pairwise_distances(matrix)
-            dendrogram = fc.single_linkage(distances)
-            cophenetic = fc.cophenetic_coefficient(dendrogram, distances)
+        dendrogram = fc.single_linkage_rows(matrix.values)
+        cophenetic = fc.cophenetic_coefficient_rows(dendrogram, matrix.values)
         if math.isnan(cophenetic):
             summary["cophenetic_degenerate"] = True
         else:

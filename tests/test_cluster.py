@@ -10,8 +10,10 @@ import pytest
 
 from fixscope.cluster import (
     AllZeroError,
+    CondensedDistances,
     UnknownClusterError,
     cophenetic_coefficient,
+    cophenetic_coefficient_rows,
     cut_clusters,
     inconsistency_coefficients,
     pairwise_distances,
@@ -26,6 +28,20 @@ import oracles
 
 def points_to_condensed(points):
     return pairwise_distances(np.asarray(points, dtype=float))
+
+
+def condensed_at(d, i, j):
+    return 0.0 if i == j else float(d.values[d.index(i, j)])
+
+
+def both_cophenetic(points):
+    """Dendrogram and coefficient through the condensed and the row entry
+    points, after checking that both give the same dendrogram."""
+    rows = np.asarray(points, dtype=float)
+    d = pairwise_distances(rows)
+    dend = single_linkage(d)
+    assert single_linkage_rows(rows) == dend
+    return dend, [cophenetic_coefficient(dend, d), cophenetic_coefficient_rows(dend, rows)]
 
 
 def random_points(rng, n, dim=3, sparse=False):
@@ -43,11 +59,11 @@ def random_points(rng, n, dim=3, sparse=False):
 class TestPairwiseDistances:
     def test_identical_rows(self):
         d = points_to_condensed([[1.0, 2.0], [1.0, 2.0]])
-        assert d.get(0, 1) == 0.0
+        assert condensed_at(d, 0, 1) == 0.0
 
     def test_three_four_five(self):
         d = points_to_condensed([[0.0, 0.0], [3.0, 4.0]])
-        assert d.get(0, 1) == 5.0
+        assert condensed_at(d, 0, 1) == 5.0
 
     def test_against_double_loop_oracle(self):
         rng = random.Random(13)
@@ -56,7 +72,7 @@ class TestPairwiseDistances:
         full = oracles.bruteforce_pairwise(pts)
         for i in range(4):
             for j in range(4):
-                assert abs(d.get(i, j) - full[i][j]) < 1e-12
+                assert abs(condensed_at(d, i, j) - full[i][j]) < 1e-12
 
 
 class TestSingleLinkage:
@@ -101,31 +117,53 @@ class TestSingleLinkage:
 
 class TestCophenetic:
     def test_perfectly_ultrametric_data(self):
-        # two tight pairs far apart: the dendrogram preserves all distances
+        # two tight pairs far apart: correlating the dendrogram with its own
+        # cophenetic distances (exactly ultrametric data) gives 1
         pts = [[0.0], [1.0], [100.0], [101.0]]
-        d = points_to_condensed(pts)
-        dend = single_linkage(d)
-        # make the data exactly ultrametric: replace the original distances
-        # with the cophenetic ones and correlate
-        from fixscope.cluster import cophenetic_distances
-        coph = cophenetic_distances(dend)
-        assert cophenetic_coefficient(dend, coph) == pytest.approx(1.0)
+        dend = single_linkage(points_to_condensed(pts))
+        coph = oracles.bruteforce_cophenetic_matrix(pts)
+        n = len(pts)
+        ultrametric = CondensedDistances(
+            values=np.array([coph[i][j] for i in range(n) for j in range(i + 1, n)]), n=n)
+        assert cophenetic_coefficient(dend, ultrametric) == pytest.approx(1.0)
 
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(11)
         for _ in range(25):
             pts = random_points(rng, rng.randint(3, 8))
-            d = points_to_condensed(pts)
-            dend = single_linkage(d)
-            mine = cophenetic_coefficient(dend, d)
+            _, coefficients = both_cophenetic(pts)
             theirs = oracles.bruteforce_cophenetic_coefficient(pts)
-            assert abs(mine - theirs) < 1e-9
+            for mine in coefficients:
+                assert abs(mine - theirs) < 1e-9
 
     def test_degenerate_input_flagged_as_nan(self):
-        pts = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]  # equilateral
-        d = points_to_condensed(pts)
-        dend = single_linkage(d)
-        assert math.isnan(cophenetic_coefficient(dend, d))
+        # the direct-sum oracle's mean of three 0.1 heights is not 0.1, so
+        # it reads -7e-16, not NaN, on the second case
+        cases = [
+            [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]],  # equilateral
+            [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]],  # equal merge heights
+            [[0.0], [1.0]],  # a single pair
+        ]
+        for pts in cases:
+            _, coefficients = both_cophenetic(pts)
+            assert all(math.isnan(c) for c in coefficients), (pts, coefficients)
+
+    def test_matches_scipy_with_zero_height_ties(self):
+        from scipy.cluster.hierarchy import cophenet, linkage
+        from scipy.spatial.distance import pdist
+        # feature-weight scale, many equal nonzero distances, and 100
+        # duplicate rows that merge at height zero
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 3, size=(200, 6)) * 1e15
+        rows = np.vstack([base, base[rng.integers(0, 200, size=100)]])
+        dend, coefficients = both_cophenetic(rows)
+        reference = linkage(rows, "single")
+        assert np.allclose([m.height for m in dend.merges], np.sort(reference[:, 2]),
+                           rtol=1e-12, atol=0.0)
+        assert sum(m.height == 0.0 for m in dend.merges) >= 100
+        expected, _ = cophenet(reference, pdist(rows))
+        for mine in coefficients:
+            assert abs(mine - expected) < 1e-9
 
 
 class TestInconsistency:
@@ -227,6 +265,14 @@ class TestCutClusters:
             return sorted(frozenset(m) for m in assignment.clusters.values())
 
         assert memberships(pts, labels) == memberships(shuffled, shuffled_labels)
+
+    def test_deep_chain_cuts_without_recursion(self):
+        # gaps 2, 3, 4, ...: each merge adds one leaf, 2999 levels deep
+        dend = single_linkage_rows(np.cumsum(np.arange(1, 3001.0))[:, None])
+        coefs = inconsistency_coefficients(dend)
+        assert cut_clusters(dend, coefs, cutoff=-1.0, min_size=2).clusters == {}
+        whole = cut_clusters(dend, coefs, cutoff=coefs.max() + 1.0, min_size=2)
+        assert list(whole.clusters.values()) == [tuple(range(3000))]
 
 
 class TestSampleCluster:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fixscope
 from fixscope.cli import main as cli_main
-from fixscope.democorpus import build_demo_corpus
+from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.pipeline import (
     MissingCheckpointError,
     Pipeline,
@@ -51,12 +54,23 @@ class TestConfig:
         assert clone == config
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig.from_dict({"bogus": 1})
+        for doc in ({"bogus": 1}, {"streaming_threshold": 16000}):
+            with pytest.raises(ValueError):
+                PipelineConfig.from_dict(doc)
 
     def test_unsupported_linkage_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(linkage="complete")
+
+
+class TestDemoCorpus:
+    def test_commit_stamp_rolls_over_midnight(self):
+        # stamps of the first day keep their old form, so corpus ids hold
+        for clock in range(1440):
+            assert _commit_stamp(clock) == \
+                f"2018-01-01T{clock // 60:02d}:{clock % 60:02d}:00Z"
+        assert [_commit_stamp(c) for c in (1439, 1440, 1441)] == [
+            "2018-01-01T23:59:00Z", "2018-01-02T00:00:00Z", "2018-01-02T00:01:00Z"]
 
 
 class TestEmptyCorpus:
@@ -210,6 +224,36 @@ class TestAnnotationsAndStats:
             "cluster_id,label,description\n1,NONSENSE,x\n")
         with pytest.raises(ValueError):
             pipeline.load_annotations()
+
+
+TRACED_RUN = """
+import json, sys
+import tracing
+from fixscope.pipeline import PipelineConfig, run_pipeline
+tracer = tracing.Tracer()
+tracing.install(tracer)
+report = run_pipeline(PipelineConfig(source_mode="git", source_path=sys.argv[1],
+                                     min_cluster_size=3, output_dir=sys.argv[2]))
+print(json.dumps({"hunks": report.counts["hunks"], "metrics": tracer.metrics()}))
+"""
+
+
+class TestBenchmarkTracing:
+    def test_traced_run_counts_every_stage(self, small_corpus, tmp_path):
+        # bench/tracing.py wraps pipeline and cluster functions by name; its
+        # patches last for the life of the process, hence the subprocess
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(Path(fixscope.__file__).parents[1]), str(root / "bench")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            paths + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", TRACED_RUN, small_corpus["repo"], str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout.splitlines()[-1])
+        assert doc["hunks"] > 0
+        assert doc["metrics"]["cluster.n"] == doc["hunks"]
+        assert doc["metrics"]["pipeline.stages_run"] == 6
 
 
 class TestCli:
