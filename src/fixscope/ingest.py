@@ -2,9 +2,12 @@
 
 Two sources share one interface: a Gerrit-style review API (HTTPS JSON
 with the XSSI prefix line, offset pagination, base64 file content) and a
-local git repository walked with subprocess git.  Remote fetches go
-through an on-disk content cache keyed by (change id, path, revision,
-side) and verified by digest, so full runs replay offline.
+local git repository.  Remote fetches go through an on-disk content
+cache keyed by (change id, path, revision, side) and verified by digest,
+so full runs replay offline.  The git source needs no cache: one
+``git log`` lists the commits and their files, and one long-lived
+``git cat-file --batch`` process reads every blob from the repository's
+own object store.  Both sources have ``close``; call it when done.
 """
 
 from __future__ import annotations
@@ -310,17 +313,23 @@ class GerritSource:
             change_id=record.change_id,
         )
 
+    def close(self) -> None:
+        """Nothing to release; present so both sources close alike."""
+
 
 class GitSource:
     """Offline source walking the commits of a local repository.
 
     Every non-merge commit is one change; ``merges_only`` restricts the
-    scan to merge commits for review workflows that land merges.
+    scan to merge commits for review workflows that land merges.  A scan
+    starts the same few git processes however many commits it reads: one
+    ``git log`` lists the commits with their files, and one long-lived
+    ``git cat-file --batch`` serves every blob until ``close``.
     """
 
-    def __init__(self, repo_path: str | Path, cache: ContentCache | None = None):
+    def __init__(self, repo_path: str | Path):
         self.repo = Path(repo_path)
-        self.cache = cache
+        self._batch: subprocess.Popen | None = None
 
     def _git(self, *args: str) -> bytes:
         proc = subprocess.run(
@@ -347,53 +356,74 @@ class GitSource:
     ) -> list[ChangeRecord]:
         if self._git_ok("rev-parse", "--verify", "HEAD") is None:
             return []  # repository without commits
-        args = ["log", "-z", "--pretty=format:%H%x1f%P%x1f%aI%x1f%B"]
+        # Each commit is a NUL-terminated header followed by its --raw
+        # entries, a ":<modes> <ids> <status>" token and a path token each.
+        # Headers start with the hash, status tokens with ":", so neither
+        # messages nor paths can shift the boundaries.  --no-renames lists
+        # both paths of a rename; merges list no entries.
+        args = ["log", "-z", "--root", "--no-renames", "--raw",
+                "--format=%H%x1f%P%x1f%aI%x1f%B"]
         if merges_only:
             args.append("--merges")
         if after:
             args.append(f"--since={after}")
         if before:
             args.append(f"--until={before}")
-        for branch in branches:
-            args.append(branch)
-        raw = self._git(*args).decode("utf-8", errors="replace")
+        args.extend(branches)
+        args.append("--")  # branches are revisions even where files share their names
+        tokens = iter(self._git(*args).decode("utf-8", errors="replace").split("\x00"))
+        commits: list[tuple[str, set[str]]] = []
+        for token in tokens:
+            if token.startswith((":", "\n:")):
+                commits[-1][1].add(next(tokens))
+            elif token:
+                commits.append((token, set()))
         records = []
         project = self.repo.name
-        for entry in raw.split("\x00"):
-            if not entry:
-                continue
-            commit, parents, date, message = entry.split("\x1f", 3)
+        for header, files in commits:
+            commit, parents, date, message = header.split("\x1f", 3)
             if not merges_only and len(parents.split()) > 1:
                 continue
-            files = self._files_of(commit)
             records.append(ChangeRecord(
                 change_id=commit, project=project, branch="", revision=commit,
-                message=message, files=files, created=date))
+                message=message, files=tuple(sorted(files)), created=date))
         records.reverse()  # oldest first
         return records
 
-    def _files_of(self, commit: str) -> tuple[str, ...]:
-        raw = self._git("diff-tree", "-r", "--root", "--no-commit-id",
-                        "--name-only", "-z", commit)
-        names = [n for n in raw.decode("utf-8", "replace").split("\x00") if n]
-        return tuple(sorted(set(names)))
-
-    def _blob(self, revision: str, path: str, side: str, change_id: str) -> bytes:
-        key = (change_id, path, revision, side)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
-        ref = f"{revision}^:{path}" if side == "before" else f"{revision}:{path}"
-        blob = self._git_ok("show", ref)
-        data = blob if blob is not None else b""
-        if self.cache is not None:
-            self.cache.put(key, data)
-        return data
+    def _blobs(self, *names: str) -> list[bytes]:
+        """The blobs named ``rev:path``, read through the batch process; a
+        name that is missing or not a blob reads as empty."""
+        if self._batch is None:
+            self._batch = subprocess.Popen(
+                ["git", "-C", str(self.repo), "cat-file", "--batch", "-z"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL)
+        wanted = [name.encode("utf-8") for name in names]
+        try:
+            self._batch.stdin.write(b"".join(name + b"\x00" for name in wanted))
+            self._batch.stdin.flush()
+        except BrokenPipeError as exc:
+            raise IngestError(f"git cat-file stopped answering in {self.repo}") from exc
+        stdout = self._batch.stdout
+        blobs = []
+        for name in wanted:
+            line = stdout.readline()
+            if b":" in line:  # "<name> missing"; with -z the echoed name may hold LFs
+                for _ in range(name.count(b"\n")):
+                    stdout.readline()
+                blobs.append(b"")
+                continue
+            fields = line.split()  # "<oid> <type> <size>"
+            size = int(fields[2]) if len(fields) == 3 else -1
+            data = stdout.read(size + 1) if size >= 0 else b""  # content, LF
+            if size < 0 or len(data) != size + 1:
+                raise IngestError(f"git cat-file stopped answering in {self.repo}")
+            blobs.append(data[:-1] if fields[1] == b"blob" else b"")
+        return blobs
 
     def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
-        before = self._blob(record.revision, path, "before", record.change_id)
-        after = self._blob(record.revision, path, "after", record.change_id)
+        before, after = self._blobs(f"{record.revision}^:{path}",
+                                    f"{record.revision}:{path}")
         if not before and not after:
             raise MissingBlobError(f"{record.change_id}:{path}")
         return FilePair(
@@ -402,3 +432,12 @@ class GitSource:
             after_text=_decode(after, f"{record.change_id}:{path}"),
             change_id=record.change_id,
         )
+
+    def close(self) -> None:
+        """End the batch process and reap it, so its CPU time is counted
+        among this process's children."""
+        if self._batch is not None:
+            batch, self._batch = self._batch, None
+            batch.stdin.close()
+            batch.stdout.close()  # a reply left unread must not block its exit
+            batch.wait()

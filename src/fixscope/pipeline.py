@@ -200,8 +200,6 @@ class Pipeline:
         self.config = config
         self.out = Path(config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        cache_dir = Path(config.cache_dir) if config.cache_dir else self.out / "cache"
-        self.cache = ContentCache(cache_dir)
         (self.out / "config.json").write_text(_json_dumps(config.to_dict()))
 
     # -- checkpointing
@@ -250,6 +248,9 @@ class Pipeline:
             logger.info("stage %s is current; skipping", stage)
             return
         logger.info("running stage %s", stage)
+        # a crash below must not leave the previous run's seal vouching
+        # for half-written artifacts
+        self._manifest_path(stage).unlink(missing_ok=True)
         try:
             getattr(self, f"_stage_{stage}")()
         except Exception as exc:
@@ -257,15 +258,24 @@ class Pipeline:
         self._seal(stage)
 
     def _source(self):
-        if self.config.source_mode == "git":
-            return GitSource(self.config.source_path, cache=self.cache)
-        return GerritSource(self.config.endpoint, cache=self.cache)
+        cfg = self.config
+        if cfg.source_mode == "git":
+            return GitSource(cfg.source_path)
+        # only remote content is cached: git's object store is already local
+        cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else self.out / "cache"
+        return GerritSource(cfg.endpoint, cache=ContentCache(cache_dir))
 
     # -- stages
 
     def _stage_ingest(self):
-        cfg = self.config
         source = self._source()
+        try:
+            self._ingest(source)
+        finally:
+            source.close()
+
+    def _ingest(self, source):
+        cfg = self.config
         if cfg.source_mode == "git":
             records = source.fetch_merged_changes(
                 projects=cfg.projects, branches=cfg.branches,
@@ -317,8 +327,14 @@ class Pipeline:
         (self.out / "ingest_counts.json").write_text(_json_dumps(counts))
 
     def _stage_extract(self):
-        cfg = self.config
         source = self._source()
+        try:
+            self._extract(source)
+        finally:
+            source.close()
+
+    def _extract(self, source):
+        cfg = self.config
         changes = [json.loads(line)
                    for line in (self.out / "changes.jsonl").read_text().splitlines()
                    if line]

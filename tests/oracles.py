@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive and kept free of the package's own
 numerics: O(n^3) agglomeration, direct-sum Pearson correlation, an
-explicitly coded midrank computation, and a re-derivation of the
-histogram bin rule.
+explicitly coded midrank computation, a re-derivation of the
+histogram bin rule, and a git source that asks git once per commit and
+once per blob side.
 """
 
 from __future__ import annotations
 
 import math
+import subprocess
+from pathlib import Path
 
 
 def euclidean(a, b) -> float:
@@ -173,3 +176,69 @@ def bruteforce_dunn(cluster, control):
     z = (r1 - r2) / math.sqrt(variance)
     phi = 0.5 * (1.0 + math.erf(abs(z) / math.sqrt(2.0)))
     return z, 2.0 * (1.0 - phi)
+
+
+class PerCommitGitSource:
+    """Reference git source: ``git log`` for the commits, one ``git
+    diff-tree`` per commit for its files and one ``git show`` per blob
+    side.  Slow but direct; ``fixscope.ingest.GitSource`` must return the
+    same records and file pairs."""
+
+    def __init__(self, repo_path):
+        self.repo = Path(repo_path)
+
+    def _git(self, *args) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(self.repo), *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def fetch_merged_changes(self, projects=(), branches=(), after=None,
+                             before=None, merges_only=False):
+        from fixscope.ingest import ChangeRecord
+
+        if self._git("rev-parse", "--verify", "HEAD").returncode != 0:
+            return []
+        args = ["log", "-z", "--pretty=format:%H%x1f%P%x1f%aI%x1f%B"]
+        if merges_only:
+            args.append("--merges")
+        if after:
+            args.append(f"--since={after}")
+        if before:
+            args.append(f"--until={before}")
+        args.extend(branches)
+        raw = self._git(*args)
+        assert raw.returncode == 0, raw.stderr
+        records = []
+        for entry in raw.stdout.decode("utf-8", errors="replace").split("\x00"):
+            if not entry:
+                continue
+            commit, parents, date, message = entry.split("\x1f", 3)
+            if not merges_only and len(parents.split()) > 1:
+                continue
+            # "--": a worktree file may be named after the commit's hash
+            names = self._git("diff-tree", "-r", "--root", "--no-commit-id",
+                              "--name-only", "-z", commit, "--")
+            assert names.returncode == 0, names.stderr
+            files = {n for n in names.stdout.decode("utf-8", "replace").split("\x00")
+                     if n}
+            records.append(ChangeRecord(
+                change_id=commit, project=self.repo.name, branch="",
+                revision=commit, message=message, files=tuple(sorted(files)),
+                created=date))
+        records.reverse()
+        return records
+
+    def _show(self, ref: str) -> bytes:
+        proc = self._git("show", ref)
+        return proc.stdout if proc.returncode == 0 else b""
+
+    def fetch_file_pair(self, record, path):
+        from fixscope.ingest import FilePair, MissingBlobError
+
+        before = self._show(f"{record.revision}^:{path}")
+        after = self._show(f"{record.revision}:{path}")
+        if not before and not after:
+            raise MissingBlobError(f"{record.change_id}:{path}")
+        return FilePair(path=path,
+                        before_text=before.decode("utf-8", errors="replace"),
+                        after_text=after.decode("utf-8", errors="replace"),
+                        change_id=record.change_id)

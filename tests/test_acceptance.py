@@ -292,26 +292,13 @@ def _load_published_matrix(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _dataset_page_reachable() -> bool:
-    try:
-        import requests
-
-        return requests.head(DATASET_URL, timeout=5,
-                             allow_redirects=True).status_code < 500
-    except Exception:
-        return False
-
-
 class TestCriterion7PublishedDataset:
     def test_recluster_published_matrices(self, tmp_path):
         dataset_dir = os.environ.get(DATASET_ENV, "")
         if not dataset_dir:
-            network = ("share page reachable; download the matrices manually"
-                       if _dataset_page_reachable()
-                       else "network/dataset unreachable from here")
             reason = (f"criterion 7 (published-dataset recheck): SKIPPED — "
-                      f"{network}; set {DATASET_ENV} to a directory holding "
-                      f"nova.csv/neutron.csv/cinder.csv from {DATASET_URL}")
+                      f"{DATASET_ENV} is unset; set it to a directory holding "
+                      f"nova.csv/neutron.csv/cinder.csv downloaded from {DATASET_URL}")
             record_acceptance(reason)
             pytest.skip(reason)
         base = Path(dataset_dir)

@@ -1,22 +1,30 @@
-"""Change collection, filters, the review-API client, and the cache."""
+"""Change collection, filters, the review-API client, the cache, and
+the git source against its per-commit reference."""
 
 from __future__ import annotations
 
 import base64
 import json
+import logging
 import subprocess
 import urllib.parse
+from contextlib import closing
 
 import pytest
 
+import fixscope.ingest
+import fixscope.pipeline
+import oracles
 from fixscope.ingest import (
     ContentCache,
     GerritSource,
     GitSource,
     IngestError,
+    MissingBlobError,
     exclude_test_files,
     keyword_filter,
 )
+from fixscope.pipeline import Pipeline, PipelineConfig, StageError
 
 
 class TestKeywordFilter:
@@ -271,15 +279,251 @@ class TestGitSource:
         assert source.fetch_merged_changes() == source.fetch_merged_changes()
 
     def test_file_pair_for_modification(self, tiny_repo):
-        source = GitSource(tiny_repo)
-        records = source.fetch_merged_changes()
-        pair = source.fetch_file_pair(records[1], "mod.py")
+        with closing(GitSource(tiny_repo)) as source:
+            records = source.fetch_merged_changes()
+            pair = source.fetch_file_pair(records[1], "mod.py")
         assert pair.before_text == "x = 1\n"
         assert pair.after_text == "x = 2\n"
 
     def test_new_file_has_empty_before(self, tiny_repo):
-        source = GitSource(tiny_repo)
-        records = source.fetch_merged_changes()
-        pair = source.fetch_file_pair(records[0], "mod.py")
+        with closing(GitSource(tiny_repo)) as source:
+            records = source.fetch_merged_changes()
+            pair = source.fetch_file_pair(records[0], "mod.py")
         assert pair.before_text == ""
         assert pair.after_text == "x = 1\n"
+
+    def test_branch_named_like_a_file(self, tiny_repo):
+        (tiny_repo / "main").write_text("not a revision\n")
+        git(tiny_repo, "add", "main")
+        git(tiny_repo, "commit", "-q", "-m", "Fix: add a file named main")
+        records = GitSource(tiny_repo).fetch_merged_changes(branches=("main",))
+        assert records[-1].files == ("main",)
+
+    def test_tree_side_reads_empty(self, tmp_path):
+        # a directory replaced by a file of the same name: the parent side
+        # names a tree, which is not file content
+        git(tmp_path, "init", "-q", "-b", "main")
+        (tmp_path / "pkg.py").mkdir()
+        (tmp_path / "pkg.py" / "inner.py").write_text("a = 1\n")
+        git(tmp_path, "add", "-A")
+        git(tmp_path, "commit", "-q", "-m", "package")
+        git(tmp_path, "rm", "-q", "-r", "pkg.py")
+        (tmp_path / "pkg.py").write_text("b = 2\n")
+        git(tmp_path, "add", "-A")
+        git(tmp_path, "commit", "-q", "-m", "Fix: flatten the package")
+        with closing(GitSource(tmp_path)) as source:
+            record = source.fetch_merged_changes()[-1]
+            assert record.files == ("pkg.py", "pkg.py/inner.py")
+            pair = source.fetch_file_pair(record, "pkg.py")
+        assert (pair.before_text, pair.after_text) == ("", "b = 2\n")
+
+
+# Paths and messages chosen to break naive parsing of git's output: LF,
+# the unit separator, a leading colon, non-ASCII, and a file named after
+# the hash of the commit that git log prints next.
+NEWLINE_PATH = "new\nline.py"
+COLON_PATH = ":colon.py"
+LATIN1_BLOB = "x = '\xe9'\n".encode("latin-1")
+
+
+def _commit(repo, day, *args):
+    stamp = f"2018-01-{day:02d}T12:00:00Z"
+    git(repo, "commit", "-q", *args,
+        env_extra={"GIT_AUTHOR_DATE": stamp, "GIT_COMMITTER_DATE": stamp})
+
+
+@pytest.fixture(scope="module")
+def parity_repo(tmp_path_factory):
+    repo = tmp_path_factory.mktemp("parity") / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q", "-b", "main")
+    (repo / "lib").mkdir()
+    (repo / "mod.py").write_text("x = 1\n")
+    (repo / "lib" / "util.py").write_text("def f():\n    return 1\n")
+    git(repo, "add", "-A")
+    _commit(repo, 1, "-m", "Initial import")
+    _commit(repo, 2, "--allow-empty", "-m", "Fix nothing at all")
+    git(repo, "mv", "lib/util.py", "lib/helpers.py")
+    _commit(repo, 3, "-m", "Fix naming\x1fwith a unit separator\n\n:100644 M\tnot-a-path")
+    (repo / "with space.py").write_text("s = 1\n")
+    (repo / "\u00fcn\u00efcode.py").write_text("u = '\u00e9'\n")
+    (repo / NEWLINE_PATH).write_text("n = 1\n")
+    (repo / COLON_PATH).write_text("c = 1\n")
+    git(repo, "add", "-A")
+    _commit(repo, 4, "-m", "Fix paths")
+    git(repo, "rm", "-q", "mod.py")
+    (repo / "with space.py").write_text("s = 2\n")
+    (repo / NEWLINE_PATH).write_text("n = 2\n")
+    git(repo, "add", "-A")
+    _commit(repo, 5, "-m", "Fix: drop mod")
+    (repo / "latin.py").write_bytes(LATIN1_BLOB)
+    git(repo, "add", "-A")
+    _commit(repo, 6, "-m", "Add a latin-1 file")
+    parent = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    (repo / parent).write_text("h = 1\n")
+    (repo / "latin.py").write_bytes(LATIN1_BLOB + b"y = 2\n")
+    git(repo, "add", "-A")
+    _commit(repo, 7, "-m", "Fix the hex name")
+    git(repo, "checkout", "-q", "-b", "side")
+    (repo / "side.py").write_text("side = 1\n")
+    git(repo, "add", "-A")
+    _commit(repo, 8, "-m", "Fix on the side branch")
+    git(repo, "checkout", "-q", "main")
+    (repo / "main.py").write_text("main = 1\n")
+    git(repo, "add", "-A")
+    _commit(repo, 9, "-m", "Fix on main")
+    git(repo, "merge", "-q", "--no-ff", "side", "-m", "Merge the side fix",
+        env_extra={"GIT_AUTHOR_DATE": "2018-01-10T12:00:00Z",
+                   "GIT_COMMITTER_DATE": "2018-01-10T12:00:00Z"})
+    message = repo.parent / "message.txt"
+    message.write_text("Fix verbatim message\n\n\n  trailing blank lines")
+    (repo / "main.py").write_text("main = 2\n")
+    _commit(repo, 11, "-a", "--cleanup=verbatim", "-F", str(message))
+    return repo, parent
+
+
+SCANS = [
+    {},
+    {"merges_only": True},
+    {"after": "2018-01-04", "before": "2018-01-07T23:00:00Z"},
+    {"branches": ("side",)},
+    {"branches": ("main",), "merges_only": True},
+    {"branches": ("main", "side"), "after": "2018-01-08"},
+]
+
+
+class TestGitSourceParity:
+    @pytest.mark.parametrize("scan", SCANS, ids=lambda scan: ",".join(scan) or "all")
+    def test_records_and_pairs_match_per_commit_reference(self, parity_repo, scan):
+        repo, _ = parity_repo
+        reference = oracles.PerCommitGitSource(repo)
+        expected = reference.fetch_merged_changes(**scan)
+        with closing(GitSource(repo)) as source:
+            records = source.fetch_merged_changes(**scan)
+            assert records == expected
+            assert records
+            for record in records:
+                for path in record.files:
+                    try:
+                        want = reference.fetch_file_pair(record, path)
+                    except MissingBlobError:
+                        with pytest.raises(MissingBlobError):
+                            source.fetch_file_pair(record, path)
+                        continue
+                    assert source.fetch_file_pair(record, path) == want
+
+    def test_cases_the_fixture_must_hold(self, parity_repo):
+        repo, parent = parity_repo
+        with closing(GitSource(repo)) as source:
+            records = source.fetch_merged_changes()
+            by_message = {r.message.split("\n")[0].split("\x1f")[0]: r for r in records}
+            assert records[0].files == ("lib/util.py", "mod.py")  # root commit
+            assert by_message["Fix nothing at all"].files == ()
+            renamed = by_message["Fix naming"]
+            assert renamed.files == ("lib/helpers.py", "lib/util.py")
+            assert renamed.message.startswith("Fix naming\x1fwith a unit separator\n")
+            assert NEWLINE_PATH in by_message["Fix paths"].files
+            assert COLON_PATH in by_message["Fix paths"].files
+            assert parent in by_message["Fix the hex name"].files
+            assert records[-1].message == ("Fix verbatim message\n\n\n"
+                                           "  trailing blank lines")
+            assert "Merge the side fix" not in by_message
+            added = source.fetch_file_pair(by_message["Fix paths"], NEWLINE_PATH)
+            assert (added.before_text, added.after_text) == ("", "n = 1\n")
+            deleted = source.fetch_file_pair(by_message["Fix: drop mod"], "mod.py")
+            assert (deleted.before_text, deleted.after_text) == ("x = 1\n", "")
+            with pytest.raises(MissingBlobError):
+                source.fetch_file_pair(by_message["Fix paths"], "absent.py")
+            merges = source.fetch_merged_changes(merges_only=True)
+            assert [m.message for m in merges] == ["Merge the side fix\n"]
+            assert merges[0].files == ()
+
+    def test_non_utf8_blob_logs_replacement_warning(self, parity_repo, caplog):
+        repo, _ = parity_repo
+        with closing(GitSource(repo)) as source:
+            record = next(r for r in source.fetch_merged_changes()
+                          if r.message.startswith("Fix the hex name"))
+            with caplog.at_level(logging.WARNING, logger="fixscope.ingest"):
+                pair = source.fetch_file_pair(record, "latin.py")
+        assert pair.after_text == "x = '\ufffd'\ny = 2\n"
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == [f"decode warning: {record.change_id}:latin.py@parent "
+                            "is not clean UTF-8; replacing",
+                            f"decode warning: {record.change_id}:latin.py "
+                            "is not clean UTF-8; replacing"]
+
+
+def _linear_repo(path, commits):
+    """A repository of ``commits`` fix commits to one module, written by a
+    single ``git fast-import``."""
+    git(path, "init", "-q", "-b", "main")
+    stream = []
+    for k in range(commits):
+        message = f"Fix value {k}\n".encode()
+        body = f"def f():\n    return {k}\n".encode()
+        stream += [b"commit refs/heads/main", f"mark :{k + 1}".encode(),
+                   f"committer dev <dev@example.org> {1514764800 + 60 * k} +0000".encode(),
+                   b"data %d" % len(message), message]
+        if k:
+            stream.append(f"from :{k}".encode())
+        stream += [b"M 100644 inline mod.py", b"data %d" % len(body), body]
+    subprocess.run(["git", "-C", str(path), "fast-import", "--quiet"],
+                   input=b"\n".join(stream) + b"\n", check=True)
+
+
+class CountingSubprocess:
+    """Stands in for ``subprocess`` inside ``fixscope.ingest``."""
+
+    def __init__(self):
+        self.calls = 0
+        self.batches = []
+
+    def run(self, *args, **kwargs):
+        self.calls += 1
+        return subprocess.run(*args, **kwargs)
+
+    def Popen(self, *args, **kwargs):  # noqa: N802 - mirrors subprocess
+        self.calls += 1
+        self.batches.append(subprocess.Popen(*args, **kwargs))
+        return self.batches[-1]
+
+    def __getattr__(self, name):
+        return getattr(subprocess, name)
+
+
+class TestGitSourceProcesses:
+    def _stage_calls(self, monkeypatch, pipeline, stage):
+        counter = CountingSubprocess()
+        monkeypatch.setattr(fixscope.ingest, "subprocess", counter)
+        try:
+            pipeline.run_stage(stage)
+        finally:
+            assert all(batch.returncode is not None for batch in counter.batches)
+        return counter.calls
+
+    @pytest.mark.parametrize("commits", [30, 60])
+    def test_process_count_does_not_grow_with_commits(self, tmp_path, monkeypatch,
+                                                      commits):
+        _linear_repo(tmp_path, commits)
+        out = tmp_path / "out"
+        pipeline = Pipeline(PipelineConfig(source_path=str(tmp_path), output_dir=str(out)))
+        ingest_calls = self._stage_calls(monkeypatch, pipeline, "ingest")
+        extract_calls = self._stage_calls(monkeypatch, pipeline, "extract")
+        counts = json.loads((out / "ingest_counts.json").read_text())
+        assert counts["changes_matched"] == counts["files_fetched"] == commits
+        assert (ingest_calls, extract_calls) == (3, 1)
+        assert not (out / "cache").exists()
+
+    def test_failed_extract_still_reaps_the_batch_process(self, tmp_path, monkeypatch):
+        _linear_repo(tmp_path, 3)
+        pipeline = Pipeline(PipelineConfig(source_path=str(tmp_path),
+                                           output_dir=str(tmp_path / "out")))
+        pipeline.run_stage("ingest")
+
+        def broken_parse(*_args, **_kwargs):
+            raise RuntimeError("parser crashed")
+
+        monkeypatch.setattr(fixscope.pipeline, "parse_source", broken_parse)
+        with pytest.raises(StageError):
+            self._stage_calls(monkeypatch, pipeline, "extract")

@@ -18,6 +18,7 @@ from fixscope.pipeline import (
     MissingCheckpointError,
     Pipeline,
     PipelineConfig,
+    StageError,
     export_dataset,
     run_pipeline,
 )
@@ -143,6 +144,25 @@ class TestCheckpointing:
         changed = small_config(small_corpus, tmp_path / "out", w_type=1e3)
         Pipeline(changed).run()
         assert (tmp_path / "out" / "feature_matrix.csv").stat().st_mtime_ns != stamp
+
+    def test_crash_on_forced_rerun_leaves_no_valid_manifest(self, small_corpus, tmp_path,
+                                                            monkeypatch):
+        config = small_config(small_corpus, tmp_path / "out")
+        Pipeline(config).run()
+        vectors = tmp_path / "out" / "feature_vectors.jsonl"
+        complete = vectors.read_bytes()
+
+        def crash_midway(self):
+            vectors.write_bytes(complete[:len(complete) // 2])
+            raise OSError("disk full")
+
+        crashing = Pipeline(config)
+        monkeypatch.setattr(crashing, "_stage_features", crash_midway.__get__(crashing))
+        with pytest.raises(StageError):
+            crashing.run_stage("features", force=True)
+        assert not crashing._is_current("features")
+        Pipeline(config).run_stage("features")  # not forced: reruns on its own
+        assert vectors.read_bytes() == complete
 
     def test_export_requires_checkpoint(self, small_corpus, tmp_path):
         config = small_config(small_corpus, tmp_path / "never-ran")
