@@ -378,7 +378,7 @@ def build_diff_ast(
         for b_child in b_positional[len(a_positional):]:
             conflicts.append(f"unpaired before-node {b_child.kind} forced Minus")
             minus_kids.append(b_child)
-        forced_plus = [c for c in a_positional[len(b_positional):]]
+        forced_plus = {id(c) for c in a_positional[len(b_positional):]}
         joined: dict[int, DiffNode] = {}
         for b_child, a_child in pairs:
             joined[id(a_child)] = join(b_child, a_child)
@@ -386,8 +386,8 @@ def build_diff_ast(
         for a_child in a_node.children:
             if id(a_child) in joined:
                 built.append(joined[id(a_child)])
-            elif id(a_child) in plus_kids or a_child in forced_plus:
-                if a_child in forced_plus:
+            elif id(a_child) in plus_kids or id(a_child) in forced_plus:
+                if id(a_child) in forced_plus:
                     conflicts.append(f"unpaired after-node {a_child.kind} forced Plus")
                 built.append(make_plus(a_child))
         minus_built = [make_minus(b_child) for b_child in minus_kids]

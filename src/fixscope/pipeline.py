@@ -525,6 +525,13 @@ class Pipeline:
             context_data[doc["hunk_id"]] = doc["features"]
         triage = {cid: meta["label"] for cid, meta in annotations.items()}
         bugfix = [cid for cid, label in triage.items() if label == "BUG-FIX"]
+        # cluster ids are dendrogram node ids, so a re-cluster can leave an
+        # annotation naming a cluster that no longer exists
+        stale = sorted(cid for cid in bugfix if cid not in clusters)
+        if stale:
+            logger.warning("annotations.csv marks BUG-FIX clusters absent from "
+                           "cluster_assignment.csv, not tested: %s", stale)
+            bugfix = [cid for cid in bugfix if cid in clusters]
         summary = {"withheld": not bugfix, "alpha": cfg.alpha,
                    "control_mode": cfg.control_mode, "bonferroni": cfg.bonferroni,
                    "bugfix_clusters": sorted(bugfix)}

@@ -6,6 +6,12 @@ relevant when its two-sided p-value falls under the significance level.
 The control group defaults to the whole dataset excluding the tested
 cluster's members (disjoint groups are required for a joint ranking); a
 flag restores the literal whole-dataset control for comparison.
+
+The tests are computed column-wise: the hunk x feature context matrix is
+built once, and each tested cluster's pooled rows are ranked in one call
+that yields every feature's midranks, tie correction and z at once.
+``dunn_test`` and ``summary_stats`` are the one-column case of the same
+kernels.
 """
 
 from __future__ import annotations
@@ -76,6 +82,58 @@ class ContextRelevanceMatrix:
         return self.cells.get((category, cluster_id), False)
 
 
+def _rank_tests(pooled: np.ndarray, n1: int, alpha: float):
+    """Two-group rank test with midranks and tie correction, per column.
+
+    The first ``n1`` rows of ``pooled`` are the cluster, the rest the
+    control group.  Returns lists of z, p and relevance, one per column.
+    A degenerate column (every value identical, or zero rank variance)
+    gives z = 0, p = 1 and is never relevant.
+    """
+    total = pooled.shape[0]
+    ranks = rankdata(pooled, method="average", axis=0)
+    mean1 = ranks[:n1].mean(axis=0)
+    mean2 = ranks[n1:].mean(axis=0)
+    # Tie groups of sizes t with midranks r satisfy
+    #   sum(t^3 - t) = 2 N (N + 1) (2 N + 1) - 3 sum((2 r)^2),
+    # and 2 r is an integer, so the tie sum is exact in int64 (N < 1.3e6).
+    doubled = (2.0 * ranks).astype(np.int64)
+    tie_sum = (2 * total * (total + 1) * (2 * total + 1)
+               - 3 * (doubled * doubled).sum(axis=0))
+    tie_term = tie_sum.astype(np.float64) / (12.0 * (total - 1))
+    variance = (total * (total + 1) / 12.0 - tie_term) * (
+        1.0 / n1 + 1.0 / (total - n1))
+    degenerate = (pooled == pooled[0]).all(axis=0) | (variance <= 0.0)
+    z = np.where(degenerate, 0.0,
+                 (mean1 - mean2) / np.sqrt(np.where(degenerate, 1.0, variance)))
+    zs, ps, relevant = z.tolist(), [], []
+    for zj, flat in zip(zs, degenerate.tolist()):
+        pj = 1.0 if flat else math.erfc(abs(zj) / math.sqrt(2.0))  # 2 (1 - Phi(|z|))
+        ps.append(pj)
+        relevant.append(not flat and pj < alpha)
+    return zs, ps, relevant
+
+
+def _summaries(rows: np.ndarray) -> list[SummaryStats]:
+    """Summary statistics of every row of a C-contiguous 2-D array.
+
+    Contiguous rows are summed pairwise, as a 1-D array is, so each row's
+    statistics carry the same bits as a call on that row alone.
+    """
+    means = rows.mean(axis=1).tolist()
+    stds = rows.std(axis=1, ddof=0).tolist()
+    quantiles = np.quantile(rows, QUANTILE_LEVELS, axis=1).T.tolist()
+    out = []
+    for mean, std, qs in zip(means, stds, quantiles):
+        if mean == 0.0:
+            cv, cv_defined = float("nan"), False
+        else:
+            cv, cv_defined = std / mean, True
+        out.append(SummaryStats(mean=mean, cv=cv, cv_defined=cv_defined,
+                                quantiles=dict(zip(QUANTILE_LEVELS, qs))))
+    return out
+
+
 def dunn_test(cluster_values, control_values, alpha: float = 0.05,
               feature: str = "") -> DunnResult:
     """Two-group rank test with midranks and tie correction.
@@ -87,23 +145,9 @@ def dunn_test(cluster_values, control_values, alpha: float = 0.05,
     group2 = np.asarray(control_values, dtype=np.float64)
     if group1.size == 0 or group2.size == 0:
         raise ValueError("both groups must be nonempty")
-    pooled = np.concatenate([group1, group2])
-    total = pooled.size
-    if np.all(pooled == pooled[0]):
-        return DunnResult(feature, 0.0, 1.0, False)
-    ranks = rankdata(pooled, method="average")
-    mean1 = float(ranks[:group1.size].mean())
-    mean2 = float(ranks[group1.size:].mean())
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / (
-        12.0 * (total - 1))
-    variance = (total * (total + 1) / 12.0 - tie_term) * (
-        1.0 / group1.size + 1.0 / group2.size)
-    if variance <= 0.0:
-        return DunnResult(feature, 0.0, 1.0, False)
-    z = (mean1 - mean2) / math.sqrt(variance)
-    p = math.erfc(abs(z) / math.sqrt(2.0))  # == 2 * (1 - Phi(|z|))
-    return DunnResult(feature, z, p, p < alpha)
+    pooled = np.concatenate([group1, group2])[:, None]
+    (z,), (p,), (relevant,) = _rank_tests(pooled, group1.size, alpha)
+    return DunnResult(feature, z, p, relevant)
 
 
 def summary_stats(values) -> SummaryStats:
@@ -111,14 +155,7 @@ def summary_stats(values) -> SummaryStats:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty sequence")
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=0))
-    if mean == 0.0:
-        cv, cv_defined = float("nan"), False
-    else:
-        cv, cv_defined = std / mean, True
-    quantiles = {q: float(np.quantile(arr, q)) for q in QUANTILE_LEVELS}
-    return SummaryStats(mean=mean, cv=cv, cv_defined=cv_defined, quantiles=quantiles)
+    return _summaries(arr.reshape(1, -1))[0]
 
 
 def relevance_matrix(
@@ -147,28 +184,33 @@ def relevance_matrix(
     result = ContextRelevanceMatrix(cluster_ids=bugfix_ids, alpha=alpha,
                                     control_mode=control_mode)
     effective_alpha = alpha / len(feature_names) if (bonferroni and feature_names) else alpha
+    categories = [categorize(feature) for feature in feature_names]
+    row_of = {hunk: i for i, hunk in enumerate(all_hunks)}
+    column_of = {feature: j for j, feature in enumerate(feature_names)}
+    context = np.zeros((len(all_hunks), len(feature_names)))  # absent reads 0.0
+    for hunk, values in context_data.items():
+        row = context[row_of[hunk]]
+        for name, value in values.items():
+            row[column_of[name]] = value
     for cid in bugfix_ids:
-        members = [h for h in clusters[cid] if h in context_data]
+        members = [row_of[h] for h in clusters[cid] if h in row_of]
         if not members:
             continue
-        member_set = set(members)
         if control_mode == "exclusive":
-            control_hunks = [h for h in all_hunks if h not in member_set]
+            member_set = set(members)
+            control = [i for i in range(len(all_hunks)) if i not in member_set]
         else:
-            control_hunks = all_hunks
-        if not control_hunks:
+            control = list(range(len(all_hunks)))
+        if not control:
             continue
-        for feature in feature_names:
-            cluster_vals = [context_data[h].get(feature, 0.0) for h in members]
-            control_vals = [context_data[h].get(feature, 0.0) for h in control_hunks]
-            test = dunn_test(cluster_vals, control_vals, alpha=effective_alpha,
-                             feature=feature)
-            category = categorize(feature)
-            record = FeatureRecord(
+        pooled = context[members + control]
+        zs, ps, relevant = _rank_tests(pooled, len(members), effective_alpha)
+        summaries = _summaries(np.ascontiguousarray(pooled[:len(members)].T))
+        for feature, category, z, p, hit, summary in zip(
+                feature_names, categories, zs, ps, relevant, summaries):
+            result.records.append(FeatureRecord(
                 cluster_id=cid, feature=feature, category=category,
-                z=test.z, p=test.p, relevant=test.relevant,
-                summary=summary_stats(cluster_vals))
-            result.records.append(record)
-            if test.relevant:
+                z=z, p=p, relevant=hit, summary=summary))
+            if hit:
                 result.cells[(category, cid)] = True
     return result

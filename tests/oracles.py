@@ -3,8 +3,9 @@
 Everything here is deliberately naive and kept free of the package's own
 numerics: O(n^3) agglomeration, direct-sum Pearson correlation, an
 explicitly coded midrank computation, a re-derivation of the
-histogram bin rule, and a git source that asks git once per commit and
-once per blob side.
+histogram bin rule, a relevance matrix that ranks one (cluster, feature)
+pair at a time, and a git source that asks git once per commit and once
+per blob side.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import math
 import subprocess
 from pathlib import Path
+
+import numpy as np
+from scipy.stats import rankdata
 
 
 def euclidean(a, b) -> float:
@@ -177,6 +181,80 @@ def bruteforce_dunn(cluster, control):
     phi = 0.5 * (1.0 + math.erf(abs(z) / math.sqrt(2.0)))
     return z, 2.0 * (1.0 - phi)
 
+
+
+def per_feature_dunn(cluster_values, control_values, alpha):
+    """(z, p, relevant) of one rank test, ranking and counting ties for this
+    pair alone."""
+    group1 = np.asarray(cluster_values, dtype=np.float64)
+    group2 = np.asarray(control_values, dtype=np.float64)
+    pooled = np.concatenate([group1, group2])
+    total = pooled.size
+    if np.all(pooled == pooled[0]):
+        return 0.0, 1.0, False
+    ranks = rankdata(pooled, method="average")
+    mean1 = float(ranks[:group1.size].mean())
+    mean2 = float(ranks[group1.size:].mean())
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / (
+        12.0 * (total - 1))
+    variance = (total * (total + 1) / 12.0 - tie_term) * (
+        1.0 / group1.size + 1.0 / group2.size)
+    if variance <= 0.0:
+        return 0.0, 1.0, False
+    z = (mean1 - mean2) / math.sqrt(variance)
+    p = math.erfc(abs(z) / math.sqrt(2.0))
+    return z, p, p < alpha
+
+
+def per_feature_summary(values):
+    """(mean, cv, cv_defined, quantiles) of one feature's cluster values."""
+    arr = np.asarray(values, dtype=np.float64)
+    mean = float(arr.mean())
+    std = float(arr.std(ddof=0))
+    cv, cv_defined = (float("nan"), False) if mean == 0.0 else (std / mean, True)
+    quantiles = {q: float(np.quantile(arr, q))
+                 for q in (0.05, 0.25, 0.50, 0.75, 0.95)}
+    return mean, cv, cv_defined, quantiles
+
+
+def per_feature_relevance(clusters, triage, context_data, alpha=0.05,
+                          control_mode="exclusive", bonferroni=False):
+    """Reference relevance matrix: one rank test per (cluster, feature) pair,
+    values gathered from the hunk dicts.  Returns the tested cluster ids,
+    one (cluster_id, feature, category, z, p, relevant, summary) tuple per
+    record, and the relevant (category, cluster_id) cells."""
+    from fixscope.context import categorize
+
+    bugfix_ids = [cid for cid in sorted(clusters, key=str)
+                  if triage.get(cid) == "BUG-FIX"]
+    all_hunks = sorted(context_data)
+    feature_names = sorted({name for values in context_data.values()
+                            for name in values})
+    effective_alpha = alpha / len(feature_names) if (bonferroni and feature_names) else alpha
+    records, cells = [], {}
+    for cid in bugfix_ids:
+        members = [h for h in clusters[cid] if h in context_data]
+        if not members:
+            continue
+        member_set = set(members)
+        if control_mode == "exclusive":
+            control_hunks = [h for h in all_hunks if h not in member_set]
+        else:
+            control_hunks = all_hunks
+        if not control_hunks:
+            continue
+        for feature in feature_names:
+            cluster_vals = [context_data[h].get(feature, 0.0) for h in members]
+            control_vals = [context_data[h].get(feature, 0.0) for h in control_hunks]
+            z, p, relevant = per_feature_dunn(cluster_vals, control_vals,
+                                              effective_alpha)
+            category = categorize(feature)
+            records.append((cid, feature, category, z, p, relevant,
+                            per_feature_summary(cluster_vals)))
+            if relevant:
+                cells[(category, cid)] = True
+    return bugfix_ids, records, cells
 
 class PerCommitGitSource:
     """Reference git source: ``git log`` for the commits, one ``git

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -235,6 +236,28 @@ class TestAnnotationsAndStats:
         rendered = (Path(config.output_dir) / "report.md").read_text()
         assert "✓" in rendered
         assert all(c["label"] == "BUG-FIX" for c in report.clusters)
+
+    def test_stale_bugfix_annotations_withhold_relevance(self, small_corpus, tmp_path,
+                                                         caplog):
+        # cluster ids are dendrogram node ids: a re-cluster can orphan them
+        out = tmp_path / "out"
+        pipeline = Pipeline(small_config(small_corpus, out))
+        live = int(pipeline.run().clusters[0]["id"])
+        annotations = out / "annotations.csv"
+        annotations.write_text("cluster_id,label,description\n99999,BUG-FIX,old id\n")
+        with caplog.at_level(logging.WARNING, logger="fixscope.pipeline"):
+            report = pipeline.run()
+        assert report.relevance_withheld
+        summary = json.loads((out / "stats_summary.json").read_text())
+        assert summary["withheld"] and summary["bugfix_clusters"] == []
+        assert "Withheld" in (out / "report.md").read_text()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "[99999]" in warnings[0].getMessage()
+        annotations.write_text("cluster_id,label,description\n"
+                               f"{live},BUG-FIX,live id\n99999,BUG-FIX,old id\n")
+        assert not pipeline.run().relevance_withheld
+        summary = json.loads((out / "stats_summary.json").read_text())
+        assert not summary["withheld"] and summary["bugfix_clusters"] == [live]
 
     def test_bad_annotation_label_rejected(self, small_corpus, tmp_path):
         config = small_config(small_corpus, tmp_path / "out")

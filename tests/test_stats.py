@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import fixscope.stats
 from fixscope.stats import (
     ContextRelevanceMatrix,
     dunn_test,
@@ -157,3 +158,103 @@ class TestRelevanceMatrix:
     def test_seventeen_rows_available(self):
         matrix = ContextRelevanceMatrix(cluster_ids=[])
         assert len(matrix.categories) == 17
+
+
+ORACLE_FEATURES = ("ctx_Module_size", "ctx_FunctionDef_body_size",
+                   "ctx_FunctionDef_args_size", "ctx_including_If",
+                   "ctx_inner_add_Call_count", "ctx_inner_rem_Assign_count")
+
+
+def sparse_context(rng, n_hunks, continuous):
+    """Seeded sparse context dicts: each varying feature is present in about
+    40% of the hunks, drawn from five integers (ties) or from [0, 10); plus a
+    constant column, an all-zero column, and a feature present in one hunk."""
+    context = {}
+    for i in range(n_hunks):
+        features = {"ctx_including_For": 2.0}
+        if rng.random() < 0.3:
+            features["ctx_including_Call"] = 0.0
+        for name in ORACLE_FEATURES:
+            if rng.random() < 0.4:
+                features[name] = (rng.random() * 10.0 if continuous
+                                  else float(rng.randint(0, 4)))
+        context[f"h{i:03d}"] = features
+    context[f"h{rng.randrange(n_hunks):03d}"]["ctx_inner_add_Return_count"] = 5.0
+    return context
+
+
+def sparse_clusters(rng, context):
+    """Clusters of assorted sizes in shuffled member order: one with members
+    missing from ``context``, one covering every hunk, one of missing hunks
+    only, one planted deviation, and one not triaged BUG-FIX."""
+    hunks = sorted(context)
+    clusters = {size: tuple(rng.sample(hunks, size))
+                for size in (1, 2, 5, len(hunks) // 2)}
+    clusters[7] = tuple(rng.sample(hunks, 4)) + ("gone-1", "gone-2")
+    clusters[8] = tuple(rng.sample(hunks, len(hunks)))
+    clusters[9] = ("gone-3",)
+    planted = rng.sample(hunks, 6)
+    for hunk in planted:
+        context[hunk]["ctx_FunctionDef_body_size"] = 40.0 + rng.randint(0, 3)
+    clusters[10] = tuple(planted)
+    clusters[11] = tuple(rng.sample(hunks, 3))
+    triage = {cid: "BUG-FIX" for cid in clusters}
+    triage[11] = "REFACTORING"
+    return clusters, triage
+
+
+def assert_matches_per_feature(matrix, reference):
+    cluster_ids, records, cells = reference
+    assert matrix.cluster_ids == cluster_ids
+    assert len(matrix.records) == len(records)
+    for mine, expected in zip(matrix.records, records):
+        s = mine.summary
+        got = (mine.cluster_id, mine.feature, mine.category, mine.z, mine.p,
+               mine.relevant, (s.mean, s.cv, s.cv_defined, s.quantiles))
+        for field_got, field_expected in zip(got, expected):
+            assert repr(field_got) == repr(field_expected), (got, expected)
+    assert matrix.cells == cells
+
+
+class TestColumnwiseRelevance:
+    def test_matches_per_feature_oracle(self):
+        relevant = degenerate = 0
+        for seed in range(4):
+            for n_hunks, continuous in ((25, False), (60, True), (300, True)):
+                rng = random.Random(seed * 1000 + n_hunks)
+                context = sparse_context(rng, n_hunks, continuous)
+                clusters, triage = sparse_clusters(rng, context)
+                for control_mode in ("exclusive", "inclusive"):
+                    for bonferroni in (False, True):
+                        matrix = relevance_matrix(
+                            clusters, triage, context, control_mode=control_mode,
+                            bonferroni=bonferroni)
+                        assert_matches_per_feature(matrix, oracles.per_feature_relevance(
+                            clusters, triage, context, control_mode=control_mode,
+                            bonferroni=bonferroni))
+                        tested = {r.cluster_id for r in matrix.records}
+                        # the all-hunk cluster has no exclusive control group
+                        assert (8 in tested) == (control_mode == "inclusive")
+                        assert 9 not in tested and 11 not in tested
+                        relevant += sum(r.relevant for r in matrix.records)
+                        degenerate += sum(r.p == 1.0 for r in matrix.records)
+        assert relevant and degenerate
+
+    def test_ranks_once_per_tested_cluster(self, monkeypatch):
+        calls = []
+        real_rankdata = fixscope.stats.rankdata
+
+        def counting_rankdata(*args, **kwargs):
+            calls.append(1)
+            return real_rankdata(*args, **kwargs)
+
+        monkeypatch.setattr(fixscope.stats, "rankdata", counting_rankdata)
+        rng = random.Random(11)
+        context = sparse_context(rng, 40, False)
+        clusters, triage = sparse_clusters(rng, context)
+        matrix = relevance_matrix(clusters, triage, context)
+        tested = {r.cluster_id for r in matrix.records}
+        n_features = len({f for values in context.values() for f in values})
+        assert len(tested) == 6 and n_features > 1
+        assert len(matrix.records) == len(tested) * n_features
+        assert len(calls) == len(tested)
