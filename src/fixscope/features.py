@@ -12,6 +12,8 @@ subtree (each labeled root of a multi-root hunk restarts at level 0).  The
 default weights keep feature values integral for all node-type features up
 to level 15 and all role features up to level 14; deeper nodes still
 accumulate, with a warning, since the weighting assumes shallow hunks.
+Where ``r**level`` overflows a float (past level 308 at ``r=10``), the
+node's terms underflow to 0.0 and add nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +102,10 @@ def hunk_feature_vector(hunk: Hunk, weights: WeightConfig | None = None) -> Feat
             node, level = stack.pop()
             if level > MAX_WEIGHTED_LEVEL:
                 deep = True
-            scale = weights.r ** level
+            try:
+                scale = weights.r ** level
+            except OverflowError:
+                scale = math.inf  # the weight underflows to 0.0 this deep
             vector.add(f"{direction}_{node.kind}", weights.w_type / scale)
             if node.role is not None:
                 vector.add(f"{direction}_{node.role}_{node.kind}", w_role_scaled / scale)

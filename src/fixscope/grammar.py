@@ -19,8 +19,9 @@ normalization layer folds the host tree onto the canonical taxonomy:
   ``NamedExpr``/``AnnAssign`` -> ``Assign``, ``Nonlocal`` -> ``Global``,
   ``async`` definitions -> their plain forms).
 
-Files using constructs with no reasonable counterpart (``match`` blocks)
-raise :class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so the
+Files using constructs with no reasonable counterpart (``match`` blocks),
+and files nested too deeply for the normalizer, raise
+:class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so the
 pipeline records and skips them like any unparseable file.
 """
 
@@ -184,11 +185,20 @@ def parse_source(text: str, dialect: str = DEFAULT_DIALECT) -> AstNode:
     Raises ``SyntaxError`` (including :class:`UnsupportedConstructError`)
     for files the dialect cannot represent; the pipeline records and skips
     those.  Pure function of ``(text, dialect)``.
+
+    The normalizer recurses once per nesting level, so until it walks an
+    explicit stack the cut-off follows the interpreter's recursion limit:
+    a file nested deeper than it allows (``1 + 1 + ...`` with 600 terms,
+    at the default limit of 1000) raises
+    :class:`UnsupportedConstructError` too.
     """
     if dialect != DEFAULT_DIALECT:
         raise ValueError(f"unknown dialect {dialect!r}")
-    tree = ast.parse(text)
-    return _Normalizer(text).module(tree)
+    try:
+        return _Normalizer(text).module(ast.parse(text))
+    except RecursionError as exc:
+        raise UnsupportedConstructError(
+            "nesting too deep for the normalizer's recursion") from exc
 
 
 # --- host-parser normalization -------------------------------------------

@@ -4,19 +4,21 @@ Two sources share one interface: a Gerrit-style review API (HTTPS JSON
 with the XSSI prefix line, offset pagination, base64 file content) and a
 local git repository.  Remote fetches go through an on-disk content
 cache keyed by (change id, path, revision, side) and verified by digest,
-so full runs replay offline.  The git source needs no cache: one
-``git log`` lists the commits and their files, and one long-lived
-``git cat-file --batch`` process reads every blob from the repository's
-own object store.  Both sources have ``close``; call it when done.
+so full runs replay offline.  The git source needs no cache: its scan
+runs ``git rev-parse`` and one ``git log`` and reads no blob, since the
+log's object ids tell which files have content, and ``file_pairs``
+streams every blob a stage needs through one ``git cat-file --batch``.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import logging
 import subprocess
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -162,6 +164,19 @@ def _decode(data: bytes, where: str) -> str:
         return data.decode("utf-8", errors="replace")
 
 
+def _decoded_pair(record: ChangeRecord, path: str, before: bytes,
+                  after: bytes) -> FilePair | None:
+    """Both sides as text, or None when neither side has content."""
+    if not before and not after:
+        return None
+    return FilePair(
+        path=path,
+        before_text=_decode(before, f"{record.change_id}:{path}@parent"),
+        after_text=_decode(after, f"{record.change_id}:{path}"),
+        change_id=record.change_id,
+    )
+
+
 class GerritSource:
     """Review-API client: merged-change queries and file-content fetches.
 
@@ -301,20 +316,48 @@ class GerritSource:
             self.cache.put(key, data)
         return data
 
-    def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
+    def has_content(self, record: ChangeRecord, path: str) -> bool:
+        """Whether either side of ``path`` has content.  Fetches both
+        sides, which fills the cache for offline replays."""
         before = self._content(record, path, "before")
         after = self._content(record, path, "after")
-        if not before and not after:
-            raise MissingBlobError(f"{record.change_id}:{path}")
-        return FilePair(
-            path=path,
-            before_text=_decode(before, f"{record.change_id}:{path}@parent"),
-            after_text=_decode(after, f"{record.change_id}:{path}"),
-            change_id=record.change_id,
-        )
+        return bool(before or after)
 
-    def close(self) -> None:
-        """Nothing to release; present so both sources close alike."""
+    def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
+        pair = _decoded_pair(record, path, self._content(record, path, "before"),
+                             self._content(record, path, "after"))
+        if pair is None:
+            raise MissingBlobError(f"{record.change_id}:{path}")
+        return pair
+
+    def file_pairs(self, items):
+        """For each ``(record, path)`` in order, its ``FilePair``, or None
+        when neither side has content."""
+        for record, path in items:
+            try:
+                yield self.fetch_file_pair(record, path)
+            except MissingBlobError:
+                yield None
+
+
+# the empty blob's id under each object format, keyed by hex length
+_EMPTY_BLOBS = {len(oid): oid for oid in (hashlib.sha1(b"blob 0\x00").hexdigest(),
+                                          hashlib.sha256(b"blob 0\x00").hexdigest())}
+_GITLINK = "160000"
+
+
+def _has_content(mode: str, oid: str) -> bool:
+    """Whether one side of a ``--raw`` entry reads as file content: an
+    all-zero id is absent, and a gitlink names a commit, not a blob."""
+    return (mode != _GITLINK and oid != "0" * len(oid)
+            and oid != _EMPTY_BLOBS.get(len(oid)))
+
+
+def _send(stdin, names: bytes):
+    """Write every request, then close the pipe so git sees the end of
+    input; a git that has exited has nothing left to read."""
+    with contextlib.suppress(BrokenPipeError), stdin:
+        stdin.write(names)
 
 
 class GitSource:
@@ -322,14 +365,17 @@ class GitSource:
 
     Every non-merge commit is one change; ``merges_only`` restricts the
     scan to merge commits for review workflows that land merges.  A scan
-    starts the same few git processes however many commits it reads: one
-    ``git log`` lists the commits with their files, and one long-lived
-    ``git cat-file --batch`` serves every blob until ``close``.
+    runs ``git rev-parse`` and one ``git log`` however many commits it
+    reads, and no blob: the log's object ids answer ``has_content``.
+    ``file_pairs`` reads blobs through one ``git cat-file --batch`` per
+    call, fed by a writer thread so no request waits for the reply before
+    it; ``fetch_file_pair`` is the one-pair call of the same reader.
     """
 
     def __init__(self, repo_path: str | Path):
         self.repo = Path(repo_path)
-        self._batch: subprocess.Popen | None = None
+        # (revision, path) of scanned files with content on neither side
+        self._contentless: set[tuple[str, str]] = set()
 
     def _git(self, *args: str) -> bytes:
         proc = subprocess.run(
@@ -361,7 +407,7 @@ class GitSource:
         # Headers start with the hash, status tokens with ":", so neither
         # messages nor paths can shift the boundaries.  --no-renames lists
         # both paths of a rename; merges list no entries.
-        args = ["log", "-z", "--root", "--no-renames", "--raw",
+        args = ["log", "-z", "--root", "--no-renames", "--raw", "--no-abbrev",
                 "--format=%H%x1f%P%x1f%aI%x1f%B"]
         if merges_only:
             args.append("--merges")
@@ -371,73 +417,96 @@ class GitSource:
             args.append(f"--until={before}")
         args.extend(branches)
         args.append("--")  # branches are revisions even where files share their names
-        tokens = iter(self._git(*args).decode("utf-8", errors="replace").split("\x00"))
-        commits: list[tuple[str, set[str]]] = []
+        tokens = iter(self._git(*args).split(b"\x00"))
+        commits: list[tuple[str, set[str], set[str]]] = []
         for token in tokens:
-            if token.startswith((":", "\n:")):
-                commits[-1][1].add(next(tokens))
+            if token.startswith((b":", b"\n:")):
+                src_mode, dst_mode, src_oid, dst_oid, _status = (
+                    token.lstrip(b"\n")[1:].decode("ascii").split())
+                name = next(tokens)
+                try:
+                    path = name.decode("utf-8")
+                except UnicodeDecodeError:
+                    # git resolves no blob under the replaced spelling
+                    path = name.decode("utf-8", errors="replace")
+                    readable = False
+                else:
+                    readable = (_has_content(src_mode, src_oid)
+                                or _has_content(dst_mode, dst_oid))
+                commits[-1][1].add(path)
+                if readable:
+                    commits[-1][2].add(path)
             elif token:
-                commits.append((token, set()))
+                commits.append((token.decode("utf-8", errors="replace"), set(), set()))
         records = []
         project = self.repo.name
-        for header, files in commits:
+        for header, files, readable in commits:
             commit, parents, date, message = header.split("\x1f", 3)
             if not merges_only and len(parents.split()) > 1:
                 continue
+            self._contentless.update((commit, path) for path in files - readable)
             records.append(ChangeRecord(
                 change_id=commit, project=project, branch="", revision=commit,
                 message=message, files=tuple(sorted(files)), created=date))
         records.reverse()  # oldest first
         return records
 
-    def _blobs(self, *names: str) -> list[bytes]:
-        """The blobs named ``rev:path``, read through the batch process; a
-        name that is missing or not a blob reads as empty."""
-        if self._batch is None:
-            self._batch = subprocess.Popen(
+    def has_content(self, record: ChangeRecord, path: str) -> bool:
+        """Whether either side of ``path`` reads as content, for a file of
+        a record this source's scan returned.  Answered from the scan's
+        object ids; no blob is read."""
+        return (record.revision, path) not in self._contentless
+
+    def file_pairs(self, items):
+        """For each ``(record, path)`` in order, its ``FilePair``, or None
+        when neither side has content.  A side that is missing, or names
+        something other than a blob, reads as empty.
+
+        One ``git cat-file --batch -z`` serves every item: a writer thread
+        sends all the names while this generator reads the replies.
+        Closing the generator, also before it is exhausted, closes the
+        pipes, joins the writer and reaps git.
+        """
+        requests = [(record, path, f"{record.revision}^:{path}".encode("utf-8"),
+                     f"{record.revision}:{path}".encode("utf-8"))
+                    for record, path in items]
+        if not requests:
+            return
+        names = b"".join(name + b"\x00" for *_, before, after in requests
+                         for name in (before, after))
+        with subprocess.Popen(
                 ["git", "-C", str(self.repo), "cat-file", "--batch", "-z"],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL)
-        wanted = [name.encode("utf-8") for name in names]
-        try:
-            self._batch.stdin.write(b"".join(name + b"\x00" for name in wanted))
-            self._batch.stdin.flush()
-        except BrokenPipeError as exc:
-            raise IngestError(f"git cat-file stopped answering in {self.repo}") from exc
-        stdout = self._batch.stdout
-        blobs = []
-        for name in wanted:
-            line = stdout.readline()
-            if b":" in line:  # "<name> missing"; with -z the echoed name may hold LFs
-                for _ in range(name.count(b"\n")):
-                    stdout.readline()
-                blobs.append(b"")
-                continue
-            fields = line.split()  # "<oid> <type> <size>"
-            size = int(fields[2]) if len(fields) == 3 else -1
-            data = stdout.read(size + 1) if size >= 0 else b""  # content, LF
-            if size < 0 or len(data) != size + 1:
-                raise IngestError(f"git cat-file stopped answering in {self.repo}")
-            blobs.append(data[:-1] if fields[1] == b"blob" else b"")
-        return blobs
+                stderr=subprocess.DEVNULL) as batch:
+            writer = threading.Thread(target=_send, args=(batch.stdin, names),
+                                      name="git-cat-file-writer", daemon=True)
+            writer.start()
+            try:
+                for record, path, before, after in requests:
+                    yield _decoded_pair(record, path, self._read(batch.stdout, before),
+                                        self._read(batch.stdout, after))
+            finally:
+                batch.stdout.close()  # git quits on its next reply, not blocks
+                writer.join()
+
+    def _read(self, stdout, name: bytes) -> bytes:
+        """The reply to ``name``: the blob, or empty when it is missing or
+        not a blob."""
+        line = stdout.readline()
+        if b":" in line:  # "<name> missing"; with -z the echoed name may hold LFs
+            for _ in range(name.count(b"\n")):
+                stdout.readline()
+            return b""
+        fields = line.split()  # "<oid> <type> <size>"
+        size = int(fields[2]) if len(fields) == 3 else -1
+        data = stdout.read(size + 1) if size >= 0 else b""  # content, LF
+        if size < 0 or len(data) != size + 1:
+            raise IngestError(f"git cat-file stopped answering in {self.repo}")
+        return data[:-1] if fields[1] == b"blob" else b""
 
     def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
-        before, after = self._blobs(f"{record.revision}^:{path}",
-                                    f"{record.revision}:{path}")
-        if not before and not after:
+        with contextlib.closing(self.file_pairs([(record, path)])) as pairs:
+            pair = next(pairs)
+        if pair is None:
             raise MissingBlobError(f"{record.change_id}:{path}")
-        return FilePair(
-            path=path,
-            before_text=_decode(before, f"{record.change_id}:{path}@parent"),
-            after_text=_decode(after, f"{record.change_id}:{path}"),
-            change_id=record.change_id,
-        )
-
-    def close(self) -> None:
-        """End the batch process and reap it, so its CPU time is counted
-        among this process's children."""
-        if self._batch is not None:
-            batch, self._batch = self._batch, None
-            batch.stdin.close()
-            batch.stdout.close()  # a reply left unread must not block its exit
-            batch.wait()
+        return pair

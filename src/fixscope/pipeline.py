@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import shutil
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,10 +45,10 @@ from fixscope.features import (
 from fixscope.grammar import parse_source, taxonomy_checksum
 from fixscope.ingest import (
     DEFAULT_KEYWORDS,
+    ChangeRecord,
     ContentCache,
     GerritSource,
     GitSource,
-    MissingBlobError,
     exclude_test_files,
     keyword_filter,
 )
@@ -268,14 +269,8 @@ class Pipeline:
     # -- stages
 
     def _stage_ingest(self):
-        source = self._source()
-        try:
-            self._ingest(source)
-        finally:
-            source.close()
-
-    def _ingest(self, source):
         cfg = self.config
+        source = self._source()
         if cfg.source_mode == "git":
             records = source.fetch_merged_changes(
                 projects=cfg.projects, branches=cfg.branches,
@@ -299,10 +294,9 @@ class Pipeline:
             retained = exclude_test_files(python_files, cfg.test_markers)
             files_retained += len(retained)
             for path in retained:
-                try:
-                    source.fetch_file_pair(record, path)
+                if source.has_content(record, path):
                     fetched += 1
-                except MissingBlobError:
+                else:
                     missing += 1
             rows.append({
                 "change_id": record.change_id,
@@ -327,34 +321,26 @@ class Pipeline:
         (self.out / "ingest_counts.json").write_text(_json_dumps(counts))
 
     def _stage_extract(self):
-        source = self._source()
-        try:
-            self._extract(source)
-        finally:
-            source.close()
-
-    def _extract(self, source):
         cfg = self.config
-        changes = [json.loads(line)
-                   for line in (self.out / "changes.jsonl").read_text().splitlines()
-                   if line]
-        hunk_docs = []
-        skipped = []
-        counts = {"files_considered": 0, "files_parsed": 0,
-                  "files_skipped_syntax": 0, "files_missing": 0,
-                  "alignment_conflicts": 0, "hunks": 0}
-        from fixscope.ingest import ChangeRecord
-        for change in changes:
+        items = []
+        for line in (self.out / "changes.jsonl").read_text().splitlines():
+            if not line:
+                continue
+            change = json.loads(line)
             record = ChangeRecord(
                 change_id=change["change_id"], project=change["project"],
                 branch=change["branch"], revision=change["revision"],
                 message=change["message"], files=tuple(change["files"]),
                 created=change.get("created", ""))
-            for path in record.files:
-                counts["files_considered"] += 1
-                try:
-                    pair = source.fetch_file_pair(record, path)
-                except MissingBlobError:
+            items.extend((record, path) for path in record.files)
+        hunk_docs = []
+        skipped = []
+        counts = {"files_considered": len(items), "files_parsed": 0,
+                  "files_skipped_syntax": 0, "files_missing": 0,
+                  "alignment_conflicts": 0, "hunks": 0}
+        with closing(self._source().file_pairs(items)) as pairs:
+            for (record, path), pair in zip(items, pairs):
+                if pair is None:
                     counts["files_missing"] += 1
                     continue
                 try:

@@ -138,6 +138,20 @@ class TestIntegerExactness:
         assert vec.entries["add_If-Test_Name"] == 0.1
 
 
+    def test_terms_past_the_float_range_contribute_zero(self):
+        # 10.0 ** level overflows past level 308; those terms underflow to
+        # 0.0 while every shallower one keeps its exact value
+        weights = WeightConfig()
+        vec = hunk_feature_vector(hunk_of(self.chain(400)), weights)
+        node_sum = role_sum = 0.0
+        for level in range(309):
+            node_sum += weights.w_type / 10.0 ** level
+            role_sum += weights.w_role * weights.c / 10.0 ** level
+        assert vec.entries["add_If"] == node_sum
+        assert vec.entries["add_If-Body_If"] == role_sum
+        assert "add_Name" not in vec.entries  # its one term sits at level 400
+
+
 class TestFromRealDiffs:
     def test_added_statement_from_source(self):
         before = "def f():\n    x = 1\n"

@@ -95,6 +95,10 @@ class TestParseSource:
         with pytest.raises(UnsupportedConstructError):
             parse_source(src)
 
+    def test_nesting_past_the_recursion_limit_is_unsupported(self):
+        with pytest.raises(UnsupportedConstructError):
+            parse_source("x = " + " + ".join(["1"] * 600) + "\n")
+
     def test_determinism(self):
         src = "def f(a, b=1):\n    return a + b\n"
         assert structure(parse_source(src)) == structure(parse_source(src))

@@ -7,6 +7,8 @@ import base64
 import json
 import logging
 import subprocess
+import threading
+import time
 import urllib.parse
 from contextlib import closing
 
@@ -279,16 +281,16 @@ class TestGitSource:
         assert source.fetch_merged_changes() == source.fetch_merged_changes()
 
     def test_file_pair_for_modification(self, tiny_repo):
-        with closing(GitSource(tiny_repo)) as source:
-            records = source.fetch_merged_changes()
-            pair = source.fetch_file_pair(records[1], "mod.py")
+        source = GitSource(tiny_repo)
+        records = source.fetch_merged_changes()
+        pair = source.fetch_file_pair(records[1], "mod.py")
         assert pair.before_text == "x = 1\n"
         assert pair.after_text == "x = 2\n"
 
     def test_new_file_has_empty_before(self, tiny_repo):
-        with closing(GitSource(tiny_repo)) as source:
-            records = source.fetch_merged_changes()
-            pair = source.fetch_file_pair(records[0], "mod.py")
+        source = GitSource(tiny_repo)
+        records = source.fetch_merged_changes()
+        pair = source.fetch_file_pair(records[0], "mod.py")
         assert pair.before_text == ""
         assert pair.after_text == "x = 1\n"
 
@@ -311,19 +313,24 @@ class TestGitSource:
         (tmp_path / "pkg.py").write_text("b = 2\n")
         git(tmp_path, "add", "-A")
         git(tmp_path, "commit", "-q", "-m", "Fix: flatten the package")
-        with closing(GitSource(tmp_path)) as source:
-            record = source.fetch_merged_changes()[-1]
-            assert record.files == ("pkg.py", "pkg.py/inner.py")
-            pair = source.fetch_file_pair(record, "pkg.py")
+        source = GitSource(tmp_path)
+        record = source.fetch_merged_changes()[-1]
+        assert record.files == ("pkg.py", "pkg.py/inner.py")
+        pair = source.fetch_file_pair(record, "pkg.py")
+        assert source.has_content(record, "pkg.py")
+        assert source.has_content(record, "pkg.py/inner.py")
         assert (pair.before_text, pair.after_text) == ("", "b = 2\n")
 
 
 # Paths and messages chosen to break naive parsing of git's output: LF,
 # the unit separator, a leading colon, non-ASCII, and a file named after
-# the hash of the commit that git log prints next.
+# the hash of the commit that git log prints next.  The last four commits
+# touch files that read empty: an empty file added, its mode changed and
+# the file deleted, then a gitlink.
 NEWLINE_PATH = "new\nline.py"
 COLON_PATH = ":colon.py"
 LATIN1_BLOB = "x = '\xe9'\n".encode("latin-1")
+ABSENT_COMMIT = "5" * 40  # a gitlink target the repository does not hold
 
 
 def _commit(repo, day, *args):
@@ -380,7 +387,33 @@ def parity_repo(tmp_path_factory):
     message.write_text("Fix verbatim message\n\n\n  trailing blank lines")
     (repo / "main.py").write_text("main = 2\n")
     _commit(repo, 11, "-a", "--cleanup=verbatim", "-F", str(message))
+    (repo / "empty.py").write_text("")
+    git(repo, "add", "empty.py")
+    _commit(repo, 12, "-m", "Fix: add an empty module")
+    git(repo, "update-index", "--chmod=+x", "empty.py")
+    _commit(repo, 13, "-m", "Fix the mode of the empty module")
+    git(repo, "rm", "-q", "-f", "empty.py")  # the worktree copy kept its old mode
+    _commit(repo, 14, "-m", "Fix: drop the empty module")
+    git(repo, "update-index", "--add", "--cacheinfo", f"160000,{ABSENT_COMMIT},sub.py")
+    _commit(repo, 15, "-m", "Fix: link a submodule")
     return repo, parent
+
+
+@pytest.fixture(scope="module")
+def sha256_repo(tmp_path_factory):
+    repo = tmp_path_factory.mktemp("sha256") / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q", "-b", "main", "--object-format=sha256")
+    (repo / "mod.py").write_text("x = 1\n")
+    (repo / "empty.py").write_text("")
+    git(repo, "add", "-A")
+    _commit(repo, 1, "-m", "Fix: import")
+    (repo / "mod.py").write_text("x = 2\n")
+    git(repo, "add", "mod.py")
+    git(repo, "rm", "-q", "empty.py")
+    git(repo, "update-index", "--add", "--cacheinfo", f"160000,{'5' * 64},sub.py")
+    _commit(repo, 2, "-m", "Fix x, drop the empty module, link a submodule")
+    return repo
 
 
 SCANS = [
@@ -393,65 +426,150 @@ SCANS = [
 ]
 
 
+def _assert_matches_reference(repo, scan):
+    """Records, presence answers and file pairs equal the per-commit
+    reference's; a pair the reference finds missing reads as None."""
+    reference = oracles.PerCommitGitSource(repo)
+    source = GitSource(repo)
+    records = source.fetch_merged_changes(**scan)
+    assert records == reference.fetch_merged_changes(**scan)
+    assert records
+    items = [(record, path) for record in records for path in record.files]
+    expected = []
+    for record, path in items:
+        try:
+            expected.append(reference.fetch_file_pair(record, path))
+        except MissingBlobError:
+            expected.append(None)
+    assert [source.has_content(record, path) for record, path in items] == \
+        [pair is not None for pair in expected]
+    assert list(source.file_pairs(items)) == expected
+
+
+class BlobReadingGitSource(GitSource):
+    """Answers ``has_content`` the way ingest did before it read object
+    ids: by reading both blobs, here through the per-commit reference."""
+
+    def has_content(self, record, path):
+        try:
+            oracles.PerCommitGitSource(self.repo).fetch_file_pair(record, path)
+        except MissingBlobError:
+            return False
+        return True
+
+
+def _assert_ingest_matches_blob_reads(repo, scan, out, monkeypatch):
+    written = {}
+    for source_class in (GitSource, BlobReadingGitSource):
+        monkeypatch.setattr(fixscope.pipeline, "GitSource", source_class)
+        stage_out = out / source_class.__name__
+        Pipeline(PipelineConfig(source_path=str(repo), output_dir=str(stage_out),
+                                **scan)).run_stage("ingest")
+        written[source_class] = [(stage_out / name).read_bytes()
+                                 for name in ("changes.jsonl", "ingest_counts.json")]
+    assert written[GitSource] == written[BlobReadingGitSource]
+    return json.loads(written[GitSource][1])
+
+
 class TestGitSourceParity:
     @pytest.mark.parametrize("scan", SCANS, ids=lambda scan: ",".join(scan) or "all")
     def test_records_and_pairs_match_per_commit_reference(self, parity_repo, scan):
         repo, _ = parity_repo
-        reference = oracles.PerCommitGitSource(repo)
-        expected = reference.fetch_merged_changes(**scan)
-        with closing(GitSource(repo)) as source:
-            records = source.fetch_merged_changes(**scan)
-            assert records == expected
-            assert records
-            for record in records:
-                for path in record.files:
-                    try:
-                        want = reference.fetch_file_pair(record, path)
-                    except MissingBlobError:
-                        with pytest.raises(MissingBlobError):
-                            source.fetch_file_pair(record, path)
-                        continue
-                    assert source.fetch_file_pair(record, path) == want
+        _assert_matches_reference(repo, scan)
+
+    @pytest.mark.parametrize("scan", SCANS, ids=lambda scan: ",".join(scan) or "all")
+    def test_ingest_counts_match_blob_reads(self, parity_repo, scan, tmp_path,
+                                            monkeypatch):
+        repo, _ = parity_repo
+        counts = _assert_ingest_matches_blob_reads(repo, scan, tmp_path, monkeypatch)
+        if not scan:
+            assert counts["files_missing"] == 4  # the four empty-reading commits
+
+    def test_sha256_repository(self, sha256_repo, tmp_path, monkeypatch):
+        _assert_matches_reference(sha256_repo, {})
+        source = GitSource(sha256_repo)
+        first, second = source.fetch_merged_changes()
+        assert len(first.revision) == 64
+        assert not source.has_content(first, "empty.py")
+        assert not source.has_content(second, "empty.py")
+        assert not source.has_content(second, "sub.py")
+        counts = _assert_ingest_matches_blob_reads(sha256_repo, {}, tmp_path, monkeypatch)
+        assert (counts["files_fetched"], counts["files_missing"]) == (2, 3)
+
+    def test_non_utf8_path_reads_missing(self, tmp_path):
+        # git cannot resolve the U+FFFD spelling the records carry
+        git(tmp_path, "init", "-q", "-b", "main")
+        oid = subprocess.run(["git", "-C", str(tmp_path), "hash-object", "-w", "--stdin"],
+                             input=b"x = 1\n", capture_output=True,
+                             check=True).stdout.decode().strip()
+        subprocess.run(["git", "-C", str(tmp_path), "update-index", "--add", "--cacheinfo",
+                        f"100644,{oid},".encode() + b"caf\xe9.py"], check=True)
+        _commit(tmp_path, 1, "-m", "Fix: a latin-1 file name")
+        _assert_matches_reference(tmp_path, {})
+        source = GitSource(tmp_path)
+        [record] = source.fetch_merged_changes()
+        assert record.files == ("caf\ufffd.py",)
+        assert not source.has_content(record, "caf\ufffd.py")
 
     def test_cases_the_fixture_must_hold(self, parity_repo):
         repo, parent = parity_repo
-        with closing(GitSource(repo)) as source:
-            records = source.fetch_merged_changes()
-            by_message = {r.message.split("\n")[0].split("\x1f")[0]: r for r in records}
-            assert records[0].files == ("lib/util.py", "mod.py")  # root commit
-            assert by_message["Fix nothing at all"].files == ()
-            renamed = by_message["Fix naming"]
-            assert renamed.files == ("lib/helpers.py", "lib/util.py")
-            assert renamed.message.startswith("Fix naming\x1fwith a unit separator\n")
-            assert NEWLINE_PATH in by_message["Fix paths"].files
-            assert COLON_PATH in by_message["Fix paths"].files
-            assert parent in by_message["Fix the hex name"].files
-            assert records[-1].message == ("Fix verbatim message\n\n\n"
-                                           "  trailing blank lines")
-            assert "Merge the side fix" not in by_message
-            added = source.fetch_file_pair(by_message["Fix paths"], NEWLINE_PATH)
-            assert (added.before_text, added.after_text) == ("", "n = 1\n")
-            deleted = source.fetch_file_pair(by_message["Fix: drop mod"], "mod.py")
-            assert (deleted.before_text, deleted.after_text) == ("x = 1\n", "")
-            with pytest.raises(MissingBlobError):
-                source.fetch_file_pair(by_message["Fix paths"], "absent.py")
-            merges = source.fetch_merged_changes(merges_only=True)
-            assert [m.message for m in merges] == ["Merge the side fix\n"]
-            assert merges[0].files == ()
+        source = GitSource(repo)
+        records = source.fetch_merged_changes()
+        by_message = {r.message.split("\n")[0].split("\x1f")[0]: r for r in records}
+        assert records[0].files == ("lib/util.py", "mod.py")  # root commit
+        assert by_message["Fix nothing at all"].files == ()
+        renamed = by_message["Fix naming"]
+        assert renamed.files == ("lib/helpers.py", "lib/util.py")
+        assert renamed.message.startswith("Fix naming\x1fwith a unit separator\n")
+        assert NEWLINE_PATH in by_message["Fix paths"].files
+        assert COLON_PATH in by_message["Fix paths"].files
+        assert parent in by_message["Fix the hex name"].files
+        assert by_message["Fix verbatim message"].message == (
+            "Fix verbatim message\n\n\n  trailing blank lines")
+        assert "Merge the side fix" not in by_message
+        added = source.fetch_file_pair(by_message["Fix paths"], NEWLINE_PATH)
+        assert (added.before_text, added.after_text) == ("", "n = 1\n")
+        deleted = source.fetch_file_pair(by_message["Fix: drop mod"], "mod.py")
+        assert (deleted.before_text, deleted.after_text) == ("x = 1\n", "")
+        with pytest.raises(MissingBlobError):
+            source.fetch_file_pair(by_message["Fix paths"], "absent.py")
+        for message, path in (("Fix: add an empty module", "empty.py"),
+                              ("Fix the mode of the empty module", "empty.py"),
+                              ("Fix: drop the empty module", "empty.py"),
+                              ("Fix: link a submodule", "sub.py")):
+            assert by_message[message].files == (path,)
+            assert not source.has_content(by_message[message], path)
+        merges = source.fetch_merged_changes(merges_only=True)
+        assert [m.message for m in merges] == ["Merge the side fix\n"]
+        assert merges[0].files == ()
 
     def test_non_utf8_blob_logs_replacement_warning(self, parity_repo, caplog):
         repo, _ = parity_repo
-        with closing(GitSource(repo)) as source:
-            record = next(r for r in source.fetch_merged_changes()
-                          if r.message.startswith("Fix the hex name"))
-            with caplog.at_level(logging.WARNING, logger="fixscope.ingest"):
-                pair = source.fetch_file_pair(record, "latin.py")
+        source = GitSource(repo)
+        record = next(r for r in source.fetch_merged_changes()
+                      if r.message.startswith("Fix the hex name"))
+        with caplog.at_level(logging.WARNING, logger="fixscope.ingest"):
+            pair = source.fetch_file_pair(record, "latin.py")
         assert pair.after_text == "x = '\ufffd'\ny = 2\n"
         warnings = [r.getMessage() for r in caplog.records]
         assert warnings == [f"decode warning: {record.change_id}:latin.py@parent "
                             "is not clean UTF-8; replacing",
                             f"decode warning: {record.change_id}:latin.py "
                             "is not clean UTF-8; replacing"]
+
+    def test_ingest_and_extract_decode_each_side_once(self, parity_repo, tmp_path,
+                                                      caplog):
+        repo, _ = parity_repo
+        pipeline = Pipeline(PipelineConfig(source_path=str(repo),
+                                           output_dir=str(tmp_path / "out")))
+        with caplog.at_level(logging.WARNING, logger="fixscope.ingest"):
+            pipeline.run_stage("ingest")
+            pipeline.run_stage("extract")
+        revision = next(r.revision for r in GitSource(repo).fetch_merged_changes()
+                        if r.message.startswith("Fix the hex name"))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"decode warning: {revision}:latin.py@parent is not clean UTF-8; replacing",
+            f"decode warning: {revision}:latin.py is not clean UTF-8; replacing"]
 
 
 def _linear_repo(path, commits):
@@ -468,6 +586,23 @@ def _linear_repo(path, commits):
         if k:
             stream.append(f"from :{k}".encode())
         stream += [b"M 100644 inline mod.py", b"data %d" % len(body), body]
+    subprocess.run(["git", "-C", str(path), "fast-import", "--quiet"],
+                   input=b"\n".join(stream) + b"\n", check=True)
+
+
+def _wide_repo(path, files):
+    """One commit adding ``files`` modules under a long directory name,
+    so that neither the names sent to ``git cat-file`` nor its replies fit
+    in a pipe's buffer."""
+    git(path, "init", "-q", "-b", "main")
+    message = b"Fix many modules\n"
+    stream = [b"commit refs/heads/main",
+              b"committer dev <dev@example.org> 1514764800 +0000",
+              b"data %d" % len(message), message]
+    for k in range(files):
+        body = f"value_{k} = {k}\n".encode() * 20
+        stream += [f"M 100644 inline {'d' * 120}/mod_{k:04d}.py".encode(),
+                   b"data %d" % len(body), body]
     subprocess.run(["git", "-C", str(path), "fast-import", "--quiet"],
                    input=b"\n".join(stream) + b"\n", check=True)
 
@@ -492,6 +627,24 @@ class CountingSubprocess:
         return getattr(subprocess, name)
 
 
+def _bounded(action, timeout=60.0):
+    """Run ``action`` in a thread; fail, rather than hang, on a deadlock.
+    Returns what it returned or raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = action()
+        except Exception as exc:  # handed to the test to inspect
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the blob reader did not finish"
+    return outcome
+
+
 class TestGitSourceProcesses:
     def _stage_calls(self, monkeypatch, pipeline, stage):
         counter = CountingSubprocess()
@@ -512,18 +665,88 @@ class TestGitSourceProcesses:
         extract_calls = self._stage_calls(monkeypatch, pipeline, "extract")
         counts = json.loads((out / "ingest_counts.json").read_text())
         assert counts["changes_matched"] == counts["files_fetched"] == commits
-        assert (ingest_calls, extract_calls) == (3, 1)
+        assert (ingest_calls, extract_calls) == (2, 1)  # rev-parse, log; cat-file
         assert not (out / "cache").exists()
 
     def test_failed_extract_still_reaps_the_batch_process(self, tmp_path, monkeypatch):
-        _linear_repo(tmp_path, 3)
+        _linear_repo(tmp_path, 30)
         pipeline = Pipeline(PipelineConfig(source_path=str(tmp_path),
                                            output_dir=str(tmp_path / "out")))
         pipeline.run_stage("ingest")
+        parse_source = fixscope.pipeline.parse_source
+        calls = []
 
-        def broken_parse(*_args, **_kwargs):
-            raise RuntimeError("parser crashed")
+        def parse_then_crash(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 10:
+                raise RuntimeError("parser crashed")
+            return parse_source(*args, **kwargs)
 
-        monkeypatch.setattr(fixscope.pipeline, "parse_source", broken_parse)
+        monkeypatch.setattr(fixscope.pipeline, "parse_source", parse_then_crash)
+        threads = threading.active_count()
         with pytest.raises(StageError):
             self._stage_calls(monkeypatch, pipeline, "extract")
+        assert threading.active_count() == threads
+
+
+class TestStreamingReader:
+    @pytest.fixture
+    def wide(self, tmp_path, monkeypatch):
+        _wide_repo(tmp_path, 600)
+        source = GitSource(tmp_path)
+        [record] = source.fetch_merged_changes()
+        counter = CountingSubprocess()
+        monkeypatch.setattr(fixscope.ingest, "subprocess", counter)
+        send = fixscope.ingest._send
+
+        def lingering_send(*args):
+            # outlives the pipe a while, so only a joined writer is gone
+            # by the time the reader's cleanup returns
+            send(*args)
+            time.sleep(0.2)
+
+        monkeypatch.setattr(fixscope.ingest, "_send", lingering_send)
+        return source, [(record, path) for path in record.files], counter
+
+    def _assert_released(self, counter, threads):
+        assert len(counter.batches) == 1
+        assert counter.batches[0].returncode is not None
+        assert threading.active_count() == threads
+
+    def test_reads_every_item_in_order(self, wide):
+        source, items, counter = wide
+        threads = threading.active_count()
+        pairs = _bounded(lambda: list(source.file_pairs(items)))["value"]
+        assert [pair.path for pair in pairs] == [path for _, path in items]
+        assert pairs[-1].after_text == "value_599 = 599\n" * 20
+        self._assert_released(counter, threads)
+        assert counter.batches[0].returncode == 0
+
+    def test_consumer_stopping_after_one_item(self, wide):
+        source, items, counter = wide
+        threads = threading.active_count()
+
+        def first():
+            with closing(source.file_pairs(items)) as pairs:
+                return next(pairs)
+
+        assert _bounded(first)["value"].path == items[0][1]
+        self._assert_released(counter, threads)
+
+    def test_consumer_raising_mid_stream(self, wide):
+        source, items, counter = wide
+        threads = threading.active_count()
+
+        def crash():
+            with closing(source.file_pairs(items)) as pairs:
+                for seen, _pair in enumerate(pairs):
+                    if seen == 5:
+                        raise RuntimeError("consumer crashed")
+
+        assert str(_bounded(crash)["error"]) == "consumer crashed"
+        self._assert_released(counter, threads)
+
+    def test_no_items_start_no_process(self, wide):
+        source, _items, counter = wide
+        assert list(source.file_pairs([])) == []
+        assert counter.calls == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +89,39 @@ class TestEmptyCorpus:
         assert report.clusters == []
         assert report.cophenetic is None
         assert (tmp_path / "out" / "report.md").exists()
+
+
+class TestDeepNesting:
+    def test_too_deep_file_is_skipped_and_deep_hunks_stay_finite(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            subprocess.run(["git", "-C", str(repo), "-c", "user.name=dev",
+                            "-c", "user.email=dev@example.org", *args],
+                           check=True, capture_output=True)
+
+        git("init", "-q", "-b", "main")
+        (repo / "base.py").write_text("a = 1\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "Initial import")
+        for terms in (470, 600):
+            (repo / f"sum{terms}.py").write_text(
+                "x = " + " + ".join(["1"] * terms) + "\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "Fix the sums")
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(source_path=str(repo), output_dir=str(out),
+                                    min_cluster_size=1))
+        extract = json.loads((out / "extract_counts.json").read_text())
+        assert [entry["path"] for entry in extract["skipped_files"]] == ["sum600.py"]
+        assert (extract["files_parsed"], extract["files_skipped_syntax"]) == (1, 1)
+        vectors = [json.loads(line) for line in
+                   (out / "feature_vectors.jsonl").read_text().splitlines()]
+        assert vectors
+        assert all(":sum470.py:" in vector["hunk_id"] for vector in vectors)
+        assert all(math.isfinite(value) for vector in vectors
+                   for value in vector["features"].values())
 
 
 class TestStageArtifacts:
