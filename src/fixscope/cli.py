@@ -135,9 +135,9 @@ def main(argv=None) -> int:
         elif args.command == "annotate":
             pipeline = Pipeline(config)
             source = Path(args.file)
+            pipeline.load_annotations(source)  # validates before installing
             target = Path(config.output_dir) / "annotations.csv"
             target.write_bytes(source.read_bytes())
-            pipeline.load_annotations()  # validates labels
             print(f"annotations installed at {target}")
         elif args.command == "export":
             copied = export_dataset(config, args.stage, args.dest)

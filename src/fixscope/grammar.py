@@ -4,10 +4,15 @@ The taxonomy (node kinds and parent/slot roles) is pinned to a versioned
 table shipped with the package: ``data/taxonomy_py27_v1.txt``, the classic
 Python 2.7 abstract grammar restricted to ``Module``-rooted trees (89 kinds,
 98 roles). Pinning the table keeps feature names stable across runs and
-host-interpreter upgrades.
+host-interpreter upgrades.  The table is also the one place that declares
+each kind's child slots and their order.
 
 Concrete parsing delegates to the host interpreter's ``ast`` module; a
-normalization layer folds the host tree onto the canonical taxonomy:
+normalization layer folds the host tree onto the canonical taxonomy.  A
+host node whose fields include its canonical kind's slots (``If``,
+``For``, ``Name``, ...; ``AsyncFor``, ``YieldFrom`` and ``arg`` under
+their classic kinds) is converted by one generic walker that reads the
+table.  Per-kind handlers fold the rest:
 
 * ``Constant`` splits back into ``Num`` / ``Str`` / ``Name`` leaves,
 * ``Try`` splits into ``TryExcept`` / ``TryFinally`` (nested when both),
@@ -46,9 +51,6 @@ __all__ = [
 ]
 
 TAXONOMY_RESOURCE = "taxonomy_py27_v1.txt"
-DEFAULT_DIALECT = "py27"
-
-SCOPE_KINDS = ("FunctionDef", "ClassDef", "Module")
 
 _OP_SYMBOLS = {
     "Add": "+", "Sub": "-", "Mult": "*", "Div": "/", "Mod": "%",
@@ -117,6 +119,8 @@ class Taxonomy:
     roles: dict[tuple[str, str], str]
     role_names: frozenset[str]
     checksum: str
+    # kind -> its slot names, in table order
+    slots: dict[str, tuple[str, ...]]
 
     def role_for(self, parent_kind: str, slot: str) -> str:
         try:
@@ -149,12 +153,16 @@ def load_taxonomy() -> Taxonomy:
                 key, name = line[5:].split("=", 1)
                 parent, slot = key.strip().split(".")
                 roles[(parent, slot)] = name.strip()
+        slots: dict[str, tuple[str, ...]] = {}
+        for parent, slot in roles:
+            slots[parent] = slots.get(parent, ()) + (slot,)
         _TAXONOMY = Taxonomy(
             version=version,
             kinds=frozenset(kinds),
             roles=roles,
             role_names=frozenset(roles.values()),
             checksum=hashlib.sha256(raw).hexdigest(),
+            slots=slots,
         )
     return _TAXONOMY
 
@@ -179,12 +187,12 @@ def tree_height(node: AstNode) -> int:
     return 1 + max(tree_height(child) for child in node.children)
 
 
-def parse_source(text: str, dialect: str = DEFAULT_DIALECT) -> AstNode:
+def parse_source(text: str) -> AstNode:
     """Parse ``text`` and normalize it onto the canonical taxonomy.
 
     Raises ``SyntaxError`` (including :class:`UnsupportedConstructError`)
-    for files the dialect cannot represent; the pipeline records and skips
-    those.  Pure function of ``(text, dialect)``.
+    for files the taxonomy cannot represent; the pipeline records and skips
+    those.  Pure function of ``text``.
 
     The normalizer recurses once per nesting level, so until it walks an
     explicit stack the cut-off follows the interpreter's recursion limit:
@@ -192,8 +200,6 @@ def parse_source(text: str, dialect: str = DEFAULT_DIALECT) -> AstNode:
     at the default limit of 1000) raises
     :class:`UnsupportedConstructError` too.
     """
-    if dialect != DEFAULT_DIALECT:
-        raise ValueError(f"unknown dialect {dialect!r}")
     try:
         return _Normalizer(text).module(ast.parse(text))
     except RecursionError as exc:
@@ -207,6 +213,22 @@ _UNSUPPORTED = (
     "Match", "MatchValue", "MatchSingleton", "MatchSequence", "MatchMapping",
     "MatchClass", "MatchStar", "MatchAs", "MatchOr", "TryStar", "TypeAlias",
 )
+
+# host classes whose fields include every slot of their canonical kind,
+# converted by the generic walker alone: host class name -> kind
+_GENERIC = {name: name for name in (
+    "Return", "Delete", "Assign", "For", "While", "If", "Assert", "Import",
+    "Expr", "Pass", "Break", "Continue", "IfExp", "Set", "ListComp", "SetComp",
+    "DictComp", "GeneratorExp", "comprehension", "Yield", "keyword",
+    "Attribute", "Slice", "Name", "List", "Tuple")}
+_GENERIC.update(AsyncFor="For", YieldFrom="Yield", arg="Name")
+
+# the host field holding a generic node's text; `class A(**kw)` has a
+# keyword whose arg is None
+_TEXT_FIELDS = {"Attribute": "attr", "Name": "id", "arg": "arg", "keyword": "arg"}
+
+# positionless in the classic grammar: spanned by their children alone
+_CHILD_SPANNED = frozenset({"comprehension", "keyword"})
 
 
 def _own_span(node: ast.AST) -> SourceSpan | None:
@@ -231,8 +253,7 @@ class _Normalizer:
         self.taxonomy = load_taxonomy()
 
     def module(self, node: ast.Module) -> AstNode:
-        children = self._slot("Module", "body", node.body)
-        return self._make("Module", None, _own_span(node) or _point(1, 0), "", children)
+        return self._make("Module", None, None, "", self._slot("Module", "body", node.body))
 
     # -- helpers
 
@@ -240,16 +261,16 @@ class _Normalizer:
         self,
         kind: str,
         role: str | None,
-        fallback_span: SourceSpan | None,
+        span: SourceSpan | None,
         text: str,
         children: list[AstNode],
-        own: SourceSpan | None = None,
     ) -> AstNode:
-        span = own
+        """A node spanning ``span`` and its children; a node with neither
+        sits at the file's start."""
         for child in children:
             span = child.span if span is None else span.union(child.span)
         if span is None:
-            span = fallback_span if fallback_span is not None else _point(1, 0)
+            span = _point(1, 0)
         ordered = sorted(
             children,
             key=lambda c: (c.span.start_line, c.span.start_col, c.span.end_line, c.span.end_col),
@@ -292,13 +313,26 @@ class _Normalizer:
         name = type(node).__name__
         if name in _UNSUPPORTED:
             err = UnsupportedConstructError(
-                f"{name} has no counterpart in the {DEFAULT_DIALECT} dialect")
+                f"{name} has no counterpart in the py27 dialect")
             err.lineno = getattr(node, "lineno", None)
             raise err
         handler = getattr(self, "_h_" + name, None)
-        if handler is None:
+        if handler is not None:
+            return handler(node, role)
+        kind = _GENERIC.get(name)
+        if kind is None:
             raise UnsupportedConstructError(f"unhandled host node {name}")
-        return handler(node, role)
+        return self._generic(node, name, kind, role)
+
+    def _generic(self, node, name, kind, role):
+        """Converts the children of each of ``kind``'s slots, in table order."""
+        children = []
+        for slot in self.taxonomy.slots.get(kind, ()):
+            children += self._slot(kind, slot, getattr(node, slot))
+        field = _TEXT_FIELDS.get(name)
+        text = (getattr(node, field) or "") if field else ""
+        span = None if kind in _CHILD_SPANNED else _own_span(node)
+        return self._make(kind, role, span, text, children)
 
     # -- statements
 
@@ -307,7 +341,7 @@ class _Normalizer:
         children = [self._anchored(self.convert(node.args, node_role("FunctionDef", "args")), own)]
         children += self._slot("FunctionDef", "body", node.body)
         children += self._slot("FunctionDef", "decorator_list", node.decorator_list)
-        return self._make("FunctionDef", role, own, node.name, children, own=own)
+        return self._make("FunctionDef", role, own, node.name, children)
 
     _h_AsyncFunctionDef = _h_FunctionDef
 
@@ -316,86 +350,43 @@ class _Normalizer:
         children += self._slot("ClassDef", "bases", node.keywords)
         children += self._slot("ClassDef", "body", node.body)
         children += self._slot("ClassDef", "decorator_list", node.decorator_list)
-        return self._make("ClassDef", role, _own_span(node), node.name, children,
-                          own=_own_span(node))
-
-    def _h_Return(self, node, role):
-        return self._make("Return", role, _own_span(node), "",
-                          self._slot("Return", "value", node.value), own=_own_span(node))
-
-    def _h_Delete(self, node, role):
-        return self._make("Delete", role, _own_span(node), "",
-                          self._slot("Delete", "targets", node.targets), own=_own_span(node))
-
-    def _h_Assign(self, node, role):
-        children = self._slot("Assign", "targets", node.targets)
-        children += self._slot("Assign", "value", node.value)
-        return self._make("Assign", role, _own_span(node), "", children, own=_own_span(node))
+        return self._make("ClassDef", role, _own_span(node), node.name, children)
 
     def _h_AnnAssign(self, node, role):
-        # x: T = v  folds to a plain assignment; bare declarations keep
-        # only the target.
-        children = self._slot("Assign", "targets", node.target)
-        if node.value is not None:
-            children += self._slot("Assign", "value", node.value)
-        return self._make("Assign", role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_NamedExpr(self, node, role):
+        # `x: T = v` and `(x := v)` fold to a plain assignment; a bare
+        # declaration keeps only the target
         children = self._slot("Assign", "targets", node.target)
         children += self._slot("Assign", "value", node.value)
-        return self._make("Assign", role, _own_span(node), "", children, own=_own_span(node))
+        return self._make("Assign", role, _own_span(node), "", children)
+
+    _h_NamedExpr = _h_AnnAssign
 
     def _h_AugAssign(self, node, role):
         target = self.convert(node.target, node_role("AugAssign", "target"))
         value = self.convert(node.value, node_role("AugAssign", "value"))
         op = self._op(node.op, node_role("AugAssign", "op"), self._between(target, value))
-        return self._make("AugAssign", role, _own_span(node), "", [target, op, value],
-                          own=_own_span(node))
-
-    def _h_For(self, node, role):
-        children = self._slot("For", "target", node.target)
-        children += self._slot("For", "iter", node.iter)
-        children += self._slot("For", "body", node.body)
-        children += self._slot("For", "orelse", node.orelse)
-        return self._make("For", role, _own_span(node), "", children, own=_own_span(node))
-
-    _h_AsyncFor = _h_For
-
-    def _h_While(self, node, role):
-        children = self._slot("While", "test", node.test)
-        children += self._slot("While", "body", node.body)
-        children += self._slot("While", "orelse", node.orelse)
-        return self._make("While", role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_If(self, node, role):
-        children = self._slot("If", "test", node.test)
-        children += self._slot("If", "body", node.body)
-        children += self._slot("If", "orelse", node.orelse)
-        return self._make("If", role, _own_span(node), "", children, own=_own_span(node))
+        return self._make("AugAssign", role, _own_span(node), "", [target, op, value])
 
     def _h_With(self, node, role):
-        return self._with_chain(node, node.items, role)
+        return self._with_chain(node, node.items, role, _own_span(node))
 
     _h_AsyncWith = _h_With
 
-    def _with_chain(self, node, items, role):
+    def _with_chain(self, node, items, role, span):
         # multi-item `with a, b:` nests exactly like the classic parser did
         first = items[0]
         children = self._slot("With", "context_expr", first.context_expr)
-        if first.optional_vars is not None:
-            children += self._slot("With", "optional_vars", first.optional_vars)
-        body_role = node_role("With", "body")
+        children += self._slot("With", "optional_vars", first.optional_vars)
         if len(items) > 1:
-            children.append(self._with_chain(node, items[1:], body_role))
+            children.append(self._with_chain(node, items[1:], node_role("With", "body"), span))
         else:
             children += self._slot("With", "body", node.body)
-        return self._make("With", role, _own_span(node), "", children, own=_own_span(node))
+        return self._make("With", role, span, "", children)
 
     def _h_Raise(self, node, role):
         children = self._slot("Raise", "type", node.exc)
-        if node.cause is not None:
-            children += self._slot("Raise", "inst", node.cause)
-        return self._make("Raise", role, _own_span(node), "", children, own=_own_span(node))
+        children += self._slot("Raise", "inst", node.cause)
+        return self._make("Raise", role, _own_span(node), "", children)
 
     def _h_Try(self, node, role):
         span = _own_span(node)
@@ -403,42 +394,33 @@ class _Normalizer:
             children = self._slot("TryExcept", "body", node.body)
             children += self._slot("TryExcept", "handlers", node.handlers)
             children += self._slot("TryExcept", "orelse", node.orelse)
-            inner = self._make("TryExcept", role, span, "", children, own=span)
+            inner = self._make("TryExcept", role, span, "", children)
             if not node.finalbody:
                 return inner
             inner_as_body = AstNode(
                 kind=inner.kind, role=node_role("TryFinally", "body"),
                 span=inner.span, text=inner.text, children=inner.children)
             final = self._slot("TryFinally", "finalbody", node.finalbody)
-            return self._make("TryFinally", role, span, "", [inner_as_body] + final, own=span)
+            return self._make("TryFinally", role, span, "", [inner_as_body] + final)
         children = self._slot("TryFinally", "body", node.body)
         children += self._slot("TryFinally", "finalbody", node.finalbody)
-        return self._make("TryFinally", role, span, "", children, own=span)
+        return self._make("TryFinally", role, span, "", children)
 
     def _h_ExceptHandler(self, node, role):
+        span = _own_span(node)
         children = self._slot("ExceptHandler", "type", node.type)
         if node.name:
             name_role = node_role("ExceptHandler", "name")
-            anchor = children[0].span if children else _own_span(node)
+            anchor = children[0].span if children else span
             children.append(AstNode("Name", name_role,
                                     _point(anchor.end_line, anchor.end_col), node.name))
         children += self._slot("ExceptHandler", "body", node.body)
-        return self._make("ExceptHandler", role, _own_span(node), "", children,
-                          own=_own_span(node))
-
-    def _h_Assert(self, node, role):
-        children = self._slot("Assert", "test", node.test)
-        children += self._slot("Assert", "msg", node.msg)
-        return self._make("Assert", role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_Import(self, node, role):
-        return self._make("Import", role, _own_span(node), "",
-                          self._slot("Import", "names", node.names), own=_own_span(node))
+        return self._make("ExceptHandler", role, span, "", children)
 
     def _h_ImportFrom(self, node, role):
         text = "." * (node.level or 0) + (node.module or "")
         return self._make("ImportFrom", role, _own_span(node), text,
-                          self._slot("ImportFrom", "names", node.names), own=_own_span(node))
+                          self._slot("ImportFrom", "names", node.names))
 
     def _h_alias(self, node, role):
         text = node.name if not node.asname else f"{node.name} as {node.asname}"
@@ -447,36 +429,20 @@ class _Normalizer:
     def _h_Global(self, node, role):
         return self._make("Global", role, _own_span(node), ",".join(node.names), [])
 
-    def _h_Nonlocal(self, node, role):
-        return self._make("Global", role, _own_span(node), ",".join(node.names), [])
-
-    def _h_Expr(self, node, role):
-        return self._make("Expr", role, _own_span(node), "",
-                          self._slot("Expr", "value", node.value), own=_own_span(node))
-
-    def _h_Pass(self, node, role):
-        return self._make("Pass", role, _own_span(node), "", [])
-
-    def _h_Break(self, node, role):
-        return self._make("Break", role, _own_span(node), "", [])
-
-    def _h_Continue(self, node, role):
-        return self._make("Continue", role, _own_span(node), "", [])
+    _h_Nonlocal = _h_Global
 
     # -- expressions
 
     def _h_BoolOp(self, node, role):
         values = self._slot("BoolOp", "values", node.values)
         op = self._op(node.op, node_role("BoolOp", "op"), self._between(values[0], values[1]))
-        return self._make("BoolOp", role, _own_span(node), "", values + [op],
-                          own=_own_span(node))
+        return self._make("BoolOp", role, _own_span(node), "", values + [op])
 
     def _h_BinOp(self, node, role):
         left = self.convert(node.left, node_role("BinOp", "left"))
         right = self.convert(node.right, node_role("BinOp", "right"))
         op = self._op(node.op, node_role("BinOp", "op"), self._between(left, right))
-        return self._make("BinOp", role, _own_span(node), "", [left, op, right],
-                          own=_own_span(node))
+        return self._make("BinOp", role, _own_span(node), "", [left, op, right])
 
     def _h_UnaryOp(self, node, role):
         operand = self.convert(node.operand, node_role("UnaryOp", "operand"))
@@ -484,62 +450,18 @@ class _Normalizer:
         op_span = SourceSpan(span.start_line, span.start_col,
                              operand.span.start_line, operand.span.start_col)
         op = self._op(node.op, node_role("UnaryOp", "op"), op_span)
-        return self._make("UnaryOp", role, span, "", [op, operand], own=span)
+        return self._make("UnaryOp", role, span, "", [op, operand])
 
     def _h_Lambda(self, node, role):
         own = _own_span(node)
         children = [self._anchored(self.convert(node.args, node_role("Lambda", "args")), own)]
         children += self._slot("Lambda", "body", node.body)
-        return self._make("Lambda", role, own, "", children, own=own)
-
-    def _h_IfExp(self, node, role):
-        children = self._slot("IfExp", "test", node.test)
-        children += self._slot("IfExp", "body", node.body)
-        children += self._slot("IfExp", "orelse", node.orelse)
-        return self._make("IfExp", role, _own_span(node), "", children, own=_own_span(node))
+        return self._make("Lambda", role, own, "", children)
 
     def _h_Dict(self, node, role):
-        children = []
-        children += self._slot("Dict", "keys", [k for k in node.keys if k is not None])
+        children = self._slot("Dict", "keys", [k for k in node.keys if k is not None])
         children += self._slot("Dict", "values", node.values)
-        return self._make("Dict", role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_Set(self, node, role):
-        return self._make("Set", role, _own_span(node), "",
-                          self._slot("Set", "elts", node.elts), own=_own_span(node))
-
-    def _comp(self, kind, node, role, parts):
-        children = []
-        for slot, value in parts:
-            children += self._slot(kind, slot, value)
-        children += self._slot(kind, "generators", node.generators)
-        return self._make(kind, role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_ListComp(self, node, role):
-        return self._comp("ListComp", node, role, [("elt", node.elt)])
-
-    def _h_SetComp(self, node, role):
-        return self._comp("SetComp", node, role, [("elt", node.elt)])
-
-    def _h_DictComp(self, node, role):
-        return self._comp("DictComp", node, role, [("key", node.key), ("value", node.value)])
-
-    def _h_GeneratorExp(self, node, role):
-        return self._comp("GeneratorExp", node, role, [("elt", node.elt)])
-
-    def _h_comprehension(self, node, role):
-        children = self._slot("comprehension", "target", node.target)
-        children += self._slot("comprehension", "iter", node.iter)
-        children += self._slot("comprehension", "ifs", node.ifs)
-        return self._make("comprehension", role, None, "", children)
-
-    def _h_Yield(self, node, role):
-        return self._make("Yield", role, _own_span(node), "",
-                          self._slot("Yield", "value", node.value), own=_own_span(node))
-
-    def _h_YieldFrom(self, node, role):
-        return self._make("Yield", role, _own_span(node), "",
-                          self._slot("Yield", "value", node.value), own=_own_span(node))
+        return self._make("Dict", role, _own_span(node), "", children)
 
     def _h_Await(self, node, role):
         return self.convert(node.value, role)
@@ -554,7 +476,7 @@ class _Normalizer:
             children.append(self._op(op_node, node_role("Compare", "ops"),
                                      self._between(prev, comp)))
             prev = comp
-        return self._make("Compare", role, _own_span(node), "", children, own=_own_span(node))
+        return self._make("Compare", role, _own_span(node), "", children)
 
     def _h_Call(self, node, role):
         children = self._slot("Call", "func", node.func)
@@ -568,11 +490,7 @@ class _Normalizer:
                 children.append(self.convert(kw.value, node_role("Call", "kwargs")))
             else:
                 children.append(self.convert(kw, node_role("Call", "keywords")))
-        return self._make("Call", role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_keyword(self, node, role):
-        children = self._slot("keyword", "value", node.value)
-        return self._make("keyword", role, None, node.arg or "", children)
+        return self._make("Call", role, _own_span(node), "", children)
 
     def _h_Constant(self, node, role):
         span = _own_span(node)
@@ -593,18 +511,12 @@ class _Normalizer:
         # f-strings have no classic counterpart; fold to a string leaf
         return self._make("Str", role, _own_span(node), self._segment(node), [])
 
-    def _h_FormattedValue(self, node, role):
-        return self._make("Str", role, _own_span(node), self._segment(node), [])
-
-    def _h_Attribute(self, node, role):
-        return self._make("Attribute", role, _own_span(node), node.attr,
-                          self._slot("Attribute", "value", node.value), own=_own_span(node))
+    _h_FormattedValue = _h_JoinedStr
 
     def _h_Subscript(self, node, role):
         children = self._slot("Subscript", "value", node.value)
         children.append(self._subscript_slice(node.slice))
-        return self._make("Subscript", role, _own_span(node), "", children,
-                          own=_own_span(node))
+        return self._make("Subscript", role, _own_span(node), "", children)
 
     def _subscript_slice(self, sl) -> AstNode:
         slice_role = node_role("Subscript", "slice")
@@ -623,29 +535,9 @@ class _Normalizer:
         inner = self.convert(sl, node_role("Index", "value"))
         return self._make("Index", slice_role, None, "", [inner])
 
-    def _h_Slice(self, node, role):
-        children = self._slot("Slice", "lower", node.lower)
-        children += self._slot("Slice", "upper", node.upper)
-        children += self._slot("Slice", "step", node.step)
-        return self._make("Slice", role, _own_span(node), "", children, own=_own_span(node))
-
-    def _h_Name(self, node, role):
-        return self._make("Name", role, _own_span(node), node.id, [])
-
     def _h_Starred(self, node, role):
         # classic grammar has no starred targets; unwrap in place
         return self.convert(node.value, role)
-
-    def _h_List(self, node, role):
-        return self._make("List", role, _own_span(node), "",
-                          self._slot("List", "elts", node.elts), own=_own_span(node))
-
-    def _h_Tuple(self, node, role):
-        return self._make("Tuple", role, _own_span(node), "",
-                          self._slot("Tuple", "elts", node.elts), own=_own_span(node))
-
-    def _h_arg(self, node, role):
-        return self._make("Name", role, _own_span(node), node.arg, [])
 
     def _h_arguments(self, node, role):
         args_role = node_role("arguments", "args")

@@ -377,20 +377,19 @@ class GitSource:
         # (revision, path) of scanned files with content on neither side
         self._contentless: set[tuple[str, str]] = set()
 
-    def _git(self, *args: str) -> bytes:
+    def _git(self, *args: str, missing_ok: bool = False) -> bytes | None:
+        """git's output.  With ``missing_ok``, None when git exits 1, as
+        ``rev-parse --verify -q`` does for a name that does not resolve;
+        any other failure raises :class:`IngestError`."""
         proc = subprocess.run(
             ["git", "-C", str(self.repo), *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if missing_ok and proc.returncode == 1:
+            return None
         if proc.returncode != 0:
             raise IngestError(
                 f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace')}")
         return proc.stdout
-
-    def _git_ok(self, *args: str) -> bytes | None:
-        proc = subprocess.run(
-            ["git", "-C", str(self.repo), *args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        return proc.stdout if proc.returncode == 0 else None
 
     def fetch_merged_changes(
         self,
@@ -400,7 +399,7 @@ class GitSource:
         before: str | None = None,
         merges_only: bool = False,
     ) -> list[ChangeRecord]:
-        if self._git_ok("rev-parse", "--verify", "HEAD") is None:
+        if self._git("rev-parse", "--verify", "-q", "HEAD", missing_ok=True) is None:
             return []  # repository without commits
         # Each commit is a NUL-terminated header followed by its --raw
         # entries, a ":<modes> <ids> <status>" token and a path token each.

@@ -120,20 +120,16 @@ class PipelineConfig:
     case_sensitive: bool = False
     word_bounded: bool = False
     test_markers: tuple[str, ...] = ("test", "tests")
-    dialect: str = "py27"
     w_type: float = 1e15
     w_role: float = 1e15
     r: float = 10.0
     c: float = 0.1
-    metric: str = "euclidean"
-    linkage: str = "single"
     inconsistency_depth: int = 2
     min_cluster_size: int = 10
     cutoff: float | None = None
     alpha: float = 0.05
     control_mode: str = "exclusive"
     bonferroni: bool = False
-    sample_size: int = 5
     seed: int = 0
     output_dir: str = "fixscope-out"
     cache_dir: str = ""
@@ -141,8 +137,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.source_mode not in ("git", "gerrit"):
             raise ValueError(f"unknown source_mode {self.source_mode!r}")
-        if self.metric != "euclidean" or self.linkage != "single":
-            raise ValueError("only euclidean distance with single linkage is supported")
         self.projects = tuple(self.projects)
         self.branches = tuple(self.branches)
         self.keywords = tuple(self.keywords)
@@ -321,7 +315,6 @@ class Pipeline:
         (self.out / "ingest_counts.json").write_text(_json_dumps(counts))
 
     def _stage_extract(self):
-        cfg = self.config
         items = []
         for line in (self.out / "changes.jsonl").read_text().splitlines():
             if not line:
@@ -344,8 +337,8 @@ class Pipeline:
                     counts["files_missing"] += 1
                     continue
                 try:
-                    before = parse_source(pair.before_text, cfg.dialect)
-                    after = parse_source(pair.after_text, cfg.dialect)
+                    before = parse_source(pair.before_text)
+                    after = parse_source(pair.after_text)
                 except SyntaxError as err:
                     counts["files_skipped_syntax"] += 1
                     skipped.append({"change_id": record.change_id, "path": path,
@@ -482,15 +475,18 @@ class Pipeline:
                     clusters.setdefault(int(row["cluster_id"]), []).append(row["hunk_id"])
         return {cid: tuple(members) for cid, members in clusters.items()}
 
-    def load_annotations(self) -> dict[int, dict]:
-        """cluster_id -> {label, description} from the annotation CSV."""
-        path = self.out / "annotations.csv"
+    def load_annotations(self, path: Path | None = None) -> dict[int, dict]:
+        """cluster_id -> {label, description} from an annotation CSV, by
+        default the one installed in the output directory.  A row with an
+        unknown label raises ``ValueError``."""
+        path = self.out / "annotations.csv" if path is None else path
         if not path.exists():
             return {}
         annotations = {}
         with path.open() as handle:
             for row in csv.DictReader(handle):
-                label = row["label"].strip().upper()
+                # a row shorter than the header reads its label as None
+                label = (row["label"] or "").strip().upper()
                 fc.TriageLabel(label)  # validates
                 annotations[int(row["cluster_id"])] = {
                     "label": label,

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from fixscope import grammar
 from fixscope.grammar import (
     AstNode,
     UnknownSlotError,
@@ -44,6 +46,12 @@ class TestTaxonomyTable:
         for (parent, _slot), role in tax.roles.items():
             assert parent in tax.kinds
             assert role.startswith(parent + "-")
+
+    def test_slots_list_each_kinds_roles_in_table_order(self):
+        tax = load_taxonomy()
+        assert tax.slots["For"] == ("target", "iter", "body", "orelse")
+        assert sorted((kind, slot) for kind, slots in tax.slots.items()
+                      for slot in slots) == sorted(tax.roles)
 
     def test_checksum_stable(self):
         assert taxonomy_checksum() == taxonomy_checksum()
@@ -200,6 +208,37 @@ class TestParseSource:
         compare = find(cmp_root, "Compare")
         ops = [c.kind for c in compare.children if c.role == "Compare-Ops"]
         assert ops == ["LtE", "Lt"]
+
+
+def dump(node: AstNode, depth: int = 0) -> list[str]:
+    """One line per node, preorder: kind, role, text and span."""
+    s = node.span
+    lines = [f"{'  ' * depth}{node.kind} {node.role} {node.text!r} "
+             f"{s.start_line}:{s.start_col}-{s.end_line}:{s.end_col}"]
+    for child in node.children:
+        lines += dump(child, depth + 1)
+    return lines
+
+
+class TestNormalizerGolden:
+    DATA = Path(__file__).parent / "data"
+
+    def test_fixture_tree_matches_recorded_dump(self):
+        # the fixture uses every host kind the normalizer converts; the dump
+        # was recorded when each kind still had a hand-written handler
+        root = parse_source((self.DATA / "normalizer_fixture.py").read_text())
+        expected = (self.DATA / "normalizer_golden.txt").read_text().splitlines()
+        assert dump(root) == expected
+
+    def test_fixture_reaches_every_generic_kind(self):
+        source = (self.DATA / "normalizer_fixture.py").read_text()
+        seen = {type(n).__name__ for n in ast.walk(ast.parse(source))}
+        assert set(grammar._GENERIC) <= seen
+
+    @pytest.mark.parametrize("name", sorted(grammar._GENERIC))
+    def test_generic_host_fields_cover_the_kind_slots(self, name):
+        slots = load_taxonomy().slots.get(grammar._GENERIC[name], ())
+        assert set(slots) <= set(getattr(ast, name)._fields)
 
 
 class TestRoundTrip:

@@ -321,6 +321,20 @@ class TestGitSource:
         assert source.has_content(record, "pkg.py/inner.py")
         assert (pair.before_text, pair.after_text) == ("", "b = 2\n")
 
+    def test_repository_without_commits_has_no_changes(self, tmp_path):
+        git(tmp_path, "init", "-q", "-b", "main")
+        assert GitSource(tmp_path).fetch_merged_changes() == []
+
+    @pytest.mark.parametrize("where", ["plain", "missing"])
+    def test_non_repository_source_fails(self, tmp_path, monkeypatch, where):
+        # a scan that cannot reach a repository must not pass for an empty one
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        path = tmp_path / where
+        if where == "plain":
+            path.mkdir()
+        with pytest.raises(IngestError, match="rev-parse"):
+            GitSource(path).fetch_merged_changes()
+
 
 # Paths and messages chosen to break naive parsing of git's output: LF,
 # the unit separator, a leading colon, non-ASCII, and a file named after

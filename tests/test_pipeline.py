@@ -57,13 +57,10 @@ class TestConfig:
         assert clone == config
 
     def test_unknown_keys_rejected(self):
-        for doc in ({"bogus": 1}, {"streaming_threshold": 16000}):
+        for doc in ({"bogus": 1}, {"streaming_threshold": 16000}, {"sample_size": 5},
+                    {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(doc)
-
-    def test_unsupported_linkage_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(linkage="complete")
 
 
 class TestDemoCorpus:
@@ -351,6 +348,28 @@ class TestCli:
             "output_dir": str(tmp_path / "out")}))
         assert cli_main(["extract", "--config", str(config_path)]) == 2
         capsys.readouterr()
+
+    def test_missing_source_is_a_stage_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--source", str(tmp_path / "absent"),
+                         "--out", str(out)]) == 2
+        assert "rev-parse" in capsys.readouterr().err
+        assert not (out / "changes.jsonl").exists()
+
+    def test_rejected_annotations_are_not_installed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("cluster_id,label,description\n7,BUG-FIX,kept\n")
+        bad.write_text("cluster_id,label,description\n7,BOGUS,rejected\n")
+        short = tmp_path / "short.csv"
+        short.write_text("cluster_id,label,description\n7\n")
+        assert cli_main(["annotate", "--file", str(bad), "--out", str(out)]) == 1
+        assert not (out / "annotations.csv").exists()
+        assert cli_main(["annotate", "--file", str(good), "--out", str(out)]) == 0
+        for rejected in (bad, short):
+            assert cli_main(["annotate", "--file", str(rejected), "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert (out / "annotations.csv").read_bytes() == good.read_bytes()
 
     def test_full_run_and_sample(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
