@@ -133,11 +133,7 @@ def main(argv=None) -> int:
                                           n=args.n, seed=config.seed):
                 print(hunk_id)
         elif args.command == "annotate":
-            pipeline = Pipeline(config)
-            source = Path(args.file)
-            pipeline.load_annotations(source)  # validates before installing
-            target = Path(config.output_dir) / "annotations.csv"
-            target.write_bytes(source.read_bytes())
+            target = Pipeline(config).install_annotations(args.file)
             print(f"annotations installed at {target}")
         elif args.command == "export":
             copied = export_dataset(config, args.stage, args.dest)

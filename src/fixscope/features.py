@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ __all__ = [
     "hunk_feature_vector",
     "assemble_matrix",
     "matrix_to_csv",
-    "vectors_to_jsonl",
 ]
 
 MAX_WEIGHTED_LEVEL = 15
@@ -148,14 +146,3 @@ def matrix_to_csv(matrix: FeatureMatrix) -> str:
     for row, hunk_id in enumerate(matrix.hunk_ids):
         writer.writerow([hunk_id] + [repr(float(v)) for v in matrix.values[row]])
     return out.getvalue()
-
-
-def vectors_to_jsonl(vectors: list[FeatureVector]) -> str:
-    """One sparse vector per line."""
-    lines = []
-    for vec in vectors:
-        lines.append(json.dumps(
-            {"hunk_id": vec.hunk_id,
-             "features": {k: vec.entries[k] for k in sorted(vec.entries)}},
-            sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")

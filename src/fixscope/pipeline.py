@@ -1,11 +1,21 @@
 """Pipeline orchestration: ingest -> extract -> features -> cluster ->
 stats -> report, with checkpointed, byte-stable stage artifacts.
 
-Every stage writes its outputs plus a manifest recording the config and
-the digests of its inputs; a rerun skips stages whose manifests still
-match, so interrupted runs resume from the last valid checkpoint.  All
-artifacts are deterministic functions of (config, cached inputs,
-annotations): no timestamps, sorted keys, repr-formatted floats.
+Artifacts pass through one small store inside ``Pipeline``.  A stage
+reads only through ``_read`` (or its ``_read_json``, ``_read_jsonl`` and
+``_read_csv`` wrappers), which records the sha256 of the bytes it
+returned, or None for an absent file.  A stage returns its outputs as
+``{artifact name: text}``; ``run_stage`` checks the names against
+``STAGE_ARTIFACTS``, writes each text as UTF-8 to a ``.partial`` file
+that ``os.replace`` moves into place, and seals the stage with a manifest
+holding the config, the recorded reads and the digests of the outputs.
+A stage is current while its manifest matches the config and every file
+it names still hashes the same, so a truncated or hand-edited artifact
+makes its stage, and each stage that read it, rerun; interrupted runs
+resume from the last valid checkpoint.  ``config.json`` is written only
+when a stage runs.  All artifacts are deterministic functions of
+(config, cached inputs, annotations): no timestamps, sorted keys,
+repr-formatted floats.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import io
 import json
 import logging
 import math
+import os
 import shutil
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -40,7 +51,6 @@ from fixscope.features import (
     assemble_matrix,
     hunk_feature_vector,
     matrix_to_csv,
-    vectors_to_jsonl,
 )
 from fixscope.grammar import parse_source, taxonomy_checksum
 from fixscope.ingest import (
@@ -78,19 +88,6 @@ STAGE_ARTIFACTS = {
     "stats": ("relevance_matrix.csv", "relevance_long.csv", "stats_summary.json"),
     "report": ("run_report.json", "report.md"),
 }
-
-STAGE_INPUTS = {
-    "ingest": (),
-    "extract": ("changes.jsonl",),
-    "features": ("hunks.jsonl",),
-    "cluster": ("feature_vectors.jsonl",),
-    "stats": ("cluster_assignment.csv", "context_vectors.jsonl",
-              "annotations.csv"),
-    "report": ("ingest_counts.json", "extract_counts.json",
-               "clustering_summary.json", "relevance_matrix.csv",
-               "relevance_long.csv", "annotations.csv"),
-}
-
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -186,55 +183,126 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _jsonl(docs) -> str:
+    return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+
+
+def _csv(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _csv_records(text: str) -> list[dict]:
+    # newline=None reads the text as a file opened in text mode would
+    return list(csv.DictReader(io.StringIO(text, newline=None)))
+
+
+def _digest(data: bytes | None) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _manifest(stage: str) -> str:
+    return f"{stage}.manifest.json"
+
+
+def _parse_annotations(text: str) -> dict[int, dict]:
+    """cluster_id -> {label, description}; a row with an unknown label
+    raises ``ValueError``."""
+    annotations = {}
+    for row in _csv_records(text):
+        # a row shorter than the header reads its missing cells as None
+        label = (row["label"] or "").strip().upper()
+        fc.TriageLabel(label)  # validates
+        annotations[int(row["cluster_id"])] = {
+            "label": label,
+            "description": (row.get("description") or "").strip(),
+        }
+    return annotations
 
 
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.output_dir)
+        # artifact name -> sha256 of what the running stage read (None for
+        # an absent file), and of what this pipeline last wrote
+        self._reads: dict[str, str | None] = {}
+        self._writes: dict[str, str] = {}
+
+    # -- artifact store
+
+    def _read(self, name: str, missing_ok: bool = False) -> str | None:
+        """The text of artifact ``name``; None when it is absent and
+        ``missing_ok``.  The running stage's trace records what was read."""
+        try:
+            data = (self.out / name).read_bytes()
+        except FileNotFoundError:
+            if not missing_ok:
+                raise
+            data = None
+        self._reads[name] = _digest(data)
+        return None if data is None else data.decode("utf-8")
+
+    def _read_json(self, name: str):
+        return json.loads(self._read(name))
+
+    def _read_jsonl(self, name: str) -> list[dict]:
+        return [json.loads(line) for line in self._read(name).splitlines() if line]
+
+    def _read_csv(self, name: str, missing_ok: bool = False) -> list[dict] | None:
+        text = self._read(name, missing_ok)
+        return None if text is None else _csv_records(text)
+
+    def _write(self, name: str, text: str):
+        """Replace artifact ``name`` with ``text`` atomically: a crash
+        leaves the old file or the new one, never a mix."""
+        data = text.encode("utf-8")
+        partial = self.out / f"{name}.partial"
         self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / "config.json").write_text(_json_dumps(config.to_dict()))
+        try:
+            partial.write_bytes(data)
+            os.replace(partial, self.out / name)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        self._writes[name] = _digest(data)
 
-    # -- checkpointing
-
-    def _manifest_path(self, stage: str) -> Path:
-        return self.out / f"{stage}.manifest.json"
-
-    def _fingerprint(self, stage: str) -> dict:
-        inputs = {}
-        for name in STAGE_INPUTS[stage]:
-            path = self.out / name
-            inputs[name] = _sha256_file(path) if path.exists() else None
-        return {"stage": stage, "config": self.config.to_dict(), "inputs": inputs}
+    def _trace(self, stage: str, inputs: dict, outputs: dict) -> dict:
+        return {"stage": stage, "config": self.config.to_dict(),
+                "inputs": inputs, "outputs": outputs}
 
     def _is_current(self, stage: str) -> bool:
-        manifest = self._manifest_path(stage)
-        if not manifest.exists():
-            return False
-        for name in STAGE_ARTIFACTS[stage]:
-            if not (self.out / name).exists():
-                return False
+        """Whether the stage's manifest matches the config and every file
+        it recorded still hashes to the recorded digest."""
         try:
-            stored = json.loads(manifest.read_text())
-        except json.JSONDecodeError:
+            sealed = json.loads((self.out / _manifest(stage)).read_bytes())
+            inputs = self._digests(sealed["inputs"])
+        except (OSError, ValueError, KeyError, TypeError):
             return False
-        return stored == self._fingerprint(stage)
+        return sealed == self._trace(stage, inputs, self._digests(STAGE_ARTIFACTS[stage]))
+
+    def _digests(self, names) -> dict[str, str | None]:
+        """name -> sha256 of the file as it is now (None when absent)."""
+        digests = {}
+        for name in names:
+            path = self.out / name
+            digests[name] = _digest(path.read_bytes()) if path.exists() else None
+        return digests
 
     def _seal(self, stage: str):
-        self._manifest_path(stage).write_text(_json_dumps(self._fingerprint(stage)))
+        outputs = {name: self._writes[name] for name in STAGE_ARTIFACTS[stage]}
+        self._write(_manifest(stage), _json_dumps(self._trace(stage, self._reads, outputs)))
 
     # -- driving
 
     def run(self, stages: tuple[str, ...] = STAGES, force: bool = False) -> RunReport:
         for stage in stages:
             self.run_stage(stage, force=force)
-        report_path = self.out / "run_report.json"
-        if report_path.exists():
-            doc = json.loads(report_path.read_text())
-            return RunReport(**doc)
-        return RunReport(config=self.config.to_dict())
+        text = self._read("run_report.json", missing_ok=True)
+        if text is None:
+            return RunReport(config=self.config.to_dict())
+        return RunReport(**json.loads(text))
 
     def run_stage(self, stage: str, force: bool = False):
         if stage not in STAGES:
@@ -245,9 +313,17 @@ class Pipeline:
         logger.info("running stage %s", stage)
         # a crash below must not leave the previous run's seal vouching
         # for half-written artifacts
-        self._manifest_path(stage).unlink(missing_ok=True)
+        (self.out / _manifest(stage)).unlink(missing_ok=True)
+        self._write("config.json", _json_dumps(self.config.to_dict()))
+        self._reads = {}
+        expected = STAGE_ARTIFACTS[stage]
         try:
-            getattr(self, f"_stage_{stage}")()
+            outputs = getattr(self, f"_stage_{stage}")()
+            if sorted(outputs) != sorted(expected):
+                raise ValueError(f"returned artifacts {sorted(outputs)}, "
+                                 f"expected {sorted(expected)}")
+            for name in expected:
+                self._write(name, outputs[name])
         except Exception as exc:
             raise StageError(stage, exc) from exc
         self._seal(stage)
@@ -255,6 +331,9 @@ class Pipeline:
     def _source(self):
         cfg = self.config
         if cfg.source_mode == "git":
+            if not cfg.source_path:
+                # git -C "" would scan whatever repository the shell is in
+                raise ValueError("git mode needs a repository path (--source)")
             return GitSource(cfg.source_path)
         # only remote content is cached: git's object store is already local
         cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else self.out / "cache"
@@ -262,64 +341,38 @@ class Pipeline:
 
     # -- stages
 
-    def _stage_ingest(self):
+    def _stage_ingest(self) -> dict[str, str]:
         cfg = self.config
         source = self._source()
+        window = {"projects": cfg.projects, "branches": cfg.branches,
+                  "after": cfg.after or None, "before": cfg.before or None}
         if cfg.source_mode == "git":
-            records = source.fetch_merged_changes(
-                projects=cfg.projects, branches=cfg.branches,
-                after=cfg.after or None, before=cfg.before or None,
-                merges_only=cfg.merges_only)
-        else:
-            records = source.fetch_merged_changes(
-                projects=cfg.projects, branches=cfg.branches,
-                after=cfg.after or None, before=cfg.before or None)
+            window["merges_only"] = cfg.merges_only
+        records = source.fetch_merged_changes(**window)
         matched = [r for r in records
                    if keyword_filter(r.message, cfg.keywords,
                                      cfg.case_sensitive, cfg.word_bounded)]
+        counts = {"changes_total": len(records), "changes_matched": len(matched),
+                  "files_total": 0, "files_retained": 0,
+                  "files_fetched": 0, "files_missing": 0}
         rows = []
-        files_total = 0
-        files_retained = 0
-        fetched = 0
-        missing = 0
         for record in matched:
             python_files = [p for p in record.files if p.endswith(".py")]
-            files_total += len(record.files)
             retained = exclude_test_files(python_files, cfg.test_markers)
-            files_retained += len(retained)
+            counts["files_total"] += len(record.files)
+            counts["files_retained"] += len(retained)
             for path in retained:
-                if source.has_content(record, path):
-                    fetched += 1
-                else:
-                    missing += 1
-            rows.append({
-                "change_id": record.change_id,
-                "project": record.project,
-                "branch": record.branch,
-                "revision": record.revision,
-                "message": record.message,
-                "created": record.created,
-                "files": list(retained),
-            })
-        lines = [json.dumps(row, sort_keys=True) for row in rows]
-        (self.out / "changes.jsonl").write_text(
-            "\n".join(lines) + ("\n" if lines else ""))
-        counts = {
-            "changes_total": len(records),
-            "changes_matched": len(matched),
-            "files_total": files_total,
-            "files_retained": files_retained,
-            "files_fetched": fetched,
-            "files_missing": missing,
-        }
-        (self.out / "ingest_counts.json").write_text(_json_dumps(counts))
+                fetched = source.has_content(record, path)
+                counts["files_fetched" if fetched else "files_missing"] += 1
+            rows.append({"change_id": record.change_id, "project": record.project,
+                         "branch": record.branch, "revision": record.revision,
+                         "message": record.message, "created": record.created,
+                         "files": list(retained)})
+        return {"changes.jsonl": _jsonl(rows), "ingest_counts.json": _json_dumps(counts)}
 
-    def _stage_extract(self):
+    def _stage_extract(self) -> dict[str, str]:
         items = []
-        for line in (self.out / "changes.jsonl").read_text().splitlines():
-            if not line:
-                continue
-            change = json.loads(line)
+        for change in self._read_jsonl("changes.jsonl"):
             record = ChangeRecord(
                 change_id=change["change_id"], project=change["project"],
                 branch=change["branch"], revision=change["revision"],
@@ -353,60 +406,37 @@ class Pipeline:
                     doc = hunk_to_dict(hunk)
                     doc["change_id"] = record.change_id
                     doc["path"] = path
-                    doc["context"] = {k: v for k, v
-                                      in sorted(extract_context(hunk).as_dict().items())}
+                    doc["context"] = extract_context(hunk).as_dict()
                     hunk_docs.append(doc)
                     counts["hunks"] += 1
-        lines = [json.dumps(doc, sort_keys=True) for doc in hunk_docs]
-        (self.out / "hunks.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
         counts["skipped_files"] = skipped
         # a modified node always yields a Minus+Plus pair (no update label)
         counts["update_label_policy"] = "minus-plus-pair"
-        (self.out / "extract_counts.json").write_text(_json_dumps(counts))
+        return {"hunks.jsonl": _jsonl(hunk_docs), "extract_counts.json": _json_dumps(counts)}
 
-    def _load_hunk_docs(self) -> list[dict]:
-        text = (self.out / "hunks.jsonl").read_text()
-        return [json.loads(line) for line in text.splitlines() if line]
-
-    def _stage_features(self):
-        cfg = self.config
-        docs = self._load_hunk_docs()
+    def _stage_features(self) -> dict[str, str]:
+        weights = self.config.weights
         vectors = []
         context_rows = []
-        for doc in docs:
-            hunk = hunk_from_dict(doc)
-            vectors.append(hunk_feature_vector(hunk, cfg.weights))
+        for doc in self._read_jsonl("hunks.jsonl"):
+            vectors.append(hunk_feature_vector(hunk_from_dict(doc), weights))
             context_rows.append({"hunk_id": doc["id"], "features": doc["context"]})
-        matrix = assemble_matrix(vectors)
-        (self.out / "feature_matrix.csv").write_text(matrix_to_csv(matrix))
-        (self.out / "feature_vectors.jsonl").write_text(vectors_to_jsonl(vectors))
-        ctx_lines = [json.dumps(row, sort_keys=True) for row in context_rows]
-        (self.out / "context_vectors.jsonl").write_text(
-            "\n".join(ctx_lines) + ("\n" if ctx_lines else ""))
         ctx_names = sorted({name for row in context_rows for name in row["features"]})
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["hunk_id"] + ctx_names)
-        for row in context_rows:
-            feats = row["features"]
-            writer.writerow([row["hunk_id"]] +
-                            [repr(float(feats.get(n, 0.0))) for n in ctx_names])
-        (self.out / "context_matrix.csv").write_text(out.getvalue())
+        context_matrix = [["hunk_id"] + ctx_names] + [
+            [row["hunk_id"]] + [repr(float(row["features"].get(n, 0.0))) for n in ctx_names]
+            for row in context_rows]
+        return {
+            "feature_matrix.csv": matrix_to_csv(assemble_matrix(vectors)),
+            "feature_vectors.jsonl": _jsonl({"hunk_id": v.hunk_id, "features": v.entries}
+                                            for v in vectors),
+            "context_matrix.csv": _csv(context_matrix),
+            "context_vectors.jsonl": _jsonl(context_rows),
+        }
 
-    def _load_feature_vectors(self) -> list[FeatureVector]:
-        text = (self.out / "feature_vectors.jsonl").read_text()
-        vectors = []
-        for line in text.splitlines():
-            if not line:
-                continue
-            doc = json.loads(line)
-            vectors.append(FeatureVector(hunk_id=doc["hunk_id"],
-                                         entries=dict(doc["features"])))
-        return vectors
-
-    def _stage_cluster(self):
+    def _stage_cluster(self) -> dict[str, str]:
         cfg = self.config
-        vectors = self._load_feature_vectors()
+        vectors = [FeatureVector(hunk_id=doc["hunk_id"], entries=dict(doc["features"]))
+                   for doc in self._read_jsonl("feature_vectors.jsonl")]
         summary = {
             "n_hunks": len(vectors), "n_features": 0,
             "cophenetic": None, "cophenetic_degenerate": False,
@@ -415,97 +445,73 @@ class Pipeline:
             "min_cluster_size": cfg.min_cluster_size,
             "n_clusters": 0, "cluster_sizes": {},
         }
-        if not vectors:
-            (self.out / "dendrogram.json").write_text(_json_dumps({"n_leaves": 0,
-                                                                   "merges": []}))
-            self._write_assignment({}, [])
-            (self.out / "clustering_summary.json").write_text(_json_dumps(summary))
-            return
-        matrix = assemble_matrix(vectors)
-        summary["n_features"] = len(matrix.feature_names)
-        dendrogram = fc.single_linkage_rows(matrix.values)
-        cophenetic = fc.cophenetic_coefficient_rows(dendrogram, matrix.values)
-        if math.isnan(cophenetic):
-            summary["cophenetic_degenerate"] = True
-        else:
-            summary["cophenetic"] = cophenetic
-        coefs = fc.inconsistency_coefficients(dendrogram, cfg.inconsistency_depth)
-        if cfg.cutoff is not None:
-            cutoff = cfg.cutoff
-            summary["cutoff_source"] = "config"
-        else:
-            try:
-                cutoff = fc.select_cutoff(coefs)
-                summary["cutoff_source"] = "automatic"
-            except fc.AllZeroError:
-                # undefined cutoff: everything lands in a single cluster
-                cutoff = float(np.max(coefs)) + 1.0 if len(coefs) else 1.0
-                summary["cutoff_source"] = "all-zero-single-cluster"
-        summary["cutoff"] = cutoff
-        assignment = fc.cut_clusters(dendrogram, coefs, cutoff,
-                                     cfg.min_cluster_size, labels=matrix.hunk_ids)
-        summary["n_clusters"] = len(assignment.clusters)
-        summary["cluster_sizes"] = {str(cid): len(members)
-                                    for cid, members in sorted(assignment.clusters.items())}
-        (self.out / "dendrogram.json").write_text(fc.dendrogram_to_json(dendrogram) + "\n")
-        self._write_assignment(assignment.clusters, matrix.hunk_ids)
-        (self.out / "clustering_summary.json").write_text(_json_dumps(summary))
-
-    def _write_assignment(self, clusters: dict, hunk_ids: list):
-        by_hunk = {}
-        for cid, members in clusters.items():
-            for hunk_id in members:
-                by_hunk[hunk_id] = cid
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["hunk_id", "cluster_id"])
-        for hunk_id in hunk_ids:
-            cid = by_hunk.get(hunk_id)
-            writer.writerow([hunk_id, "" if cid is None else cid])
-        (self.out / "cluster_assignment.csv").write_text(out.getvalue())
+        dendrogram, clusters, hunk_ids = fc.Dendrogram(0, ()), {}, []
+        if vectors:
+            matrix = assemble_matrix(vectors)
+            hunk_ids = matrix.hunk_ids
+            summary["n_features"] = len(matrix.feature_names)
+            dendrogram = fc.single_linkage_rows(matrix.values)
+            cophenetic = fc.cophenetic_coefficient_rows(dendrogram, matrix.values)
+            if math.isnan(cophenetic):
+                summary["cophenetic_degenerate"] = True
+            else:
+                summary["cophenetic"] = cophenetic
+            coefs = fc.inconsistency_coefficients(dendrogram, cfg.inconsistency_depth)
+            if cfg.cutoff is not None:
+                cutoff = cfg.cutoff
+                summary["cutoff_source"] = "config"
+            else:
+                try:
+                    cutoff = fc.select_cutoff(coefs)
+                    summary["cutoff_source"] = "automatic"
+                except fc.AllZeroError:
+                    # undefined cutoff: everything lands in a single cluster
+                    cutoff = float(np.max(coefs)) + 1.0 if len(coefs) else 1.0
+                    summary["cutoff_source"] = "all-zero-single-cluster"
+            summary["cutoff"] = cutoff
+            clusters = fc.cut_clusters(dendrogram, coefs, cutoff,
+                                       cfg.min_cluster_size, labels=hunk_ids).clusters
+            summary["n_clusters"] = len(clusters)
+            summary["cluster_sizes"] = {str(cid): len(members)
+                                        for cid, members in sorted(clusters.items())}
+        by_hunk = {hunk_id: cid for cid, members in clusters.items() for hunk_id in members}
+        assignment = [["hunk_id", "cluster_id"]] + [
+            [hunk_id, by_hunk.get(hunk_id, "")] for hunk_id in hunk_ids]
+        return {
+            "dendrogram.json": fc.dendrogram_to_json(dendrogram) + "\n",
+            "cluster_assignment.csv": _csv(assignment),
+            "clustering_summary.json": _json_dumps(summary),
+        }
 
     def load_clusters(self) -> dict[int, tuple]:
-        path = self.out / "cluster_assignment.csv"
-        if not path.exists():
+        rows = self._read_csv("cluster_assignment.csv", missing_ok=True)
+        if rows is None:
             raise MissingCheckpointError("cluster stage has not run")
         clusters: dict[int, list] = {}
-        with path.open() as handle:
-            for row in csv.DictReader(handle):
-                if row["cluster_id"]:
-                    clusters.setdefault(int(row["cluster_id"]), []).append(row["hunk_id"])
+        for row in rows:
+            if row["cluster_id"]:
+                clusters.setdefault(int(row["cluster_id"]), []).append(row["hunk_id"])
         return {cid: tuple(members) for cid, members in clusters.items()}
 
-    def load_annotations(self, path: Path | None = None) -> dict[int, dict]:
-        """cluster_id -> {label, description} from an annotation CSV, by
-        default the one installed in the output directory.  A row with an
+    def load_annotations(self) -> dict[int, dict]:
+        """cluster_id -> {label, description} from the installed
+        ``annotations.csv`` ({} when there is none).  A row with an
         unknown label raises ``ValueError``."""
-        path = self.out / "annotations.csv" if path is None else path
-        if not path.exists():
-            return {}
-        annotations = {}
-        with path.open() as handle:
-            for row in csv.DictReader(handle):
-                # a row shorter than the header reads its label as None
-                label = (row["label"] or "").strip().upper()
-                fc.TriageLabel(label)  # validates
-                annotations[int(row["cluster_id"])] = {
-                    "label": label,
-                    "description": row.get("description", "").strip(),
-                }
-        return annotations
+        text = self._read("annotations.csv", missing_ok=True)
+        return {} if text is None else _parse_annotations(text)
 
-    def _stage_stats(self):
+    def install_annotations(self, source: str | Path) -> Path:
+        """Validate the annotation CSV ``source``, then install it as
+        ``annotations.csv``; a rejected file leaves the installed one."""
+        text = Path(source).read_bytes().decode("utf-8")
+        _parse_annotations(text)
+        self._write("annotations.csv", text)
+        return self.out / "annotations.csv"
+
+    def _stage_stats(self) -> dict[str, str]:
         cfg = self.config
         clusters = self.load_clusters()
-        annotations = self.load_annotations()
-        context_data = {}
-        text = (self.out / "context_vectors.jsonl").read_text()
-        for line in text.splitlines():
-            if not line:
-                continue
-            doc = json.loads(line)
-            context_data[doc["hunk_id"]] = doc["features"]
-        triage = {cid: meta["label"] for cid, meta in annotations.items()}
+        triage = {cid: meta["label"] for cid, meta in self.load_annotations().items()}
         bugfix = [cid for cid, label in triage.items() if label == "BUG-FIX"]
         # cluster ids are dendrogram node ids, so a re-cluster can leave an
         # annotation naming a cluster that no longer exists
@@ -517,35 +523,22 @@ class Pipeline:
         summary = {"withheld": not bugfix, "alpha": cfg.alpha,
                    "control_mode": cfg.control_mode, "bonferroni": cfg.bonferroni,
                    "bugfix_clusters": sorted(bugfix)}
-        if not bugfix:
-            self._write_relevance(None)
-            (self.out / "stats_summary.json").write_text(_json_dumps(summary))
-            return
-        matrix = fstats.relevance_matrix(
-            clusters, triage, context_data, alpha=cfg.alpha,
-            control_mode=cfg.control_mode, bonferroni=cfg.bonferroni)
-        self._write_relevance(matrix)
-        (self.out / "stats_summary.json").write_text(_json_dumps(summary))
-
-    def _write_relevance(self, matrix):
-        matrix_out = io.StringIO()
-        writer = csv.writer(matrix_out, lineterminator="\n")
-        long_out = io.StringIO()
-        long_writer = csv.writer(long_out, lineterminator="\n")
-        long_writer.writerow(["cluster_id", "feature", "category", "z", "p",
-                              "relevant", "mean", "cv", "q05", "q25", "q50",
-                              "q75", "q95"])
-        if matrix is None:
-            writer.writerow(["category"])
-        else:
-            writer.writerow(["category"] + [str(c) for c in matrix.cluster_ids])
-            for category in CATEGORIES:
-                writer.writerow([category] + [
-                    "yes" if matrix.relevant(category, cid) else ""
-                    for cid in matrix.cluster_ids])
+        matrix_rows = [["category"]]
+        long_rows = [["cluster_id", "feature", "category", "z", "p", "relevant",
+                      "mean", "cv", "q05", "q25", "q50", "q75", "q95"]]
+        if bugfix:
+            context_data = {doc["hunk_id"]: doc["features"]
+                            for doc in self._read_jsonl("context_vectors.jsonl")}
+            matrix = fstats.relevance_matrix(
+                clusters, triage, context_data, alpha=cfg.alpha,
+                control_mode=cfg.control_mode, bonferroni=cfg.bonferroni)
+            matrix_rows = [["category"] + [str(c) for c in matrix.cluster_ids]] + [
+                [category] + ["yes" if matrix.relevant(category, cid) else ""
+                              for cid in matrix.cluster_ids]
+                for category in CATEGORIES]
             for record in matrix.records:
                 s = record.summary
-                long_writer.writerow([
+                long_rows.append([
                     record.cluster_id, record.feature, record.category,
                     repr(record.z), repr(record.p),
                     "yes" if record.relevant else "no",
@@ -554,43 +547,34 @@ class Pipeline:
                     repr(s.quantiles[0.50]), repr(s.quantiles[0.75]),
                     repr(s.quantiles[0.95]),
                 ])
-        (self.out / "relevance_matrix.csv").write_text(matrix_out.getvalue())
-        (self.out / "relevance_long.csv").write_text(long_out.getvalue())
+        return {
+            "relevance_matrix.csv": _csv(matrix_rows),
+            "relevance_long.csv": _csv(long_rows),
+            "stats_summary.json": _json_dumps(summary),
+        }
 
-    def _stage_report(self):
+    def _stage_report(self) -> dict[str, str]:
         from fixscope.report import render_report
 
-        ingest_counts = json.loads((self.out / "ingest_counts.json").read_text())
-        extract_counts = json.loads((self.out / "extract_counts.json").read_text())
-        clustering = json.loads((self.out / "clustering_summary.json").read_text())
+        ingest_counts = self._read_json("ingest_counts.json")
+        extract_counts = self._read_json("extract_counts.json")
+        clustering = self._read_json("clustering_summary.json")
         annotations = self.load_annotations()
         clusters = self.load_clusters()
-        hunk_totals = {}
-        for doc in self._load_hunk_docs():
-            key = f"{doc['change_id']}:{doc['path']}"
-            hunk_totals[key] = hunk_totals.get(key, 0) + 1
-        if sum(hunk_totals.values()) != extract_counts["hunks"]:
+        hunks = sum(1 for line in self._read("hunks.jsonl").splitlines() if line)
+        if hunks != extract_counts["hunks"]:
             raise AssertionError("hunk counts do not reconcile")
-        cluster_rows = []
-        for cid, members in sorted(clusters.items()):
-            meta = annotations.get(cid, {})
-            cluster_rows.append({
-                "id": cid,
-                "size": len(members),
-                "label": meta.get("label", fc.TriageLabel.UNREVIEWED.value),
-                "description": meta.get("description", ""),
-            })
+        unreviewed = {"label": fc.TriageLabel.UNREVIEWED.value, "description": ""}
+        cluster_rows = [{"id": cid, "size": len(members), **annotations.get(cid, unreviewed)}
+                        for cid, members in sorted(clusters.items())]
+        relevance = self._read_csv("relevance_matrix.csv")
+        relevance_rows = [list(record.values()) for record in relevance]
         category_distribution = {category: 0 for category in CATEGORIES}
-        relevance_rows = []
-        relevance_path = self.out / "relevance_matrix.csv"
-        with relevance_path.open() as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            for row in reader:
-                relevance_rows.append(row)
-                category_distribution[row[0]] = sum(1 for cell in row[1:] if cell)
-        withheld = json.loads(
-            (self.out / "stats_summary.json").read_text())["withheld"]
+        for row in relevance_rows:
+            category_distribution[row[0]] = sum(1 for cell in row[1:] if cell)
+        tested = list(relevance[0])[1:] if relevance else []
+        appendix = [row for row in self._read_csv("relevance_long.csv")
+                    if row["relevant"] == "yes"]
         report = RunReport(
             counts={
                 "changes": ingest_counts["changes_matched"],
@@ -604,23 +588,15 @@ class Pipeline:
             cutoff=clustering["cutoff"],
             clusters=cluster_rows,
             category_distribution=category_distribution,
-            relevance_withheld=withheld,
+            relevance_withheld=self._read_json("stats_summary.json")["withheld"],
             config=self.config.to_dict(),
             taxonomy_checksum=taxonomy_checksum(),
             category_table_checksum=category_table_checksum(),
         )
-        (self.out / "run_report.json").write_text(_json_dumps(report.to_dict()))
-        (self.out / "report.md").write_text(
-            render_report(report, header[1:] if len(header) > 1 else [],
-                          relevance_rows, self._relevance_appendix()))
-
-    def _relevance_appendix(self) -> list[dict]:
-        rows = []
-        with (self.out / "relevance_long.csv").open() as handle:
-            for row in csv.DictReader(handle):
-                if row["relevant"] == "yes":
-                    rows.append(row)
-        return rows
+        return {
+            "run_report.json": _json_dumps(report.to_dict()),
+            "report.md": render_report(report, tested, relevance_rows, appendix),
+        }
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> RunReport:
@@ -634,8 +610,7 @@ def export_dataset(config: PipelineConfig, stage: str, dest: str | Path) -> list
         raise ValueError(f"unknown stage {stage!r}")
     out = Path(config.output_dir)
     dest = Path(dest)
-    manifest = out / f"{stage}.manifest.json"
-    if not manifest.exists():
+    if not (out / _manifest(stage)).exists():
         raise MissingCheckpointError(f"stage {stage!r} has no checkpoint")
     dest.mkdir(parents=True, exist_ok=True)
     copied = []

@@ -17,6 +17,7 @@ import fixscope
 from fixscope.cli import main as cli_main
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.pipeline import (
+    STAGES,
     MissingCheckpointError,
     Pipeline,
     PipelineConfig,
@@ -195,6 +196,78 @@ class TestCheckpointing:
         assert not crashing._is_current("features")
         Pipeline(config).run_stage("features")  # not forced: reruns on its own
         assert vectors.read_bytes() == complete
+        assert not list((tmp_path / "out").glob("*.partial"))
+
+    def test_truncated_artifact_is_stale_and_restored(self, small_corpus, tmp_path):
+        config = small_config(small_corpus, tmp_path / "out")
+        Pipeline(config).run()
+        hunks = tmp_path / "out" / "hunks.jsonl"
+        complete = hunks.read_bytes()
+        hunks.write_bytes(complete[:len(complete) // 2])
+        pipeline = Pipeline(config)
+        assert not pipeline._is_current("extract")
+        assert not pipeline._is_current("features")  # its recorded read differs
+        assert pipeline._is_current("ingest")
+        pipeline.run()
+        assert hunks.read_bytes() == complete
+        assert all(pipeline._is_current(stage) for stage in STAGES)
+
+    def test_hand_edited_input_reruns_the_stage_that_read_it(self, small_corpus,
+                                                             tmp_path):
+        out = tmp_path / "out"
+        pipeline = Pipeline(small_config(small_corpus, out))
+        sizes = {c["id"]: c["size"] for c in pipeline.run().clusters}
+        assignment = out / "cluster_assignment.csv"
+        with assignment.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        edited = next(row for row in rows[1:] if row[1])
+        cluster_id = int(edited[1])
+        edited[1] = ""  # take one hunk out of its cluster
+        with assignment.open("w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        # the report reads cluster_assignment.csv, so its seal no longer holds
+        assert not pipeline._is_current("report")
+        pipeline.run_stage("report")
+        report = json.loads((out / "run_report.json").read_text())
+        rerun = {c["id"]: c["size"] for c in report["clusters"]}
+        assert rerun[cluster_id] == sizes[cluster_id] - 1
+        assert pipeline._is_current("report")
+
+    def test_undeclared_artifact_is_a_stage_error(self, small_corpus, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "out"
+        pipeline = Pipeline(small_config(small_corpus, out))
+        pipeline.run()
+        report_stage = pipeline._stage_report
+        monkeypatch.setattr(pipeline, "_stage_report",
+                            lambda: {**report_stage(), "extra.txt": "x\n"})
+        with pytest.raises(StageError, match="extra.txt"):
+            pipeline.run_stage("report", force=True)
+        assert not (out / "report.manifest.json").exists()
+        assert not (out / "extra.txt").exists()
+        assert not pipeline._is_current("report")
+
+    def test_failed_write_leaves_no_partial_file(self, small_corpus, tmp_path,
+                                                 monkeypatch):
+        out = tmp_path / "out"
+        config = small_config(small_corpus, out)
+        Pipeline(config).run()
+        assert not list(out.glob("*.partial"))
+        complete = (out / "feature_vectors.jsonl").read_bytes()
+        replace = os.replace
+
+        def disk_full(source, target):
+            if Path(target).name == "feature_vectors.jsonl":
+                raise OSError("disk full")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(StageError, match="disk full"):
+            Pipeline(config).run_stage("features", force=True)
+        monkeypatch.undo()
+        assert not list(out.glob("*.partial"))
+        assert (out / "feature_vectors.jsonl").read_bytes() == complete
+        assert not Pipeline(config)._is_current("features")
 
     def test_export_requires_checkpoint(self, small_corpus, tmp_path):
         config = small_config(small_corpus, tmp_path / "never-ran")
@@ -328,6 +401,10 @@ class TestBenchmarkTracing:
         assert doc["hunks"] > 0
         assert doc["metrics"]["cluster.n"] == doc["hunks"]
         assert doc["metrics"]["pipeline.stages_run"] == 6
+        # each layer the pipeline calls must stay in the tracer's view
+        for metric in ("grammar.parse_calls", "diffing.hunks",
+                       "features.assemble_calls", "report.render_s"):
+            assert doc["metrics"][metric] > 0, metric
 
 
 class TestCli:
@@ -356,6 +433,37 @@ class TestCli:
         assert "rev-parse" in capsys.readouterr().err
         assert not (out / "changes.jsonl").exists()
 
+    def test_git_mode_without_source_is_refused(self, small_corpus, tmp_path,
+                                               monkeypatch, capsys):
+        # without --source, git would scan whatever repository the shell is in
+        out = tmp_path / "out"
+        monkeypatch.chdir(small_corpus["repo"])
+        assert cli_main(["run", "--out", str(out)]) == 2
+        assert "--source" in capsys.readouterr().err
+        assert not (out / "changes.jsonl").exists()
+        # verbs that read no source still run on a completed output
+        assert cli_main(["run", "--source", small_corpus["repo"], "--out", str(out),
+                         "--min-size", "3"]) == 0
+        for verb in ("stats", "report"):
+            assert cli_main([verb, "--out", str(out), "--min-size", "3"]) == 0
+        capsys.readouterr()
+
+    def test_verbs_that_run_no_stage_leave_config_untouched(self, small_corpus,
+                                                            tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--source", small_corpus["repo"], "--out", str(out),
+                         "--min-size", "3"]) == 0
+        config = (out / "config.json").read_bytes()
+        cluster_id = json.loads((out / "run_report.json").read_text())["clusters"][0]["id"]
+        notes = tmp_path / "notes.csv"
+        notes.write_text(f"cluster_id,label,description\n{cluster_id},BUG-FIX,x\n")
+        for verb in (["annotate", "--file", str(notes)],
+                     ["sample", "--cluster", str(cluster_id), "--n", "1"],
+                     ["export", "--stage", "cluster", "--dest", str(tmp_path / "exp")]):
+            assert cli_main(verb + ["--out", str(out)]) == 0, verb[0]
+            assert (out / "config.json").read_bytes() == config, verb[0]
+        capsys.readouterr()
+
     def test_rejected_annotations_are_not_installed(self, tmp_path, capsys):
         out = tmp_path / "out"
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -370,6 +478,13 @@ class TestCli:
             assert cli_main(["annotate", "--file", str(rejected), "--out", str(out)]) == 1
         capsys.readouterr()
         assert (out / "annotations.csv").read_bytes() == good.read_bytes()
+        # a row without a description cell reads as an empty description
+        bare = tmp_path / "bare.csv"
+        bare.write_text("cluster_id,label,description\n7,bug-fix\n")
+        assert cli_main(["annotate", "--file", str(bare), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert Pipeline(PipelineConfig(output_dir=str(out))).load_annotations() == {
+            7: {"label": "BUG-FIX", "description": ""}}
 
     def test_full_run_and_sample(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
