@@ -23,8 +23,6 @@ from fixscope.diffing import (  # noqa: F401
     align_versions,
     build_diff_ast,
     extract_hunks,
-    scoped_ancestor,
-    closest_ancestor,
 )
 from fixscope.features import (  # noqa: F401
     WeightConfig,
@@ -34,7 +32,6 @@ from fixscope.features import (  # noqa: F401
     assemble_matrix,
 )
 from fixscope.context import (  # noqa: F401
-    ContextVector,
     categorize,
     extract_context,
 )

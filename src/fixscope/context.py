@@ -1,21 +1,26 @@
 """Context features: where a hunk lives, and what sits beneath it.
 
-Outer features describe the enclosing scope (module/class/function sizes,
-function privacy) and the closest ancestor node; inner features are plain
-occurrence counts of kinds and roles below the hunk's labeled roots.
-Every emitted feature maps onto one of 17 descriptive categories via a
-versioned table shipped with the package (checked for totality at test
-time).
+This module is the one definition of "where".  Outer features read the
+hunk's context chain, the unchanged ancestors that ``extract_hunks``
+found around its labeled roots, nearest first: the enclosing scope
+(module/class/function sizes, function privacy) and the closest ancestor
+node.  Inner features are plain occurrence counts of kinds and roles
+below the hunk's labeled roots.  ``extract_context`` returns all of them
+as one flat ``{feature: float}`` dict, and ``context_matrix`` lays such
+dicts out as a dense hunk x feature table.  Every emitted feature maps onto
+one of 17 descriptive categories via a versioned table shipped with the
+package (checked for totality at test time).
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from fixscope.diffing import ChangeLabel, DiffNode, Hunk
+from fixscope.features import FeatureMatrix, FeatureVector, assemble_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -23,12 +28,12 @@ __all__ = [
     "CATEGORIES",
     "ANCESTOR_KINDS",
     "SCOPED_FEATURES",
-    "ContextVector",
     "UnmappedFeatureError",
     "outer_scoped_features",
     "closest_ancestor_features",
     "inner_context_features",
     "extract_context",
+    "context_matrix",
     "categorize",
     "category_table_checksum",
 ]
@@ -65,27 +70,6 @@ _CALL_ARG_ROLES = frozenset(
 
 class UnmappedFeatureError(KeyError):
     """A context feature missing from the category table."""
-
-
-@dataclass
-class ContextVector:
-    """All context features for one hunk.
-
-    Booleans live in their natural type here; :meth:`as_dict` flattens
-    everything to numbers for export and statistics.
-    """
-
-    hunk_id: str
-    scoped: dict[str, float] = field(default_factory=dict)
-    ancestor: dict[str, float] = field(default_factory=dict)
-    inner: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, float]:
-        flat: dict[str, float] = {}
-        flat.update(self.scoped)
-        flat.update(self.ancestor)
-        flat.update({k: float(v) for k, v in self.inner.items()})
-        return flat
 
 
 def _count_role(node: DiffNode, role: str) -> int:
@@ -158,13 +142,21 @@ def inner_context_features(hunk: Hunk) -> dict[str, int]:
     return counts
 
 
-def extract_context(hunk: Hunk) -> ContextVector:
-    return ContextVector(
-        hunk_id=hunk.id,
-        scoped=outer_scoped_features(hunk),
-        ancestor=closest_ancestor_features(hunk),
-        inner=inner_context_features(hunk),
-    )
+def extract_context(hunk: Hunk) -> dict[str, float]:
+    """Every context feature of one hunk, flattened to numbers: scoped,
+    then closest-ancestor, then inner counts."""
+    flat = outer_scoped_features(hunk)
+    flat.update(closest_ancestor_features(hunk))
+    inner = inner_context_features(hunk)
+    flat.update({name: float(count) for name, count in inner.items()})
+    return flat
+
+
+def context_matrix(contexts: dict[str, dict[str, float]]) -> FeatureMatrix:
+    """Hunk x context-feature table, rows in the order of ``contexts``
+    (hunk id -> flat features); a feature a hunk lacks reads 0.0."""
+    return assemble_matrix([FeatureVector(hunk_id, features)
+                            for hunk_id, features in contexts.items()])
 
 
 # --- category mapping --------------------------------------------------------

@@ -8,6 +8,12 @@ roots, unmatched after-nodes become ``Plus`` subtree roots, and labels
 inherit downward.  A modified node therefore always yields a Minus+Plus
 pair, never an in-place update.
 
+The tree points one way: a node holds its children and nothing else.  The
+chain of unchanged ancestors around each labeled root comes from the walk
+that finds the root, so no back-pointer, and no self-referencing closure
+in the join, ties a tree into a reference cycle; reference counting alone
+frees it.
+
 The line diff runs in a canonical orientation so that swapping the two
 inputs swaps Plus and Minus labels exactly, even when duplicated lines
 make the minimal script ambiguous.
@@ -33,8 +39,6 @@ __all__ = [
     "align_versions",
     "build_diff_ast",
     "extract_hunks",
-    "scoped_ancestor",
-    "closest_ancestor",
     "dump_enhanced_ast",
     "diff_node_to_dict",
     "diff_node_from_dict",
@@ -43,8 +47,6 @@ __all__ = [
 ]
 
 HUNK_LINE_GAP = 3
-
-SCOPE_KINDS = frozenset({"FunctionDef", "ClassDef", "Module"})
 
 
 class ChangeLabel(enum.Enum):
@@ -85,7 +87,6 @@ class DiffNode:
     eff_start: int
     eff_end: int
     children: list["DiffNode"] = field(default_factory=list)
-    parent: "DiffNode | None" = field(default=None, repr=False)
 
     def walk(self):
         stack = [self]
@@ -93,12 +94,6 @@ class DiffNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def ancestors(self):
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
 
 @dataclass
@@ -110,19 +105,26 @@ class EnhancedAst:
     path: str
     conflicts: list[str] = field(default_factory=list)
 
+    def chained_roots(self) -> list[tuple[DiffNode, tuple[DiffNode, ...]]]:
+        """Maximal Plus/Minus subtree roots in document order, each with
+        its chain of unchanged ancestors, nearest first."""
+        return _chained_roots(self.root, [], [])
+
     def labeled_roots(self) -> list[DiffNode]:
         """Maximal Plus/Minus subtree roots in document order."""
-        roots: list[DiffNode] = []
+        return [root for root, _chain in self.chained_roots()]
 
-        def visit(node: DiffNode):
-            if node.label is not ChangeLabel.UNCHANGED:
-                roots.append(node)
-                return
-            for child in node.children:
-                visit(child)
 
-        visit(self.root)
-        return roots
+def _chained_roots(node: DiffNode, path: list[DiffNode], out: list) -> list:
+    # ``path`` holds the unchanged ancestors of ``node``, tree root first
+    if node.label is not ChangeLabel.UNCHANGED:
+        out.append((node, tuple(reversed(path))))
+        return out
+    path.append(node)
+    for child in node.children:
+        _chained_roots(child, path, out)
+    path.pop()
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,61 +234,25 @@ def _backtrack(trace, d, k, a, b) -> list[tuple[int, int]]:
 # --- structural matching within changed blocks -----------------------------
 
 
-def _inside(node: AstNode, start: int, end: int) -> bool:
-    return start <= node.span.start_line and node.span.end_line < end
+def _maximal_inside(node: AstNode, start: int, end: int,
+                    out: list[AstNode]) -> list[AstNode]:
+    """Append to ``out`` the maximal descendants of ``node`` lying inside
+    lines [start, end).
 
-
-def _maximal_inside(root: AstNode, start: int, end: int) -> list[AstNode]:
-    # the tree root itself always pairs with its counterpart, so candidacy
-    # starts at its children (a whole-file insertion labels every top-level
-    # node, not the Module)
-    out: list[AstNode] = []
-
-    def visit(node: AstNode):
-        if _inside(node, start, end):
-            out.append(node)
-            return
-        for child in node.children:
-            visit(child)
-
-    for child in root.children:
-        visit(child)
+    ``node`` itself is never a candidate: the tree root always pairs with
+    its counterpart (a whole-file insertion labels every top-level node,
+    not the Module).
+    """
+    for child in node.children:
+        if start <= child.span.start_line and child.span.end_line < end:
+            out.append(child)
+        else:
+            _maximal_inside(child, start, end, out)
     return out
 
 
 def _key(node: AstNode) -> tuple[str, str | None, str]:
     return (node.kind, node.role, node.text.strip())
-
-
-class _Matcher:
-    """Pairs before/after candidates by (kind, role, text) occurrence order."""
-
-    def __init__(self):
-        self.matched: dict[int, AstNode] = {}  # id(before node) -> after node
-        self.minus_roots: set[int] = set()
-        self.plus_roots: set[int] = set()
-        self.conflicts: list[str] = []
-
-    def match_lists(self, b_nodes: list[AstNode], a_nodes: list[AstNode]):
-        by_key: dict[tuple, list[AstNode]] = {}
-        for a in a_nodes:
-            by_key.setdefault(_key(a), []).append(a)
-        consumed: set[int] = set()
-        for b in b_nodes:
-            pool = by_key.get(_key(b), [])
-            partner = next((a for a in pool if id(a) not in consumed), None)
-            if partner is None:
-                self.minus_roots.add(id(b))
-                continue
-            if len(pool) > 1:
-                self.conflicts.append(
-                    f"ambiguous anchor for {_key(b)!r}; resolved in source order")
-            consumed.add(id(partner))
-            self.matched[id(b)] = partner
-            self.match_lists(list(b.children), list(partner.children))
-        for a in a_nodes:
-            if id(a) not in consumed:
-                self.plus_roots.add(id(a))
 
 
 # --- effective line mapping -------------------------------------------------
@@ -309,59 +275,67 @@ class _LineMap:
         return line + delta
 
 
+def _after_line(line: int) -> int:
+    # plus nodes already live in after-file coordinates
+    return line
+
+
+def _graft(node: AstNode, label: ChangeLabel, line_of) -> DiffNode:
+    """Copy the subtree under ``node`` with every node labeled ``label``;
+    ``line_of`` maps its native line numbers onto the after-file axis."""
+    return DiffNode(node.kind, node.role, node.text, label, node.span,
+                    line_of(node.span.start_line), line_of(node.span.end_line),
+                    [_graft(child, label, line_of) for child in node.children])
+
+
 # --- the join ---------------------------------------------------------------
 
 
-def build_diff_ast(
-    before: AstNode,
-    after: AstNode,
-    script: list[EditBlock],
-    change_id: str = "",
-    path: str = "",
-) -> EnhancedAst:
-    """Join the two canonical trees into a single labeled diff tree."""
-    matcher = _Matcher()
-    for blk in script:
-        b_cands = (_maximal_inside(before, blk.b_start, blk.b_end)
-                   if blk.b_end > blk.b_start else [])
-        a_cands = (_maximal_inside(after, blk.a_start, blk.a_end)
-                   if blk.a_end > blk.a_start else [])
-        matcher.match_lists(b_cands, a_cands)
-    line_map = _LineMap(script)
-    conflicts = list(matcher.conflicts)
+class _Matcher:
+    """Pairs before/after candidates by (kind, role, text) occurrence order,
+    then joins the two trees along those pairs."""
 
-    def make_plus(a_node: AstNode) -> DiffNode:
-        node = DiffNode(a_node.kind, a_node.role, a_node.text, ChangeLabel.PLUS,
-                        a_node.span, a_node.span.start_line, a_node.span.end_line)
-        for child in a_node.children:
-            sub = make_plus(child)
-            sub.parent = node
-            node.children.append(sub)
-        return node
+    def __init__(self, script: list[EditBlock]):
+        self.matched: dict[int, AstNode] = {}  # id(before node) -> after node
+        self.minus_roots: set[int] = set()
+        self.plus_roots: set[int] = set()
+        self.conflicts: list[str] = []
+        self.line_map = _LineMap(script)
 
-    def make_minus(b_node: AstNode) -> DiffNode:
-        node = DiffNode(b_node.kind, b_node.role, b_node.text, ChangeLabel.MINUS,
-                        b_node.span,
-                        line_map.map(b_node.span.start_line),
-                        line_map.map(b_node.span.end_line))
-        for child in b_node.children:
-            sub = make_minus(child)
-            sub.parent = node
-            node.children.append(sub)
-        return node
+    def match_lists(self, b_nodes: list[AstNode], a_nodes: list[AstNode]):
+        by_key: dict[tuple, list[AstNode]] = {}
+        for a in a_nodes:
+            by_key.setdefault(_key(a), []).append(a)
+        consumed: set[int] = set()
+        for b in b_nodes:
+            pool = by_key.get(_key(b), [])
+            partner = next((a for a in pool if id(a) not in consumed), None)
+            if partner is None:
+                self.minus_roots.add(id(b))
+                continue
+            if len(pool) > 1:
+                self.conflicts.append(
+                    f"ambiguous anchor for {_key(b)!r}; resolved in source order")
+            consumed.add(id(partner))
+            self.matched[id(b)] = partner
+            self.match_lists(list(b.children), list(partner.children))
+        for a in a_nodes:
+            if id(a) not in consumed:
+                self.plus_roots.add(id(a))
 
-    def join(b_node: AstNode, a_node: AstNode) -> DiffNode:
-        node = DiffNode(a_node.kind, a_node.role, a_node.text, ChangeLabel.UNCHANGED,
-                        a_node.span, a_node.span.start_line, a_node.span.end_line)
-        minus_kids = [c for c in b_node.children if id(c) in matcher.minus_roots]
-        plus_kids = {id(c) for c in a_node.children if id(c) in matcher.plus_roots}
-        b_rest = [c for c in b_node.children if id(c) not in matcher.minus_roots]
+    def join(self, b_node: AstNode, a_node: AstNode) -> DiffNode:
+        """The unchanged node pairing ``b_node`` with ``a_node``, its
+        children joined, grafted Plus, or grafted Minus."""
+        conflicts = self.conflicts
+        minus_kids = [c for c in b_node.children if id(c) in self.minus_roots]
+        plus_kids = {id(c) for c in a_node.children if id(c) in self.plus_roots}
+        b_rest = [c for c in b_node.children if id(c) not in self.minus_roots]
         a_rest = [c for c in a_node.children if id(c) not in plus_kids]
         pairs: list[tuple[AstNode, AstNode]] = []
         a_taken: set[int] = set()
         b_positional: list[AstNode] = []
         for b_child in b_rest:
-            partner = matcher.matched.get(id(b_child))
+            partner = self.matched.get(id(b_child))
             if partner is not None:
                 pairs.append((b_child, partner))
                 a_taken.add(id(partner))
@@ -381,7 +355,7 @@ def build_diff_ast(
         forced_plus = {id(c) for c in a_positional[len(b_positional):]}
         joined: dict[int, DiffNode] = {}
         for b_child, a_child in pairs:
-            joined[id(a_child)] = join(b_child, a_child)
+            joined[id(a_child)] = self.join(b_child, a_child)
         built: list[DiffNode] = []
         for a_child in a_node.children:
             if id(a_child) in joined:
@@ -389,22 +363,39 @@ def build_diff_ast(
             elif id(a_child) in plus_kids or id(a_child) in forced_plus:
                 if id(a_child) in forced_plus:
                     conflicts.append(f"unpaired after-node {a_child.kind} forced Plus")
-                built.append(make_plus(a_child))
-        minus_built = [make_minus(b_child) for b_child in minus_kids]
+                built.append(_graft(a_child, ChangeLabel.PLUS, _after_line))
+        minus_built = [_graft(b_child, ChangeLabel.MINUS, self.line_map.map)
+                       for b_child in minus_kids]
         merged = sorted(
             built + minus_built,
             key=lambda n: (n.eff_start, n.span.start_col,
                            n.label is not ChangeLabel.MINUS, n.span.start_line),
         )
-        for child in merged:
-            child.parent = node
-        node.children = merged
-        return node
+        return DiffNode(a_node.kind, a_node.role, a_node.text, ChangeLabel.UNCHANGED,
+                        a_node.span, a_node.span.start_line, a_node.span.end_line,
+                        merged)
 
-    root = join(before, after)
-    for message in conflicts:
+
+def build_diff_ast(
+    before: AstNode,
+    after: AstNode,
+    script: list[EditBlock],
+    change_id: str = "",
+    path: str = "",
+) -> EnhancedAst:
+    """Join the two canonical trees into a single labeled diff tree."""
+    matcher = _Matcher(script)
+    for blk in script:
+        b_cands = (_maximal_inside(before, blk.b_start, blk.b_end, [])
+                   if blk.b_end > blk.b_start else [])
+        a_cands = (_maximal_inside(after, blk.a_start, blk.a_end, [])
+                   if blk.a_end > blk.a_start else [])
+        matcher.match_lists(b_cands, a_cands)
+    root = matcher.join(before, after)
+    for message in matcher.conflicts:
         logger.warning("alignment conflict in %s %s: %s", change_id, path, message)
-    return EnhancedAst(root=root, change_id=change_id, path=path, conflicts=conflicts)
+    return EnhancedAst(root=root, change_id=change_id, path=path,
+                       conflicts=matcher.conflicts)
 
 
 # --- hunk extraction ---------------------------------------------------------
@@ -412,20 +403,21 @@ def build_diff_ast(
 
 def extract_hunks(enhanced: EnhancedAst) -> list[Hunk]:
     """Partition labeled subtree roots by transitive 3-line grouping."""
-    roots = sorted(enhanced.labeled_roots(), key=lambda r: (r.eff_start, r.eff_end))
-    if not roots:
+    chained = sorted(enhanced.chained_roots(),
+                     key=lambda rc: (rc[0].eff_start, rc[0].eff_end))
+    if not chained:
         return []
-    groups: list[list[DiffNode]] = [[roots[0]]]
-    group_end = roots[0].eff_end
-    for root in roots[1:]:
+    groups: list[list[tuple[DiffNode, tuple]]] = [[chained[0]]]
+    group_end = chained[0][0].eff_end
+    for root, chain in chained[1:]:
         if root.eff_start - group_end <= HUNK_LINE_GAP:
-            groups[-1].append(root)
+            groups[-1].append((root, chain))
         else:
-            groups.append([root])
+            groups.append([(root, chain)])
         group_end = max(group_end, root.eff_end)
     hunks = []
-    for ordinal, group in enumerate(groups):
-        chain = _common_chain(group)
+    for ordinal, members in enumerate(groups):
+        group = [root for root, _chain in members]
         window = SourceSpan(
             start_line=min(r.eff_start for r in group),
             start_col=min(r.span.start_col for r in group),
@@ -435,14 +427,15 @@ def extract_hunks(enhanced: EnhancedAst) -> list[Hunk]:
         hunks.append(Hunk(
             id=hunk_id,
             labeled_roots=tuple(group),
-            context_chain=chain,
+            context_chain=_common_chain([chain for _root, chain in members]),
             line_window=window,
         ))
     return hunks
 
 
-def _common_chain(roots: list[DiffNode]) -> tuple[DiffNode, ...]:
-    chains = [list(root.ancestors()) for root in roots]
+def _common_chain(chains: list[tuple[DiffNode, ...]]) -> tuple[DiffNode, ...]:
+    """The ancestors every chain shares; chains run nearest first, so
+    what they share is their far end."""
     shortest = min(chains, key=len)
     shared = 0
     for depth in range(1, len(shortest) + 1):
@@ -451,21 +444,7 @@ def _common_chain(roots: list[DiffNode]) -> tuple[DiffNode, ...]:
             shared = depth
         else:
             break
-    chain = shortest[-shared:] if shared else []
-    return tuple(chain)
-
-
-def closest_ancestor(hunk: Hunk) -> DiffNode:
-    """First node of the context chain."""
-    return hunk.context_chain[0]
-
-
-def scoped_ancestor(hunk: Hunk) -> DiffNode:
-    """Nearest context-chain node opening a scope (function/class/module)."""
-    for node in hunk.context_chain:
-        if node.kind in SCOPE_KINDS:
-            return node
-    raise AssertionError("context chain always ends at Module")
+    return shortest[-shared:] if shared else ()
 
 
 # --- debug dump --------------------------------------------------------------
@@ -484,8 +463,8 @@ def diff_node_to_dict(node: DiffNode) -> dict:
     }
 
 
-def diff_node_from_dict(doc: dict, parent: DiffNode | None = None) -> DiffNode:
-    node = DiffNode(
+def diff_node_from_dict(doc: dict) -> DiffNode:
+    return DiffNode(
         kind=doc["kind"],
         role=doc["role"],
         text=doc["text"],
@@ -493,10 +472,8 @@ def diff_node_from_dict(doc: dict, parent: DiffNode | None = None) -> DiffNode:
         span=SourceSpan(*doc["span"]),
         eff_start=doc["eff"][0],
         eff_end=doc["eff"][1],
-        parent=parent,
+        children=[diff_node_from_dict(c) for c in doc["children"]],
     )
-    node.children = [diff_node_from_dict(c, node) for c in doc["children"]]
-    return node
 
 
 def hunk_to_dict(hunk: Hunk) -> dict:

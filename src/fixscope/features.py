@@ -13,7 +13,14 @@ default weights keep feature values integral for all node-type features up
 to level 15 and all role features up to level 14; deeper nodes still
 accumulate, with a warning, since the weighting assumes shallow hunks.
 Where ``r**level`` overflows a float (past level 308 at ``r=10``), the
-node's terms underflow to 0.0 and add nothing.
+node's terms underflow to 0.0 and add nothing.  ``r`` must be at least 1,
+so a weight never grows with depth.
+
+``assemble_matrix`` is the one builder of a dense hunk x feature table:
+the feature matrix here, and the context tables that
+``fixscope.context.context_matrix`` builds for the features and stats
+stages.  It takes a column for every name a vector holds, in
+lexicographic order, and ``matrix_to_csv`` writes any such table.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ class DuplicateHunkIdError(ValueError):
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Accumulation weights; all strictly positive."""
+    """Accumulation weights: all strictly positive, and ``r >= 1``."""
 
     w_type: float = 1e15
     w_role: float = 1e15
@@ -57,9 +64,13 @@ class WeightConfig:
     c: float = 0.1
 
     def __post_init__(self):
-        for name in ("w_type", "w_role", "r", "c"):
+        for name in ("w_type", "w_role", "c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        if not self.r >= 1:
+            # below 1, deeper nodes would weigh more, and r**level would
+            # underflow to 0.0 on a deep enough chain
+            raise ValueError("r must be at least 1, so weights never grow with depth")
 
 
 @dataclass
@@ -117,20 +128,19 @@ def hunk_feature_vector(hunk: Hunk, weights: WeightConfig | None = None) -> Feat
 
 
 def assemble_matrix(vectors: list[FeatureVector]) -> FeatureMatrix:
-    """Union the vectors into a dense matrix, dropping all-zero columns."""
+    """Union the vectors into a dense matrix with a column for every name
+    any vector holds; a name a vector lacks reads 0.0."""
     seen: set[str] = set()
     for vec in vectors:
         if vec.hunk_id in seen:
             raise DuplicateHunkIdError(vec.hunk_id)
         seen.add(vec.hunk_id)
-    names = sorted({name for vec in vectors
-                    for name, value in vec.entries.items() if value != 0.0})
+    names = sorted({name for vec in vectors for name in vec.entries})
     index = {name: i for i, name in enumerate(names)}
     grid = np.zeros((len(vectors), len(names)), dtype=np.float64)
-    for row, vec in enumerate(vectors):
+    for row, vec in zip(grid, vectors):
         for name, value in vec.entries.items():
-            if value != 0.0:
-                grid[row, index[name]] = value
+            row[index[name]] = value
     return FeatureMatrix(
         hunk_ids=[v.hunk_id for v in vectors],
         feature_names=names,

@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import re
 import subprocess
 import threading
 import time
@@ -85,16 +86,8 @@ def keyword_filter(
     ("dispatch" contains "patch"), accepted and left to manual triage.
     """
     haystack = message if case_sensitive else message.lower()
-    tokens = None
-    if word_bounded:
-        tokens = set()
-        word = []
-        for ch in haystack + " ":
-            if ch.isalnum() or ch == "_":
-                word.append(ch)
-            elif word:
-                tokens.add("".join(word))
-                word = []
+    # on str, \w is exactly str.isalnum() or "_"
+    tokens = set(re.findall(r"\w+", haystack)) if word_bounded else None
     for keyword in keywords:
         needle = keyword if case_sensitive else keyword.lower()
         if word_bounded:

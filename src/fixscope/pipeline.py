@@ -28,7 +28,6 @@ import json
 import logging
 import math
 import os
-import shutil
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +36,12 @@ import numpy as np
 
 from fixscope import cluster as fc
 from fixscope import stats as fstats
-from fixscope.context import CATEGORIES, category_table_checksum, extract_context
+from fixscope.context import (
+    CATEGORIES,
+    category_table_checksum,
+    context_matrix,
+    extract_context,
+)
 from fixscope.diffing import (
     align_versions,
     build_diff_ast,
@@ -138,6 +142,9 @@ class PipelineConfig:
         self.branches = tuple(self.branches)
         self.keywords = tuple(self.keywords)
         self.test_markers = tuple(self.test_markers)
+        # built here, so bad weights are a configuration error at load
+        self.weights = WeightConfig(w_type=self.w_type, w_role=self.w_role,
+                                    r=self.r, c=self.c)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -156,11 +163,6 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    @property
-    def weights(self) -> WeightConfig:
-        return WeightConfig(w_type=self.w_type, w_role=self.w_role,
-                            r=self.r, c=self.c)
 
 
 @dataclass
@@ -406,7 +408,7 @@ class Pipeline:
                     doc = hunk_to_dict(hunk)
                     doc["change_id"] = record.change_id
                     doc["path"] = path
-                    doc["context"] = extract_context(hunk).as_dict()
+                    doc["context"] = extract_context(hunk)
                     hunk_docs.append(doc)
                     counts["hunks"] += 1
         counts["skipped_files"] = skipped
@@ -417,20 +419,19 @@ class Pipeline:
     def _stage_features(self) -> dict[str, str]:
         weights = self.config.weights
         vectors = []
-        context_rows = []
+        contexts = {}
         for doc in self._read_jsonl("hunks.jsonl"):
             vectors.append(hunk_feature_vector(hunk_from_dict(doc), weights))
-            context_rows.append({"hunk_id": doc["id"], "features": doc["context"]})
-        ctx_names = sorted({name for row in context_rows for name in row["features"]})
-        context_matrix = [["hunk_id"] + ctx_names] + [
-            [row["hunk_id"]] + [repr(float(row["features"].get(n, 0.0))) for n in ctx_names]
-            for row in context_rows]
+            contexts[doc["id"]] = doc["context"]
+        # a duplicate hunk id raises in the first assemble_matrix, before
+        # ``contexts`` could have merged it away
         return {
             "feature_matrix.csv": matrix_to_csv(assemble_matrix(vectors)),
             "feature_vectors.jsonl": _jsonl({"hunk_id": v.hunk_id, "features": v.entries}
                                             for v in vectors),
-            "context_matrix.csv": _csv(context_matrix),
-            "context_vectors.jsonl": _jsonl(context_rows),
+            "context_matrix.csv": matrix_to_csv(context_matrix(contexts)),
+            "context_vectors.jsonl": _jsonl({"hunk_id": hunk_id, "features": features}
+                                            for hunk_id, features in contexts.items()),
         }
 
     def _stage_cluster(self) -> dict[str, str]:
@@ -445,10 +446,9 @@ class Pipeline:
             "min_cluster_size": cfg.min_cluster_size,
             "n_clusters": 0, "cluster_sizes": {},
         }
-        dendrogram, clusters, hunk_ids = fc.Dendrogram(0, ()), {}, []
+        dendrogram, assignment = fc.Dendrogram(0, ()), {}
         if vectors:
             matrix = assemble_matrix(vectors)
-            hunk_ids = matrix.hunk_ids
             summary["n_features"] = len(matrix.feature_names)
             dendrogram = fc.single_linkage_rows(matrix.values)
             cophenetic = fc.cophenetic_coefficient_rows(dendrogram, matrix.values)
@@ -469,17 +469,17 @@ class Pipeline:
                     cutoff = float(np.max(coefs)) + 1.0 if len(coefs) else 1.0
                     summary["cutoff_source"] = "all-zero-single-cluster"
             summary["cutoff"] = cutoff
-            clusters = fc.cut_clusters(dendrogram, coefs, cutoff,
-                                       cfg.min_cluster_size, labels=hunk_ids).clusters
-            summary["n_clusters"] = len(clusters)
+            cut = fc.cut_clusters(dendrogram, coefs, cutoff,
+                                  cfg.min_cluster_size, labels=matrix.hunk_ids)
+            assignment = cut.assignment
+            summary["n_clusters"] = len(cut.clusters)
             summary["cluster_sizes"] = {str(cid): len(members)
-                                        for cid, members in sorted(clusters.items())}
-        by_hunk = {hunk_id: cid for cid, members in clusters.items() for hunk_id in members}
-        assignment = [["hunk_id", "cluster_id"]] + [
-            [hunk_id, by_hunk.get(hunk_id, "")] for hunk_id in hunk_ids]
+                                        for cid, members in sorted(cut.clusters.items())}
         return {
             "dendrogram.json": fc.dendrogram_to_json(dendrogram) + "\n",
-            "cluster_assignment.csv": _csv(assignment),
+            # csv writes an unclustered hunk's None as an empty cell
+            "cluster_assignment.csv": _csv([("hunk_id", "cluster_id"),
+                                            *assignment.items()]),
             "clustering_summary.json": _json_dumps(summary),
         }
 
@@ -605,19 +605,38 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> RunReport:
 
 
 def export_dataset(config: PipelineConfig, stage: str, dest: str | Path) -> list[Path]:
-    """Copy a completed stage's artifacts to ``dest``; byte-stable."""
+    """Copy a completed stage's artifacts to ``dest``; byte-stable.
+
+    Each artifact must still hash to the digest its stage's manifest
+    sealed; otherwise, or when the manifest seals no outputs, nothing is
+    copied and ``MissingCheckpointError`` is raised.  Only the outputs
+    are checked, not the config: export's flags rarely repeat the run's.
+    """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     out = Path(config.output_dir)
+    try:
+        outputs = json.loads((out / _manifest(stage)).read_bytes())["outputs"]
+    except FileNotFoundError:
+        raise MissingCheckpointError(f"stage {stage!r} has no checkpoint") from None
+    except (ValueError, KeyError, TypeError):
+        outputs = None
+    if not isinstance(outputs, dict):
+        raise MissingCheckpointError(f"stage {stage!r} has a checkpoint that seals no outputs")
+    contents = {}
+    for name in STAGE_ARTIFACTS[stage]:
+        try:
+            contents[name] = (out / name).read_bytes()
+        except FileNotFoundError:
+            contents[name] = None
+        if _digest(contents[name]) != outputs.get(name):
+            raise MissingCheckpointError(
+                f"{name} no longer matches the {stage!r} checkpoint; rerun the stage")
     dest = Path(dest)
-    if not (out / _manifest(stage)).exists():
-        raise MissingCheckpointError(f"stage {stage!r} has no checkpoint")
     dest.mkdir(parents=True, exist_ok=True)
     copied = []
-    for name in STAGE_ARTIFACTS[stage]:
-        source = out / name
-        if source.exists():
-            target = dest / name
-            shutil.copyfile(source, target)
-            copied.append(target)
+    for name, data in contents.items():
+        target = dest / name
+        target.write_bytes(data)
+        copied.append(target)
     return copied

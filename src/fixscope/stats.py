@@ -7,9 +7,10 @@ The control group defaults to the whole dataset excluding the tested
 cluster's members (disjoint groups are required for a joint ranking); a
 flag restores the literal whole-dataset control for comparison.
 
-The tests are computed column-wise: the hunk x feature context matrix is
-built once, and each tested cluster's pooled rows are ranked in one call
-that yields every feature's midranks, tie correction and z at once.
+The tests are computed column-wise: ``fixscope.context.context_matrix``
+builds the hunk x feature context matrix once, and each tested cluster's
+pooled rows are ranked in one call that yields every feature's midranks,
+tie correction and z at once.
 ``dunn_test`` and ``summary_stats`` are the one-column case of the same
 kernels.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from fixscope.context import CATEGORIES, categorize
+from fixscope.context import CATEGORIES, categorize, context_matrix
 
 __all__ = [
     "DunnResult",
@@ -178,32 +179,25 @@ def relevance_matrix(
         raise ValueError(f"unknown control mode {control_mode!r}")
     bugfix_ids = [cid for cid in sorted(clusters, key=str)
                   if triage.get(cid) == "BUG-FIX"]
-    all_hunks = sorted(context_data)
-    feature_names = sorted({name for values in context_data.values()
-                            for name in values})
+    context = context_matrix({hunk: context_data[hunk] for hunk in sorted(context_data)})
+    feature_names = context.feature_names
     result = ContextRelevanceMatrix(cluster_ids=bugfix_ids, alpha=alpha,
                                     control_mode=control_mode)
     effective_alpha = alpha / len(feature_names) if (bonferroni and feature_names) else alpha
     categories = [categorize(feature) for feature in feature_names]
-    row_of = {hunk: i for i, hunk in enumerate(all_hunks)}
-    column_of = {feature: j for j, feature in enumerate(feature_names)}
-    context = np.zeros((len(all_hunks), len(feature_names)))  # absent reads 0.0
-    for hunk, values in context_data.items():
-        row = context[row_of[hunk]]
-        for name, value in values.items():
-            row[column_of[name]] = value
+    row_of = {hunk: i for i, hunk in enumerate(context.hunk_ids)}
     for cid in bugfix_ids:
         members = [row_of[h] for h in clusters[cid] if h in row_of]
         if not members:
             continue
         if control_mode == "exclusive":
             member_set = set(members)
-            control = [i for i in range(len(all_hunks)) if i not in member_set]
+            control = [i for i in range(len(row_of)) if i not in member_set]
         else:
-            control = list(range(len(all_hunks)))
+            control = list(range(len(row_of)))
         if not control:
             continue
-        pooled = context[members + control]
+        pooled = context.values[members + control]
         zs, ps, relevant = _rank_tests(pooled, len(members), effective_alpha)
         summaries = _summaries(np.ascontiguousarray(pooled[:len(members)].T))
         for feature, category, z, p, hit, summary in zip(

@@ -4,8 +4,8 @@ Everything here is deliberately naive and kept free of the package's own
 numerics: O(n^3) agglomeration, direct-sum Pearson correlation, an
 explicitly coded midrank computation, a re-derivation of the
 histogram bin rule, a relevance matrix that ranks one (cluster, feature)
-pair at a time, and a git source that asks git once per commit and once
-per blob side.
+pair at a time, a git source that asks git once per commit and once
+per blob side, and a character loop that splits a message into words.
 """
 
 from __future__ import annotations
@@ -255,6 +255,20 @@ def per_feature_relevance(clusters, triage, context_data, alpha=0.05,
             if relevant:
                 cells[(category, cid)] = True
     return bugfix_ids, records, cells
+
+def reference_word_tokens(text: str) -> set[str]:
+    """Maximal runs of characters that are ``str.isalnum()`` or ``_``:
+    the words ``keyword_filter(word_bounded=True)`` matches against."""
+    tokens = set()
+    word = []
+    for ch in text + " ":
+        if ch.isalnum() or ch == "_":
+            word.append(ch)
+        elif word:
+            tokens.add("".join(word))
+            word = []
+    return tokens
+
 
 class PerCommitGitSource:
     """Reference git source: ``git log`` for the commits, one ``git

@@ -72,12 +72,9 @@ def demo_corpus(tmp_path_factory):
 
 def chain_hunk(height: int) -> Hunk:
     def node(kind, role, children=()):
-        made = DiffNode(kind=kind, role=role, text="", label=ChangeLabel.PLUS,
+        return DiffNode(kind=kind, role=role, text="", label=ChangeLabel.PLUS,
                         span=SourceSpan(1, 0, 1, 0), eff_start=1, eff_end=1,
                         children=list(children))
-        for child in made.children:
-            child.parent = made
-        return made
 
     tip = node("Name", "If-Test")
     current = tip

@@ -14,6 +14,7 @@ from fixscope.context import (
     categorize,
     category_table_checksum,
     closest_ancestor_features,
+    context_matrix,
     extract_context,
     inner_context_features,
     outer_scoped_features,
@@ -229,9 +230,20 @@ class TestExtractContext:
     def test_flattened_vector_is_numeric_and_categorized(self):
         before = "def f(a):\n    x = 1\n"
         after = "def f(a):\n    x = 1\n    y = {'k': v}\n"
-        vec = extract_context(single_hunk(before, after))
-        flat = vec.as_dict()
+        flat = extract_context(single_hunk(before, after))
         assert flat["ctx_inner_add_Dict_count"] == 1.0
         for name, value in flat.items():
             assert isinstance(value, float)
             assert categorize(name) in CATEGORIES
+
+
+class TestContextMatrix:
+    def test_every_held_feature_is_a_column(self):
+        matrix = context_matrix({
+            "h2": {"ctx_Module_size": 3.0, "ctx_including_If": 0.0},
+            "h1": {"ctx_Module_size": 1.0, "ctx_inner_add_Dict_count": 2.0},
+        })
+        assert matrix.hunk_ids == ["h2", "h1"]
+        assert matrix.feature_names == [
+            "ctx_Module_size", "ctx_including_If", "ctx_inner_add_Dict_count"]
+        assert matrix.values.tolist() == [[3.0, 0.0, 0.0], [1.0, 0.0, 2.0]]

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import textwrap
+import weakref
 
 from fixscope.diffing import (
     ChangeLabel,
     EditBlock,
     align_versions,
     build_diff_ast,
-    closest_ancestor,
     dump_enhanced_ast,
     extract_hunks,
-    scoped_ancestor,
 )
 from fixscope.grammar import parse_source
 
@@ -127,8 +127,10 @@ class TestBuildDiffAst:
         assert len(roots) == 1
         root = roots[0]
         assert (root.kind, root.label) == ("Assign", ChangeLabel.PLUS)
-        assert root.parent.kind == "ClassDef"
-        assert root.parent.label is ChangeLabel.UNCHANGED
+        ((chained_root, chain),) = enhanced.chained_roots()
+        assert chained_root is root
+        assert [(n.kind, n.label) for n in chain] == [
+            ("ClassDef", ChangeLabel.UNCHANGED), ("Module", ChangeLabel.UNCHANGED)]
 
     def test_added_keyword_argument(self):
         before = "r = self.post(url, payload)\n"
@@ -136,7 +138,8 @@ class TestBuildDiffAst:
         enhanced = diff_texts(before, after)
         roots = enhanced.labeled_roots()
         assert [(r.kind, r.label) for r in roots] == [("keyword", ChangeLabel.PLUS)]
-        assert roots[0].parent.kind == "Call"
+        ((_root, chain),) = enhanced.chained_roots()
+        assert chain[0].kind == "Call"
 
     def test_modified_node_becomes_minus_plus_pair(self):
         enhanced = diff_texts("x = compute(a)\n", "x = compute(b)\n")
@@ -242,33 +245,31 @@ class TestAncestors:
             """
         )
         (hunk,) = make_hunks(before, after)
-        assert scoped_ancestor(hunk).kind == "FunctionDef"
-        assert scoped_ancestor(hunk).text == "foo_fun"
-        assert closest_ancestor(hunk).kind == "FunctionDef"
+        assert [(n.kind, n.text) for n in hunk.context_chain] == [
+            ("FunctionDef", "foo_fun"), ("ClassDef", "Foo"), ("Module", "")]
 
     def test_top_level_change_scoped_to_module(self):
         (hunk,) = make_hunks("x = 1\n", "x = 1\ny = 2\n")
-        assert scoped_ancestor(hunk).kind == "Module"
-        assert closest_ancestor(hunk).kind == "Module"
+        assert [n.kind for n in hunk.context_chain] == ["Module"]
 
     def test_class_constant_scoped_to_class(self):
         before = 'class DiskFilter(BaseHostFilter):\n    """doc."""\n'
         after = ('class DiskFilter(BaseHostFilter):\n    """doc."""\n'
                  '    RUN_ON_REBUILD = False\n')
         (hunk,) = make_hunks(before, after)
-        assert scoped_ancestor(hunk).kind == "ClassDef"
+        assert [n.kind for n in hunk.context_chain] == ["ClassDef", "Module"]
 
     def test_statement_wrapped_by_existing_if(self):
         before = "if flag:\n    do_work(a)\n"
         after = "if flag:\n    do_work(a)\n    do_more(b)\n"
         (hunk,) = make_hunks(before, after)
-        assert closest_ancestor(hunk).kind == "If"
+        assert [n.kind for n in hunk.context_chain] == ["If", "Module"]
 
     def test_keyword_addition_closest_is_call(self):
         before = "r = post(url, payload)\n"
         after = "r = post(url, payload, timeout=30)\n"
         (hunk,) = make_hunks(before, after)
-        assert closest_ancestor(hunk).kind == "Call"
+        assert [n.kind for n in hunk.context_chain] == ["Call", "Assign", "Module"]
 
     def test_dict_entry_addition_chain_order(self):
         before = textwrap.dedent(
@@ -301,3 +302,24 @@ class TestAncestors:
         for node in hunk.context_chain:
             assert node.label is ChangeLabel.UNCHANGED
         assert hunk.context_chain[-1].kind == "Module"
+
+
+class TestReferenceCounting:
+    def test_diff_tree_is_freed_without_the_cycle_collector(self):
+        # nodes point only to their children, so a diff tree and its hunks
+        # hold no reference cycle
+        before = "def f(a):\n    y = a + 1\n    return y\n"
+        after = "def f(a):\n    if a:\n        y = a + 2\n    return y\n"
+        gc.collect()
+        gc.disable()
+        try:
+            enhanced = diff_texts(before, after)
+            hunks = extract_hunks(enhanced)
+            assert hunks and hunks[0].context_chain
+            root = weakref.ref(enhanced.root)
+            labeled_root = weakref.ref(hunks[0].labeled_roots[0])
+            del enhanced, hunks
+            assert root() is None
+            assert labeled_root() is None
+        finally:
+            gc.enable()

@@ -21,12 +21,9 @@ ILLUSTRATION = WeightConfig(w_type=1e3, w_role=1e3, r=10.0, c=0.1)
 
 
 def node(kind, role, label=ChangeLabel.PLUS, children=(), line=1):
-    made = DiffNode(kind=kind, role=role, text="", label=label,
+    return DiffNode(kind=kind, role=role, text="", label=label,
                     span=SourceSpan(line, 0, line, 0),
                     eff_start=line, eff_end=line, children=list(children))
-    for child in made.children:
-        child.parent = made
-    return made
 
 
 def hunk_of(*roots):
@@ -174,10 +171,13 @@ class TestAssembleMatrix:
         assert matrix.values[0].tolist() == [1.0, 0.0, 2.0]
         assert matrix.values[1].tolist() == [0.0, 3.0, 4.0]
 
-    def test_zero_columns_absent(self):
+    def test_zero_entries_keep_their_column(self):
+        # every name a vector holds is a column; hunk_feature_vector never
+        # stores a 0.0, while context vectors hold their 0.0 features
         a = FeatureVector("h1", {"add_If": 1.0, "ghost": 0.0})
         matrix = assemble_matrix([a])
-        assert matrix.feature_names == ["add_If"]
+        assert matrix.feature_names == ["add_If", "ghost"]
+        assert matrix.values.tolist() == [[1.0, 0.0]]
 
     def test_duplicate_hunk_id(self):
         a = FeatureVector("h1", {"x": 1.0})
@@ -204,3 +204,13 @@ class TestWeightConfig:
             WeightConfig(w_type=0)
         with pytest.raises(ValueError):
             WeightConfig(c=-0.1)
+
+    def test_rejects_weights_that_grow_with_depth(self):
+        # at r = 0.5, r**level underflows to 0.0 on an 1100-deep chain
+        chain = node("Name", "If-Test")
+        for _ in range(1100):
+            chain = node("If", "If-Body", children=[chain])
+        with pytest.raises(ValueError, match="at least 1"):
+            hunk_feature_vector(hunk_of(chain), WeightConfig(r=0.5))
+        flat = hunk_feature_vector(hunk_of(chain), WeightConfig(w_type=1.0, w_role=1.0, r=1.0))
+        assert flat.entries["add_If"] == 1100.0

@@ -405,6 +405,10 @@ class TestBenchmarkTracing:
         for metric in ("grammar.parse_calls", "diffing.hunks",
                        "features.assemble_calls", "report.render_s"):
             assert doc["metrics"][metric] > 0, metric
+        # the tracer reports the width of the feature matrix, not of the
+        # (here wider) context table
+        header = (tmp_path / "out" / "feature_matrix.csv").read_text().splitlines()[0]
+        assert doc["metrics"]["features.n_features"] == len(header.split(",")) - 1
 
 
 class TestCli:
@@ -463,6 +467,40 @@ class TestCli:
             assert cli_main(verb + ["--out", str(out)]) == 0, verb[0]
             assert (out / "config.json").read_bytes() == config, verb[0]
         capsys.readouterr()
+
+    def test_export_refuses_artifacts_their_seal_no_longer_covers(self, small_corpus,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--source", small_corpus["repo"], "--out", str(out),
+                         "--min-size", "3"]) == 0
+        # export's own flags need not repeat the run's configuration
+        export = ["export", "--out", str(out), "--stage", "features", "--dest"]
+        assert cli_main(export + [str(tmp_path / "ok")]) == 0
+        vectors = out / "feature_vectors.jsonl"
+        assert (tmp_path / "ok" / vectors.name).read_bytes() == vectors.read_bytes()
+        complete = vectors.read_bytes()
+        vectors.write_bytes(complete[:100])
+        assert cli_main(export + [str(tmp_path / "truncated")]) == 2
+        assert vectors.name in capsys.readouterr().err
+        assert not (tmp_path / "truncated").exists()
+        vectors.write_bytes(complete)
+        manifest = out / "features.manifest.json"
+        sealed = json.loads(manifest.read_text())
+        del sealed["outputs"]
+        manifest.write_text(json.dumps(sealed))
+        assert cli_main(export + [str(tmp_path / "unsealed")]) == 2
+        assert not (tmp_path / "unsealed").exists()
+        capsys.readouterr()
+
+    def test_weights_growing_with_depth_are_a_usage_error(self, small_corpus, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"r": 0.5}))
+        assert cli_main(["run", "--config", str(config_path), "--source",
+                         small_corpus["repo"], "--out", str(out)]) == 1
+        assert "r must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejected_annotations_are_not_installed(self, tmp_path, capsys):
         out = tmp_path / "out"
