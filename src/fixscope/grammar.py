@@ -33,7 +33,9 @@ pipeline records and skips them like any unparseable file.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -181,10 +183,15 @@ def node_role(parent: "AstNode | str", child_slot: str) -> str:
 
 
 def tree_height(node: AstNode) -> int:
-    """0 for a leaf, else one more than the tallest child."""
-    if not node.children:
-        return 0
-    return 1 + max(tree_height(child) for child in node.children)
+    """0 for a leaf, else one more than the tallest child: the depth of
+    the deepest node, found with an explicit stack."""
+    height = 0
+    stack = [(node, 0)]
+    while stack:
+        current, depth = stack.pop()
+        height = max(height, depth)
+        stack.extend((child, depth + 1) for child in current.children)
+    return height
 
 
 def parse_source(text: str) -> AstNode:
@@ -241,6 +248,11 @@ def _own_span(node: ast.AST) -> SourceSpan | None:
     return SourceSpan(lineno, node.col_offset, end_lineno, node.end_col_offset)
 
 
+# a source line as the parser splits them: at \r\n, \r or \n only, so a
+# form feed stays inside its line (str.splitlines would break there)
+_SOURCE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
 def _point(line: int, col: int) -> SourceSpan:
     return SourceSpan(line, col, line, col)
 
@@ -295,9 +307,21 @@ class _Normalizer:
         return SourceSpan(left.span.end_line, left.span.end_col,
                           right.span.start_line, right.span.start_col)
 
+    @functools.cached_property
+    def _lines(self) -> list[str]:
+        return _SOURCE_LINE.findall(self.source)
+
     def _segment(self, node: ast.AST) -> str:
-        seg = ast.get_source_segment(self.source, node)
-        return seg if seg is not None else ""
+        """``ast.get_source_segment(self.source, node) or ""``, over lines
+        split once per file instead of once per call."""
+        if getattr(node, "end_lineno", None) is None or node.end_col_offset is None:
+            return ""
+        first, last = self._lines[node.lineno - 1], self._lines[node.end_lineno - 1]
+        if node.lineno == node.end_lineno:
+            return first.encode()[node.col_offset:node.end_col_offset].decode()
+        return "".join([first.encode()[node.col_offset:].decode(),
+                        *self._lines[node.lineno:node.end_lineno - 1],
+                        last.encode()[:node.end_col_offset].decode()])
 
     def _anchored(self, node: AstNode, anchor: SourceSpan) -> AstNode:
         # position-less empty nodes (e.g. bare `arguments`) sit at the

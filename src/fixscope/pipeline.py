@@ -450,8 +450,9 @@ class Pipeline:
         if vectors:
             matrix = assemble_matrix(vectors)
             summary["n_features"] = len(matrix.feature_names)
-            dendrogram = fc.single_linkage_rows(matrix.values)
-            cophenetic = fc.cophenetic_coefficient_rows(dendrogram, matrix.values)
+            distances = fc.pairwise_distances(matrix.values)
+            dendrogram = fc.single_linkage(distances)
+            cophenetic = fc.cophenetic_coefficient(dendrogram, distances)
             if math.isnan(cophenetic):
                 summary["cophenetic_degenerate"] = True
             else:

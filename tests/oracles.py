@@ -1,8 +1,10 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 Everything here is deliberately naive and kept free of the package's own
-numerics: O(n^3) agglomeration, direct-sum Pearson correlation, an
-explicitly coded midrank computation, a re-derivation of the
+numerics: O(n^3) agglomeration, direct-sum Pearson correlation, a
+single linkage and cophenetic walk that recompute every distance from
+the feature rows in O(n*d) memory, an explicitly coded midrank
+computation, a re-derivation of the
 histogram bin rule, a relevance matrix that ranks one (cluster, feature)
 pair at a time, a git source that asks git once per commit and once
 per blob side, and a character loop that splits a message into words.
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.stats import rankdata
+
+from fixscope.cluster import Dendrogram, Merge
 
 
 def euclidean(a, b) -> float:
@@ -85,6 +89,85 @@ def bruteforce_cophenetic_coefficient(points) -> float:
             orig_flat.append(full[i][j])
             coph_flat.append(coph[i][j])
     return pearson(orig_flat, coph_flat)
+
+
+def reference_row_distances(rows: np.ndarray, i: int, targets: np.ndarray) -> np.ndarray:
+    """Euclidean distances from row ``i`` to the rows ``targets``, computed
+    on demand with the package's kernel arithmetic."""
+    diff = rows[targets]  # a fresh copy, so subtract in place
+    diff -= rows[i]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def reference_single_linkage_rows(rows) -> Dendrogram:
+    """Prim's scan over feature rows, computing each distance when it is
+    needed, then the union-find replay of the sorted MST edges (weight,
+    smaller index, larger index); ties go to the smallest index."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[0]
+    outside = np.arange(1, n)
+    best = np.full(outside.size, np.inf)
+    best_from = np.zeros(outside.size, dtype=np.int64)
+    current = 0
+    edges = []
+    while outside.size:
+        dists = reference_row_distances(rows, current, outside)
+        better = dists < best
+        best[better] = dists[better]
+        best_from[better] = current
+        k = int(np.argmin(best))
+        i, current = int(best_from[k]), int(outside[k])
+        edges.append((float(best[k]), min(i, current), max(i, current)))
+        outside, best, best_from = (np.delete(a, k) for a in (outside, best, best_from))
+
+    root = list(range(n))
+    cluster_id = list(range(n))
+    sizes = [1] * n
+    merges = []
+    for k, (weight, i, j) in enumerate(sorted(edges)):
+        while root[i] != i:
+            i = root[i]
+        while root[j] != j:
+            j = root[j]
+        left, right = sorted((cluster_id[i], cluster_id[j]))
+        sizes.append(sizes[left] + sizes[right])
+        merges.append(Merge(left=left, right=right, height=weight, size=sizes[-1]))
+        root[j] = i
+        cluster_id[i] = n + k
+    return Dendrogram(n_leaves=n, merges=tuple(merges))
+
+
+def reference_cophenetic_rows(dendrogram: Dendrogram, rows) -> float:
+    """The cophenetic walk with distances recomputed from the rows: one
+    chunk per member of a merge's smaller side, combined pairwise (Chan,
+    Golub & LeVeque); NaN when either second moment is not positive."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = dendrogram.n_leaves
+    members = {i: [i] for i in range(n)}
+    count = 0
+    mean_x = mean_y = m2_x = m2_y = co = 0.0
+    for k, merge in enumerate(dendrogram.merges):
+        small, large = sorted((members.pop(merge.left), members.pop(merge.right)), key=len)
+        targets = np.asarray(large)
+        for a in small:
+            dists = reference_row_distances(rows, a, targets)
+            chunk_mean = float(dists.mean())
+            dev = dists - chunk_mean
+            total = count + dists.size
+            dx, dy = chunk_mean - mean_x, merge.height - mean_y
+            weight = count * dists.size / total
+            m2_x += float(dev @ dev) + dx * dx * weight
+            m2_y += dy * dy * weight
+            co += dx * dy * weight
+            frac = dists.size / total
+            mean_x += dx * frac
+            mean_y += dy * frac
+            count = total
+        large.extend(small)
+        members[n + k] = large
+    if m2_x <= 0.0 or m2_y <= 0.0:
+        return float("nan")
+    return co / math.sqrt(m2_x * m2_y)
 
 
 def bruteforce_inconsistency(n_leaves, merges, depth=2) -> list[float]:

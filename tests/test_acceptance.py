@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import random
+import struct
 import time
 from pathlib import Path
 
@@ -25,12 +26,10 @@ from test_properties import edit_case, fingerprints
 
 from fixscope.cluster import (
     cophenetic_coefficient,
-    cophenetic_coefficient_rows,
     cut_clusters,
     inconsistency_coefficients,
     pairwise_distances,
     single_linkage,
-    single_linkage_rows,
 )
 from fixscope.democorpus import build_demo_corpus
 from fixscope.diffing import ChangeLabel, DiffNode, Hunk, extract_hunks
@@ -134,19 +133,20 @@ class TestCriterion2ClusteringOracles:
                 rows = np.asarray(pts)
                 distances = pairwise_distances(rows)
                 dendrogram = single_linkage(distances)
-                assert single_linkage_rows(rows) == dendrogram
+                assert oracles.reference_single_linkage_rows(rows) == dendrogram
 
                 mine = [m.height for m in dendrogram.merges]
                 theirs = sorted(h for h, _, _ in oracles.bruteforce_single_linkage(pts))
                 assert all(abs(a - b) < 1e-9 for a, b in zip(mine, theirs))
 
                 coph_oracle = oracles.bruteforce_cophenetic_coefficient(pts)
-                for coph in (cophenetic_coefficient(dendrogram, distances),
-                             cophenetic_coefficient_rows(dendrogram, rows)):
-                    if math.isnan(coph_oracle):
-                        assert math.isnan(coph)
-                    else:
-                        assert abs(coph - coph_oracle) < 1e-9
+                coph = cophenetic_coefficient(dendrogram, distances)
+                reference = oracles.reference_cophenetic_rows(dendrogram, rows)
+                assert struct.pack("<d", coph) == struct.pack("<d", reference)
+                if math.isnan(coph_oracle):
+                    assert math.isnan(coph)
+                else:
+                    assert abs(coph - coph_oracle) < 1e-9
 
                 coefs = inconsistency_coefficients(dendrogram, depth=2)
                 triples = [(m.left, m.right, m.height) for m in dendrogram.merges]

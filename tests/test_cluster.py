@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
+import fixscope.cluster as fc
 from fixscope.cluster import (
     AllZeroError,
-    CondensedDistances,
+    DistanceTable,
     UnknownClusterError,
     cophenetic_coefficient,
     cophenetic_coefficient_rows,
@@ -26,22 +28,30 @@ from fixscope.cluster import (
 import oracles
 
 
-def points_to_condensed(points):
+def points_to_table(points):
     return pairwise_distances(np.asarray(points, dtype=float))
 
 
-def condensed_at(d, i, j):
-    return 0.0 if i == j else float(d.values[d.index(i, j)])
+def table_at(d, i, j):
+    return float(d.table[d.row_of[i], d.row_of[j]])
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def both_cophenetic(points):
-    """Dendrogram and coefficient through the condensed and the row entry
-    points, after checking that both give the same dendrogram."""
+    """Dendrogram and coefficient through the table and the row entry
+    points, after checking that both give the row reference's dendrogram
+    and the bits of its coefficient."""
     rows = np.asarray(points, dtype=float)
     d = pairwise_distances(rows)
     dend = single_linkage(d)
-    assert single_linkage_rows(rows) == dend
-    return dend, [cophenetic_coefficient(dend, d), cophenetic_coefficient_rows(dend, rows)]
+    assert single_linkage_rows(rows) == dend == oracles.reference_single_linkage_rows(rows)
+    coefficients = [cophenetic_coefficient(dend, d), cophenetic_coefficient_rows(dend, rows)]
+    reference = oracles.reference_cophenetic_rows(dend, rows)
+    assert [bits(c) for c in coefficients] == [bits(reference)] * 2
+    return dend, coefficients
 
 
 def random_points(rng, n, dim=3, sparse=False):
@@ -58,39 +68,122 @@ def random_points(rng, n, dim=3, sparse=False):
 
 class TestPairwiseDistances:
     def test_identical_rows(self):
-        d = points_to_condensed([[1.0, 2.0], [1.0, 2.0]])
-        assert condensed_at(d, 0, 1) == 0.0
+        d = points_to_table([[1.0, 2.0], [1.0, 2.0]])
+        assert table_at(d, 0, 1) == 0.0
 
     def test_three_four_five(self):
-        d = points_to_condensed([[0.0, 0.0], [3.0, 4.0]])
-        assert condensed_at(d, 0, 1) == 5.0
+        d = points_to_table([[0.0, 0.0], [3.0, 4.0]])
+        assert table_at(d, 0, 1) == 5.0
 
     def test_against_double_loop_oracle(self):
         rng = random.Random(13)
         pts = random_points(rng, 4, dim=6, sparse=True)
-        d = points_to_condensed(pts)
+        d = points_to_table(pts)
         full = oracles.bruteforce_pairwise(pts)
         for i in range(4):
             for j in range(4):
-                assert abs(condensed_at(d, i, j) - full[i][j]) < 1e-12
+                assert abs(table_at(d, i, j) - full[i][j]) < 1e-12
+
+
+def duplicate_heavy_rows(seed, n=300, distinct=40, dim=8):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, size=(distinct, dim)) * rng.uniform(0.1, 3.0, size=dim)
+    return base[rng.integers(0, distinct, size=n)]
+
+
+def large_column_rows(seed, n=200):
+    # feature-weight scale: columns at 1e13..1e15, whose squares are inexact
+    rng = np.random.default_rng(seed)
+    scale = np.array([1e13, 7e13, 3e14, 1e15, 2.5e14])
+    base = rng.integers(0, 5, size=(50, scale.size)) * scale
+    return base[rng.integers(0, 50, size=n)] + rng.integers(0, 2, size=(n, 1))
+
+
+ROW_PATH_CASES = {
+    "duplicate-heavy": duplicate_heavy_rows(1),
+    "duplicate-heavy-2": duplicate_heavy_rows(2, n=120, distinct=15, dim=30),
+    "columns-1e13-1e15": large_column_rows(3),
+    "all-equal": np.full((25, 4), 2.5),
+    "n=1": np.array([[1.0, 2.0, 3.0]]),
+    "n=2": np.array([[1.0, 2.0, 3.0], [4.0, 6.0, 3.0]]),
+}
+
+
+class TestDistanceTable:
+    def test_rows_deduplicated_in_first_occurrence_order(self):
+        rows = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        d = pairwise_distances(rows)
+        assert d.row_of.tolist() == [0, 1, 0, 2, 1]
+        assert d.table.shape == (3, 3)
+        assert table_at(d, 3, 0) == 2.0 and table_at(d, 2, 4) == math.sqrt(2.0)
+
+    def test_negative_zero_is_its_own_row_at_distance_zero(self):
+        d = pairwise_distances(np.array([[0.0], [-0.0]]))
+        assert d.table.shape == (2, 2) and table_at(d, 0, 1) == 0.0
+
+    def test_kernel_runs_once_per_distinct_pair(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        distinct = rng.uniform(0, 10, size=(30, 5))
+        rows = distinct[np.r_[np.arange(30), rng.integers(0, 30, size=2970)]]
+        kernel = fc._euclidean
+        pairs = []
+
+        def counted(diff):
+            pairs.append(diff.shape[0])
+            return kernel(diff)
+
+        monkeypatch.setattr(fc, "_euclidean", counted)
+        d = pairwise_distances(rows)
+        assert d.n == 3000 and d.table.shape == (30, 30)
+        assert sum(pairs) == 30 * 29 // 2
+
+    @pytest.mark.parametrize("case", ROW_PATH_CASES)
+    def test_same_distances_dendrogram_and_bits_as_row_reference(self, case):
+        rows = ROW_PATH_CASES[case]
+        d = pairwise_distances(rows)
+        n = rows.shape[0]
+        for i in range(n):
+            reference = oracles.reference_row_distances(rows, i, np.arange(n))
+            assert d.table[d.row_of[i], d.row_of].tobytes() == reference.tobytes()
+        dend = single_linkage(d)
+        assert dend == oracles.reference_single_linkage_rows(rows)
+        assert bits(cophenetic_coefficient(dend, d)) == \
+            bits(oracles.reference_cophenetic_rows(dend, rows))
+
+    def test_all_equal_rows_give_one_row_and_nan(self):
+        d = pairwise_distances(ROW_PATH_CASES["all-equal"])
+        assert d.table.tolist() == [[0.0]]
+        dend = single_linkage(d)
+        assert {m.height for m in dend.merges} == {0.0}
+        assert math.isnan(cophenetic_coefficient(dend, d))
+
+    def test_single_row(self):
+        d = pairwise_distances(ROW_PATH_CASES["n=1"])
+        dend = single_linkage(d)
+        assert dend == fc.Dendrogram(1, ())
+        assert math.isnan(cophenetic_coefficient(dend, d))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            pairwise_distances(np.zeros((0, 3)))
 
 
 class TestSingleLinkage:
     def test_two_points(self):
-        dend = single_linkage(points_to_condensed([[0.0], [2.5]]))
+        dend = single_linkage(points_to_table([[0.0], [2.5]]))
         assert len(dend.merges) == 1
         assert dend.merges[0].height == 2.5
         assert dend.merges[0].size == 2
 
     def test_three_collinear_points(self):
-        dend = single_linkage(points_to_condensed([[0.0], [1.0], [10.0]]))
+        dend = single_linkage(points_to_table([[0.0], [1.0], [10.0]]))
         assert [m.height for m in dend.merges] == [1.0, 9.0]
 
     def test_heights_match_bruteforce_oracle(self):
         rng = random.Random(5)
         for _ in range(25):
             pts = random_points(rng, rng.randint(2, 8))
-            dend = single_linkage(points_to_condensed(pts))
+            dend = single_linkage(points_to_table(pts))
             mine = [m.height for m in dend.merges]
             theirs = sorted(h for h, _, _ in oracles.bruteforce_single_linkage(pts))
             assert len(mine) == len(theirs)
@@ -100,19 +193,16 @@ class TestSingleLinkage:
     def test_monotone_heights(self):
         rng = random.Random(6)
         pts = random_points(rng, 10)
-        dend = single_linkage(points_to_condensed(pts))
+        dend = single_linkage(points_to_table(pts))
         heights = [m.height for m in dend.merges]
         assert heights == sorted(heights)
 
     def test_streaming_variant_agrees(self):
+        # the O(n*d) row reference recomputes each distance when Prim needs it
         rng = random.Random(9)
         pts = np.asarray(random_points(rng, 12), dtype=float)
-        a = single_linkage(pairwise_distances(pts))
-        b = single_linkage_rows(pts)
-        assert [m.height for m in a.merges] == pytest.approx(
-            [m.height for m in b.merges], abs=1e-12)
-        assert [(m.left, m.right) for m in a.merges] == \
-            [(m.left, m.right) for m in b.merges]
+        dend = single_linkage(pairwise_distances(pts))
+        assert dend == single_linkage_rows(pts) == oracles.reference_single_linkage_rows(pts)
 
 
 class TestCophenetic:
@@ -120,11 +210,10 @@ class TestCophenetic:
         # two tight pairs far apart: correlating the dendrogram with its own
         # cophenetic distances (exactly ultrametric data) gives 1
         pts = [[0.0], [1.0], [100.0], [101.0]]
-        dend = single_linkage(points_to_condensed(pts))
+        dend = single_linkage(points_to_table(pts))
         coph = oracles.bruteforce_cophenetic_matrix(pts)
         n = len(pts)
-        ultrametric = CondensedDistances(
-            values=np.array([coph[i][j] for i in range(n) for j in range(i + 1, n)]), n=n)
+        ultrametric = DistanceTable(table=np.array(coph), row_of=np.arange(n))
         assert cophenetic_coefficient(dend, ultrametric) == pytest.approx(1.0)
 
     def test_matches_bruteforce_oracle(self):
@@ -168,11 +257,11 @@ class TestCophenetic:
 
 class TestInconsistency:
     def test_isolated_link_is_zero(self):
-        dend = single_linkage(points_to_condensed([[0.0], [1.0]]))
+        dend = single_linkage(points_to_table([[0.0], [1.0]]))
         assert inconsistency_coefficients(dend).tolist() == [0.0]
 
     def test_two_link_chain_hand_value(self):
-        dend = single_linkage(points_to_condensed([[0.0], [1.0], [3.0]]))
+        dend = single_linkage(points_to_table([[0.0], [1.0], [3.0]]))
         coefs = inconsistency_coefficients(dend, depth=2)
         assert [m.height for m in dend.merges] == [1.0, 2.0]
         assert coefs[0] == 0.0
@@ -182,7 +271,7 @@ class TestInconsistency:
         rng = random.Random(17)
         for _ in range(25):
             pts = random_points(rng, rng.randint(2, 10))
-            dend = single_linkage(points_to_condensed(pts))
+            dend = single_linkage(points_to_table(pts))
             mine = inconsistency_coefficients(dend, depth=2)
             merge_triples = [(m.left, m.right, m.height) for m in dend.merges]
             theirs = oracles.bruteforce_inconsistency(dend.n_leaves, merge_triples, depth=2)
@@ -220,7 +309,7 @@ class TestSelectCutoff:
 
 class TestCutClusters:
     def build(self, pts):
-        d = points_to_condensed(pts)
+        d = points_to_table(pts)
         dend = single_linkage(d)
         coefs = inconsistency_coefficients(dend)
         return dend, coefs
@@ -258,7 +347,7 @@ class TestCutClusters:
         shuffled_labels = [labels[i] for i in order]
 
         def memberships(points, names):
-            dend = single_linkage(points_to_condensed(points))
+            dend = single_linkage(points_to_table(points))
             coefs = inconsistency_coefficients(dend)
             cutoff = select_cutoff(coefs)
             assignment = cut_clusters(dend, coefs, cutoff, min_size=2, labels=names)

@@ -276,6 +276,49 @@ class TestTreeHeight:
         node = find(parse_source(src), "If")
         assert tree_height(node) == 2
 
+    def test_deep_chain_without_recursion(self):
+        node = AstNode("Name", "load", grammar.SourceSpan(1, 0, 1, 1), "x")
+        for _ in range(5000):
+            node = AstNode("If", "body", node.span, "", (node,))
+        assert tree_height(node) == 5000
+
+
+# f-strings become string leaves holding their source segment
+SEGMENT_SOURCES = {
+    "multi-line": 'x = f"""a\n{y}\nb"""\nz = (f"{a}"\n     f"{b!r:>{w}}")\n'
+                  'q = f"""\n{ {1: 2}[1] }\n  {f(\n  3)} """\n',
+    "non-ascii": 's = f"héllo {név} 中文 {x!r:>{w}}"\nt = "ü"; u = f"{t}😀{t}"\n'
+                 'v = [f"ß{é}", f"""\n😀 {ü}\nλ"""]\n',
+    "crlf": 'a = 1\r\nb = f"{a}"\r\nc = f"""x\r\n{b}\r\n"""\r\nd = f"é{c}"\r\n',
+    "lone-cr": 'a = 1\rb = f"{a}"\rc = f"""x\r{b}"""\r',
+    "form-feed": '\x0cx = 1\ny = f"\x0c{x}"\n\x0cz = f"""\x0c\n{y}\x0c"""\nw = f"{z}"',
+}
+
+
+class TestSourceSegment:
+    @pytest.mark.parametrize("case", SEGMENT_SOURCES)
+    def test_matches_get_source_segment(self, case):
+        source = SEGMENT_SOURCES[case]
+        normalizer = grammar._Normalizer(source)
+        nodes = list(ast.walk(ast.parse(source)))
+        assert any(isinstance(node, ast.JoinedStr) for node in nodes)
+        for node in nodes:
+            expected = ast.get_source_segment(source, node)
+            assert normalizer._segment(node) == ("" if expected is None else expected)
+
+    @pytest.mark.parametrize("case", SEGMENT_SOURCES)
+    def test_string_leaves_hold_the_segments(self, case):
+        source = SEGMENT_SOURCES[case]
+        fstrings = [node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.JoinedStr)]
+        nested = {id(inner) for node in fstrings for value in node.values
+                  for inner in ast.walk(value)}  # format specs fold into their f-string
+        expected = [ast.get_source_segment(source, node)
+                    for node in fstrings if id(node) not in nested]
+        leaves = [n.text for n in parse_source(source).walk()
+                  if n.kind == "Str" and n.text.startswith("f")]
+        assert sorted(leaves) == sorted(expected)
+
 
 class TestReferenceParserAgreement:
     def test_statement_kind_sequence_matches_host_parser(self):

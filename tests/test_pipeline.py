@@ -381,7 +381,10 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 report = run_pipeline(PipelineConfig(source_mode="git", source_path=sys.argv[1],
                                      min_cluster_size=3, output_dir=sys.argv[2]))
-print(json.dumps({"hunks": report.counts["hunks"], "metrics": tracer.metrics()}))
+callers = [tracer.spans[parent][0] for name, _start, _end, parent in tracer.spans
+           if name == "cluster.distance"]
+print(json.dumps({"hunks": report.counts["hunks"], "metrics": tracer.metrics(),
+                  "distance_callers": callers}))
 """
 
 
@@ -403,8 +406,12 @@ class TestBenchmarkTracing:
         assert doc["metrics"]["pipeline.stages_run"] == 6
         # each layer the pipeline calls must stay in the tracer's view
         for metric in ("grammar.parse_calls", "diffing.hunks",
-                       "features.assemble_calls", "report.render_s"):
+                       "features.assemble_calls", "cluster.distance_s",
+                       "report.render_s"):
             assert doc["metrics"][metric] > 0, metric
+        # one distance table per cluster stage, shared by linkage and
+        # cophenetic rather than built inside either
+        assert doc["distance_callers"] == ["pipeline.stage.cluster"]
         # the tracer reports the width of the feature matrix, not of the
         # (here wider) context table
         header = (tmp_path / "out" / "feature_matrix.csv").read_text().splitlines()[0]
