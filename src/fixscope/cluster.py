@@ -113,7 +113,6 @@ class ClusterAssignment:
 
     clusters: dict[int, tuple] = field(default_factory=dict)
     assignment: dict = field(default_factory=dict)
-    min_size: int = 1
 
 
 def _euclidean(diff: np.ndarray) -> np.ndarray:
@@ -332,7 +331,7 @@ def cut_clusters(
         else:
             stack.extend(dendrogram.link_children(node_id - n))
 
-    result = ClusterAssignment(min_size=min_size)
+    result = ClusterAssignment()
     result.assignment = {labels[i]: None for i in range(n)}
     for cluster_id in sorted(roots):
         tagged = tuple(labels[i] for i in sorted(dendrogram.leaves(cluster_id)))

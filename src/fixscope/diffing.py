@@ -12,7 +12,9 @@ The tree points one way: a node holds its children and nothing else.  The
 chain of unchanged ancestors around each labeled root comes from the walk
 that finds the root, so no back-pointer, and no self-referencing closure
 in the join, ties a tree into a reference cycle; reference counting alone
-frees it.
+frees it.  Every walk uses an explicit stack (the matcher's run on
+``fixscope.grammar.drive``), so tree depth costs no Python frames; only a
+hunk's labeled subtree is bounded, by ``MAX_HUNK_DEPTH``.
 
 The line diff runs in a canonical orientation so that swapping the two
 inputs swaps Plus and Minus labels exactly, even when duplicated lines
@@ -24,9 +26,16 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 
-from fixscope.grammar import AstNode, SourceSpan
+from fixscope.grammar import (
+    AstNode,
+    SourceSpan,
+    UnsupportedConstructError,
+    drive,
+    tree_height,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -44,9 +53,16 @@ __all__ = [
     "diff_node_from_dict",
     "hunk_to_dict",
     "hunk_from_dict",
+    "MAX_HUNK_DEPTH",
 ]
 
 HUNK_LINE_GAP = 3
+
+# the most levels a hunk's labeled subtree may span below its root: its
+# ``hunks.jsonl`` line goes through ``json``, which recurses in C twice
+# per level, and at this height a round trip still fits the default
+# recursion limit of 1000 with about 190 frames of caller stack to spare
+MAX_HUNK_DEPTH = 400
 
 
 class ChangeLabel(enum.Enum):
@@ -108,22 +124,29 @@ class EnhancedAst:
     def chained_roots(self) -> list[tuple[DiffNode, tuple[DiffNode, ...]]]:
         """Maximal Plus/Minus subtree roots in document order, each with
         its chain of unchanged ancestors, nearest first."""
-        return _chained_roots(self.root, [], [])
+        return _chained_roots(self.root)
 
     def labeled_roots(self) -> list[DiffNode]:
         """Maximal Plus/Minus subtree roots in document order."""
         return [root for root, _chain in self.chained_roots()]
 
 
-def _chained_roots(node: DiffNode, path: list[DiffNode], out: list) -> list:
-    # ``path`` holds the unchanged ancestors of ``node``, tree root first
-    if node.label is not ChangeLabel.UNCHANGED:
-        out.append((node, tuple(reversed(path))))
-        return out
-    path.append(node)
-    for child in node.children:
-        _chained_roots(child, path, out)
-    path.pop()
+def _chained_roots(root: DiffNode) -> list[tuple[DiffNode, tuple[DiffNode, ...]]]:
+    out = []
+    # stack[-1] iterates the children of path[-1]; path holds the unchanged
+    # ancestors of the nodes it yields, tree root first
+    path: list[DiffNode] = []
+    stack = [iter((root,))]
+    while stack:
+        for node in stack[-1]:
+            if node.label is ChangeLabel.UNCHANGED:
+                path.append(node)
+                stack.append(iter(node.children))
+                break
+            out.append((node, tuple(reversed(path))))
+        else:
+            stack.pop()
+            del path[-1:]
     return out
 
 
@@ -234,20 +257,25 @@ def _backtrack(trace, d, k, a, b) -> list[tuple[int, int]]:
 # --- structural matching within changed blocks -----------------------------
 
 
-def _maximal_inside(node: AstNode, start: int, end: int,
-                    out: list[AstNode]) -> list[AstNode]:
-    """Append to ``out`` the maximal descendants of ``node`` lying inside
-    lines [start, end).
+def _maximal_inside(node: AstNode, start: int, end: int) -> list[AstNode]:
+    """The maximal descendants of ``node`` lying inside lines [start, end),
+    in document order.
 
     ``node`` itself is never a candidate: the tree root always pairs with
     its counterpart (a whole-file insertion labels every top-level node,
     not the Module).
     """
-    for child in node.children:
-        if start <= child.span.start_line and child.span.end_line < end:
+    out = []
+    stack = list(reversed(node.children))
+    while stack:
+        child = stack.pop()
+        span = child.span
+        if span.start_line >= end or span.end_line < start:
+            continue  # a span holds its children's: none of them is inside
+        if start <= span.start_line and span.end_line < end:
             out.append(child)
         else:
-            _maximal_inside(child, start, end, out)
+            stack.extend(reversed(child.children))
     return out
 
 
@@ -280,12 +308,33 @@ def _after_line(line: int) -> int:
     return line
 
 
+_CHILDREN = operator.attrgetter("children")
+
+
+def _copy_tree(root, shallow, source_children, target_children):
+    """The tree under ``root`` rebuilt with an explicit stack: ``shallow``
+    copies one node without its children, which are copied in order into
+    ``target_children(copy)``; ``source_children`` reads a node's own."""
+    top = shallow(root)
+    stack = [(root, top)]
+    while stack:
+        source, target = stack.pop()
+        into = target_children(target)
+        for child in source_children(source):
+            copy = shallow(child)
+            into.append(copy)
+            stack.append((child, copy))
+    return top
+
+
 def _graft(node: AstNode, label: ChangeLabel, line_of) -> DiffNode:
     """Copy the subtree under ``node`` with every node labeled ``label``;
     ``line_of`` maps its native line numbers onto the after-file axis."""
-    return DiffNode(node.kind, node.role, node.text, label, node.span,
-                    line_of(node.span.start_line), line_of(node.span.end_line),
-                    [_graft(child, label, line_of) for child in node.children])
+    def copy(source: AstNode) -> DiffNode:
+        return DiffNode(source.kind, source.role, source.text, label, source.span,
+                        line_of(source.span.start_line), line_of(source.span.end_line))
+
+    return _copy_tree(node, copy, _CHILDREN, _CHILDREN)
 
 
 # --- the join ---------------------------------------------------------------
@@ -303,6 +352,10 @@ class _Matcher:
         self.line_map = _LineMap(script)
 
     def match_lists(self, b_nodes: list[AstNode], a_nodes: list[AstNode]):
+        """Pair the candidates, then the children of each pair, depth first."""
+        drive(self._match(b_nodes, a_nodes))
+
+    def _match(self, b_nodes, a_nodes):
         by_key: dict[tuple, list[AstNode]] = {}
         for a in a_nodes:
             by_key.setdefault(_key(a), []).append(a)
@@ -318,7 +371,7 @@ class _Matcher:
                     f"ambiguous anchor for {_key(b)!r}; resolved in source order")
             consumed.add(id(partner))
             self.matched[id(b)] = partner
-            self.match_lists(list(b.children), list(partner.children))
+            yield self._match(b.children, partner.children)
         for a in a_nodes:
             if id(a) not in consumed:
                 self.plus_roots.add(id(a))
@@ -326,6 +379,15 @@ class _Matcher:
     def join(self, b_node: AstNode, a_node: AstNode) -> DiffNode:
         """The unchanged node pairing ``b_node`` with ``a_node``, its
         children joined, grafted Plus, or grafted Minus."""
+        return drive(self._join(b_node, a_node))
+
+    def _join(self, b_node, a_node):
+        """A finished node for two leaves, else a generator for ``drive``."""
+        if not (b_node.children or a_node.children):
+            return _unchanged(a_node, [])
+        return self._join_children(b_node, a_node)
+
+    def _join_children(self, b_node, a_node):
         conflicts = self.conflicts
         minus_kids = [c for c in b_node.children if id(c) in self.minus_roots]
         plus_kids = {id(c) for c in a_node.children if id(c) in self.plus_roots}
@@ -355,7 +417,7 @@ class _Matcher:
         forced_plus = {id(c) for c in a_positional[len(b_positional):]}
         joined: dict[int, DiffNode] = {}
         for b_child, a_child in pairs:
-            joined[id(a_child)] = self.join(b_child, a_child)
+            joined[id(a_child)] = yield self._join(b_child, a_child)
         built: list[DiffNode] = []
         for a_child in a_node.children:
             if id(a_child) in joined:
@@ -371,9 +433,12 @@ class _Matcher:
             key=lambda n: (n.eff_start, n.span.start_col,
                            n.label is not ChangeLabel.MINUS, n.span.start_line),
         )
-        return DiffNode(a_node.kind, a_node.role, a_node.text, ChangeLabel.UNCHANGED,
-                        a_node.span, a_node.span.start_line, a_node.span.end_line,
-                        merged)
+        return _unchanged(a_node, merged)
+
+
+def _unchanged(a_node: AstNode, children: list[DiffNode]) -> DiffNode:
+    return DiffNode(a_node.kind, a_node.role, a_node.text, ChangeLabel.UNCHANGED,
+                    a_node.span, a_node.span.start_line, a_node.span.end_line, children)
 
 
 def build_diff_ast(
@@ -386,9 +451,9 @@ def build_diff_ast(
     """Join the two canonical trees into a single labeled diff tree."""
     matcher = _Matcher(script)
     for blk in script:
-        b_cands = (_maximal_inside(before, blk.b_start, blk.b_end, [])
+        b_cands = (_maximal_inside(before, blk.b_start, blk.b_end)
                    if blk.b_end > blk.b_start else [])
-        a_cands = (_maximal_inside(after, blk.a_start, blk.a_end, [])
+        a_cands = (_maximal_inside(after, blk.a_start, blk.a_end)
                    if blk.a_end > blk.a_start else [])
         matcher.match_lists(b_cands, a_cands)
     root = matcher.join(before, after)
@@ -402,9 +467,20 @@ def build_diff_ast(
 
 
 def extract_hunks(enhanced: EnhancedAst) -> list[Hunk]:
-    """Partition labeled subtree roots by transitive 3-line grouping."""
+    """Partition labeled subtree roots by transitive 3-line grouping.
+
+    Raises :class:`UnsupportedConstructError` when a labeled subtree is
+    more than ``MAX_HUNK_DEPTH`` levels high, so the pipeline skips the
+    file the way it skips an unparseable one.
+    """
     chained = sorted(enhanced.chained_roots(),
                      key=lambda rc: (rc[0].eff_start, rc[0].eff_end))
+    for root, _chain in chained:
+        if tree_height(root) > MAX_HUNK_DEPTH:
+            err = UnsupportedConstructError(
+                f"labeled {root.kind} subtree is more than {MAX_HUNK_DEPTH} levels high")
+            err.lineno = root.span.start_line
+            raise err
     if not chained:
         return []
     groups: list[list[tuple[DiffNode, tuple]]] = [[chained[0]]]
@@ -451,29 +527,34 @@ def _common_chain(chains: list[tuple[DiffNode, ...]]) -> tuple[DiffNode, ...]:
 
 
 def diff_node_to_dict(node: DiffNode) -> dict:
-    return {
-        "kind": node.kind,
-        "role": node.role,
-        "label": node.label.value,
-        "text": node.text,
-        "span": [node.span.start_line, node.span.start_col,
-                 node.span.end_line, node.span.end_col],
-        "eff": [node.eff_start, node.eff_end],
-        "children": [diff_node_to_dict(c) for c in node.children],
-    }
+    def shallow(source: DiffNode) -> dict:
+        return {
+            "kind": source.kind,
+            "role": source.role,
+            "label": source.label.value,
+            "text": source.text,
+            "span": [source.span.start_line, source.span.start_col,
+                     source.span.end_line, source.span.end_col],
+            "eff": [source.eff_start, source.eff_end],
+            "children": [],
+        }
+
+    return _copy_tree(node, shallow, _CHILDREN, operator.itemgetter("children"))
 
 
 def diff_node_from_dict(doc: dict) -> DiffNode:
-    return DiffNode(
-        kind=doc["kind"],
-        role=doc["role"],
-        text=doc["text"],
-        label=ChangeLabel(doc["label"]),
-        span=SourceSpan(*doc["span"]),
-        eff_start=doc["eff"][0],
-        eff_end=doc["eff"][1],
-        children=[diff_node_from_dict(c) for c in doc["children"]],
-    )
+    def shallow(source: dict) -> DiffNode:
+        return DiffNode(
+            kind=source["kind"],
+            role=source["role"],
+            text=source["text"],
+            label=ChangeLabel(source["label"]),
+            span=SourceSpan(*source["span"]),
+            eff_start=source["eff"][0],
+            eff_end=source["eff"][1],
+        )
+
+    return _copy_tree(doc, shallow, operator.itemgetter("children"), _CHILDREN)
 
 
 def hunk_to_dict(hunk: Hunk) -> dict:

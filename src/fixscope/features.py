@@ -13,8 +13,10 @@ default weights keep feature values integral for all node-type features up
 to level 15 and all role features up to level 14; deeper nodes still
 accumulate, with a warning, since the weighting assumes shallow hunks.
 Where ``r**level`` overflows a float (past level 308 at ``r=10``), the
-node's terms underflow to 0.0 and add nothing.  ``r`` must be at least 1,
-so a weight never grows with depth.
+node's terms underflow to 0.0 and add nothing.  Such levels are reached:
+a labeled subtree may be up to ``fixscope.diffing.MAX_HUNK_DEPTH`` (400)
+levels high.  ``r`` must be at least 1, so a weight never grows with
+depth.
 
 ``assemble_matrix`` is the one builder of a dense hunk x feature table:
 the feature matrix here, and the context tables that

@@ -24,10 +24,23 @@ table.  Per-kind handlers fold the rest:
   ``NamedExpr``/``AnnAssign`` -> ``Assign``, ``Nonlocal`` -> ``Global``,
   ``async`` definitions -> their plain forms).
 
-Files using constructs with no reasonable counterpart (``match`` blocks),
-and files nested too deeply for the normalizer, raise
-:class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so the
-pipeline records and skips them like any unparseable file.
+Files using constructs with no reasonable counterpart (``match`` blocks)
+raise :class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so
+the pipeline records and skips them like any unparseable file.
+
+No walk here recurses once per tree level: the normalizer's handlers are
+generators that ``drive`` runs on an explicit stack, so how deep a file
+may nest does not depend on how deep the caller's stack is.  Two limits
+remain:
+
+* the host parser builds its tree recursively and gives up near 2,990
+  levels at the top of the stack (3x the default recursion limit of
+  1000), three levels fewer per frame of caller stack; ``parse_source``
+  turns that ``RecursionError`` into :class:`UnsupportedConstructError`;
+* a hunk's labeled subtree may be at most
+  ``fixscope.diffing.MAX_HUNK_DEPTH`` (400) levels high, a bound fixed by
+  the file alone, so that its ``hunks.jsonl`` line round-trips through
+  ``json``, which recurses in C twice per level.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from importlib import resources
+from types import GeneratorType
 
 __all__ = [
     "SourceSpan",
@@ -50,6 +64,7 @@ __all__ = [
     "parse_source",
     "node_role",
     "tree_height",
+    "drive",
 ]
 
 TAXONOMY_RESOURCE = "taxonomy_py27_v1.txt"
@@ -89,13 +104,15 @@ class SourceSpan:
         return SourceSpan(start[0], start[1], end[0], end[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AstNode:
     """Immutable canonical tree node.
 
     ``text`` carries the lexeme for identifier/literal-bearing nodes
     (names, numbers, strings, attribute names, definition names) and is
     empty elsewhere.  ``role`` is ``None`` only for the ``Module`` root.
+    Nodes compare and hash by identity: a field-wise ``==`` would recurse
+    once per tree level.
     """
 
     kind: str
@@ -182,16 +199,40 @@ def node_role(parent: "AstNode | str", child_slot: str) -> str:
     return load_taxonomy().role_for(kind, child_slot)
 
 
-def tree_height(node: AstNode) -> int:
+def tree_height(node) -> int:
     """0 for a leaf, else one more than the tallest child: the depth of
-    the deepest node, found with an explicit stack."""
+    the deepest node below ``node`` (an ``AstNode``, or any node with
+    ``children``), found one level at a time."""
     height = 0
-    stack = [(node, 0)]
-    while stack:
-        current, depth = stack.pop()
-        height = max(height, depth)
-        stack.extend((child, depth + 1) for child in current.children)
+    level = list(node.children)
+    while level:
+        height += 1
+        level = [child for parent in level for child in parent.children]
     return height
+
+
+def drive(call):
+    """Run a recursion written as generators, on an explicit stack.
+
+    A call is either its finished result or a generator standing for it.
+    The generator yields one call per sub-call it would make, receives
+    that call's result back, and returns its own result.  Tree depth
+    costs stack entries here, not Python frames.
+    """
+    stack = []
+    while True:
+        if isinstance(call, GeneratorType):
+            stack.append(call)
+            result = None
+        elif not stack:
+            return call
+        else:
+            result = call
+        try:
+            call = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            call = done.value
 
 
 def parse_source(text: str) -> AstNode:
@@ -201,17 +242,17 @@ def parse_source(text: str) -> AstNode:
     for files the taxonomy cannot represent; the pipeline records and skips
     those.  Pure function of ``text``.
 
-    The normalizer recurses once per nesting level, so until it walks an
-    explicit stack the cut-off follows the interpreter's recursion limit:
-    a file nested deeper than it allows (``1 + 1 + ...`` with 600 terms,
-    at the default limit of 1000) raises
-    :class:`UnsupportedConstructError` too.
+    The normalizer walks an explicit stack, so nesting depth is bounded
+    only by the host parser: a left-deep sum ``1 + 1 + ...`` of 2,990
+    terms, called at the top of the stack at the default recursion limit
+    of 1000 (or of 2,690 terms 100 frames down), is past what
+    ``ast.parse`` builds, and raises :class:`UnsupportedConstructError`.
     """
     try:
-        return _Normalizer(text).module(ast.parse(text))
+        tree = ast.parse(text)
     except RecursionError as exc:
-        raise UnsupportedConstructError(
-            "nesting too deep for the normalizer's recursion") from exc
+        raise UnsupportedConstructError("nesting too deep for the host parser") from exc
+    return _Normalizer(text).module(tree)
 
 
 # --- host-parser normalization -------------------------------------------
@@ -258,14 +299,25 @@ def _point(line: int, col: int) -> SourceSpan:
 
 
 class _Normalizer:
-    """Folds a host ``ast`` tree onto the canonical taxonomy."""
+    """Folds a host ``ast`` tree onto the canonical taxonomy.
+
+    ``convert`` returns a finished leaf, or a generator for a node with
+    children: it yields ``self.convert(child, role)`` for each child,
+    receives the converted child back from ``drive``, and returns the
+    node.  Conversion order, and so the first error raised, is slot
+    order.
+    """
 
     def __init__(self, source: str):
         self.source = source
         self.taxonomy = load_taxonomy()
 
     def module(self, node: ast.Module) -> AstNode:
-        return self._make("Module", None, None, "", self._slot("Module", "body", node.body))
+        return drive(self._module(node))
+
+    def _module(self, node):
+        body = yield from self._slot("Module", "body", node.body)
+        return self._make("Module", None, None, "", body)
 
     # -- helpers
 
@@ -289,14 +341,14 @@ class _Normalizer:
         )
         return AstNode(kind=kind, role=role, span=span, text=text, children=tuple(ordered))
 
-    def _slot(self, parent_kind: str, slot: str, value) -> list[AstNode]:
+    def _slot(self, parent_kind: str, slot: str, value):
         role = self.taxonomy.role_for(parent_kind, slot)
         items = value if isinstance(value, list) else [value]
         out = []
         for item in items:
             if item is None:
                 continue
-            out.append(self.convert(item, role))
+            out.append((yield self.convert(item, role)))
         return out
 
     def _op(self, op_node: ast.AST, role: str, span: SourceSpan) -> AstNode:
@@ -333,7 +385,7 @@ class _Normalizer:
 
     # -- dispatch
 
-    def convert(self, node: ast.AST, role: str | None) -> AstNode:
+    def convert(self, node: ast.AST, role: str | None):
         name = type(node).__name__
         if name in _UNSUPPORTED:
             err = UnsupportedConstructError(
@@ -349,102 +401,113 @@ class _Normalizer:
         return self._generic(node, name, kind, role)
 
     def _generic(self, node, name, kind, role):
-        """Converts the children of each of ``kind``'s slots, in table order."""
-        children = []
-        for slot in self.taxonomy.slots.get(kind, ()):
-            children += self._slot(kind, slot, getattr(node, slot))
+        """Converts the children of each of ``kind``'s slots, in table
+        order; a kind without slots is a finished leaf."""
         field = _TEXT_FIELDS.get(name)
         text = (getattr(node, field) or "") if field else ""
         span = None if kind in _CHILD_SPANNED else _own_span(node)
+        slots = self.taxonomy.slots.get(kind)
+        if slots is None:
+            return self._make(kind, role, span, text, [])
+        return self._generic_children(node, kind, role, span, text, slots)
+
+    def _generic_children(self, node, kind, role, span, text, slots):
+        children = []
+        for slot in slots:
+            children += yield from self._slot(kind, slot, getattr(node, slot))
         return self._make(kind, role, span, text, children)
 
     # -- statements
 
     def _h_FunctionDef(self, node, role):
         own = _own_span(node)
-        children = [self._anchored(self.convert(node.args, node_role("FunctionDef", "args")), own)]
-        children += self._slot("FunctionDef", "body", node.body)
-        children += self._slot("FunctionDef", "decorator_list", node.decorator_list)
+        args = yield self.convert(node.args, node_role("FunctionDef", "args"))
+        children = [self._anchored(args, own)]
+        children += yield from self._slot("FunctionDef", "body", node.body)
+        children += yield from self._slot("FunctionDef", "decorator_list", node.decorator_list)
         return self._make("FunctionDef", role, own, node.name, children)
 
     _h_AsyncFunctionDef = _h_FunctionDef
 
     def _h_ClassDef(self, node, role):
-        children = self._slot("ClassDef", "bases", node.bases)
-        children += self._slot("ClassDef", "bases", node.keywords)
-        children += self._slot("ClassDef", "body", node.body)
-        children += self._slot("ClassDef", "decorator_list", node.decorator_list)
+        children = yield from self._slot("ClassDef", "bases", node.bases)
+        children += yield from self._slot("ClassDef", "bases", node.keywords)
+        children += yield from self._slot("ClassDef", "body", node.body)
+        children += yield from self._slot("ClassDef", "decorator_list", node.decorator_list)
         return self._make("ClassDef", role, _own_span(node), node.name, children)
 
     def _h_AnnAssign(self, node, role):
         # `x: T = v` and `(x := v)` fold to a plain assignment; a bare
         # declaration keeps only the target
-        children = self._slot("Assign", "targets", node.target)
-        children += self._slot("Assign", "value", node.value)
+        children = yield from self._slot("Assign", "targets", node.target)
+        children += yield from self._slot("Assign", "value", node.value)
         return self._make("Assign", role, _own_span(node), "", children)
 
     _h_NamedExpr = _h_AnnAssign
 
     def _h_AugAssign(self, node, role):
-        target = self.convert(node.target, node_role("AugAssign", "target"))
-        value = self.convert(node.value, node_role("AugAssign", "value"))
+        target = yield self.convert(node.target, node_role("AugAssign", "target"))
+        value = yield self.convert(node.value, node_role("AugAssign", "value"))
         op = self._op(node.op, node_role("AugAssign", "op"), self._between(target, value))
         return self._make("AugAssign", role, _own_span(node), "", [target, op, value])
 
     def _h_With(self, node, role):
-        return self._with_chain(node, node.items, role, _own_span(node))
+        # multi-item `with a, b:` nests exactly like the classic parser
+        # did: one With per item, the last holding the body
+        items = []
+        for item in node.items:
+            children = yield from self._slot("With", "context_expr", item.context_expr)
+            children += yield from self._slot("With", "optional_vars", item.optional_vars)
+            items.append(children)
+        items[-1] += yield from self._slot("With", "body", node.body)
+        span = _own_span(node)
+        inner = None
+        for depth in range(len(items) - 1, -1, -1):
+            children = items[depth] if inner is None else items[depth] + [inner]
+            inner = self._make("With", node_role("With", "body") if depth else role,
+                               span, "", children)
+        return inner
 
     _h_AsyncWith = _h_With
 
-    def _with_chain(self, node, items, role, span):
-        # multi-item `with a, b:` nests exactly like the classic parser did
-        first = items[0]
-        children = self._slot("With", "context_expr", first.context_expr)
-        children += self._slot("With", "optional_vars", first.optional_vars)
-        if len(items) > 1:
-            children.append(self._with_chain(node, items[1:], node_role("With", "body"), span))
-        else:
-            children += self._slot("With", "body", node.body)
-        return self._make("With", role, span, "", children)
-
     def _h_Raise(self, node, role):
-        children = self._slot("Raise", "type", node.exc)
-        children += self._slot("Raise", "inst", node.cause)
+        children = yield from self._slot("Raise", "type", node.exc)
+        children += yield from self._slot("Raise", "inst", node.cause)
         return self._make("Raise", role, _own_span(node), "", children)
 
     def _h_Try(self, node, role):
         span = _own_span(node)
         if node.handlers:
-            children = self._slot("TryExcept", "body", node.body)
-            children += self._slot("TryExcept", "handlers", node.handlers)
-            children += self._slot("TryExcept", "orelse", node.orelse)
+            children = yield from self._slot("TryExcept", "body", node.body)
+            children += yield from self._slot("TryExcept", "handlers", node.handlers)
+            children += yield from self._slot("TryExcept", "orelse", node.orelse)
             inner = self._make("TryExcept", role, span, "", children)
             if not node.finalbody:
                 return inner
             inner_as_body = AstNode(
                 kind=inner.kind, role=node_role("TryFinally", "body"),
                 span=inner.span, text=inner.text, children=inner.children)
-            final = self._slot("TryFinally", "finalbody", node.finalbody)
+            final = yield from self._slot("TryFinally", "finalbody", node.finalbody)
             return self._make("TryFinally", role, span, "", [inner_as_body] + final)
-        children = self._slot("TryFinally", "body", node.body)
-        children += self._slot("TryFinally", "finalbody", node.finalbody)
+        children = yield from self._slot("TryFinally", "body", node.body)
+        children += yield from self._slot("TryFinally", "finalbody", node.finalbody)
         return self._make("TryFinally", role, span, "", children)
 
     def _h_ExceptHandler(self, node, role):
         span = _own_span(node)
-        children = self._slot("ExceptHandler", "type", node.type)
+        children = yield from self._slot("ExceptHandler", "type", node.type)
         if node.name:
             name_role = node_role("ExceptHandler", "name")
             anchor = children[0].span if children else span
             children.append(AstNode("Name", name_role,
                                     _point(anchor.end_line, anchor.end_col), node.name))
-        children += self._slot("ExceptHandler", "body", node.body)
+        children += yield from self._slot("ExceptHandler", "body", node.body)
         return self._make("ExceptHandler", role, span, "", children)
 
     def _h_ImportFrom(self, node, role):
         text = "." * (node.level or 0) + (node.module or "")
-        return self._make("ImportFrom", role, _own_span(node), text,
-                          self._slot("ImportFrom", "names", node.names))
+        names = yield from self._slot("ImportFrom", "names", node.names)
+        return self._make("ImportFrom", role, _own_span(node), text, names)
 
     def _h_alias(self, node, role):
         text = node.name if not node.asname else f"{node.name} as {node.asname}"
@@ -458,18 +521,18 @@ class _Normalizer:
     # -- expressions
 
     def _h_BoolOp(self, node, role):
-        values = self._slot("BoolOp", "values", node.values)
+        values = yield from self._slot("BoolOp", "values", node.values)
         op = self._op(node.op, node_role("BoolOp", "op"), self._between(values[0], values[1]))
         return self._make("BoolOp", role, _own_span(node), "", values + [op])
 
     def _h_BinOp(self, node, role):
-        left = self.convert(node.left, node_role("BinOp", "left"))
-        right = self.convert(node.right, node_role("BinOp", "right"))
+        left = yield self.convert(node.left, node_role("BinOp", "left"))
+        right = yield self.convert(node.right, node_role("BinOp", "right"))
         op = self._op(node.op, node_role("BinOp", "op"), self._between(left, right))
         return self._make("BinOp", role, _own_span(node), "", [left, op, right])
 
     def _h_UnaryOp(self, node, role):
-        operand = self.convert(node.operand, node_role("UnaryOp", "operand"))
+        operand = yield self.convert(node.operand, node_role("UnaryOp", "operand"))
         span = _own_span(node)
         op_span = SourceSpan(span.start_line, span.start_col,
                              operand.span.start_line, operand.span.start_col)
@@ -478,22 +541,27 @@ class _Normalizer:
 
     def _h_Lambda(self, node, role):
         own = _own_span(node)
-        children = [self._anchored(self.convert(node.args, node_role("Lambda", "args")), own)]
-        children += self._slot("Lambda", "body", node.body)
+        args = yield self.convert(node.args, node_role("Lambda", "args"))
+        children = [self._anchored(args, own)]
+        children += yield from self._slot("Lambda", "body", node.body)
         return self._make("Lambda", role, own, "", children)
 
     def _h_Dict(self, node, role):
-        children = self._slot("Dict", "keys", [k for k in node.keys if k is not None])
-        children += self._slot("Dict", "values", node.values)
+        children = yield from self._slot("Dict", "keys", [k for k in node.keys if k is not None])
+        children += yield from self._slot("Dict", "values", node.values)
         return self._make("Dict", role, _own_span(node), "", children)
 
     def _h_Await(self, node, role):
-        return self.convert(node.value, role)
+        # classic grammar has no await or starred targets; unwrap in place
+        return (yield self.convert(node.value, role))
+
+    _h_Starred = _h_Await
 
     def _h_Compare(self, node, role):
-        left = self.convert(node.left, node_role("Compare", "left"))
-        comparators = [self.convert(c, node_role("Compare", "comparators"))
-                       for c in node.comparators]
+        left = yield self.convert(node.left, node_role("Compare", "left"))
+        comparators = []
+        for comp in node.comparators:
+            comparators.append((yield self.convert(comp, node_role("Compare", "comparators"))))
         children = [left] + comparators
         prev = left
         for op_node, comp in zip(node.ops, comparators):
@@ -503,17 +571,17 @@ class _Normalizer:
         return self._make("Compare", role, _own_span(node), "", children)
 
     def _h_Call(self, node, role):
-        children = self._slot("Call", "func", node.func)
+        children = yield from self._slot("Call", "func", node.func)
         for arg in node.args:
             if isinstance(arg, ast.Starred):
-                children.append(self.convert(arg.value, node_role("Call", "starargs")))
+                children.append((yield self.convert(arg.value, node_role("Call", "starargs"))))
             else:
-                children.append(self.convert(arg, node_role("Call", "args")))
+                children.append((yield self.convert(arg, node_role("Call", "args"))))
         for kw in node.keywords:
             if kw.arg is None:
-                children.append(self.convert(kw.value, node_role("Call", "kwargs")))
+                children.append((yield self.convert(kw.value, node_role("Call", "kwargs"))))
             else:
-                children.append(self.convert(kw, node_role("Call", "keywords")))
+                children.append((yield self.convert(kw, node_role("Call", "keywords"))))
         return self._make("Call", role, _own_span(node), "", children)
 
     def _h_Constant(self, node, role):
@@ -538,38 +606,34 @@ class _Normalizer:
     _h_FormattedValue = _h_JoinedStr
 
     def _h_Subscript(self, node, role):
-        children = self._slot("Subscript", "value", node.value)
-        children.append(self._subscript_slice(node.slice))
+        children = yield from self._slot("Subscript", "value", node.value)
+        children.append((yield from self._subscript_slice(node.slice)))
         return self._make("Subscript", role, _own_span(node), "", children)
 
-    def _subscript_slice(self, sl) -> AstNode:
+    def _subscript_slice(self, sl):
         slice_role = node_role("Subscript", "slice")
         if isinstance(sl, ast.Slice):
-            return self.convert(sl, slice_role)
+            return (yield self.convert(sl, slice_role))
         if isinstance(sl, ast.Tuple) and any(isinstance(e, ast.Slice) for e in sl.elts):
             dims = []
             dim_role = node_role("ExtSlice", "dims")
             for elt in sl.elts:
                 if isinstance(elt, ast.Slice):
-                    dims.append(self.convert(elt, dim_role))
+                    dims.append((yield self.convert(elt, dim_role)))
                 else:
-                    inner = self.convert(elt, node_role("Index", "value"))
+                    inner = yield self.convert(elt, node_role("Index", "value"))
                     dims.append(self._make("Index", dim_role, None, "", [inner]))
             return self._make("ExtSlice", slice_role, None, "", dims)
-        inner = self.convert(sl, node_role("Index", "value"))
+        inner = yield self.convert(sl, node_role("Index", "value"))
         return self._make("Index", slice_role, None, "", [inner])
-
-    def _h_Starred(self, node, role):
-        # classic grammar has no starred targets; unwrap in place
-        return self.convert(node.value, role)
 
     def _h_arguments(self, node, role):
         args_role = node_role("arguments", "args")
         children = []
         for a in getattr(node, "posonlyargs", []) + node.args + node.kwonlyargs:
-            children.append(self.convert(a, args_role))
+            children.append((yield self.convert(a, args_role)))
         defaults = list(node.defaults) + [d for d in node.kw_defaults if d is not None]
-        children += self._slot("arguments", "defaults", defaults)
+        children += yield from self._slot("arguments", "defaults", defaults)
         stars = []
         if node.vararg is not None:
             stars.append("*" + node.vararg.arg)

@@ -160,10 +160,6 @@ class PipelineConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 @dataclass
 class RunReport:
@@ -394,17 +390,19 @@ class Pipeline:
                 try:
                     before = parse_source(pair.before_text)
                     after = parse_source(pair.after_text)
+                    script = align_versions(pair.before_text, pair.after_text)
+                    enhanced = build_diff_ast(before, after, script,
+                                              change_id=record.change_id, path=path)
+                    # a labeled subtree too high for hunks.jsonl skips the file
+                    hunks = extract_hunks(enhanced)
                 except SyntaxError as err:
                     counts["files_skipped_syntax"] += 1
                     skipped.append({"change_id": record.change_id, "path": path,
                                     "line": err.lineno})
                     continue
                 counts["files_parsed"] += 1
-                script = align_versions(pair.before_text, pair.after_text)
-                enhanced = build_diff_ast(before, after, script,
-                                          change_id=record.change_id, path=path)
                 counts["alignment_conflicts"] += len(enhanced.conflicts)
-                for hunk in extract_hunks(enhanced):
+                for hunk in hunks:
                     doc = hunk_to_dict(hunk)
                     doc["change_id"] = record.change_id
                     doc["path"] = path

@@ -72,8 +72,6 @@ class ContextRelevanceMatrix:
     cluster_ids: list
     cells: dict[tuple[str, object], bool] = field(default_factory=dict)
     records: list[FeatureRecord] = field(default_factory=list)
-    alpha: float = 0.05
-    control_mode: str = "exclusive"
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -181,8 +179,7 @@ def relevance_matrix(
                   if triage.get(cid) == "BUG-FIX"]
     context = context_matrix({hunk: context_data[hunk] for hunk in sorted(context_data)})
     feature_names = context.feature_names
-    result = ContextRelevanceMatrix(cluster_ids=bugfix_ids, alpha=alpha,
-                                    control_mode=control_mode)
+    result = ContextRelevanceMatrix(cluster_ids=bugfix_ids)
     effective_alpha = alpha / len(feature_names) if (bonferroni and feature_names) else alpha
     categories = [categorize(feature) for feature in feature_names]
     row_of = {hunk: i for i, hunk in enumerate(context.hunk_ids)}

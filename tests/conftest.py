@@ -3,10 +3,19 @@ acceptance-criterion summary printed at the end of a run."""
 
 from __future__ import annotations
 
+import pytest
+
+from fixscope.democorpus import build_demo_corpus
 from fixscope.diffing import align_versions, build_diff_ast, extract_hunks
 from fixscope.grammar import parse_source
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(scope="session")
+def demo_corpus(tmp_path_factory):
+    """The default demo corpus, built once; tests only read it."""
+    return build_demo_corpus(tmp_path_factory.mktemp("demo-corpus"))
 
 
 def record_acceptance(line: str):

@@ -7,11 +7,15 @@ the feature rows in O(n*d) memory, an explicitly coded midrank
 computation, a re-derivation of the
 histogram bin rule, a relevance matrix that ranks one (cluster, feature)
 pair at a time, a git source that asks git once per commit and once
-per blob side, and a character loop that splits a message into words.
+per blob side, a character loop that splits a message into words, and
+the recursive forms of every tree walk (normalizer, diff join, labeled-root
+walk, diff-node serialization).
 """
 
 from __future__ import annotations
 
+import ast as _ast
+import json
 import math
 import subprocess
 from pathlib import Path
@@ -19,6 +23,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
+from fixscope import diffing as _diffing
+from fixscope import grammar as _grammar
 from fixscope.cluster import Dendrogram, Merge
 
 
@@ -417,3 +423,405 @@ class PerCommitGitSource:
                         before_text=before.decode("utf-8", errors="replace"),
                         after_text=after.decode("utf-8", errors="replace"),
                         change_id=record.change_id)
+
+
+# --- recursive references for the tree walks ---------------------------------
+#
+# The package walks every tree with an explicit stack.  These are the plain
+# recursive forms, one Python frame per tree level, kept as the reference
+# the loops must reproduce exactly: the same trees, the same conflict
+# messages in the same order, the same serialized documents.
+
+
+class RecursiveNormalizer(_grammar._Normalizer):
+    """The normalizer with each handler calling ``convert`` directly."""
+
+    def module(self, node):
+        return self._make("Module", None, None, "", self._slot("Module", "body", node.body))
+
+    def convert(self, node, role):
+        name = type(node).__name__
+        if name in _grammar._UNSUPPORTED:
+            err = _grammar.UnsupportedConstructError(
+                f"{name} has no counterpart in the py27 dialect")
+            err.lineno = getattr(node, "lineno", None)
+            raise err
+        handler = getattr(self, "_h_" + name, None)
+        if handler is not None:
+            return handler(node, role)
+        kind = _grammar._GENERIC.get(name)
+        if kind is None:
+            raise _grammar.UnsupportedConstructError(f"unhandled host node {name}")
+        return self._generic(node, name, kind, role)
+
+    def _slot(self, parent_kind, slot, value):
+        role = self.taxonomy.role_for(parent_kind, slot)
+        items = value if isinstance(value, list) else [value]
+        return [self.convert(item, role) for item in items if item is not None]
+
+    def _generic(self, node, name, kind, role):
+        children = []
+        for slot in self.taxonomy.slots.get(kind, ()):
+            children += self._slot(kind, slot, getattr(node, slot))
+        field = _grammar._TEXT_FIELDS.get(name)
+        text = (getattr(node, field) or "") if field else ""
+        span = None if kind in _grammar._CHILD_SPANNED else _grammar._own_span(node)
+        return self._make(kind, role, span, text, children)
+
+    def _h_FunctionDef(self, node, role):
+        own = _grammar._own_span(node)
+        args = self.convert(node.args, _grammar.node_role("FunctionDef", "args"))
+        children = [self._anchored(args, own)]
+        children += self._slot("FunctionDef", "body", node.body)
+        children += self._slot("FunctionDef", "decorator_list", node.decorator_list)
+        return self._make("FunctionDef", role, own, node.name, children)
+
+    _h_AsyncFunctionDef = _h_FunctionDef
+
+    def _h_ClassDef(self, node, role):
+        children = self._slot("ClassDef", "bases", node.bases)
+        children += self._slot("ClassDef", "bases", node.keywords)
+        children += self._slot("ClassDef", "body", node.body)
+        children += self._slot("ClassDef", "decorator_list", node.decorator_list)
+        return self._make("ClassDef", role, _grammar._own_span(node), node.name, children)
+
+    def _h_AnnAssign(self, node, role):
+        children = self._slot("Assign", "targets", node.target)
+        children += self._slot("Assign", "value", node.value)
+        return self._make("Assign", role, _grammar._own_span(node), "", children)
+
+    _h_NamedExpr = _h_AnnAssign
+
+    def _h_AugAssign(self, node, role):
+        target = self.convert(node.target, _grammar.node_role("AugAssign", "target"))
+        value = self.convert(node.value, _grammar.node_role("AugAssign", "value"))
+        op = self._op(node.op, _grammar.node_role("AugAssign", "op"),
+                      self._between(target, value))
+        return self._make("AugAssign", role, _grammar._own_span(node), "", [target, op, value])
+
+    def _h_With(self, node, role):
+        return self._with_chain(node, node.items, role, _grammar._own_span(node))
+
+    _h_AsyncWith = _h_With
+
+    def _with_chain(self, node, items, role, span):
+        first = items[0]
+        children = self._slot("With", "context_expr", first.context_expr)
+        children += self._slot("With", "optional_vars", first.optional_vars)
+        if len(items) > 1:
+            children.append(self._with_chain(node, items[1:],
+                                             _grammar.node_role("With", "body"), span))
+        else:
+            children += self._slot("With", "body", node.body)
+        return self._make("With", role, span, "", children)
+
+    def _h_Raise(self, node, role):
+        children = self._slot("Raise", "type", node.exc)
+        children += self._slot("Raise", "inst", node.cause)
+        return self._make("Raise", role, _grammar._own_span(node), "", children)
+
+    def _h_Try(self, node, role):
+        span = _grammar._own_span(node)
+        if node.handlers:
+            children = self._slot("TryExcept", "body", node.body)
+            children += self._slot("TryExcept", "handlers", node.handlers)
+            children += self._slot("TryExcept", "orelse", node.orelse)
+            inner = self._make("TryExcept", role, span, "", children)
+            if not node.finalbody:
+                return inner
+            inner_as_body = _grammar.AstNode(
+                kind=inner.kind, role=_grammar.node_role("TryFinally", "body"),
+                span=inner.span, text=inner.text, children=inner.children)
+            final = self._slot("TryFinally", "finalbody", node.finalbody)
+            return self._make("TryFinally", role, span, "", [inner_as_body] + final)
+        children = self._slot("TryFinally", "body", node.body)
+        children += self._slot("TryFinally", "finalbody", node.finalbody)
+        return self._make("TryFinally", role, span, "", children)
+
+    def _h_ExceptHandler(self, node, role):
+        span = _grammar._own_span(node)
+        children = self._slot("ExceptHandler", "type", node.type)
+        if node.name:
+            anchor = children[0].span if children else span
+            children.append(_grammar.AstNode(
+                "Name", _grammar.node_role("ExceptHandler", "name"),
+                _grammar._point(anchor.end_line, anchor.end_col), node.name))
+        children += self._slot("ExceptHandler", "body", node.body)
+        return self._make("ExceptHandler", role, span, "", children)
+
+    def _h_ImportFrom(self, node, role):
+        text = "." * (node.level or 0) + (node.module or "")
+        return self._make("ImportFrom", role, _grammar._own_span(node), text,
+                          self._slot("ImportFrom", "names", node.names))
+
+    def _h_BoolOp(self, node, role):
+        values = self._slot("BoolOp", "values", node.values)
+        op = self._op(node.op, _grammar.node_role("BoolOp", "op"),
+                      self._between(values[0], values[1]))
+        return self._make("BoolOp", role, _grammar._own_span(node), "", values + [op])
+
+    def _h_BinOp(self, node, role):
+        left = self.convert(node.left, _grammar.node_role("BinOp", "left"))
+        right = self.convert(node.right, _grammar.node_role("BinOp", "right"))
+        op = self._op(node.op, _grammar.node_role("BinOp", "op"), self._between(left, right))
+        return self._make("BinOp", role, _grammar._own_span(node), "", [left, op, right])
+
+    def _h_UnaryOp(self, node, role):
+        operand = self.convert(node.operand, _grammar.node_role("UnaryOp", "operand"))
+        span = _grammar._own_span(node)
+        op_span = _grammar.SourceSpan(span.start_line, span.start_col,
+                                      operand.span.start_line, operand.span.start_col)
+        op = self._op(node.op, _grammar.node_role("UnaryOp", "op"), op_span)
+        return self._make("UnaryOp", role, span, "", [op, operand])
+
+    def _h_Lambda(self, node, role):
+        own = _grammar._own_span(node)
+        args = self.convert(node.args, _grammar.node_role("Lambda", "args"))
+        children = [self._anchored(args, own)]
+        children += self._slot("Lambda", "body", node.body)
+        return self._make("Lambda", role, own, "", children)
+
+    def _h_Dict(self, node, role):
+        children = self._slot("Dict", "keys", [k for k in node.keys if k is not None])
+        children += self._slot("Dict", "values", node.values)
+        return self._make("Dict", role, _grammar._own_span(node), "", children)
+
+    def _h_Await(self, node, role):
+        return self.convert(node.value, role)
+
+    _h_Starred = _h_Await
+
+    def _h_Compare(self, node, role):
+        left = self.convert(node.left, _grammar.node_role("Compare", "left"))
+        comparators = [self.convert(c, _grammar.node_role("Compare", "comparators"))
+                       for c in node.comparators]
+        children = [left] + comparators
+        prev = left
+        for op_node, comp in zip(node.ops, comparators):
+            children.append(self._op(op_node, _grammar.node_role("Compare", "ops"),
+                                     self._between(prev, comp)))
+            prev = comp
+        return self._make("Compare", role, _grammar._own_span(node), "", children)
+
+    def _h_Call(self, node, role):
+        children = self._slot("Call", "func", node.func)
+        for arg in node.args:
+            if isinstance(arg, _ast.Starred):
+                children.append(self.convert(arg.value, _grammar.node_role("Call", "starargs")))
+            else:
+                children.append(self.convert(arg, _grammar.node_role("Call", "args")))
+        for kw in node.keywords:
+            if kw.arg is None:
+                children.append(self.convert(kw.value, _grammar.node_role("Call", "kwargs")))
+            else:
+                children.append(self.convert(kw, _grammar.node_role("Call", "keywords")))
+        return self._make("Call", role, _grammar._own_span(node), "", children)
+
+    def _h_Subscript(self, node, role):
+        children = self._slot("Subscript", "value", node.value)
+        children.append(self._subscript_slice(node.slice))
+        return self._make("Subscript", role, _grammar._own_span(node), "", children)
+
+    def _subscript_slice(self, sl):
+        slice_role = _grammar.node_role("Subscript", "slice")
+        if isinstance(sl, _ast.Slice):
+            return self.convert(sl, slice_role)
+        if isinstance(sl, _ast.Tuple) and any(isinstance(e, _ast.Slice) for e in sl.elts):
+            dims = []
+            dim_role = _grammar.node_role("ExtSlice", "dims")
+            for elt in sl.elts:
+                if isinstance(elt, _ast.Slice):
+                    dims.append(self.convert(elt, dim_role))
+                else:
+                    inner = self.convert(elt, _grammar.node_role("Index", "value"))
+                    dims.append(self._make("Index", dim_role, None, "", [inner]))
+            return self._make("ExtSlice", slice_role, None, "", dims)
+        inner = self.convert(sl, _grammar.node_role("Index", "value"))
+        return self._make("Index", slice_role, None, "", [inner])
+
+    def _h_arguments(self, node, role):
+        args_role = _grammar.node_role("arguments", "args")
+        children = [self.convert(a, args_role)
+                    for a in getattr(node, "posonlyargs", []) + node.args + node.kwonlyargs]
+        defaults = list(node.defaults) + [d for d in node.kw_defaults if d is not None]
+        children += self._slot("arguments", "defaults", defaults)
+        stars = []
+        if node.vararg is not None:
+            stars.append("*" + node.vararg.arg)
+        if node.kwarg is not None:
+            stars.append("**" + node.kwarg.arg)
+        return self._make("arguments", role, None, ",".join(stars), children)
+
+
+def reference_parse_source(text: str):
+    """``parse_source`` through the recursive normalizer."""
+    return RecursiveNormalizer(text).module(_ast.parse(text))
+
+
+def reference_maximal_inside(node, start: int, end: int, out: list) -> list:
+    for child in node.children:
+        if start <= child.span.start_line and child.span.end_line < end:
+            out.append(child)
+        else:
+            reference_maximal_inside(child, start, end, out)
+    return out
+
+
+def reference_graft(node, label, line_of):
+    return _diffing.DiffNode(node.kind, node.role, node.text, label, node.span,
+                             line_of(node.span.start_line), line_of(node.span.end_line),
+                             [reference_graft(child, label, line_of)
+                              for child in node.children])
+
+
+class RecursiveMatcher(_diffing._Matcher):
+    """The matcher with ``match_lists`` and ``join`` calling themselves."""
+
+    def match_lists(self, b_nodes, a_nodes):
+        by_key = {}
+        for a in a_nodes:
+            by_key.setdefault(_diffing._key(a), []).append(a)
+        consumed = set()
+        for b in b_nodes:
+            pool = by_key.get(_diffing._key(b), [])
+            partner = next((a for a in pool if id(a) not in consumed), None)
+            if partner is None:
+                self.minus_roots.add(id(b))
+                continue
+            if len(pool) > 1:
+                self.conflicts.append(
+                    f"ambiguous anchor for {_diffing._key(b)!r}; resolved in source order")
+            consumed.add(id(partner))
+            self.matched[id(b)] = partner
+            self.match_lists(list(b.children), list(partner.children))
+        for a in a_nodes:
+            if id(a) not in consumed:
+                self.plus_roots.add(id(a))
+
+    def join(self, b_node, a_node):
+        conflicts = self.conflicts
+        minus_kids = [c for c in b_node.children if id(c) in self.minus_roots]
+        plus_kids = {id(c) for c in a_node.children if id(c) in self.plus_roots}
+        b_rest = [c for c in b_node.children if id(c) not in self.minus_roots]
+        a_rest = [c for c in a_node.children if id(c) not in plus_kids]
+        pairs = []
+        a_taken = set()
+        b_positional = []
+        for b_child in b_rest:
+            partner = self.matched.get(id(b_child))
+            if partner is not None:
+                pairs.append((b_child, partner))
+                a_taken.add(id(partner))
+            else:
+                b_positional.append(b_child)
+        a_positional = [c for c in a_rest if id(c) not in a_taken]
+        for b_child, a_child in zip(b_positional, a_positional):
+            if (b_child.kind, b_child.role) != (a_child.kind, a_child.role):
+                conflicts.append(
+                    f"positional pairing of {b_child.kind} with {a_child.kind} "
+                    f"at line {a_child.span.start_line}")
+            pairs.append((b_child, a_child))
+        for b_child in b_positional[len(a_positional):]:
+            conflicts.append(f"unpaired before-node {b_child.kind} forced Minus")
+            minus_kids.append(b_child)
+        forced_plus = {id(c) for c in a_positional[len(b_positional):]}
+        joined = {}
+        for b_child, a_child in pairs:
+            joined[id(a_child)] = self.join(b_child, a_child)
+        built = []
+        for a_child in a_node.children:
+            if id(a_child) in joined:
+                built.append(joined[id(a_child)])
+            elif id(a_child) in plus_kids or id(a_child) in forced_plus:
+                if id(a_child) in forced_plus:
+                    conflicts.append(f"unpaired after-node {a_child.kind} forced Plus")
+                built.append(reference_graft(a_child, _diffing.ChangeLabel.PLUS,
+                                             _diffing._after_line))
+        minus_built = [reference_graft(b_child, _diffing.ChangeLabel.MINUS, self.line_map.map)
+                       for b_child in minus_kids]
+        merged = sorted(
+            built + minus_built,
+            key=lambda n: (n.eff_start, n.span.start_col,
+                           n.label is not _diffing.ChangeLabel.MINUS, n.span.start_line),
+        )
+        return _diffing.DiffNode(a_node.kind, a_node.role, a_node.text,
+                                 _diffing.ChangeLabel.UNCHANGED, a_node.span,
+                                 a_node.span.start_line, a_node.span.end_line, merged)
+
+
+def reference_chained_roots(node, path, out):
+    if node.label is not _diffing.ChangeLabel.UNCHANGED:
+        out.append((node, tuple(reversed(path))))
+        return out
+    path.append(node)
+    for child in node.children:
+        reference_chained_roots(child, path, out)
+    path.pop()
+    return out
+
+
+class RecursiveEnhancedAst(_diffing.EnhancedAst):
+    """An enhanced AST whose labeled roots come from the recursive walk,
+    so ``extract_hunks`` groups what the reference found."""
+
+    def chained_roots(self):
+        return reference_chained_roots(self.root, [], [])
+
+
+def reference_build_diff_ast(before, after, script, change_id="", path=""):
+    """``build_diff_ast`` through the recursive candidate walk and matcher."""
+    matcher = RecursiveMatcher(script)
+    for blk in script:
+        b_cands = (reference_maximal_inside(before, blk.b_start, blk.b_end, [])
+                   if blk.b_end > blk.b_start else [])
+        a_cands = (reference_maximal_inside(after, blk.a_start, blk.a_end, [])
+                   if blk.a_end > blk.a_start else [])
+        matcher.match_lists(b_cands, a_cands)
+    root = matcher.join(before, after)
+    return RecursiveEnhancedAst(root=root, change_id=change_id, path=path,
+                                conflicts=matcher.conflicts)
+
+
+def reference_diff_node_to_dict(node) -> dict:
+    return {
+        "kind": node.kind,
+        "role": node.role,
+        "label": node.label.value,
+        "text": node.text,
+        "span": [node.span.start_line, node.span.start_col,
+                 node.span.end_line, node.span.end_col],
+        "eff": [node.eff_start, node.eff_end],
+        "children": [reference_diff_node_to_dict(c) for c in node.children],
+    }
+
+
+def reference_diff_node_from_dict(doc: dict):
+    return _diffing.DiffNode(
+        kind=doc["kind"],
+        role=doc["role"],
+        text=doc["text"],
+        label=_diffing.ChangeLabel(doc["label"]),
+        span=_grammar.SourceSpan(*doc["span"]),
+        eff_start=doc["eff"][0],
+        eff_end=doc["eff"][1],
+        children=[reference_diff_node_from_dict(c) for c in doc["children"]],
+    )
+
+
+def reference_dump_enhanced_ast(enhanced) -> str:
+    doc = {
+        "change_id": enhanced.change_id,
+        "path": enhanced.path,
+        "conflicts": enhanced.conflicts,
+        "tree": reference_diff_node_to_dict(enhanced.root),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def reference_hunk_to_dict(hunk) -> dict:
+    window = hunk.line_window
+    return {
+        "id": hunk.id,
+        "window": [window.start_line, window.start_col, window.end_line, window.end_col],
+        "roots": [reference_diff_node_to_dict(r) for r in hunk.labeled_roots],
+    }

@@ -31,7 +31,6 @@ from fixscope.cluster import (
     pairwise_distances,
     single_linkage,
 )
-from fixscope.democorpus import build_demo_corpus
 from fixscope.diffing import ChangeLabel, DiffNode, Hunk, extract_hunks
 from fixscope.features import WeightConfig, hunk_feature_vector
 from fixscope.grammar import SourceSpan
@@ -61,12 +60,6 @@ class Budget:
         else:
             record_acceptance(f"{self.criterion}: FAIL ({exc_type.__name__})")
         return False
-
-
-@pytest.fixture(scope="module")
-def demo_corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("acceptance-corpus")
-    return build_demo_corpus(root)
 
 
 def chain_hunk(height: int) -> Hunk:

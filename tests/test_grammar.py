@@ -103,9 +103,13 @@ class TestParseSource:
         with pytest.raises(UnsupportedConstructError):
             parse_source(src)
 
-    def test_nesting_past_the_recursion_limit_is_unsupported(self):
+    def test_nesting_is_bounded_by_the_host_parser_alone(self):
+        # past the interpreter's recursion limit, and still normalized
+        tree = parse_source("x = " + " + ".join(["1"] * 600) + "\n")
+        assert tree_height(tree) == 601
+        # past what ast.parse builds: unsupported, not a RecursionError
         with pytest.raises(UnsupportedConstructError):
-            parse_source("x = " + " + ".join(["1"] * 600) + "\n")
+            parse_source("x = " + " + ".join(["1"] * 4000) + "\n")
 
     def test_determinism(self):
         src = "def f(a, b=1):\n    return a + b\n"

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ import pytest
 import fixscope
 from fixscope.cli import main as cli_main
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
+from fixscope.diffing import hunk_from_dict
+from fixscope.grammar import tree_height
 from fixscope.pipeline import (
+    STAGE_ARTIFACTS,
     STAGES,
     MissingCheckpointError,
     Pipeline,
@@ -89,37 +93,106 @@ class TestEmptyCorpus:
         assert (tmp_path / "out" / "report.md").exists()
 
 
+def _git_repo(path: Path):
+    """An empty repository at ``path`` and a ``git`` that commits in it."""
+    path.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(path), "-c", "user.name=dev",
+                        "-c", "user.email=dev@example.org", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q", "-b", "main")
+    return git
+
+
+def _sum(terms: int, edited: int | None = None) -> str:
+    """``x = 1 + 1 + ...``, one tree level per term; term ``edited`` reads 2."""
+    values = ["1"] * terms
+    if edited is not None:
+        values[edited] = "2"
+    return "x = " + " + ".join(values) + "\n"
+
+
 class TestDeepNesting:
-    def test_too_deep_file_is_skipped_and_deep_hunks_stay_finite(self, tmp_path):
-        repo = tmp_path / "repo"
-        repo.mkdir()
+    """No walk of the program limits depth: a hunk's labeled subtree may
+    be ``MAX_HUNK_DEPTH`` levels high, its unchanged ancestors any depth
+    the host parser builds."""
 
-        def git(*args):
-            subprocess.run(["git", "-C", str(repo), "-c", "user.name=dev",
-                            "-c", "user.email=dev@example.org", *args],
-                           check=True, capture_output=True)
-
-        git("init", "-q", "-b", "main")
-        (repo / "base.py").write_text("a = 1\n")
+    @pytest.fixture(scope="class")
+    def deep_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep")
+        repo = root / "repo"
+        git = _git_repo(repo)
+        (repo / "edit600.py").write_text(_sum(600))
         git("add", "-A")
         git("commit", "-q", "-m", "Initial import")
-        for terms in (470, 600):
-            (repo / f"sum{terms}.py").write_text(
-                "x = " + " + ".join(["1"] * terms) + "\n")
+        (repo / "edit600.py").write_text(_sum(600, edited=300))
+        for name, terms in (("insert350.py", 350), ("insert600.py", 600),
+                            ("sum4000.py", 4000)):
+            (repo / name).write_text(_sum(terms))
         git("add", "-A")
         git("commit", "-q", "-m", "Fix the sums")
-        out = tmp_path / "out"
+        out = root / "out"
         run_pipeline(PipelineConfig(source_path=str(repo), output_dir=str(out),
                                     min_cluster_size=1))
-        extract = json.loads((out / "extract_counts.json").read_text())
-        assert [entry["path"] for entry in extract["skipped_files"]] == ["sum600.py"]
-        assert (extract["files_parsed"], extract["files_skipped_syntax"]) == (1, 1)
+        hunks = [json.loads(line) for line in (out / "hunks.jsonl").read_text().splitlines()]
         vectors = [json.loads(line) for line in
                    (out / "feature_vectors.jsonl").read_text().splitlines()]
-        assert vectors
-        assert all(":sum470.py:" in vector["hunk_id"] for vector in vectors)
-        assert all(math.isfinite(value) for vector in vectors
-                   for value in vector["features"].values())
+        return json.loads((out / "extract_counts.json").read_text()), hunks, vectors
+
+    def test_one_term_edit_inside_a_600_term_sum_yields_hunks(self, deep_run):
+        extract, hunks, _vectors = deep_run
+        edits = [doc for doc in hunks if doc["path"] == "edit600.py"]
+        assert [root["kind"] for doc in edits for root in doc["roots"]] == ["Num", "Num"]
+        # the closest ancestor is one of the 599 unchanged BinOps above the term
+        assert edits[0]["context"]["ctx_including_BinOp"] == 1.0
+        assert (extract["files_parsed"], extract["files_skipped_syntax"]) == (2, 2)
+
+    def test_whole_file_insert_of_350_terms_yields_finite_features(self, deep_run):
+        _extract, hunks, vectors = deep_run
+        [doc] = [doc for doc in hunks if doc["path"] == "insert350.py"]
+        # levels past 308 take the overflow branch of hunk_feature_vector
+        assert tree_height(hunk_from_dict(doc).labeled_roots[0]) > 308
+        [vector] = [v for v in vectors if v["hunk_id"] == doc["id"]]
+        assert vector["features"]["add_BinOp"] > 0
+        assert all(math.isfinite(value) for value in vector["features"].values())
+
+    def test_whole_file_insert_of_600_terms_is_skipped(self, deep_run):
+        extract, hunks, _vectors = deep_run
+        assert {"path": "insert600.py", "line": 1} in [
+            {"path": entry["path"], "line": entry["line"]}
+            for entry in extract["skipped_files"]]
+        assert all(doc["path"] != "insert600.py" for doc in hunks)
+
+    def test_sum_past_the_host_parser_is_skipped_not_fatal(self, deep_run):
+        extract, hunks, _vectors = deep_run
+        assert "sum4000.py" in [entry["path"] for entry in extract["skipped_files"]]
+        assert all(doc["path"] != "sum4000.py" for doc in hunks)
+
+    def test_artifacts_do_not_depend_on_the_callers_stack_depth(self, tmp_path):
+        git = _git_repo(tmp_path / "repo")
+        (tmp_path / "repo" / "sum450.py").write_text(_sum(450))
+        git("add", "-A")
+        git("commit", "-q", "-m", "Initial import")
+        (tmp_path / "repo" / "sum450.py").write_text(_sum(450, edited=225))
+        git("commit", "-q", "-am", "Fix the sum")
+
+        def run_below(frames: int, out: Path):
+            if frames:
+                return run_below(frames - 1, out)
+            return run_pipeline(PipelineConfig(source_path=str(tmp_path / "repo"),
+                                               output_dir=str(out), min_cluster_size=1))
+
+        # a fresh thread starts at the top of its own stack
+        for frames, out in ((0, tmp_path / "top"), (150, tmp_path / "deep")):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(run_below, frames, out).result()
+        for name in STAGE_ARTIFACTS["extract"]:
+            assert (tmp_path / "top" / name).read_bytes() == \
+                (tmp_path / "deep" / name).read_bytes(), name
+        extract = json.loads((tmp_path / "top" / "extract_counts.json").read_text())
+        assert (extract["files_parsed"], extract["hunks"]) == (1, 1)
 
 
 class TestStageArtifacts:
