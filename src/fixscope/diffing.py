@@ -1,12 +1,16 @@
 """Joining before/after ASTs into a labeled diff tree and grouping hunks.
 
 The matcher is line-anchored: a minimal line-level edit script is computed
-first, then nodes lying fully inside changed line ranges are matched
-structurally (same kind, role, normalized text) between the removed and
-added side of each block.  Unmatched before-nodes become ``Minus`` subtree
-roots, unmatched after-nodes become ``Plus`` subtree roots, and labels
-inherit downward.  A modified node therefore always yields a Minus+Plus
-pair, never an in-place update.
+first, then the two trees are joined from the root down by one rule.  At
+every joined pair, a before child joins the first not-yet-joined after
+sibling with the same key (kind, role, stripped text) and the same
+region: ``("in", k)`` for a node wholly inside edit block k, else the
+after-file line of the node's first kept line.  Every other before child
+becomes a ``Minus`` subtree root, every other after child a ``Plus``
+subtree root, and labels inherit downward.  There is no positional
+fallback: a modified node, its own text included, always yields a
+Minus+Plus pair, never an in-place update, and a child the line diff
+moved to another parent is removed under one and added under the other.
 
 The tree points one way: a node holds its children and nothing else.  The
 chain of unchanged ancestors around each labeled root comes from the walk
@@ -27,6 +31,7 @@ import enum
 import json
 import logging
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from fixscope.grammar import (
@@ -254,53 +259,48 @@ def _backtrack(trace, d, k, a, b) -> list[tuple[int, int]]:
     return matches
 
 
-# --- structural matching within changed blocks -----------------------------
-
-
-def _maximal_inside(node: AstNode, start: int, end: int) -> list[AstNode]:
-    """The maximal descendants of ``node`` lying inside lines [start, end),
-    in document order.
-
-    ``node`` itself is never a candidate: the tree root always pairs with
-    its counterpart (a whole-file insertion labels every top-level node,
-    not the Module).
-    """
-    out = []
-    stack = list(reversed(node.children))
-    while stack:
-        child = stack.pop()
-        span = child.span
-        if span.start_line >= end or span.end_line < start:
-            continue  # a span holds its children's: none of them is inside
-        if start <= span.start_line and span.end_line < end:
-            out.append(child)
-        else:
-            stack.extend(reversed(child.children))
-    return out
-
-
 def _key(node: AstNode) -> tuple[str, str | None, str]:
     return (node.kind, node.role, node.text.strip())
 
 
-# --- effective line mapping -------------------------------------------------
+# --- one bisect table of edit blocks per side -------------------------------
 
 
 class _LineMap:
-    """Maps before-file line numbers into after-file coordinates."""
+    """One side's edit blocks as a bisect table, in script order: block k
+    holds this side's lines [start, end) and after lines [a_start, a_end).
 
-    def __init__(self, script: list[EditBlock]):
-        self.script = sorted(script, key=lambda blk: blk.b_start)
+    ``map`` carries this side's line numbers onto the after-file axis and
+    ``region`` anchors a node for the join; both find a line's block by
+    one bisect.
+    """
+
+    def __init__(self, script: list[EditBlock], before: bool):
+        self.blocks = [((blk.b_start, blk.b_end) if before else (blk.a_start, blk.a_end))
+                       + (blk.a_start, blk.a_end) for blk in script]
+        self.starts = [blk[0] for blk in self.blocks]
 
     def map(self, line: int) -> int:
-        delta = 0
-        for blk in self.script:
-            if line < blk.b_start:
-                break
-            if line < blk.b_end:
-                return blk.a_start + (line - blk.b_start)
-            delta += (blk.a_end - blk.a_start) - (blk.b_end - blk.b_start)
-        return line + delta
+        k = bisect_right(self.starts, line) - 1
+        if k < 0:
+            return line
+        start, end, a_start, a_end = self.blocks[k]
+        if line < end:
+            return a_start + (line - start)
+        return line + (a_end - end)
+
+    def region(self, span: SourceSpan) -> int | tuple[str, int]:
+        """``("in", k)`` for a node wholly inside block k, else the after
+        line of the node's first kept line: its start line mapped, or the
+        ``a_end`` of the block it starts in."""
+        line = span.start_line
+        k = bisect_right(self.starts, line) - 1
+        if k < 0:
+            return line
+        start, end, _a_start, a_end = self.blocks[k]
+        if line >= end:
+            return line + (a_end - end)
+        return ("in", k) if span.end_line < end else a_end
 
 
 def _after_line(line: int) -> int:
@@ -341,40 +341,20 @@ def _graft(node: AstNode, label: ChangeLabel, line_of) -> DiffNode:
 
 
 class _Matcher:
-    """Pairs before/after candidates by (kind, role, text) occurrence order,
-    then joins the two trees along those pairs."""
+    """Joins the two trees by one rule, applied at every joined pair.
+
+    A before child joins the first not-yet-joined after sibling with the
+    same ``_key`` and the same region (``_LineMap.region``); every other
+    child is grafted Minus or Plus, subtree and all.  The one conflict is
+    an ambiguous anchor: more than one same-key after sibling in the same
+    in-block region, resolved in source order.
+    """
 
     def __init__(self, script: list[EditBlock]):
-        self.matched: dict[int, AstNode] = {}  # id(before node) -> after node
-        self.minus_roots: set[int] = set()
-        self.plus_roots: set[int] = set()
+        script = sorted(script, key=operator.attrgetter("b_start"))
+        self.before = _LineMap(script, before=True)
+        self.after = _LineMap(script, before=False)
         self.conflicts: list[str] = []
-        self.line_map = _LineMap(script)
-
-    def match_lists(self, b_nodes: list[AstNode], a_nodes: list[AstNode]):
-        """Pair the candidates, then the children of each pair, depth first."""
-        drive(self._match(b_nodes, a_nodes))
-
-    def _match(self, b_nodes, a_nodes):
-        by_key: dict[tuple, list[AstNode]] = {}
-        for a in a_nodes:
-            by_key.setdefault(_key(a), []).append(a)
-        consumed: set[int] = set()
-        for b in b_nodes:
-            pool = by_key.get(_key(b), [])
-            partner = next((a for a in pool if id(a) not in consumed), None)
-            if partner is None:
-                self.minus_roots.add(id(b))
-                continue
-            if len(pool) > 1:
-                self.conflicts.append(
-                    f"ambiguous anchor for {_key(b)!r}; resolved in source order")
-            consumed.add(id(partner))
-            self.matched[id(b)] = partner
-            yield self._match(b.children, partner.children)
-        for a in a_nodes:
-            if id(a) not in consumed:
-                self.plus_roots.add(id(a))
 
     def join(self, b_node: AstNode, a_node: AstNode) -> DiffNode:
         """The unchanged node pairing ``b_node`` with ``a_node``, its
@@ -388,46 +368,30 @@ class _Matcher:
         return self._join_children(b_node, a_node)
 
     def _join_children(self, b_node, a_node):
-        conflicts = self.conflicts
-        minus_kids = [c for c in b_node.children if id(c) in self.minus_roots]
-        plus_kids = {id(c) for c in a_node.children if id(c) in self.plus_roots}
-        b_rest = [c for c in b_node.children if id(c) not in self.minus_roots]
-        a_rest = [c for c in a_node.children if id(c) not in plus_kids]
-        pairs: list[tuple[AstNode, AstNode]] = []
-        a_taken: set[int] = set()
-        b_positional: list[AstNode] = []
-        for b_child in b_rest:
-            partner = self.matched.get(id(b_child))
-            if partner is not None:
-                pairs.append((b_child, partner))
-                a_taken.add(id(partner))
-            else:
-                b_positional.append(b_child)
-        a_positional = [c for c in a_rest if id(c) not in a_taken]
-        for b_child, a_child in zip(b_positional, a_positional):
-            if (b_child.kind, b_child.role) != (a_child.kind, a_child.role):
-                conflicts.append(
-                    f"positional pairing of {b_child.kind} with {a_child.kind} "
-                    f"at line {a_child.span.start_line}")
-            pairs.append((b_child, a_child))
-        # leftovers on one side only: force-label them (logged)
-        for b_child in b_positional[len(a_positional):]:
-            conflicts.append(f"unpaired before-node {b_child.kind} forced Minus")
-            minus_kids.append(b_child)
-        forced_plus = {id(c) for c in a_positional[len(b_positional):]}
-        joined: dict[int, DiffNode] = {}
-        for b_child, a_child in pairs:
-            joined[id(a_child)] = yield self._join(b_child, a_child)
-        built: list[DiffNode] = []
-        for a_child in a_node.children:
-            if id(a_child) in joined:
-                built.append(joined[id(a_child)])
-            elif id(a_child) in plus_kids or id(a_child) in forced_plus:
-                if id(a_child) in forced_plus:
-                    conflicts.append(f"unpaired after-node {a_child.kind} forced Plus")
-                built.append(_graft(a_child, ChangeLabel.PLUS, _after_line))
-        minus_built = [_graft(b_child, ChangeLabel.MINUS, self.line_map.map)
-                       for b_child in minus_kids]
+        a_children = a_node.children
+        pools: dict[tuple, list[int]] = {}
+        for index, a_child in enumerate(a_children):
+            anchor = (_key(a_child), self.after.region(a_child.span))
+            pools.setdefault(anchor, []).append(index)
+        taken: dict[tuple, int] = {}
+        built: list[DiffNode | None] = [None] * len(a_children)
+        minus_built = []
+        for b_child in b_node.children:
+            anchor = (_key(b_child), self.before.region(b_child.span))
+            pool = pools.get(anchor, ())
+            rank = taken.get(anchor, 0)
+            if rank == len(pool):
+                minus_built.append(_graft(b_child, ChangeLabel.MINUS, self.before.map))
+                continue
+            taken[anchor] = rank + 1
+            if len(pool) > 1 and isinstance(anchor[1], tuple):
+                self.conflicts.append(
+                    f"ambiguous anchor for {anchor[0]!r}; resolved in source order")
+            index = pool[rank]
+            built[index] = yield self._join(b_child, a_children[index])
+        for index, a_child in enumerate(a_children):
+            if built[index] is None:
+                built[index] = _graft(a_child, ChangeLabel.PLUS, _after_line)
         merged = sorted(
             built + minus_built,
             key=lambda n: (n.eff_start, n.span.start_col,
@@ -450,12 +414,6 @@ def build_diff_ast(
 ) -> EnhancedAst:
     """Join the two canonical trees into a single labeled diff tree."""
     matcher = _Matcher(script)
-    for blk in script:
-        b_cands = (_maximal_inside(before, blk.b_start, blk.b_end)
-                   if blk.b_end > blk.b_start else [])
-        a_cands = (_maximal_inside(after, blk.a_start, blk.a_end)
-                   if blk.a_end > blk.a_start else [])
-        matcher.match_lists(b_cands, a_cands)
     root = matcher.join(before, after)
     for message in matcher.conflicts:
         logger.warning("alignment conflict in %s %s: %s", change_id, path, message)

@@ -7,9 +7,10 @@ the feature rows in O(n*d) memory, an explicitly coded midrank
 computation, a re-derivation of the
 histogram bin rule, a relevance matrix that ranks one (cluster, feature)
 pair at a time, a git source that asks git once per commit and once
-per blob side, a character loop that splits a message into words, and
-the recursive forms of every tree walk (normalizer, diff join, labeled-root
-walk, diff-node serialization).
+per blob side, a character loop that splits a message into words, a
+line map and join regions that scan every edit block instead of
+bisecting, and the recursive forms of every tree walk (normalizer, diff
+join, labeled-root walk, diff-node serialization).
 """
 
 from __future__ import annotations
@@ -658,15 +659,6 @@ def reference_parse_source(text: str):
     return RecursiveNormalizer(text).module(_ast.parse(text))
 
 
-def reference_maximal_inside(node, start: int, end: int, out: list) -> list:
-    for child in node.children:
-        if start <= child.span.start_line and child.span.end_line < end:
-            out.append(child)
-        else:
-            reference_maximal_inside(child, start, end, out)
-    return out
-
-
 def reference_graft(node, label, line_of):
     return _diffing.DiffNode(node.kind, node.role, node.text, label, node.span,
                              line_of(node.span.start_line), line_of(node.span.end_line),
@@ -674,71 +666,60 @@ def reference_graft(node, label, line_of):
                               for child in node.children])
 
 
-class RecursiveMatcher(_diffing._Matcher):
-    """The matcher with ``match_lists`` and ``join`` calling themselves."""
+def reference_after_line(script, line: int) -> int:
+    """A before line on the after-file axis, scanning every block."""
+    delta = 0
+    for blk in sorted(script, key=lambda blk: blk.b_start):
+        if line < blk.b_start:
+            break
+        if line < blk.b_end:
+            return blk.a_start + (line - blk.b_start)
+        delta += (blk.a_end - blk.a_start) - (blk.b_end - blk.b_start)
+    return line + delta
 
-    def match_lists(self, b_nodes, a_nodes):
-        by_key = {}
-        for a in a_nodes:
-            by_key.setdefault(_diffing._key(a), []).append(a)
-        consumed = set()
-        for b in b_nodes:
-            pool = by_key.get(_diffing._key(b), [])
-            partner = next((a for a in pool if id(a) not in consumed), None)
-            if partner is None:
-                self.minus_roots.add(id(b))
-                continue
-            if len(pool) > 1:
-                self.conflicts.append(
-                    f"ambiguous anchor for {_diffing._key(b)!r}; resolved in source order")
-            consumed.add(id(partner))
-            self.matched[id(b)] = partner
-            self.match_lists(list(b.children), list(partner.children))
-        for a in a_nodes:
-            if id(a) not in consumed:
-                self.plus_roots.add(id(a))
+
+def reference_region(script, span, before: bool):
+    """``("in", k)`` for a node wholly inside block k on its side, else the
+    after line of its first kept line, scanning every block."""
+    for k, blk in enumerate(sorted(script, key=lambda blk: blk.b_start)):
+        start, end = (blk.b_start, blk.b_end) if before else (blk.a_start, blk.a_end)
+        if start <= span.start_line < end:
+            return ("in", k) if span.end_line < end else blk.a_end
+    return reference_after_line(script, span.start_line) if before else span.start_line
+
+
+class RecursiveMatcher:
+    """The one-rule join calling itself once per level: a before child
+    joins the first not-yet-joined after sibling with the same key and
+    region, and every other child is grafted Minus or Plus."""
+
+    def __init__(self, script):
+        self.script = script
+        self.conflicts = []
+
+    def anchor(self, node, before: bool):
+        return (_diffing._key(node), reference_region(self.script, node.span, before))
 
     def join(self, b_node, a_node):
-        conflicts = self.conflicts
-        minus_kids = [c for c in b_node.children if id(c) in self.minus_roots]
-        plus_kids = {id(c) for c in a_node.children if id(c) in self.plus_roots}
-        b_rest = [c for c in b_node.children if id(c) not in self.minus_roots]
-        a_rest = [c for c in a_node.children if id(c) not in plus_kids]
-        pairs = []
-        a_taken = set()
-        b_positional = []
-        for b_child in b_rest:
-            partner = self.matched.get(id(b_child))
-            if partner is not None:
-                pairs.append((b_child, partner))
-                a_taken.add(id(partner))
-            else:
-                b_positional.append(b_child)
-        a_positional = [c for c in a_rest if id(c) not in a_taken]
-        for b_child, a_child in zip(b_positional, a_positional):
-            if (b_child.kind, b_child.role) != (a_child.kind, a_child.role):
-                conflicts.append(
-                    f"positional pairing of {b_child.kind} with {a_child.kind} "
-                    f"at line {a_child.span.start_line}")
-            pairs.append((b_child, a_child))
-        for b_child in b_positional[len(a_positional):]:
-            conflicts.append(f"unpaired before-node {b_child.kind} forced Minus")
-            minus_kids.append(b_child)
-        forced_plus = {id(c) for c in a_positional[len(b_positional):]}
-        joined = {}
-        for b_child, a_child in pairs:
-            joined[id(a_child)] = self.join(b_child, a_child)
-        built = []
-        for a_child in a_node.children:
-            if id(a_child) in joined:
-                built.append(joined[id(a_child)])
-            elif id(a_child) in plus_kids or id(a_child) in forced_plus:
-                if id(a_child) in forced_plus:
-                    conflicts.append(f"unpaired after-node {a_child.kind} forced Plus")
-                built.append(reference_graft(a_child, _diffing.ChangeLabel.PLUS,
-                                             _diffing._after_line))
-        minus_built = [reference_graft(b_child, _diffing.ChangeLabel.MINUS, self.line_map.map)
-                       for b_child in minus_kids]
+        a_anchors = [self.anchor(a_child, False) for a_child in a_node.children]
+        joined = {}  # index among a_node.children -> joined node
+        minus_built = []
+        for b_child in b_node.children:
+            anchor = self.anchor(b_child, True)
+            same = [i for i, a_anchor in enumerate(a_anchors) if a_anchor == anchor]
+            free = [i for i in same if i not in joined]
+            if not free:
+                minus_built.append(reference_graft(
+                    b_child, _diffing.ChangeLabel.MINUS,
+                    lambda line: reference_after_line(self.script, line)))
+                continue
+            if len(same) > 1 and isinstance(anchor[1], tuple):
+                self.conflicts.append(
+                    f"ambiguous anchor for {anchor[0]!r}; resolved in source order")
+            joined[free[0]] = self.join(b_child, a_node.children[free[0]])
+        built = [joined[i] if i in joined
+                 else reference_graft(a_child, _diffing.ChangeLabel.PLUS, lambda line: line)
+                 for i, a_child in enumerate(a_node.children)]
         merged = sorted(
             built + minus_built,
             key=lambda n: (n.eff_start, n.span.start_col,
@@ -769,14 +750,8 @@ class RecursiveEnhancedAst(_diffing.EnhancedAst):
 
 
 def reference_build_diff_ast(before, after, script, change_id="", path=""):
-    """``build_diff_ast`` through the recursive candidate walk and matcher."""
+    """``build_diff_ast`` through the recursive one-rule join."""
     matcher = RecursiveMatcher(script)
-    for blk in script:
-        b_cands = (reference_maximal_inside(before, blk.b_start, blk.b_end, [])
-                   if blk.b_end > blk.b_start else [])
-        a_cands = (reference_maximal_inside(after, blk.a_start, blk.a_end, [])
-                   if blk.a_end > blk.a_start else [])
-        matcher.match_lists(b_cands, a_cands)
     root = matcher.join(before, after)
     return RecursiveEnhancedAst(root=root, change_id=change_id, path=path,
                                 conflicts=matcher.conflicts)

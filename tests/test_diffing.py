@@ -7,6 +7,8 @@ import json
 import textwrap
 import weakref
 
+import pytest
+
 from fixscope.diffing import (
     ChangeLabel,
     EditBlock,
@@ -16,6 +18,8 @@ from fixscope.diffing import (
     extract_hunks,
 )
 from fixscope.grammar import parse_source
+
+from test_properties import shape
 
 
 def diff_texts(before: str, after: str, change_id="chg", path="a.py"):
@@ -176,6 +180,38 @@ class TestBuildDiffAst:
 
 def make_hunks(before, after):
     return extract_hunks(diff_texts(before, after))
+
+
+# edits to a node's own text, or its kind, on one line of a node that
+# spans several: (before, after, the spanning node's kind before and after)
+OWN_TEXT_EDITS = [
+    ("def f(x):\n    a = 1\n    return a\n",
+     "def g(x):\n    a = 1\n    return a\n", "FunctionDef", "FunctionDef"),
+    ("class A:\n    a = 1\n    b = 2\n",
+     "class B:\n    a = 1\n    b = 2\n", "ClassDef", "ClassDef"),
+    ("from a import (x,\n    y)\n",
+     "from b import (x,\n    y)\n", "ImportFrom", "ImportFrom"),
+    ("foo(\n1,\n2).bar\n", "foo(\n1,\n2).baz\n", "Attribute", "Attribute"),
+    ("f(a=(\n1,\n2))\n", "f(b=(\n1,\n2))\n", "keyword", "keyword"),
+    ("if c:\n    a = 1\n    b = 2\n",
+     "while c:\n    a = 1\n    b = 2\n", "If", "While"),
+]
+
+
+@pytest.mark.parametrize("before, after, minus_kind, plus_kind", OWN_TEXT_EDITS,
+                         ids=["def-name", "class-name", "import-module",
+                              "attribute-name", "keyword-name", "if-to-while"])
+def test_own_text_edit_yields_one_minus_plus_hunk(before, after, minus_kind, plus_kind):
+    (hunk,) = make_hunks(before, after)
+    minus, plus = hunk.labeled_roots
+    assert (minus.kind, minus.label) == (minus_kind, ChangeLabel.MINUS)
+    assert (plus.kind, plus.label) == (plus_kind, ChangeLabel.PLUS)
+    # whole copies of the spanning node on each side
+    for root, text in ((minus, before), (plus, after)):
+        (node,) = [n for n in parse_source(text).walk()
+                   if (n.kind, n.span) == (root.kind, root.span)]
+        assert node.span.end_line > node.span.start_line
+        assert shape(root) == shape(node)
 
 
 class TestExtractHunks:

@@ -1,10 +1,12 @@
-"""Property tests over generated edit scripts (hunk grouping rules)."""
+"""Property tests over generated edit scripts (hunk grouping rules, and a
+diff tree that accounts for both versions)."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
 from fixscope.diffing import ChangeLabel
+from fixscope.grammar import parse_source
 
 from conftest import diff_texts
 
@@ -45,14 +47,66 @@ def edit_case(draw):
     return before, after
 
 
+@st.composite
+def moved_and_renamed_case(draw):
+    """Calls moved among sibling ``if`` blocks that draw from one shared
+    pool, plus own-text edits that leave a multi-line node's other lines
+    alone: def and class names, an import module, an attribute and a
+    keyword name."""
+    pool = [f"f{i}({i})" for i in range(4)]
+
+    def program():
+        names = {part: draw(st.sampled_from(["a", "b"]))
+                 for part in ("def", "class", "module", "attr", "kw")}
+        lines = [f"from mod_{names['module']} import (x,", "    y)",
+                 f"class C_{names['class']}:",
+                 f"    def m_{names['def']}(self):"]
+        for block in range(3):
+            calls = draw(st.lists(st.sampled_from(pool), max_size=4))
+            lines.append(f"        if c{block}:")
+            lines += [f"            {call}" for call in calls] or ["            pass"]
+        lines += ["        obj(", "            1,", f"            2).attr_{names['attr']}",
+                  f"        g(kw_{names['kw']}=(", "            1,", "            2))"]
+        return "\n".join(lines) + "\n"
+
+    return program(), program()
+
+
 def labeled_roots_of(enhanced):
     return enhanced.labeled_roots()
 
 
+def shape(node, dropped=None):
+    """``(kind, role, text, sorted children)`` of the tree under ``node``,
+    without the subtrees labeled ``dropped``."""
+    return (node.kind, node.role, node.text,
+            tuple(sorted(shape(child, dropped) for child in node.children
+                         if dropped is None or child.label is not dropped)))
+
+
 def fingerprints(nodes):
-    def shape(n):
-        return (n.kind, n.role, n.text, tuple(sorted(shape(c) for c in n.children)))
     return sorted(shape(n) for n in nodes)
+
+
+def assert_accounts_for_both_versions(enhanced, before_text, after_text):
+    """Dropping the Plus subtrees gives the before tree, and dropping the
+    Minus subtrees gives the after tree."""
+    assert shape(enhanced.root, ChangeLabel.PLUS) == shape(parse_source(before_text))
+    assert shape(enhanced.root, ChangeLabel.MINUS) == shape(parse_source(after_text))
+
+
+def assert_swap_symmetry(before, after):
+    """Swapping the two versions swaps the Plus and Minus subtrees."""
+    forward = diff_texts(before, after)
+    backward = diff_texts(after, before)
+
+    def collect(enhanced, label):
+        return [n for n in enhanced.root.walk() if n.label is label]
+
+    assert fingerprints(collect(forward, ChangeLabel.PLUS)) == \
+        fingerprints(collect(backward, ChangeLabel.MINUS))
+    assert fingerprints(collect(forward, ChangeLabel.MINUS)) == \
+        fingerprints(collect(backward, ChangeLabel.PLUS))
 
 
 class TestHunkRuleProperties:
@@ -84,17 +138,7 @@ class TestHunkRuleProperties:
     @given(edit_case())
     @settings(max_examples=60, deadline=None)
     def test_plus_minus_symmetry_under_swap(self, case):
-        before, after = case
-        forward = diff_texts(before, after)
-        backward = diff_texts(after, before)
-
-        def collect(enhanced, label):
-            return [n for n in enhanced.root.walk() if n.label is label]
-
-        assert fingerprints(collect(forward, ChangeLabel.PLUS)) == \
-            fingerprints(collect(backward, ChangeLabel.MINUS))
-        assert fingerprints(collect(forward, ChangeLabel.MINUS)) == \
-            fingerprints(collect(backward, ChangeLabel.PLUS))
+        assert_swap_symmetry(*case)
 
     @given(edit_case())
     @settings(max_examples=60, deadline=None)
@@ -107,3 +151,15 @@ class TestHunkRuleProperties:
             assert hunk.context_chain[-1].kind == "Module"
             for node in hunk.context_chain:
                 assert node.label is ChangeLabel.UNCHANGED
+
+
+class TestDiffTreeAccountsForBothVersions:
+    @given(moved_and_renamed_case())
+    @settings(max_examples=100, deadline=None)
+    def test_dropping_one_label_gives_the_other_version(self, case):
+        assert_accounts_for_both_versions(diff_texts(*case), *case)
+
+    @given(moved_and_renamed_case())
+    @settings(max_examples=100, deadline=None)
+    def test_plus_minus_symmetry_under_swap(self, case):
+        assert_swap_symmetry(*case)

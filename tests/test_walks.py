@@ -38,7 +38,7 @@ from oracles import (
     reference_hunk_to_dict,
     reference_parse_source,
 )
-from test_properties import edit_case
+from test_properties import assert_accounts_for_both_versions, edit_case
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,8 +51,9 @@ def shape(tree) -> list:
 
 def assert_walks_agree(before_text: str, after_text: str) -> int:
     """The loops and the recursive references give the same trees, the
-    same conflicts in the same order, and the same hunk documents;
-    returns the number of conflicts."""
+    same conflicts in the same order, and the same hunk documents, and
+    the diff tree accounts for both versions; returns the number of
+    conflicts."""
     try:
         before, after = parse_source(before_text), parse_source(after_text)
     except SyntaxError as err:
@@ -69,6 +70,7 @@ def assert_walks_agree(before_text: str, after_text: str) -> int:
     reference = reference_build_diff_ast(ref_before, ref_after, script,
                                          change_id="chg", path="a.py")
     assert dump_enhanced_ast(enhanced) == reference_dump_enhanced_ast(reference)
+    assert_accounts_for_both_versions(enhanced, before_text, after_text)
     hunks, ref_hunks = extract_hunks(enhanced), extract_hunks(reference)
     docs = [hunk_to_dict(hunk) for hunk in hunks]
     assert docs == [reference_hunk_to_dict(hunk) for hunk in ref_hunks]
@@ -106,24 +108,21 @@ class TestParityWithRecursiveReferences:
         assert_walks_agree(source, source.replace("pass", "x = 1"))
 
     def test_conflicts_at_several_depths_keep_their_order(self):
-        before = ("def f(a):\n"
-                  "    if a:\n"
-                  "        for x in a:\n"
-                  "            if x:\n"
-                  "                g(x)\n"
-                  "    with a as b, c as d:\n"
-                  "        h(b)\n")
-        after = ("def f(a):\n"
-                 "    while a:\n"
-                 "        for x in a:\n"
-                 "            while x:\n"
-                 "                g(x)\n"
-                 "    with a as b:\n"
-                 "        h(b)\n")
-        assert assert_walks_agree(before, after) >= 2
-        assert assert_walks_agree(after, before) >= 2
-        # ambiguous anchors on two levels: each pair's children are
-        # matched before its next sibling
+        # in-block ambiguous anchors at module level, in an if body and in
+        # expressions: each pair's children are joined before its next
+        # sibling, so their conflicts come first
+        before = ("x = [a, a]\n"
+                  "x = [a, a]\n"
+                  "def f():\n"
+                  "    if c:\n"
+                  "        g(b, b)\n"
+                  "        g(b, b)\n")
+        after = before.replace(", ", ",  ")
+        assert assert_walks_agree(before, after) == 12
+        assert assert_walks_agree(after, before) == 12
+        kinds = [message.split("'")[1]
+                 for message in diff_texts(before, after).conflicts]
+        assert kinds == ["Assign", "Name", "Name"] * 2 + ["Expr", "Name", "Name"] * 2
         before = "x = [a, a]\nx = [a, a]\n"
         after = "x = [a,  a]\nx = [a,  a]\n"
         assert assert_walks_agree(before, after) == 6
