@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
+# np.percentile imports numpy.ma on its first call: load it with numpy instead
+import numpy.ma  # noqa: F401
 
 __all__ = [
     "DistanceTable",

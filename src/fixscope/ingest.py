@@ -25,8 +25,6 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -199,6 +197,8 @@ class GerritSource:
 
     @staticmethod
     def _http_transport(url: str) -> tuple[int, bytes]:
+        import requests  # only this transport needs it; importing it slows start-up
+
         response = requests.get(url, timeout=30)
         return response.status_code, response.content
 

@@ -10,7 +10,9 @@ flag restores the literal whole-dataset control for comparison.
 The tests are computed column-wise: ``fixscope.context.context_matrix``
 builds the hunk x feature context matrix once, and each tested cluster's
 pooled rows are ranked in one call that yields every feature's midranks,
-tie correction and z at once.
+tie correction and z at once.  The midranks come from ``_midranks``, a
+numpy kernel in this module that sorts each column once and gives every
+tie group the mean of the ranks it spans.
 ``dunn_test`` and ``summary_stats`` are the one-column case of the same
 kernels.
 """
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from fixscope.context import CATEGORIES, categorize, context_matrix
 
@@ -81,6 +82,31 @@ class ContextRelevanceMatrix:
         return self.cells.get((category, cluster_id), False)
 
 
+def _midranks(pooled: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based, ties share the mean of their ranks) of each
+    column of a 2-D array, in the array's shape.
+
+    A column holding a NaN ranks as all NaN.  Every rank is a whole number
+    or a half, so sums of ranks are exact in float64.
+    """
+    # one contiguous row per column, a copy that the ranks then overwrite
+    ranks = np.array(pooled.T, dtype=np.float64, order="C")
+    n = ranks.shape[1]
+    order = np.argsort(ranks, axis=1, kind="stable")
+    y = np.take_along_axis(ranks, order, axis=1)
+    # every row's first element starts a group, so no group spans two rows
+    is_start = np.ones(y.shape, dtype=bool)
+    is_start[:, 1:] = y[:, 1:] != y[:, :-1]
+    starts = np.flatnonzero(is_start)
+    sizes = np.diff(starts, append=y.size)
+    group_ranks = starts % n + 1 + (sizes - 1) / 2
+    np.put_along_axis(ranks, order, np.repeat(group_ranks, sizes).reshape(y.shape),
+                      axis=1)
+    # sorting puts NaN last: a row ending in NaN holds one
+    ranks[np.isnan(y[:, -1:]).any(axis=1)] = np.nan
+    return ranks.T
+
+
 def _rank_tests(pooled: np.ndarray, n1: int, alpha: float):
     """Two-group rank test with midranks and tie correction, per column.
 
@@ -90,7 +116,7 @@ def _rank_tests(pooled: np.ndarray, n1: int, alpha: float):
     gives z = 0, p = 1 and is never relevant.
     """
     total = pooled.shape[0]
-    ranks = rankdata(pooled, method="average", axis=0)
+    ranks = _midranks(pooled)
     mean1 = ranks[:n1].mean(axis=0)
     mean2 = ranks[n1:].mean(axis=0)
     # Tie groups of sizes t with midranks r satisfy

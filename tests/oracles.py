@@ -4,7 +4,7 @@ Everything here is deliberately naive and kept free of the package's own
 numerics: O(n^3) agglomeration, direct-sum Pearson correlation, a
 single linkage and cophenetic walk that recompute every distance from
 the feature rows in O(n*d) memory, an explicitly coded midrank
-computation, a re-derivation of the
+computation and scipy's ranking of whole columns, a re-derivation of the
 histogram bin rule, a relevance matrix that ranks one (cluster, feature)
 pair at a time, a git source that asks git once per commit and once
 per blob side, a character loop that splits a message into words, a
@@ -248,6 +248,12 @@ def bruteforce_midranks(values) -> list[float]:
             ranks[order[k]] = avg
         pos = end + 1
     return ranks
+
+
+def reference_midranks(matrix) -> np.ndarray:
+    """Average ranks of each column, with NaN propagated to its column, as
+    scipy ranks them."""
+    return rankdata(matrix, method="average", axis=0)
 
 
 def bruteforce_dunn(cluster, control):

@@ -461,19 +461,25 @@ print(json.dumps({"hunks": report.counts["hunks"], "metrics": tracer.metrics(),
 """
 
 
+def run_python(code: str, *args: str, paths=()) -> dict:
+    """Run ``code`` in a fresh interpreter that imports the package (and
+    anything under ``paths``); return the JSON object it prints last."""
+    paths = [str(Path(fixscope.__file__).parents[1]), *paths]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        paths + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestBenchmarkTracing:
     def test_traced_run_counts_every_stage(self, small_corpus, tmp_path):
         # bench/tracing.py wraps pipeline and cluster functions by name; its
         # patches last for the life of the process, hence the subprocess
-        root = Path(__file__).resolve().parents[1]
-        paths = [str(Path(fixscope.__file__).parents[1]), str(root / "bench")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            paths + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-c", TRACED_RUN, small_corpus["repo"], str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        doc = json.loads(done.stdout.splitlines()[-1])
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        doc = run_python(TRACED_RUN, small_corpus["repo"], str(tmp_path / "out"),
+                         paths=[str(bench)])
         assert doc["hunks"] > 0
         assert doc["metrics"]["cluster.n"] == doc["hunks"]
         assert doc["metrics"]["pipeline.stages_run"] == 6
@@ -489,6 +495,72 @@ class TestBenchmarkTracing:
         # (here wider) context table
         header = (tmp_path / "out" / "feature_matrix.csv").read_text().splitlines()[0]
         assert doc["metrics"]["features.n_features"] == len(header.split(",")) - 1
+
+
+GERRIT_FETCH = """
+import base64, json, sys
+import fixscope, fixscope.cli
+from fixscope.ingest import GerritSource
+
+def loaded():
+    return [name for name in ("scipy", "requests") if name in sys.modules]
+
+on_import = loaded()
+change = {"change_id": "I1", "project": "demo", "branch": "master",
+          "subject": "Fix it", "current_revision": "r1",
+          "revisions": {"r1": {"files": {"m.py": {}}}}}
+
+def transport(url):
+    if "/files/" in url:
+        return 200, base64.b64encode(b"x = 1\\n")
+    page = [change] if "start=0" in url else []
+    return 200, (")]}'\\n" + json.dumps(page)).encode()
+
+source = GerritSource("https://review.example.org", transport=transport)
+records = source.fetch_merged_changes(projects=("demo",))
+pair = source.fetch_file_pair(records[0], "m.py")
+print(json.dumps({"on_import": on_import, "after_fetch": loaded(),
+                  "changes": len(records), "after_text": pair.after_text}))
+"""
+
+ANNOTATED_RUN = """
+import json, sys
+from pathlib import Path
+from fixscope.context import category_table_checksum
+from fixscope.grammar import taxonomy_checksum
+from fixscope.pipeline import Pipeline, PipelineConfig
+
+# set-up as the benchmark's worker does it: the import, then the table loads
+taxonomy_checksum(), category_table_checksum()
+before = set(sys.modules)
+out = Path(sys.argv[2])
+pipeline = Pipeline(PipelineConfig(source_mode="git", source_path=sys.argv[1],
+                                   min_cluster_size=3, output_dir=str(out)))
+report = pipeline.run()
+lines = ["cluster_id,label,description"]
+lines += [f"{entry['id']},BUG-FIX,planted pattern" for entry in report.clusters]
+(out / "annotations.csv").write_text("\\n".join(lines) + "\\n")
+report = pipeline.run()
+print(json.dumps({"new_modules": sorted(set(sys.modules) - before),
+                  "clusters": len(report.clusters),
+                  "withheld": report.relevance_withheld}))
+"""
+
+
+class TestStartUpImports:
+    def test_cli_and_injected_gerrit_transport_load_no_scipy_or_requests(self):
+        doc = run_python(GERRIT_FETCH)
+        assert doc["changes"] == 1 and doc["after_text"] == "x = 1\n"
+        assert doc["on_import"] == []
+        assert doc["after_fetch"] == []
+
+    def test_a_full_annotated_run_imports_only_the_report_module(self, small_corpus,
+                                                                 tmp_path):
+        # every module a run needs loads in set-up, outside the timed stages;
+        # report.py imports pipeline, so the report stage imports it lazily
+        doc = run_python(ANNOTATED_RUN, small_corpus["repo"], str(tmp_path / "out"))
+        assert doc["clusters"] and not doc["withheld"]
+        assert doc["new_modules"] == ["fixscope.report"]
 
 
 class TestCli:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fixscope.stats
 from fixscope.stats import (
@@ -89,6 +91,40 @@ class TestDunnTest:
         rate = hits / sims
         se = math.sqrt(0.05 * 0.95 / sims)
         assert abs(rate - 0.05) <= 3 * se + 1e-9
+
+
+# few distinct values, so ties are heavy; -0.0 ties with 0.0
+TIE_VALUES = (-1.0, -0.0, 0.0, 1.0, 2.5)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Small matrices of tied values, some columns constant, at most one NaN."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 5))
+    matrix = np.array(draw(st.lists(
+        st.lists(st.sampled_from(TIE_VALUES), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+    for col in draw(st.sets(st.integers(0, cols - 1))):
+        matrix[:, col] = matrix[0, col]
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = math.nan
+    return matrix
+
+
+class TestMidranks:
+    @given(rank_matrices())
+    @example(np.array([[3.0, -0.0, 7.0]]))                    # a single row
+    @example(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 0.0]]))  # a constant column
+    @example(np.array([[0.0], [-0.0], [0.0], [-1.0]]))        # -0.0 beside 0.0
+    @example(np.array([[1.0, 1.0], [math.nan, 0.0], [0.0, 1.0]]))  # a NaN
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_ranking(self, matrix):
+        given_matrix = matrix.copy()
+        ranks = fixscope.stats._midranks(matrix)
+        assert np.array_equal(matrix, given_matrix, equal_nan=True)  # input untouched
+        assert ranks.shape == matrix.shape
+        assert np.array_equal(ranks, oracles.reference_midranks(matrix), equal_nan=True)
 
 
 class TestSummaryStats:
@@ -242,13 +278,13 @@ class TestColumnwiseRelevance:
 
     def test_ranks_once_per_tested_cluster(self, monkeypatch):
         calls = []
-        real_rankdata = fixscope.stats.rankdata
+        real_midranks = fixscope.stats._midranks
 
-        def counting_rankdata(*args, **kwargs):
+        def counting_midranks(*args, **kwargs):
             calls.append(1)
-            return real_rankdata(*args, **kwargs)
+            return real_midranks(*args, **kwargs)
 
-        monkeypatch.setattr(fixscope.stats, "rankdata", counting_rankdata)
+        monkeypatch.setattr(fixscope.stats, "_midranks", counting_midranks)
         rng = random.Random(11)
         context = sparse_context(rng, 40, False)
         clusters, triage = sparse_clusters(rng, context)
