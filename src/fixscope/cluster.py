@@ -154,21 +154,23 @@ def _prim_mst(distances: DistanceTable) -> list[tuple[float, int, int]]:
     the vertices still outside the tree; ties go to the smallest index.
     """
     table, row_of, n = distances.table, distances.row_of, distances.n
-    best = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)
+    key = np.full(n, np.inf)  # distance to the tree; inf once in it, never updated
+    key_from = np.zeros(n, dtype=np.int64)
     outside = np.ones(n, dtype=bool)
     current = 0
     edges: list[tuple[float, int, int]] = []
     for _ in range(n - 1):
         outside[current] = False
         dists = table[row_of[current], row_of]
-        better = dists < best  # vertices in the tree may change too: never read again
-        best[better] = dists[better]
-        best_from[better] = current
-        candidates = np.flatnonzero(outside)  # ascending: ties go to the smallest index
-        k = int(candidates[np.argmin(best[candidates])])
-        i, current = int(best_from[k]), k
-        edges.append((float(best[k]), min(i, k), max(i, k)))
+        better = (dists < key) & outside
+        np.copyto(key, dists, where=better)
+        key_from[better] = current
+        k = int(np.argmin(key))  # the first minimum: ties go to the smallest index
+        if not outside[k]:  # every key left is inf (distances overflowed)
+            k = int(np.argmax(outside))
+        i, current = int(key_from[k]), k
+        edges.append((float(key[k]), min(i, k), max(i, k)))
+        key[k] = np.inf
     return edges
 
 
@@ -219,16 +221,38 @@ def cophenetic_coefficient(dendrogram: Dendrogram, distances: DistanceTable) -> 
     report as a degenerate-input flag.
     """
     table, row_of = distances.table, distances.row_of
-    n = dendrogram.n_leaves
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    n, merges = dendrogram.n_leaves, dendrogram.merges
+    sizes = [1] * n
+    for merge in merges:
+        sizes.append(sizes[merge.left] + sizes[merge.right])
+    # One leaf order in which every node's leaves form a contiguous slice:
+    # the larger side's leaves first, then the smaller side's (on equal
+    # sizes the left side counts as the smaller).  Parents have higher ids
+    # than their children, so one descending pass places every node.
+    start = [-1] * len(sizes)
+    large_size = [0] * len(merges)
+    free = 0
+    for node in range(len(sizes) - 1, -1, -1):
+        if start[node] < 0:  # a root
+            start[node], free = free, free + sizes[node]
+        if node >= n:
+            merge = merges[node - n]
+            small, large = merge.left, merge.right
+            if sizes[small] > sizes[large]:
+                small, large = large, small
+            start[large], start[small] = start[node], start[node] + sizes[large]
+            large_size[node - n] = sizes[large]
+    leaf_rows = np.empty(n, dtype=row_of.dtype)
+    leaf_rows[start[:n]] = row_of
     count = 0
     mean_x = mean_y = m2_x = m2_y = co = 0.0
-    for k, merge in enumerate(dendrogram.merges):
-        small, large = sorted((members.pop(merge.left), members.pop(merge.right)), key=len)
-        targets = row_of[large]
-        for a in row_of[small]:
+    for k, merge in enumerate(merges):
+        lo = start[n + k]
+        mid, hi = lo + large_size[k], lo + sizes[n + k]
+        targets = leaf_rows[lo:mid]
+        for a in leaf_rows[mid:hi].tolist():
             dists = table[a, targets]
-            chunk_mean = float(dists.mean())
+            chunk_mean = float(dists.sum()) / dists.size  # the bits of dists.mean()
             dev = dists - chunk_mean
             total = count + dists.size
             dx, dy = chunk_mean - mean_x, merge.height - mean_y
@@ -240,8 +264,6 @@ def cophenetic_coefficient(dendrogram: Dendrogram, distances: DistanceTable) -> 
             mean_x += dx * frac
             mean_y += dy * frac
             count = total
-        large.extend(small)
-        members[n + k] = large
     if m2_x <= 0.0 or m2_y <= 0.0:
         return float("nan")
     return co / math.sqrt(m2_x * m2_y)
@@ -356,12 +378,18 @@ def sample_cluster(assignment: ClusterAssignment, cluster_id: int,
     return random.Random(seed).sample(ordered, n)
 
 
+def _json_float(x: float) -> str:
+    """``json.dumps(x)``: the float's repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def dendrogram_to_json(dendrogram: Dendrogram) -> str:
-    doc = {
-        "n_leaves": dendrogram.n_leaves,
-        "merges": [
-            {"left": m.left, "right": m.right, "height": m.height, "size": m.size}
-            for m in dendrogram.merges
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` for
+    ``{"merges": [{"height", "left", "right", "size"}, ...], "n_leaves"}``,
+    written without the pure-Python encoder that ``indent`` selects."""
+    merges = ",\n".join(
+        f'    {{\n      "height": {_json_float(m.height)},\n      "left": {m.left},\n'
+        f'      "right": {m.right},\n      "size": {m.size}\n    }}'
+        for m in dendrogram.merges)
+    body = f"[\n{merges}\n  ]" if merges else "[]"
+    return f'{{\n  "merges": {body},\n  "n_leaves": {dendrogram.n_leaves}\n}}'

@@ -2,13 +2,14 @@
 stats -> report, with checkpointed, byte-stable stage artifacts.
 
 Artifacts pass through one small store inside ``Pipeline``.  A stage
-reads only through ``_read`` (or its ``_read_json``, ``_read_jsonl`` and
-``_read_csv`` wrappers), which records the sha256 of the bytes it
-returned, or None for an absent file.  A stage returns its outputs as
-``{artifact name: text}``; ``run_stage`` checks the names against
-``STAGE_ARTIFACTS``, writes each text as UTF-8 to a ``.partial`` file
-that ``os.replace`` moves into place, and seals the stage with a manifest
-holding the config, the recorded reads and the digests of the outputs.
+reads only through ``_read_bytes`` (or its ``_read``, ``_read_json``,
+``_read_jsonl`` and ``_read_csv`` wrappers), which records the sha256 of
+the bytes it returned, or None for an absent file.  A stage returns its
+outputs as ``{artifact name: text}``; ``run_stage`` checks the names
+against ``STAGE_ARTIFACTS``, writes each text as UTF-8 to a ``.partial``
+file that ``os.replace`` moves into place, and seals the stage with a
+manifest holding the config, the recorded reads and the digests of the
+outputs.
 A stage is current while its manifest matches the config and every file
 it names still hashes the same, so a truncated or hand-edited artifact
 makes its stage, and each stage that read it, rerun; interrupted runs
@@ -230,8 +231,8 @@ class Pipeline:
 
     # -- artifact store
 
-    def _read(self, name: str, missing_ok: bool = False) -> str | None:
-        """The text of artifact ``name``; None when it is absent and
+    def _read_bytes(self, name: str, missing_ok: bool = False) -> bytes | None:
+        """The bytes of artifact ``name``; None when it is absent and
         ``missing_ok``.  The running stage's trace records what was read."""
         try:
             data = (self.out / name).read_bytes()
@@ -240,13 +241,19 @@ class Pipeline:
                 raise
             data = None
         self._reads[name] = _digest(data)
+        return data
+
+    def _read(self, name: str, missing_ok: bool = False) -> str | None:
+        data = self._read_bytes(name, missing_ok)
         return None if data is None else data.decode("utf-8")
 
     def _read_json(self, name: str):
         return json.loads(self._read(name))
 
     def _read_jsonl(self, name: str) -> list[dict]:
-        return [json.loads(line) for line in self._read(name).splitlines() if line]
+        # one decode of the nonblank lines as the items of one array
+        lines = filter(None, self._read(name).splitlines())
+        return json.loads("[" + ",".join(lines) + "]")
 
     def _read_csv(self, name: str, missing_ok: bool = False) -> list[dict] | None:
         text = self._read(name, missing_ok)
@@ -535,17 +542,14 @@ class Pipeline:
                 [category] + ["yes" if matrix.relevant(category, cid) else ""
                               for cid in matrix.cluster_ids]
                 for category in CATEGORIES]
-            for record in matrix.records:
-                s = record.summary
-                long_rows.append([
-                    record.cluster_id, record.feature, record.category,
-                    repr(record.z), repr(record.p),
-                    "yes" if record.relevant else "no",
-                    repr(s.mean), "" if not s.cv_defined else repr(s.cv),
-                    repr(s.quantiles[0.05]), repr(s.quantiles[0.25]),
-                    repr(s.quantiles[0.50]), repr(s.quantiles[0.75]),
-                    repr(s.quantiles[0.95]),
-                ])
+            for col in matrix.columns:
+                long_rows.extend(
+                    [col.cluster_id, feature, category, repr(z), repr(p),
+                     "yes" if hit else "no", repr(mean), repr(cv) if defined else "",
+                     *map(repr, quantiles)]
+                    for feature, category, z, p, hit, mean, cv, defined, quantiles in zip(
+                        matrix.features, matrix.feature_categories, col.z, col.p,
+                        col.relevant, col.mean, col.cv, col.cv_defined, col.quantiles))
         return {
             "relevance_matrix.csv": _csv(matrix_rows),
             "relevance_long.csv": _csv(long_rows),
@@ -560,7 +564,7 @@ class Pipeline:
         clustering = self._read_json("clustering_summary.json")
         annotations = self.load_annotations()
         clusters = self.load_clusters()
-        hunks = sum(1 for line in self._read("hunks.jsonl").splitlines() if line)
+        hunks = sum(1 for line in self._read_bytes("hunks.jsonl").splitlines() if line)
         if hunks != extract_counts["hunks"]:
             raise AssertionError("hunk counts do not reconcile")
         unreviewed = {"label": fc.TriageLabel.UNREVIEWED.value, "description": ""}
@@ -572,8 +576,12 @@ class Pipeline:
         for row in relevance_rows:
             category_distribution[row[0]] = sum(1 for cell in row[1:] if cell)
         tested = list(relevance[0])[1:] if relevance else []
-        appendix = [row for row in self._read_csv("relevance_long.csv")
-                    if row["relevant"] == "yes"]
+        # a dict only for each relevant row of the long table
+        rows = csv.reader(io.StringIO(self._read("relevance_long.csv"), newline=None))
+        header = next(rows, [])
+        relevant = header.index("relevant") if header else 0
+        appendix = [dict(zip(header, row)) for row in rows
+                    if len(row) > relevant and row[relevant] == "yes"]
         report = RunReport(
             counts={
                 "changes": ingest_counts["changes_matched"],

@@ -7,20 +7,27 @@ The control group defaults to the whole dataset excluding the tested
 cluster's members (disjoint groups are required for a joint ranking); a
 flag restores the literal whole-dataset control for comparison.
 
-The tests are computed column-wise: ``fixscope.context.context_matrix``
-builds the hunk x feature context matrix once, and each tested cluster's
-pooled rows are ranked in one call that yields every feature's midranks,
-tie correction and z at once.  The midranks come from ``_midranks``, a
-numpy kernel in this module that sorts each column once and gives every
-tie group the mean of the ranks it spans.
-``dunn_test`` and ``summary_stats`` are the one-column case of the same
-kernels.
+The tests are computed column-wise on the hunk x feature context matrix
+that ``fixscope.context.context_matrix`` builds.  With the exclusive
+control, every tested cluster and its control group together hold each
+hunk once, so one joint ranking of the whole matrix serves every cluster,
+as in Dunn's procedure (Dunn, "Multiple comparisons using rank sums",
+Technometrics 1964): the ranks and the tie correction are computed once
+per call, and a cluster's test needs only the sum of its members' ranks.
+The inclusive control pools the members with every hunk, so each tested
+cluster ranks its own pooled rows.  The midranks come from ``_midranks``,
+a numpy kernel in this module that sorts each column once and gives every
+tie group the mean of the ranks it spans.  Results are held as columns,
+one set per tested cluster; ``ContextRelevanceMatrix.records`` builds the
+per-feature records on request.  ``dunn_test`` and ``summary_stats`` are
+the one-column case of the same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +37,7 @@ __all__ = [
     "DunnResult",
     "SummaryStats",
     "FeatureRecord",
+    "ClusterColumns",
     "ContextRelevanceMatrix",
     "dunn_test",
     "summary_stats",
@@ -66,17 +74,48 @@ class FeatureRecord:
     summary: SummaryStats
 
 
+class ClusterColumns(NamedTuple):
+    """One tested cluster's results, one entry per feature in the order of
+    ``ContextRelevanceMatrix.features``: the rank test's z, p and
+    relevance, and the summary statistics of the members' values."""
+
+    cluster_id: object
+    z: list[float]
+    p: list[float]
+    relevant: list[bool]
+    mean: list[float]
+    cv: list[float]
+    cv_defined: list[bool]
+    quantiles: list[list[float]]  # one value per QUANTILE_LEVELS entry
+
+
 @dataclass
 class ContextRelevanceMatrix:
     """17 category rows x cluster columns, with per-feature detail."""
 
     cluster_ids: list
     cells: dict[tuple[str, object], bool] = field(default_factory=dict)
-    records: list[FeatureRecord] = field(default_factory=list)
+    features: list[str] = field(default_factory=list)
+    feature_categories: list[str] = field(default_factory=list)
+    columns: list[ClusterColumns] = field(default_factory=list)
 
     @property
     def categories(self) -> tuple[str, ...]:
         return CATEGORIES
+
+    @property
+    def records(self) -> list[FeatureRecord]:
+        """One record per tested cluster and feature, built on each access."""
+        return [
+            FeatureRecord(cluster_id=col.cluster_id, feature=feature, category=category,
+                          z=z, p=p, relevant=hit,
+                          summary=SummaryStats(mean=mean, cv=cv, cv_defined=defined,
+                                               quantiles=dict(zip(QUANTILE_LEVELS, qs))))
+            for col in self.columns
+            for feature, category, z, p, hit, mean, cv, defined, qs in zip(
+                self.features, self.feature_categories, col.z, col.p, col.relevant,
+                col.mean, col.cv, col.cv_defined, col.quantiles)
+        ]
 
     def relevant(self, category: str, cluster_id) -> bool:
         return self.cells.get((category, cluster_id), False)
@@ -107,28 +146,45 @@ def _midranks(pooled: np.ndarray) -> np.ndarray:
     return ranks.T
 
 
-def _rank_tests(pooled: np.ndarray, n1: int, alpha: float):
-    """Two-group rank test with midranks and tie correction, per column.
+def _reject_nan(values: np.ndarray, features):
+    """Raise ``ValueError`` naming the first feature (column) holding a NaN:
+    a NaN has no rank."""
+    nan_columns = np.flatnonzero(np.isnan(values).any(axis=0))
+    if nan_columns.size:
+        raise ValueError(f"feature {features[nan_columns[0]]!r} has a NaN value")
 
-    The first ``n1`` rows of ``pooled`` are the cluster, the rest the
-    control group.  Returns lists of z, p and relevance, one per column.
-    A degenerate column (every value identical, or zero rank variance)
-    gives z = 0, p = 1 and is never relevant.
-    """
-    total = pooled.shape[0]
-    ranks = _midranks(pooled)
-    mean1 = ranks[:n1].mean(axis=0)
-    mean2 = ranks[n1:].mean(axis=0)
+
+def _ties(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tie term and constant-column mask of each column of a midrank matrix
+    of N >= 2 rows."""
+    total = ranks.shape[0]
     # Tie groups of sizes t with midranks r satisfy
     #   sum(t^3 - t) = 2 N (N + 1) (2 N + 1) - 3 sum((2 r)^2),
     # and 2 r is an integer, so the tie sum is exact in int64 (N < 1.3e6).
     doubled = (2.0 * ranks).astype(np.int64)
     tie_sum = (2 * total * (total + 1) * (2 * total + 1)
                - 3 * (doubled * doubled).sum(axis=0))
-    tie_term = tie_sum.astype(np.float64) / (12.0 * (total - 1))
-    variance = (total * (total + 1) / 12.0 - tie_term) * (
-        1.0 / n1 + 1.0 / (total - n1))
-    degenerate = (pooled == pooled[0]).all(axis=0) | (variance <= 0.0)
+    # one tie group of all N values is the only way to reach N^3 - N
+    return tie_sum.astype(np.float64) / (12.0 * (total - 1)), tie_sum == total ** 3 - total
+
+
+def _rank_tests(rank_sums: np.ndarray, n1: int, total: int, tie_term: np.ndarray,
+                constant: np.ndarray, alpha: float):
+    """Two-group rank test with tie correction, per column.
+
+    ``rank_sums`` holds the cluster's n1 midranks summed per column, out of
+    a pooled ranking of ``total`` values whose ``_ties`` are given; the
+    control group holds the other ``total - n1``.  Every midrank is a
+    whole number or a half, so the sums, and the control's sums derived
+    from them, are exact.  Returns lists of z, p and relevance, one per
+    column.  A degenerate column (every value identical, or zero rank
+    variance) gives z = 0, p = 1 and is never relevant.
+    """
+    n2 = total - n1
+    mean1 = rank_sums / n1
+    mean2 = (total * (total + 1) / 2 - rank_sums) / n2
+    variance = (total * (total + 1) / 12.0 - tie_term) * (1.0 / n1 + 1.0 / n2)
+    degenerate = constant | (variance <= 0.0)
     z = np.where(degenerate, 0.0,
                  (mean1 - mean2) / np.sqrt(np.where(degenerate, 1.0, variance)))
     zs, ps, relevant = z.tolist(), [], []
@@ -139,24 +195,20 @@ def _rank_tests(pooled: np.ndarray, n1: int, alpha: float):
     return zs, ps, relevant
 
 
-def _summaries(rows: np.ndarray) -> list[SummaryStats]:
-    """Summary statistics of every row of a C-contiguous 2-D array.
+def _summaries(rows: np.ndarray):
+    """Mean, cv, cv_defined and quantile lists of every row of a
+    C-contiguous 2-D array.
 
     Contiguous rows are summed pairwise, as a 1-D array is, so each row's
-    statistics carry the same bits as a call on that row alone.
+    statistics carry the same bits as a call on that row alone.  A zero
+    mean leaves the cv undefined (NaN).
     """
-    means = rows.mean(axis=1).tolist()
-    stds = rows.std(axis=1, ddof=0).tolist()
-    quantiles = np.quantile(rows, QUANTILE_LEVELS, axis=1).T.tolist()
-    out = []
-    for mean, std, qs in zip(means, stds, quantiles):
-        if mean == 0.0:
-            cv, cv_defined = float("nan"), False
-        else:
-            cv, cv_defined = std / mean, True
-        out.append(SummaryStats(mean=mean, cv=cv, cv_defined=cv_defined,
-                                quantiles=dict(zip(QUANTILE_LEVELS, qs))))
-    return out
+    means = rows.mean(axis=1)
+    stds = rows.std(axis=1, ddof=0)
+    defined = means != 0.0
+    cvs = np.divide(stds, means, out=np.full_like(means, np.nan), where=defined)
+    quantiles = np.quantile(rows, QUANTILE_LEVELS, axis=1).T
+    return means.tolist(), cvs.tolist(), defined.tolist(), quantiles.tolist()
 
 
 def dunn_test(cluster_values, control_values, alpha: float = 0.05,
@@ -171,7 +223,10 @@ def dunn_test(cluster_values, control_values, alpha: float = 0.05,
     if group1.size == 0 or group2.size == 0:
         raise ValueError("both groups must be nonempty")
     pooled = np.concatenate([group1, group2])[:, None]
-    (z,), (p,), (relevant,) = _rank_tests(pooled, group1.size, alpha)
+    _reject_nan(pooled, [feature])
+    ranks = _midranks(pooled)
+    (z,), (p,), (relevant,) = _rank_tests(ranks[:group1.size].sum(axis=0), group1.size,
+                                          pooled.shape[0], *_ties(ranks), alpha)
     return DunnResult(feature, z, p, relevant)
 
 
@@ -180,7 +235,9 @@ def summary_stats(values) -> SummaryStats:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty sequence")
-    return _summaries(arr.reshape(1, -1))[0]
+    (mean,), (cv,), (cv_defined,), (quantiles,) = _summaries(arr.reshape(1, -1))
+    return SummaryStats(mean=mean, cv=cv, cv_defined=cv_defined,
+                        quantiles=dict(zip(QUANTILE_LEVELS, quantiles)))
 
 
 def relevance_matrix(
@@ -201,33 +258,40 @@ def relevance_matrix(
     """
     if control_mode not in ("exclusive", "inclusive"):
         raise ValueError(f"unknown control mode {control_mode!r}")
+    exclusive = control_mode == "exclusive"
     bugfix_ids = [cid for cid in sorted(clusters, key=str)
                   if triage.get(cid) == "BUG-FIX"]
     context = context_matrix({hunk: context_data[hunk] for hunk in sorted(context_data)})
-    feature_names = context.feature_names
-    result = ContextRelevanceMatrix(cluster_ids=bugfix_ids)
-    effective_alpha = alpha / len(feature_names) if (bonferroni and feature_names) else alpha
-    categories = [categorize(feature) for feature in feature_names]
+    values, features = context.values, context.feature_names
+    _reject_nan(values, features)
+    n_rows = len(context.hunk_ids)
     row_of = {hunk: i for i, hunk in enumerate(context.hunk_ids)}
+    tested = []
     for cid in bugfix_ids:
         members = [row_of[h] for h in clusters[cid] if h in row_of]
-        if not members:
-            continue
-        if control_mode == "exclusive":
-            member_set = set(members)
-            control = [i for i in range(len(row_of)) if i not in member_set]
+        if len(set(members)) < len(members):
+            raise ValueError(f"cluster {cid!r} lists a hunk more than once")
+        n_control = n_rows - len(members) if exclusive else n_rows
+        if members and n_control:
+            tested.append((cid, members))
+    result = ContextRelevanceMatrix(cluster_ids=bugfix_ids, features=features,
+                                    feature_categories=[categorize(f) for f in features])
+    effective_alpha = alpha / len(features) if (bonferroni and features) else alpha
+    if exclusive and tested:
+        # members and control partition the rows: one ranking serves all
+        ranks = _midranks(values)
+        ties = _ties(ranks)
+    for cid, members in tested:
+        n1 = len(members)
+        if exclusive:
+            total, rank_sums = n_rows, ranks[members].sum(axis=0)
         else:
-            control = list(range(len(row_of)))
-        if not control:
-            continue
-        pooled = context.values[members + control]
-        zs, ps, relevant = _rank_tests(pooled, len(members), effective_alpha)
-        summaries = _summaries(np.ascontiguousarray(pooled[:len(members)].T))
-        for feature, category, z, p, hit, summary in zip(
-                feature_names, categories, zs, ps, relevant, summaries):
-            result.records.append(FeatureRecord(
-                cluster_id=cid, feature=feature, category=category,
-                z=z, p=p, relevant=hit, summary=summary))
+            ranks = _midranks(values[members + list(range(n_rows))])
+            total, rank_sums, ties = n1 + n_rows, ranks[:n1].sum(axis=0), _ties(ranks)
+        zs, ps, relevant = _rank_tests(rank_sums, n1, total, *ties, effective_alpha)
+        result.columns.append(ClusterColumns(
+            cid, zs, ps, relevant, *_summaries(np.ascontiguousarray(values[members].T))))
+        for category, hit in zip(result.feature_categories, relevant):
             if hit:
                 result.cells[(category, cid)] = True
     return result

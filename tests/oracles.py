@@ -3,7 +3,8 @@
 Everything here is deliberately naive and kept free of the package's own
 numerics: O(n^3) agglomeration, direct-sum Pearson correlation, a
 single linkage and cophenetic walk that recompute every distance from
-the feature rows in O(n*d) memory, an explicitly coded midrank
+the feature rows in O(n*d) memory, a Prim scan that picks among the
+vertices outside the tree by index lists, an explicitly coded midrank
 computation and scipy's ranking of whole columns, a re-derivation of the
 histogram bin rule, a relevance matrix that ranks one (cluster, feature)
 pair at a time, a git source that asks git once per commit and once
@@ -104,6 +105,29 @@ def reference_row_distances(rows: np.ndarray, i: int, targets: np.ndarray) -> np
     diff = rows[targets]  # a fresh copy, so subtract in place
     diff -= rows[i]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def reference_prim_mst(distances) -> list[tuple[float, int, int]]:
+    """Prim's scan over a ``DistanceTable``, choosing each step among the
+    vertices still outside the tree by ``flatnonzero`` and fancy indexing;
+    ties go to the smallest index."""
+    table, row_of, n = distances.table, distances.row_of, distances.n
+    best = np.full(n, np.inf)
+    best_from = np.zeros(n, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    current = 0
+    edges = []
+    for _ in range(n - 1):
+        outside[current] = False
+        dists = table[row_of[current], row_of]
+        better = dists < best
+        best[better] = dists[better]
+        best_from[better] = current
+        candidates = np.flatnonzero(outside)
+        k = int(candidates[np.argmin(best[candidates])])
+        i, current = int(best_from[k]), k
+        edges.append((float(best[k]), min(i, k), max(i, k)))
+    return edges
 
 
 def reference_single_linkage_rows(rows) -> Dendrogram:

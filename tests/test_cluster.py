@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import struct
@@ -205,6 +206,43 @@ class TestSingleLinkage:
         assert dend == single_linkage_rows(pts) == oracles.reference_single_linkage_rows(pts)
 
 
+PRIM_CASES = {
+    **{name: ROW_PATH_CASES[name] for name in ("duplicate-heavy", "duplicate-heavy-2",
+                                              "all-equal")},
+    "all-tied": np.eye(40),  # every distance is sqrt(2)
+    "lattice-ties": np.array([[i % 5, i // 5 % 4] for i in range(60)], dtype=float),
+    # squares overflow: every distance between distinct rows is inf
+    "overflow": np.array([[3e200], [0.0], [1e200], [0.0], [-1e200]]),
+}
+
+
+class TestPrimScan:
+    @pytest.mark.parametrize("case", PRIM_CASES)
+    def test_edges_equal_reference_scan(self, case):
+        d = pairwise_distances(PRIM_CASES[case])
+        assert fc._prim_mst(d) == oracles.reference_prim_mst(d)
+
+
+def caterpillar(n):
+    """Gaps that widen away from the first point: every merge adds one
+    leaf to the cluster built so far."""
+    return np.cumsum(np.arange(n, dtype=float))[:, None]
+
+
+def balanced(levels):
+    """2**levels points whose merges join equal-size halves at every level."""
+    return np.array([[sum(((i >> b) & 1) * 10.0 ** b for b in range(levels))]
+                     for i in range(2 ** levels)])
+
+
+TREE_SHAPES = {
+    "caterpillar": caterpillar(60),
+    "caterpillar-reversed": caterpillar(60)[::-1],
+    "balanced": balanced(6),
+    "balanced-duplicates": np.repeat(balanced(4), 3, axis=0),
+}
+
+
 class TestCophenetic:
     def test_perfectly_ultrametric_data(self):
         # two tight pairs far apart: correlating the dendrogram with its own
@@ -253,6 +291,26 @@ class TestCophenetic:
         expected, _ = cophenet(reference, pdist(rows))
         for mine in coefficients:
             assert abs(mine - expected) < 1e-9
+
+
+    @pytest.mark.parametrize("shape", TREE_SHAPES)
+    def test_keeps_reference_bits_on_tree_shapes(self, shape):
+        rows = TREE_SHAPES[shape]
+        d = pairwise_distances(rows)
+        dend = single_linkage(d)
+        assert bits(cophenetic_coefficient(dend, d)) == \
+            bits(oracles.reference_cophenetic_rows(dend, rows))
+        # a prefix of the merges is a forest: every root gets its own slice
+        forest = fc.Dendrogram(dend.n_leaves, dend.merges[:len(dend.merges) * 2 // 3])
+        assert bits(cophenetic_coefficient(forest, d)) == \
+            bits(oracles.reference_cophenetic_rows(forest, rows))
+
+    def test_tree_shapes_cover_equal_size_merges(self):
+        for shape, expected in (("caterpillar", False), ("balanced", True)):
+            dend = single_linkage(pairwise_distances(TREE_SHAPES[shape]))
+            sizes = [1] * dend.n_leaves + [m.size for m in dend.merges]
+            ties = any(sizes[m.left] == sizes[m.right] > 1 for m in dend.merges)
+            assert ties == expected, shape
 
 
 class TestInconsistency:
@@ -386,3 +444,33 @@ class TestSampleCluster:
     def test_unknown_cluster(self):
         with pytest.raises(UnknownClusterError):
             sample_cluster(self.make_assignment(3), 99)
+
+
+def reference_dendrogram_json(dendrogram) -> str:
+    doc = {"n_leaves": dendrogram.n_leaves,
+           "merges": [{"left": m.left, "right": m.right, "height": m.height, "size": m.size}
+                      for m in dendrogram.merges]}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestDendrogramJson:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_json_dumps_on_seeded_dendrograms(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 4, size=(int(rng.integers(2, 80)), 3)) * rng.uniform(0.1, 3.0, 3)
+        dend = single_linkage(pairwise_distances(rows))
+        assert fc.dendrogram_to_json(dend) == reference_dendrogram_json(dend)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matches_json_dumps_without_merges(self, n):
+        dend = fc.Dendrogram(n, ())
+        assert fc.dendrogram_to_json(dend) == reference_dendrogram_json(dend)
+
+    def test_matches_json_dumps_on_edge_heights(self):
+        heights = [0.0, -0.0, 5e-324, 1e15, 0.1 + 0.2, math.inf, math.nan]
+        merges = [fc.Merge(left=0, right=1, height=heights[0], size=2)]
+        for k, height in enumerate(heights[1:]):
+            merges.append(fc.Merge(left=k + 2, right=len(heights) + 1 + k,
+                                   height=height, size=k + 3))
+        dend = fc.Dendrogram(len(heights) + 1, tuple(merges))
+        assert fc.dendrogram_to_json(dend) == reference_dendrogram_json(dend)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import fixscope
+import fixscope.stats
 from fixscope.cli import main as cli_main
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
@@ -436,6 +437,23 @@ class TestAnnotationsAndStats:
         summary = json.loads((out / "stats_summary.json").read_text())
         assert not summary["withheld"] and summary["bugfix_clusters"] == [live]
 
+    def test_forced_stats_stage_builds_no_feature_records(self, small_corpus, tmp_path,
+                                                          monkeypatch):
+        # relevance_long.csv is written from the columns, not from records
+        pipeline = annotated_pipeline(small_corpus, tmp_path / "out")
+        built = []
+        record = fixscope.stats.FeatureRecord
+
+        def counting_record(*args, **kwargs):
+            built.append(1)
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(fixscope.stats, "FeatureRecord", counting_record)
+        before = (tmp_path / "out" / "relevance_long.csv").read_bytes()
+        pipeline.run_stage("stats", force=True)
+        assert (tmp_path / "out" / "relevance_long.csv").read_bytes() == before
+        assert before.count(b"\n") > 1 and built == []
+
     def test_bad_annotation_label_rejected(self, small_corpus, tmp_path):
         config = small_config(small_corpus, tmp_path / "out")
         pipeline = Pipeline(config)
@@ -459,6 +477,56 @@ callers = [tracer.spans[parent][0] for name, _start, _end, parent in tracer.span
 print(json.dumps({"hunks": report.counts["hunks"], "metrics": tracer.metrics(),
                   "distance_callers": callers}))
 """
+
+
+def annotated_pipeline(manifest, out) -> Pipeline:
+    """A completed run of ``manifest``'s corpus with every cluster BUG-FIX."""
+    pipeline = Pipeline(small_config(manifest, out))
+    clusters = pipeline.run().clusters
+    assert clusters
+    (out / "annotations.csv").write_text("cluster_id,label,description\n" + "".join(
+        f"{entry['id']},BUG-FIX,planted pattern\n" for entry in clusters))
+    assert not pipeline.run().relevance_withheld
+    return pipeline
+
+
+class TestReportReads:
+    def test_blank_lines_in_hunks_are_not_counted(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        pipeline = annotated_pipeline(small_corpus, out)
+        hunks = out / "hunks.jsonl"
+        lines = hunks.read_bytes().splitlines(keepends=True)
+        hunks.write_bytes(b"\n" + b"\n\n".join(lines) + b"\r\n\n")
+        pipeline.run_stage("report", force=True)
+        assert json.loads((out / "run_report.json").read_text())["counts"]["hunks"] == \
+            len(lines)
+
+    def test_a_dropped_hunk_line_does_not_reconcile(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        pipeline = annotated_pipeline(small_corpus, out)
+        hunks = out / "hunks.jsonl"
+        hunks.write_bytes(b"".join(hunks.read_bytes().splitlines(keepends=True)[1:]))
+        with pytest.raises(StageError, match="hunk counts do not reconcile"):
+            pipeline.run_stage("report", force=True)
+
+    def test_appendix_is_the_relevant_long_table_rows(self, small_corpus, tmp_path,
+                                                      monkeypatch):
+        import fixscope.report
+
+        out = tmp_path / "out"
+        pipeline = annotated_pipeline(small_corpus, out)
+        appendices = []
+        render = fixscope.report.render_report
+
+        def capture(report, tested, rows, appendix):
+            appendices.append(appendix)
+            return render(report, tested, rows, appendix)
+
+        monkeypatch.setattr(fixscope.report, "render_report", capture)
+        pipeline.run_stage("report", force=True)
+        with (out / "relevance_long.csv").open(newline="") as handle:
+            expected = [row for row in csv.DictReader(handle) if row["relevant"] == "yes"]
+        assert expected and appendices == [expected]
 
 
 def run_python(code: str, *args: str, paths=()) -> dict:

@@ -276,7 +276,8 @@ class TestColumnwiseRelevance:
                         degenerate += sum(r.p == 1.0 for r in matrix.records)
         assert relevant and degenerate
 
-    def test_ranks_once_per_tested_cluster(self, monkeypatch):
+    def test_ranks_once_per_run(self, monkeypatch):
+        # exclusive: one joint ranking per call; inclusive: one per tested cluster
         calls = []
         real_midranks = fixscope.stats._midranks
 
@@ -288,9 +289,33 @@ class TestColumnwiseRelevance:
         rng = random.Random(11)
         context = sparse_context(rng, 40, False)
         clusters, triage = sparse_clusters(rng, context)
-        matrix = relevance_matrix(clusters, triage, context)
-        tested = {r.cluster_id for r in matrix.records}
         n_features = len({f for values in context.values() for f in values})
-        assert len(tested) == 6 and n_features > 1
-        assert len(matrix.records) == len(tested) * n_features
-        assert len(calls) == len(tested)
+        assert n_features > 1
+        for control_mode, n_tested, n_rankings in (("exclusive", 6, 1), ("inclusive", 7, 7)):
+            calls.clear()
+            matrix = relevance_matrix(clusters, triage, context, control_mode=control_mode)
+            tested = {r.cluster_id for r in matrix.records}
+            assert len(tested) == n_tested
+            assert len(matrix.records) == len(tested) * n_features
+            assert len(calls) == n_rankings
+
+
+class TestRejectedInputs:
+    def test_nan_in_dunn_test_names_the_feature(self):
+        with pytest.raises(ValueError, match="'ctx_Module_size'.*NaN"):
+            dunn_test([math.nan, 1.0, 2.0], [2.0, 3.0, 4.0], feature="ctx_Module_size")
+
+    @pytest.mark.parametrize("control_mode", ["exclusive", "inclusive"])
+    def test_nan_in_context_names_the_feature(self, control_mode):
+        context = make_context(10, lambda i: float(i))
+        context["h3"]["ctx_including_If"] = math.nan
+        with pytest.raises(ValueError, match="'ctx_including_If'.*NaN"):
+            relevance_matrix({1: ("h0", "h1")}, {1: "BUG-FIX"}, context,
+                             control_mode=control_mode)
+
+    @pytest.mark.parametrize("control_mode", ["exclusive", "inclusive"])
+    def test_cluster_listing_a_hunk_twice_rejected(self, control_mode):
+        context = make_context(10, lambda i: float(i))
+        with pytest.raises(ValueError, match="more than once"):
+            relevance_matrix({1: ("h0", "h1", "h0")}, {1: "BUG-FIX"}, context,
+                             control_mode=control_mode)
