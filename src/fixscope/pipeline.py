@@ -14,7 +14,8 @@ A stage is current while its manifest matches the config and every file
 it names still hashes the same, so a truncated or hand-edited artifact
 makes its stage, and each stage that read it, rerun; interrupted runs
 resume from the last valid checkpoint.  ``config.json`` is written only
-when a stage runs.  All artifacts are deterministic functions of
+when a stage runs, once per ``Pipeline``: by the first stage it runs.
+All artifacts are deterministic functions of
 (config, cached inputs, annotations): no timestamps, sorted keys,
 repr-formatted floats.
 """
@@ -137,8 +138,14 @@ class PipelineConfig:
     cache_dir: str = ""
 
     def __post_init__(self):
+        if self.version != "1":
+            raise ValueError(f"unknown config version {self.version!r}")
         if self.source_mode not in ("git", "gerrit"):
             raise ValueError(f"unknown source_mode {self.source_mode!r}")
+        if self.control_mode not in ("exclusive", "inclusive"):
+            raise ValueError(f"unknown control_mode {self.control_mode!r}")
+        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         self.projects = tuple(self.projects)
         self.branches = tuple(self.branches)
         self.keywords = tuple(self.keywords)
@@ -206,10 +213,16 @@ def _manifest(stage: str) -> str:
 
 
 def _parse_annotations(text: str) -> dict[int, dict]:
-    """cluster_id -> {label, description}; a row with an unknown label
-    raises ``ValueError``."""
+    """cluster_id -> {label, description}; a missing column or a row with
+    an unknown label raises ``ValueError``.  A leading UTF-8 byte order
+    mark, which spreadsheet tools write, is ignored."""
+    rows = csv.DictReader(io.StringIO(text.removeprefix("\ufeff"), newline=None))
+    for name in ("cluster_id", "label"):
+        # an empty file has no header and no rows
+        if rows.fieldnames is not None and name not in rows.fieldnames:
+            raise ValueError(f"annotations lack a {name!r} column")
     annotations = {}
-    for row in _csv_records(text):
+    for row in rows:
         # a row shorter than the header reads its missing cells as None
         label = (row["label"] or "").strip().upper()
         fc.TriageLabel(label)  # validates
@@ -220,10 +233,21 @@ def _parse_annotations(text: str) -> dict[int, dict]:
     return annotations
 
 
+def _relevant_cells(matrix: fstats.ContextRelevanceMatrix) -> set[tuple[str, object]]:
+    """(category, cluster id) of each category that holds a relevant
+    feature of a tested cluster: one pass over each column's ``relevant``
+    list, so a cell's mark is a set lookup."""
+    return {(category, col.cluster_id) for col in matrix.columns
+            for category, hit in zip(matrix.feature_categories, col.relevant) if hit}
+
+
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.output_dir)
+        # the config is fixed for this pipeline's life: every manifest, every
+        # currency check and the report echo the one dict built here
+        self._config_doc = config.to_dict()
         # artifact name -> sha256 of what the running stage read (None for
         # an absent file), and of what this pipeline last wrote
         self._reads: dict[str, str | None] = {}
@@ -274,7 +298,7 @@ class Pipeline:
         self._writes[name] = _digest(data)
 
     def _trace(self, stage: str, inputs: dict, outputs: dict) -> dict:
-        return {"stage": stage, "config": self.config.to_dict(),
+        return {"stage": stage, "config": self._config_doc,
                 "inputs": inputs, "outputs": outputs}
 
     def _is_current(self, stage: str) -> bool:
@@ -319,7 +343,8 @@ class Pipeline:
         # a crash below must not leave the previous run's seal vouching
         # for half-written artifacts
         (self.out / _manifest(stage)).unlink(missing_ok=True)
-        self._write("config.json", _json_dumps(self.config.to_dict()))
+        if "config.json" not in self._writes:  # the first stage this pipeline runs
+            self._write("config.json", _json_dumps(self._config_doc))
         self._reads = {}
         expected = STAGE_ARTIFACTS[stage]
         try:
@@ -538,8 +563,9 @@ class Pipeline:
             matrix = fstats.relevance_matrix(
                 clusters, triage, context_data, alpha=cfg.alpha,
                 control_mode=cfg.control_mode, bonferroni=cfg.bonferroni)
+            marked = _relevant_cells(matrix)
             matrix_rows = [["category"] + [str(c) for c in matrix.cluster_ids]] + [
-                [category] + ["yes" if matrix.relevant(category, cid) else ""
+                [category] + ["yes" if (category, cid) in marked else ""
                               for cid in matrix.cluster_ids]
                 for category in CATEGORIES]
             for col in matrix.columns:
@@ -596,7 +622,7 @@ class Pipeline:
             clusters=cluster_rows,
             category_distribution=category_distribution,
             relevance_withheld=self._read_json("stats_summary.json")["withheld"],
-            config=self.config.to_dict(),
+            config=self._config_doc,
             taxonomy_checksum=taxonomy_checksum(),
             category_table_checksum=category_table_checksum(),
         )

@@ -17,10 +17,11 @@ per call, and a cluster's test needs only the sum of its members' ranks.
 The inclusive control pools the members with every hunk, so each tested
 cluster ranks its own pooled rows.  The midranks come from ``_midranks``,
 a numpy kernel in this module that sorts each column once and gives every
-tie group the mean of the ranks it spans.  Results are held as columns,
-one set per tested cluster; ``ContextRelevanceMatrix.records`` builds the
-per-feature records on request.  ``dunn_test`` and ``summary_stats`` are
-the one-column case of the same kernels.
+tie group the mean of the ranks it spans.  The result is held as columns
+only, one ``ClusterColumns`` per tested cluster; a caller that needs a
+category's mark derives it from a column's ``relevant`` list and the
+matrix's ``feature_categories``.  ``dunn_test`` is the one-column entry
+point to the same kernels.
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fixscope.context import CATEGORIES, categorize, context_matrix
+from fixscope.context import categorize, context_matrix
 
 __all__ = [
     "DunnResult",
-    "SummaryStats",
-    "FeatureRecord",
     "ClusterColumns",
     "ContextRelevanceMatrix",
     "dunn_test",
-    "summary_stats",
     "relevance_matrix",
 ]
 
@@ -53,25 +51,6 @@ class DunnResult:
     z: float
     p: float
     relevant: bool
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    cv: float
-    cv_defined: bool
-    quantiles: dict[float, float]
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    cluster_id: object
-    feature: str
-    category: str
-    z: float
-    p: float
-    relevant: bool
-    summary: SummaryStats
 
 
 class ClusterColumns(NamedTuple):
@@ -91,34 +70,13 @@ class ClusterColumns(NamedTuple):
 
 @dataclass
 class ContextRelevanceMatrix:
-    """17 category rows x cluster columns, with per-feature detail."""
+    """The BUG-FIX cluster ids, the context features with their categories,
+    and one ``ClusterColumns`` per tested cluster, in ``cluster_ids`` order."""
 
     cluster_ids: list
-    cells: dict[tuple[str, object], bool] = field(default_factory=dict)
-    features: list[str] = field(default_factory=list)
-    feature_categories: list[str] = field(default_factory=list)
+    features: list[str]
+    feature_categories: list[str]
     columns: list[ClusterColumns] = field(default_factory=list)
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return CATEGORIES
-
-    @property
-    def records(self) -> list[FeatureRecord]:
-        """One record per tested cluster and feature, built on each access."""
-        return [
-            FeatureRecord(cluster_id=col.cluster_id, feature=feature, category=category,
-                          z=z, p=p, relevant=hit,
-                          summary=SummaryStats(mean=mean, cv=cv, cv_defined=defined,
-                                               quantiles=dict(zip(QUANTILE_LEVELS, qs))))
-            for col in self.columns
-            for feature, category, z, p, hit, mean, cv, defined, qs in zip(
-                self.features, self.feature_categories, col.z, col.p, col.relevant,
-                col.mean, col.cv, col.cv_defined, col.quantiles)
-        ]
-
-    def relevant(self, category: str, cluster_id) -> bool:
-        return self.cells.get((category, cluster_id), False)
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:
@@ -230,16 +188,6 @@ def dunn_test(cluster_values, control_values, alpha: float = 0.05,
     return DunnResult(feature, z, p, relevant)
 
 
-def summary_stats(values) -> SummaryStats:
-    """Mean, coefficient of variation, and linear-interpolation quantiles."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empty sequence")
-    (mean,), (cv,), (cv_defined,), (quantiles,) = _summaries(arr.reshape(1, -1))
-    return SummaryStats(mean=mean, cv=cv, cv_defined=cv_defined,
-                        quantiles=dict(zip(QUANTILE_LEVELS, quantiles)))
-
-
 def relevance_matrix(
     clusters: dict,
     triage: dict,
@@ -253,8 +201,9 @@ def relevance_matrix(
     ``clusters`` maps cluster id to member hunk ids, ``triage`` maps
     cluster id to a triage label string, and ``context_data`` maps hunk id
     to its flattened context features.  Only clusters triaged BUG-FIX are
-    tested; a category cell is true when any of its member features is
-    relevant.
+    tested; a BUG-FIX cluster with no member in ``context_data``, or no
+    hunk left for its control group, is listed in ``cluster_ids`` but has
+    no column.
     """
     if control_mode not in ("exclusive", "inclusive"):
         raise ValueError(f"unknown control mode {control_mode!r}")
@@ -291,7 +240,4 @@ def relevance_matrix(
         zs, ps, relevant = _rank_tests(rank_sums, n1, total, *ties, effective_alpha)
         result.columns.append(ClusterColumns(
             cid, zs, ps, relevant, *_summaries(np.ascontiguousarray(values[members].T))))
-        for category, hit in zip(result.feature_categories, relevant):
-            if hit:
-                result.cells[(category, cid)] = True
     return result

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import fixscope
-import fixscope.stats
 from fixscope.cli import main as cli_main
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
@@ -67,6 +66,21 @@ class TestConfig:
                     {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"control_mode": "bogus"}, "control_mode 'bogus'"),
+        ({"alpha": 5.0}, "alpha"), ({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
+        ({"alpha": math.nan}, "alpha"), ({"alpha": "0.05"}, "alpha"),
+        ({"version": "7"}, "version '7'"),
+    ])
+    def test_bad_values_rejected_at_load(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict(doc)
+
+    def test_accepted_values_load(self):
+        for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
+                    {"version": "1"}):
+            PipelineConfig.from_dict(doc)
 
 
 class TestDemoCorpus:
@@ -251,6 +265,39 @@ class TestCheckpointing:
         changed = small_config(small_corpus, tmp_path / "out", w_type=1e3)
         Pipeline(changed).run()
         assert (tmp_path / "out" / "feature_matrix.csv").stat().st_mtime_ns != stamp
+
+    def test_forced_op_writes_config_once_from_one_config_dict(self, small_corpus,
+                                                               tmp_path, monkeypatch):
+        # the recluster loop: forced cluster, stats and report on one pipeline
+        out = tmp_path / "out"
+        config = annotated_pipeline(small_corpus, out).config
+        manifests = {stage: (out / f"{stage}.manifest.json").read_bytes()
+                     for stage in STAGES}
+        replaced, dicts = [], []
+        real_replace, real_to_dict = os.replace, PipelineConfig.to_dict
+
+        def counting_replace(src, dst, *args, **kwargs):
+            replaced.append(Path(dst).name)
+            return real_replace(src, dst, *args, **kwargs)
+
+        def counting_to_dict(self):
+            dicts.append(1)
+            return real_to_dict(self)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        monkeypatch.setattr(PipelineConfig, "to_dict", counting_to_dict)
+        pipeline = Pipeline(config)
+        assert not replaced  # construction writes nothing
+        for stage in ("cluster", "stats", "report"):
+            pipeline.run_stage(stage, force=True)
+        assert replaced.count("config.json") == 1 and len(dicts) == 1
+        assert {stage: (out / f"{stage}.manifest.json").read_bytes()
+                for stage in STAGES} == manifests
+        # a run where every stage is current builds the dict once, writes nothing
+        replaced.clear()
+        dicts.clear()
+        Pipeline(config).run()
+        assert replaced == [] and len(dicts) == 1
 
     def test_crash_on_forced_rerun_leaves_no_valid_manifest(self, small_corpus, tmp_path,
                                                             monkeypatch):
@@ -437,22 +484,15 @@ class TestAnnotationsAndStats:
         summary = json.loads((out / "stats_summary.json").read_text())
         assert not summary["withheld"] and summary["bugfix_clusters"] == [live]
 
-    def test_forced_stats_stage_builds_no_feature_records(self, small_corpus, tmp_path,
-                                                          monkeypatch):
-        # relevance_long.csv is written from the columns, not from records
-        pipeline = annotated_pipeline(small_corpus, tmp_path / "out")
-        built = []
-        record = fixscope.stats.FeatureRecord
-
-        def counting_record(*args, **kwargs):
-            built.append(1)
-            return record(*args, **kwargs)
-
-        monkeypatch.setattr(fixscope.stats, "FeatureRecord", counting_record)
-        before = (tmp_path / "out" / "relevance_long.csv").read_bytes()
-        pipeline.run_stage("stats", force=True)
-        assert (tmp_path / "out" / "relevance_long.csv").read_bytes() == before
-        assert before.count(b"\n") > 1 and built == []
+    def test_annotations_with_a_byte_order_mark_are_tested(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        annotated_pipeline(small_corpus, out)
+        annotations = out / "annotations.csv"
+        relevance = (out / "relevance_long.csv").read_bytes()
+        annotations.write_bytes(b"\xef\xbb\xbf" + annotations.read_bytes())
+        pipeline = Pipeline(small_config(small_corpus, out))
+        assert not pipeline.run().relevance_withheld
+        assert (out / "relevance_long.csv").read_bytes() == relevance
 
     def test_bad_annotation_label_rejected(self, small_corpus, tmp_path):
         config = small_config(small_corpus, tmp_path / "out")
@@ -744,6 +784,39 @@ class TestCli:
         assert Pipeline(PipelineConfig(output_dir=str(out))).load_annotations() == {
             7: {"label": "BUG-FIX", "description": ""}}
 
+    def test_annotations_with_a_byte_order_mark_are_installed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        notes = tmp_path / "notes.csv"
+        notes.write_bytes(b"\xef\xbb\xbfcluster_id,label,description\r\n7,BUG-FIX,x\r\n")
+        assert cli_main(["annotate", "--file", str(notes), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "annotations.csv").read_bytes() == notes.read_bytes()
+        assert Pipeline(PipelineConfig(output_dir=str(out))).load_annotations() == {
+            7: {"label": "BUG-FIX", "description": "x"}}
+
+    @pytest.mark.parametrize("header, missing", [
+        ("id,label,description", "cluster_id"), ("cluster_id,triage", "label")])
+    def test_annotations_missing_a_column_name_it(self, tmp_path, capsys, header,
+                                                  missing):
+        out = tmp_path / "out"
+        notes = tmp_path / "notes.csv"
+        notes.write_text(f"{header}\n7,BUG-FIX,x\n")
+        assert cli_main(["annotate", "--file", str(notes), "--out", str(out)]) == 1
+        assert f"{missing!r} column" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, doc", [
+        (["--alpha", "5"], {}), ([], {"control_mode": "bogus"})])
+    def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
+                                                 args, doc):
+        out = tmp_path / "out"
+        config_path = tmp_path / "fixscope.json"
+        config_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(config_path), "--source",
+                         small_corpus["repo"], "--out", str(out)] + args) == 1
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_full_run_and_sample(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["--mode", "git", "--source", small_corpus["repo"],
@@ -772,3 +845,17 @@ class TestCli:
                          "--dest", str(tmp_path / "exp")] + args) == 0
         capsys.readouterr()
         assert (tmp_path / "exp" / "relevance_matrix.csv").exists()
+
+
+class TestPublicNames:
+    def test_every_name_in_a_modules_all_exists(self):
+        import importlib
+        import pkgutil
+
+        listed = 0
+        for module_info in pkgutil.iter_modules(fixscope.__path__):
+            module = importlib.import_module(f"fixscope.{module_info.name}")
+            names = getattr(module, "__all__", ())
+            assert [n for n in names if not hasattr(module, n)] == [], module.__name__
+            listed += len(names)
+        assert listed

@@ -10,12 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fixscope.stats
-from fixscope.stats import (
-    ContextRelevanceMatrix,
-    dunn_test,
-    relevance_matrix,
-    summary_stats,
-)
+from fixscope.context import CATEGORIES
+from fixscope.pipeline import _relevant_cells
+from fixscope.stats import QUANTILE_LEVELS, dunn_test, relevance_matrix
 
 import oracles
 
@@ -127,26 +124,34 @@ class TestMidranks:
         assert np.array_equal(ranks, oracles.reference_midranks(matrix), equal_nan=True)
 
 
+def summarize(values):
+    """(mean, cv, cv_defined, quantiles) of ``_summaries`` on one row."""
+    (mean,), (cv,), (cv_defined,), (quantiles,) = fixscope.stats._summaries(
+        np.array([values], dtype=np.float64))
+    return mean, cv, cv_defined, quantiles
+
+
 class TestSummaryStats:
     def test_constant_sequence(self):
-        stats = summary_stats([5.0, 5.0, 5.0])
-        assert stats.mean == 5.0
-        assert stats.cv == 0.0
-        assert stats.cv_defined
+        mean, cv, cv_defined, _ = summarize([5.0, 5.0, 5.0])
+        assert mean == 5.0
+        assert cv == 0.0
+        assert cv_defined
 
     def test_zero_mean_flags_cv_undefined(self):
-        stats = summary_stats([0.0, 0.0])
-        assert stats.mean == 0.0
-        assert not stats.cv_defined
-        assert math.isnan(stats.cv)
+        mean, cv, cv_defined, _ = summarize([0.0, 0.0])
+        assert mean == 0.0
+        assert not cv_defined
+        assert math.isnan(cv)
 
     def test_linear_interpolation_median(self):
-        stats = summary_stats([1.0, 2.0, 3.0, 4.0])
-        assert stats.quantiles[0.50] == pytest.approx(2.5)
+        quantiles = summarize([1.0, 2.0, 3.0, 4.0])[3]
+        assert quantiles[QUANTILE_LEVELS.index(0.50)] == pytest.approx(2.5)
 
     def test_quantile_keys(self):
-        stats = summary_stats([1.0, 2.0])
-        assert sorted(stats.quantiles) == [0.05, 0.25, 0.50, 0.75, 0.95]
+        assert QUANTILE_LEVELS == (0.05, 0.25, 0.50, 0.75, 0.95)
+        assert summarize([1.0, 2.0])[3] == pytest.approx(
+            [1.0 + level for level in QUANTILE_LEVELS])
 
 
 def make_context(n, feature_value):
@@ -166,7 +171,8 @@ class TestRelevanceMatrix:
         clusters = {1: tuple(context)}
         triage = {1: "BUG-FIX"}
         matrix = relevance_matrix(clusters, triage, context, control_mode="inclusive")
-        assert all(not r.relevant for r in matrix.records)
+        assert [col.cluster_id for col in matrix.columns] == [1]
+        assert not any(matrix.columns[0].relevant)
 
     def test_planted_deviation_marks_function_size(self):
         # cluster members sit in huge function bodies vs a small-body control
@@ -175,7 +181,7 @@ class TestRelevanceMatrix:
         context = {h: {"ctx_FunctionDef_body_size": v} for h, v in values.items()}
         clusters = {9: tuple(f"big{i}" for i in range(12))}
         matrix = relevance_matrix(clusters, {9: "BUG-FIX"}, context)
-        assert matrix.relevant("Function Size", 9)
+        assert ("Function Size", 9) in _relevant_cells(matrix)
 
     def test_only_bugfix_clusters_tested(self):
         context = make_context(20, lambda i: float(i))
@@ -183,17 +189,14 @@ class TestRelevanceMatrix:
         triage = {1: "REFACTORING", 2: "BUG-FIX"}
         matrix = relevance_matrix(clusters, triage, context)
         assert matrix.cluster_ids == [2]
-        assert all(r.cluster_id == 2 for r in matrix.records)
-
-    def test_category_cell_is_or_of_members(self):
-        matrix = ContextRelevanceMatrix(cluster_ids=[1])
-        assert not matrix.relevant("Function Size", 1)
-        matrix.cells[("Function Size", 1)] = True
-        assert matrix.relevant("Function Size", 1)
+        assert [col.cluster_id for col in matrix.columns] == [2]
 
     def test_seventeen_rows_available(self):
-        matrix = ContextRelevanceMatrix(cluster_ids=[])
-        assert len(matrix.categories) == 17
+        # every feature's category is one of the 17 rows of the matrix
+        context = make_context(20, lambda i: float(i))
+        matrix = relevance_matrix({1: ("h0", "h1")}, {1: "BUG-FIX"}, context)
+        assert len(CATEGORIES) == 17
+        assert matrix.feature_categories and set(matrix.feature_categories) <= set(CATEGORIES)
 
 
 ORACLE_FEATURES = ("ctx_Module_size", "ctx_FunctionDef_body_size",
@@ -240,16 +243,23 @@ def sparse_clusters(rng, context):
 
 
 def assert_matches_per_feature(matrix, reference):
+    """Every column entry equals the oracle's record by ``repr``, and the
+    marks derived from the columns are the oracle's cells."""
     cluster_ids, records, cells = reference
     assert matrix.cluster_ids == cluster_ids
-    assert len(matrix.records) == len(records)
-    for mine, expected in zip(matrix.records, records):
-        s = mine.summary
-        got = (mine.cluster_id, mine.feature, mine.category, mine.z, mine.p,
-               mine.relevant, (s.mean, s.cv, s.cv_defined, s.quantiles))
-        for field_got, field_expected in zip(got, expected):
-            assert repr(field_got) == repr(field_expected), (got, expected)
-    assert matrix.cells == cells
+    got = [(col.cluster_id, feature, category, z, p, hit,
+            (mean, cv, defined, dict(zip(QUANTILE_LEVELS, quantiles))))
+           for col in matrix.columns
+           for feature, category, z, p, hit, mean, cv, defined, quantiles in zip(
+               matrix.features, matrix.feature_categories, col.z, col.p, col.relevant,
+               col.mean, col.cv, col.cv_defined, col.quantiles)]
+    assert len(got) == len(records)
+    assert all(len(column) == len(matrix.features)
+               for col in matrix.columns for column in col[1:])
+    for mine, expected in zip(got, records):
+        for field_got, field_expected in zip(mine, expected):
+            assert repr(field_got) == repr(field_expected), (mine, expected)
+    assert _relevant_cells(matrix) == set(cells)
 
 
 class TestColumnwiseRelevance:
@@ -268,12 +278,12 @@ class TestColumnwiseRelevance:
                         assert_matches_per_feature(matrix, oracles.per_feature_relevance(
                             clusters, triage, context, control_mode=control_mode,
                             bonferroni=bonferroni))
-                        tested = {r.cluster_id for r in matrix.records}
+                        tested = {col.cluster_id for col in matrix.columns}
                         # the all-hunk cluster has no exclusive control group
                         assert (8 in tested) == (control_mode == "inclusive")
                         assert 9 not in tested and 11 not in tested
-                        relevant += sum(r.relevant for r in matrix.records)
-                        degenerate += sum(r.p == 1.0 for r in matrix.records)
+                        relevant += sum(sum(col.relevant) for col in matrix.columns)
+                        degenerate += sum(col.p.count(1.0) for col in matrix.columns)
         assert relevant and degenerate
 
     def test_ranks_once_per_run(self, monkeypatch):
@@ -294,9 +304,9 @@ class TestColumnwiseRelevance:
         for control_mode, n_tested, n_rankings in (("exclusive", 6, 1), ("inclusive", 7, 7)):
             calls.clear()
             matrix = relevance_matrix(clusters, triage, context, control_mode=control_mode)
-            tested = {r.cluster_id for r in matrix.records}
-            assert len(tested) == n_tested
-            assert len(matrix.records) == len(tested) * n_features
+            assert len({col.cluster_id for col in matrix.columns}) == n_tested
+            assert len(matrix.features) == n_features
+            assert all(len(col.z) == n_features for col in matrix.columns)
             assert len(calls) == n_rankings
 
 
