@@ -11,7 +11,7 @@ import logging
 import sys
 from pathlib import Path
 
-from fixscope.cluster import ClusterAssignment, sample_cluster
+from fixscope.cluster import sample_cluster
 from fixscope.pipeline import (
     STAGES,
     MissingCheckpointError,
@@ -126,11 +126,8 @@ def main(argv=None) -> int:
             Pipeline(config).run_stage(args.command, force=args.force)
             print(f"stage {args.command} complete")
         elif args.command == "sample":
-            pipeline = Pipeline(config)
-            clusters = pipeline.load_clusters()
-            assignment = ClusterAssignment(clusters=clusters)
-            for hunk_id in sample_cluster(assignment, args.cluster,
-                                          n=args.n, seed=config.seed):
+            clusters = Pipeline(config).load_clusters()
+            for hunk_id in sample_cluster(clusters, args.cluster, n=args.n, seed=config.seed):
                 print(hunk_id)
         elif args.command == "annotate":
             target = Pipeline(config).install_annotations(args.file)

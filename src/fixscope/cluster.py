@@ -365,11 +365,12 @@ def cut_clusters(
     return result
 
 
-def sample_cluster(assignment: ClusterAssignment, cluster_id: int,
-                   n: int = 5, seed: int = 0) -> list:
-    """Uniform sample without replacement, deterministic under the seed."""
+def sample_cluster(clusters: dict, cluster_id: int, n: int = 5, seed: int = 0) -> list:
+    """Uniform sample without replacement of a cluster's members, as
+    ``clusters`` (cluster id -> member ids) lists them; deterministic under
+    the seed."""
     try:
-        members = assignment.clusters[cluster_id]
+        members = clusters[cluster_id]
     except KeyError:
         raise UnknownClusterError(cluster_id) from None
     ordered = sorted(members)

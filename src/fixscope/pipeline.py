@@ -95,6 +95,10 @@ STAGE_ARTIFACTS = {
     "report": ("run_report.json", "report.md"),
 }
 
+# why a BUG-FIX cluster got no column, as stats_summary.json and report.md say it
+NO_CONTROL_GROUP = "it holds every hunk, so its exclusive control group is empty"
+
+
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -213,9 +217,10 @@ def _manifest(stage: str) -> str:
 
 
 def _parse_annotations(text: str) -> dict[int, dict]:
-    """cluster_id -> {label, description}; a missing column or a row with
-    an unknown label raises ``ValueError``.  A leading UTF-8 byte order
-    mark, which spreadsheet tools write, is ignored."""
+    """cluster_id -> {label, description}; a missing column, a row with
+    an unknown label or a cluster id named twice (``040`` and ``40`` are
+    one id) raises ``ValueError``.  A leading UTF-8 byte order mark, which
+    spreadsheet tools write, is ignored."""
     rows = csv.DictReader(io.StringIO(text.removeprefix("\ufeff"), newline=None))
     for name in ("cluster_id", "label"):
         # an empty file has no header and no rows
@@ -226,7 +231,10 @@ def _parse_annotations(text: str) -> dict[int, dict]:
         # a row shorter than the header reads its missing cells as None
         label = (row["label"] or "").strip().upper()
         fc.TriageLabel(label)  # validates
-        annotations[int(row["cluster_id"])] = {
+        cid = int(row["cluster_id"])
+        if cid in annotations:
+            raise ValueError(f"annotations name cluster {cid} more than once")
+        annotations[cid] = {
             "label": label,
             "description": (row.get("description") or "").strip(),
         }
@@ -526,8 +534,8 @@ class Pipeline:
 
     def load_annotations(self) -> dict[int, dict]:
         """cluster_id -> {label, description} from the installed
-        ``annotations.csv`` ({} when there is none).  A row with an
-        unknown label raises ``ValueError``."""
+        ``annotations.csv`` ({} when there is none).  A file that
+        ``_parse_annotations`` rejects raises ``ValueError``."""
         text = self._read("annotations.csv", missing_ok=True)
         return {} if text is None else _parse_annotations(text)
 
@@ -540,35 +548,50 @@ class Pipeline:
         return self.out / "annotations.csv"
 
     def _stage_stats(self) -> dict[str, str]:
+        """Test the annotated BUG-FIX clusters that still exist.  This is
+        the one place that picks the clusters to test; ``relevance_matrix``
+        tests exactly the groups it is given."""
         cfg = self.config
         clusters = self.load_clusters()
-        triage = {cid: meta["label"] for cid, meta in self.load_annotations().items()}
-        bugfix = [cid for cid, label in triage.items() if label == "BUG-FIX"]
+        bugfix = [cid for cid, meta in self.load_annotations().items()
+                  if meta["label"] == "BUG-FIX"]
         # cluster ids are dendrogram node ids, so a re-cluster can leave an
         # annotation naming a cluster that no longer exists
         stale = sorted(cid for cid in bugfix if cid not in clusters)
         if stale:
             logger.warning("annotations.csv marks BUG-FIX clusters absent from "
                            "cluster_assignment.csv, not tested: %s", stale)
-            bugfix = [cid for cid in bugfix if cid in clusters]
-        summary = {"withheld": not bugfix, "alpha": cfg.alpha,
-                   "control_mode": cfg.control_mode, "bonferroni": cfg.bonferroni,
-                   "bugfix_clusters": sorted(bugfix)}
-        matrix_rows = [["category"]]
-        long_rows = [["cluster_id", "feature", "category", "z", "p", "relevant",
-                      "mean", "cv", "q05", "q25", "q50", "q75", "q95"]]
-        if bugfix:
+        groups = {cid: clusters[cid] for cid in sorted(bugfix, key=str) if cid in clusters}
+        columns, untested = [], []
+        if groups:
             context_data = {doc["hunk_id"]: doc["features"]
                             for doc in self._read_jsonl("context_vectors.jsonl")}
             matrix = fstats.relevance_matrix(
-                clusters, triage, context_data, alpha=cfg.alpha,
+                groups, context_data, alpha=cfg.alpha,
                 control_mode=cfg.control_mode, bonferroni=cfg.bonferroni)
+            columns = matrix.columns
+            # the only group that gets no column is one left without a
+            # control hunk: in exclusive mode, a cluster holding every hunk
+            untested = sorted(groups.keys() - {col.cluster_id for col in columns})
+            if untested:
+                logger.warning("annotations.csv marks BUG-FIX clusters that hold every "
+                               "hunk, so their exclusive control group is empty, not "
+                               "tested: %s", untested)
+        tested = [col.cluster_id for col in columns]
+        summary = {"withheld": not tested, "alpha": cfg.alpha,
+                   "control_mode": cfg.control_mode, "bonferroni": cfg.bonferroni,
+                   "bugfix_clusters": sorted(tested)}
+        if untested:  # the key appears only then, so every other summary keeps its bytes
+            summary["untested"] = {str(cid): NO_CONTROL_GROUP for cid in untested}
+        matrix_rows = [["category"]]
+        long_rows = [["cluster_id", "feature", "category", "z", "p", "relevant",
+                      "mean", "cv", "q05", "q25", "q50", "q75", "q95"]]
+        if tested:
             marked = _relevant_cells(matrix)
-            matrix_rows = [["category"] + [str(c) for c in matrix.cluster_ids]] + [
-                [category] + ["yes" if (category, cid) in marked else ""
-                              for cid in matrix.cluster_ids]
+            matrix_rows = [["category"] + [str(cid) for cid in tested]] + [
+                [category] + ["yes" if (category, cid) in marked else "" for cid in tested]
                 for category in CATEGORIES]
-            for col in matrix.columns:
+            for col in columns:
                 long_rows.extend(
                     [col.cluster_id, feature, category, repr(z), repr(p),
                      "yes" if hit else "no", repr(mean), repr(cv) if defined else "",
@@ -597,6 +620,7 @@ class Pipeline:
         cluster_rows = [{"id": cid, "size": len(members), **annotations.get(cid, unreviewed)}
                         for cid, members in sorted(clusters.items())]
         relevance = self._read_csv("relevance_matrix.csv")
+        stats_summary = self._read_json("stats_summary.json")
         relevance_rows = [list(record.values()) for record in relevance]
         category_distribution = {category: 0 for category in CATEGORIES}
         for row in relevance_rows:
@@ -621,14 +645,15 @@ class Pipeline:
             cutoff=clustering["cutoff"],
             clusters=cluster_rows,
             category_distribution=category_distribution,
-            relevance_withheld=self._read_json("stats_summary.json")["withheld"],
+            relevance_withheld=stats_summary["withheld"],
             config=self._config_doc,
             taxonomy_checksum=taxonomy_checksum(),
             category_table_checksum=category_table_checksum(),
         )
         return {
             "run_report.json": _json_dumps(report.to_dict()),
-            "report.md": render_report(report, tested, relevance_rows, appendix),
+            "report.md": render_report(report, tested, relevance_rows, appendix,
+                                       stats_summary.get("untested", {})),
         }
 
 

@@ -19,8 +19,9 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def render_report(report: RunReport, relevance_clusters: list[str],
                   relevance_rows: list[list[str]],
-                  appendix_rows: list[dict]) -> str:
-    """Self-contained markdown document for one pipeline run."""
+                  appendix_rows: list[dict], untested: dict[str, str]) -> str:
+    """Self-contained markdown document for one pipeline run.  ``untested``
+    maps each BUG-FIX cluster that could not be tested to the reason."""
     lines = ["# fixscope run report", ""]
 
     lines.append("## Corpus counts")
@@ -68,7 +69,8 @@ def render_report(report: RunReport, relevance_clusters: list[str],
     lines.append("## Context relevance")
     lines.append("")
     if report.relevance_withheld:
-        lines.append("Withheld: no cluster is triaged BUG-FIX yet. Provide an "
+        lines.append("Withheld: no BUG-FIX cluster could be tested." if untested else
+                     "Withheld: no cluster is triaged BUG-FIX yet. Provide an "
                      "annotation file and re-run the stats stage.")
     else:
         header = ["category"] + [str(c) for c in relevance_clusters]
@@ -94,6 +96,9 @@ def render_report(report: RunReport, relevance_clusters: list[str],
             lines += _table(["cluster", "feature", "category", "z", "p"], rows)
         else:
             lines.append("No relevant features.")
+    if untested:
+        lines += ["", "### BUG-FIX clusters not tested", ""]
+        lines += [f"- cluster {cid}: {reason}" for cid, reason in untested.items()]
     lines.append("")
 
     lines.append("## Provenance")

@@ -1,24 +1,26 @@
-"""Rank-based relevance testing of context features per cluster.
+"""Rank-based relevance testing of context features per group of hunks.
 
-Each cluster's feature values are compared against a control group by a
-two-group rank test with midranks and tie correction; a feature is
-relevant when its two-sided p-value falls under the significance level.
-The control group defaults to the whole dataset excluding the tested
-cluster's members (disjoint groups are required for a joint ranking); a
-flag restores the literal whole-dataset control for comparison.
+``relevance_matrix`` tests exactly the groups it is given; which clusters
+to test is the caller's choice, and no label is read here.  Each group's
+feature values are compared against a control group by a two-group rank
+test with midranks and tie correction; a feature is relevant when its
+two-sided p-value falls under the significance level.  The control group
+defaults to the whole dataset excluding the group's members (disjoint
+groups are required for a joint ranking), so a group holding every hunk
+gets no column; a flag restores the literal whole-dataset control.
 
 The tests are computed column-wise on the hunk x feature context matrix
 that ``fixscope.context.context_matrix`` builds.  With the exclusive
-control, every tested cluster and its control group together hold each
-hunk once, so one joint ranking of the whole matrix serves every cluster,
+control, every tested group and its control group together hold each
+hunk once, so one joint ranking of the whole matrix serves every group,
 as in Dunn's procedure (Dunn, "Multiple comparisons using rank sums",
 Technometrics 1964): the ranks and the tie correction are computed once
-per call, and a cluster's test needs only the sum of its members' ranks.
+per call, and a group's test needs only the sum of its members' ranks.
 The inclusive control pools the members with every hunk, so each tested
-cluster ranks its own pooled rows.  The midranks come from ``_midranks``,
+group ranks its own pooled rows.  The midranks come from ``_midranks``,
 a numpy kernel in this module that sorts each column once and gives every
 tie group the mean of the ranks it spans.  The result is held as columns
-only, one ``ClusterColumns`` per tested cluster; a caller that needs a
+only, one ``ClusterColumns`` per tested group; a caller that needs a
 category's mark derives it from a column's ``relevant`` list and the
 matrix's ``feature_categories``.  ``dunn_test`` is the one-column entry
 point to the same kernels.
@@ -70,10 +72,9 @@ class ClusterColumns(NamedTuple):
 
 @dataclass
 class ContextRelevanceMatrix:
-    """The BUG-FIX cluster ids, the context features with their categories,
-    and one ``ClusterColumns`` per tested cluster, in ``cluster_ids`` order."""
+    """The context features with their categories, and one
+    ``ClusterColumns`` per tested group, in the order of the groups."""
 
-    cluster_ids: list
     features: list[str]
     feature_categories: list[str]
     columns: list[ClusterColumns] = field(default_factory=list)
@@ -189,48 +190,46 @@ def dunn_test(cluster_values, control_values, alpha: float = 0.05,
 
 
 def relevance_matrix(
-    clusters: dict,
-    triage: dict,
+    groups: dict,
     context_data: dict,
     alpha: float = 0.05,
     control_mode: str = "exclusive",
     bonferroni: bool = False,
 ) -> ContextRelevanceMatrix:
-    """Per-cluster, per-feature relevance against the control group.
+    """Per-group, per-feature relevance against the control group.
 
-    ``clusters`` maps cluster id to member hunk ids, ``triage`` maps
-    cluster id to a triage label string, and ``context_data`` maps hunk id
-    to its flattened context features.  Only clusters triaged BUG-FIX are
-    tested; a BUG-FIX cluster with no member in ``context_data``, or no
-    hunk left for its control group, is listed in ``cluster_ids`` but has
-    no column.
-    """
+    ``groups`` maps a group id to its member hunk ids and ``context_data``
+    maps hunk id to its flattened context features.  Each group is tested,
+    in order, except one left with no control hunk, which gets no column.
+    An empty group, or a member without context or listed twice, raises
+    ``ValueError``."""
     if control_mode not in ("exclusive", "inclusive"):
         raise ValueError(f"unknown control mode {control_mode!r}")
     exclusive = control_mode == "exclusive"
-    bugfix_ids = [cid for cid in sorted(clusters, key=str)
-                  if triage.get(cid) == "BUG-FIX"]
     context = context_matrix({hunk: context_data[hunk] for hunk in sorted(context_data)})
     values, features = context.values, context.feature_names
     _reject_nan(values, features)
     n_rows = len(context.hunk_ids)
     row_of = {hunk: i for i, hunk in enumerate(context.hunk_ids)}
     tested = []
-    for cid in bugfix_ids:
-        members = [row_of[h] for h in clusters[cid] if h in row_of]
+    for gid, hunks in groups.items():
+        unknown = [h for h in hunks if h not in row_of]
+        if not hunks or unknown:
+            raise ValueError(f"group {gid!r} names hunk {unknown[0]!r}, which has no context"
+                             if unknown else f"group {gid!r} is empty")
+        members = [row_of[h] for h in hunks]
         if len(set(members)) < len(members):
-            raise ValueError(f"cluster {cid!r} lists a hunk more than once")
-        n_control = n_rows - len(members) if exclusive else n_rows
-        if members and n_control:
-            tested.append((cid, members))
-    result = ContextRelevanceMatrix(cluster_ids=bugfix_ids, features=features,
+            raise ValueError(f"group {gid!r} lists a hunk more than once")
+        if not exclusive or len(members) < n_rows:  # else no control hunk is left
+            tested.append((gid, members))
+    result = ContextRelevanceMatrix(features=features,
                                     feature_categories=[categorize(f) for f in features])
     effective_alpha = alpha / len(features) if (bonferroni and features) else alpha
     if exclusive and tested:
         # members and control partition the rows: one ranking serves all
         ranks = _midranks(values)
         ties = _ties(ranks)
-    for cid, members in tested:
+    for gid, members in tested:
         n1 = len(members)
         if exclusive:
             total, rank_sums = n_rows, ranks[members].sum(axis=0)
@@ -239,5 +238,5 @@ def relevance_matrix(
             total, rank_sums, ties = n1 + n_rows, ranks[:n1].sum(axis=0), _ties(ranks)
         zs, ps, relevant = _rank_tests(rank_sums, n1, total, *ties, effective_alpha)
         result.columns.append(ClusterColumns(
-            cid, zs, ps, relevant, *_summaries(np.ascontiguousarray(values[members].T))))
+            gid, zs, ps, relevant, *_summaries(np.ascontiguousarray(values[members].T))))
     return result

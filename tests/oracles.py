@@ -338,25 +338,22 @@ def per_feature_summary(values):
     return mean, cv, cv_defined, quantiles
 
 
-def per_feature_relevance(clusters, triage, context_data, alpha=0.05,
+def per_feature_relevance(groups, context_data, alpha=0.05,
                           control_mode="exclusive", bonferroni=False):
-    """Reference relevance matrix: one rank test per (cluster, feature) pair,
-    values gathered from the hunk dicts.  Returns the tested cluster ids,
-    one (cluster_id, feature, category, z, p, relevant, summary) tuple per
-    record, and the relevant (category, cluster_id) cells."""
+    """Reference relevance matrix: one rank test per (group, feature) pair,
+    values gathered from the hunk dicts.  Every member must be in
+    ``context_data``.  Returns the tested group ids (each group with a
+    nonempty control group, in ``groups`` order), one (group_id, feature,
+    category, z, p, relevant, summary) tuple per record, and the relevant
+    (category, group_id) cells."""
     from fixscope.context import categorize
 
-    bugfix_ids = [cid for cid in sorted(clusters, key=str)
-                  if triage.get(cid) == "BUG-FIX"]
     all_hunks = sorted(context_data)
     feature_names = sorted({name for values in context_data.values()
                             for name in values})
     effective_alpha = alpha / len(feature_names) if (bonferroni and feature_names) else alpha
-    records, cells = [], {}
-    for cid in bugfix_ids:
-        members = [h for h in clusters[cid] if h in context_data]
-        if not members:
-            continue
+    tested, records, cells = [], [], {}
+    for gid, members in groups.items():
         member_set = set(members)
         if control_mode == "exclusive":
             control_hunks = [h for h in all_hunks if h not in member_set]
@@ -364,17 +361,18 @@ def per_feature_relevance(clusters, triage, context_data, alpha=0.05,
             control_hunks = all_hunks
         if not control_hunks:
             continue
+        tested.append(gid)
         for feature in feature_names:
             cluster_vals = [context_data[h].get(feature, 0.0) for h in members]
             control_vals = [context_data[h].get(feature, 0.0) for h in control_hunks]
             z, p, relevant = per_feature_dunn(cluster_vals, control_vals,
                                               effective_alpha)
             category = categorize(feature)
-            records.append((cid, feature, category, z, p, relevant,
+            records.append((gid, feature, category, z, p, relevant,
                             per_feature_summary(cluster_vals)))
             if relevant:
-                cells[(category, cid)] = True
-    return bugfix_ids, records, cells
+                cells[(category, gid)] = True
+    return tested, records, cells
 
 def reference_word_tokens(text: str) -> set[str]:
     """Maximal runs of characters that are ``str.isalnum()`` or ``_``:

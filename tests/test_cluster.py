@@ -423,27 +423,25 @@ class TestCutClusters:
 
 
 class TestSampleCluster:
-    def make_assignment(self, size):
-        from fixscope.cluster import ClusterAssignment
-        members = tuple(f"h{i}" for i in range(size))
-        return ClusterAssignment(clusters={7: members},
-                                 assignment={m: 7 for m in members})
+    def make_clusters(self, size):
+        # the cluster id -> members mapping that Pipeline.load_clusters returns
+        return {7: tuple(f"h{i}" for i in range(size))}
 
     def test_small_cluster_returned_whole(self):
-        assignment = self.make_assignment(3)
-        assert sample_cluster(assignment, 7, n=5, seed=1) == ["h0", "h1", "h2"]
+        clusters = self.make_clusters(3)
+        assert sample_cluster(clusters, 7, n=5, seed=1) == ["h0", "h1", "h2"]
 
     def test_same_seed_same_sample(self):
-        assignment = self.make_assignment(100)
-        assert sample_cluster(assignment, 7, seed=42) == sample_cluster(assignment, 7, seed=42)
+        clusters = self.make_clusters(100)
+        assert sample_cluster(clusters, 7, seed=42) == sample_cluster(clusters, 7, seed=42)
 
     def test_different_seeds_differ(self):
-        assignment = self.make_assignment(100)
-        assert sample_cluster(assignment, 7, seed=1) != sample_cluster(assignment, 7, seed=2)
+        clusters = self.make_clusters(100)
+        assert sample_cluster(clusters, 7, seed=1) != sample_cluster(clusters, 7, seed=2)
 
     def test_unknown_cluster(self):
         with pytest.raises(UnknownClusterError):
-            sample_cluster(self.make_assignment(3), 99)
+            sample_cluster(self.make_clusters(3), 99)
 
 
 def reference_dendrogram_json(dendrogram) -> str:

@@ -1,0 +1,66 @@
+"""Metamorphic relations of the extract path: edits of a real module that
+must leave what extraction finds unchanged.
+
+The inputs are small modules of the running interpreter's standard
+library, so the relations need no corpus on disk.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json.decoder
+import random
+import string
+import textwrap
+import time
+import tokenize
+from pathlib import Path
+
+from conftest import make_hunks
+
+LAYOUT_MODULES = (json.decoder, csv, textwrap, string)
+CASES_PER_MODULE = 6
+EDITS_PER_CASE = 4
+LAYOUT_BUDGET_S = 3.0
+
+
+def logical_line_ends(source: str) -> list[int]:
+    """Line numbers (1-based) of the physical lines that end a logical line:
+    a line may be inserted after each of them, and trailing spaces added to
+    it, without touching a string or a bracketed expression."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sorted({tok.end[0] for tok in tokens if tok.type == tokenize.NEWLINE})
+
+
+def layout_edit(source: str, rng: random.Random) -> str:
+    """``source`` with a comment-only line, a blank line or trailing spaces
+    at each of ``EDITS_PER_CASE`` seeded logical-line boundaries."""
+    lines = source.splitlines(keepends=True)
+    # bottom up, so an insertion leaves the line numbers above it valid
+    for end in sorted(rng.sample(logical_line_ends(source), EDITS_PER_CASE), reverse=True):
+        line = lines[end - 1]
+        kind = rng.choice(("comment", "blank", "trailing"))
+        if kind == "trailing":
+            body = line.rstrip("\r\n")
+            lines[end - 1] = body + " " * rng.randint(1, 3) + line[len(body):]
+        else:
+            indent = line[:len(line) - len(line.lstrip(" \t"))]
+            lines.insert(end, f"{indent}# layout only\n" if kind == "comment" else "\n")
+    return "".join(lines)
+
+
+def test_layout_edits_yield_no_hunks():
+    started = time.perf_counter()
+    cases = []
+    for module in LAYOUT_MODULES:
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        for seed in range(CASES_PER_MODULE):
+            edited = layout_edit(source, random.Random(f"{module.__name__}:{seed}"))
+            assert edited != source
+            hunks = make_hunks(source, edited, path=module.__name__)
+            cases.append((module.__name__, seed, [hunk.id for hunk in hunks]))
+    elapsed = time.perf_counter() - started
+    assert [case for case in cases if case[2]] == []
+    assert elapsed <= LAYOUT_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"
+

@@ -20,6 +20,7 @@ from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
 from fixscope.grammar import tree_height
 from fixscope.pipeline import (
+    NO_CONTROL_GROUP,
     STAGE_ARTIFACTS,
     STAGES,
     MissingCheckpointError,
@@ -29,6 +30,7 @@ from fixscope.pipeline import (
     export_dataset,
     run_pipeline,
 )
+from fixscope.stats import dunn_test
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +444,10 @@ class TestAnnotationsAndStats:
         config, report = completed_run
         assert report.relevance_withheld
         assert all(c["label"] == "UNREVIEWED" for c in report.clusters)
-        assert "Withheld" in (Path(config.output_dir) / "report.md").read_text()
+        rendered = (Path(config.output_dir) / "report.md").read_text()
+        assert "\nWithheld: no cluster is triaged BUG-FIX yet. Provide an annotation " \
+               "file and re-run the stats stage.\n" in rendered
+        assert "not tested" not in rendered
 
     def test_annotated_run_renders_checkmark_matrix(self, small_corpus, tmp_path):
         config = small_config(small_corpus, tmp_path / "out")
@@ -484,6 +489,24 @@ class TestAnnotationsAndStats:
         summary = json.loads((out / "stats_summary.json").read_text())
         assert not summary["withheld"] and summary["bugfix_clusters"] == [live]
 
+    def test_only_bugfix_clusters_tested(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        pipeline = Pipeline(small_config(small_corpus, out))
+        ids = sorted(int(c["id"]) for c in pipeline.run().clusters)
+        assert len(ids) >= 2
+        refactoring, *bugfix = ids
+        (out / "annotations.csv").write_text(
+            f"cluster_id,label,description\n{refactoring},REFACTORING,x\n"
+            + "".join(f"{cid},BUG-FIX,y\n" for cid in bugfix))
+        assert not pipeline.run().relevance_withheld
+        summary = json.loads((out / "stats_summary.json").read_text())
+        assert summary["bugfix_clusters"] == bugfix and "untested" not in summary
+        header = (out / "relevance_matrix.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["category"] + sorted(map(str, bugfix))
+        with (out / "relevance_long.csv").open(newline="") as handle:
+            long_ids = {int(row["cluster_id"]) for row in csv.DictReader(handle)}
+        assert long_ids == set(bugfix)
+
     def test_annotations_with_a_byte_order_mark_are_tested(self, small_corpus, tmp_path):
         out = tmp_path / "out"
         annotated_pipeline(small_corpus, out)
@@ -502,6 +525,56 @@ class TestAnnotationsAndStats:
             "cluster_id,label,description\n1,NONSENSE,x\n")
         with pytest.raises(ValueError):
             pipeline.load_annotations()
+
+
+def one_cluster_pipeline(manifest, out, control_mode) -> tuple[Pipeline, int]:
+    """A completed run whose one cluster, marked BUG-FIX since, holds every
+    hunk: cutoff 1e9 and a minimum size of 1 keep the dendrogram's root."""
+    pipeline = Pipeline(small_config(manifest, out, cutoff=1e9, min_cluster_size=1,
+                                     control_mode=control_mode))
+    report = pipeline.run()
+    assert [c["size"] for c in report.clusters] == [report.counts["hunks"]]
+    cid = report.clusters[0]["id"]
+    (out / "annotations.csv").write_text(f"cluster_id,label,description\n{cid},BUG-FIX,x\n")
+    return pipeline, cid
+
+
+class TestUntestableCluster:
+    def test_exclusive_mode_withholds_and_names_it(self, small_corpus, tmp_path, caplog):
+        out = tmp_path / "out"
+        pipeline, cid = one_cluster_pipeline(small_corpus, out, "exclusive")
+        with caplog.at_level(logging.WARNING, logger="fixscope.pipeline"):
+            assert pipeline.run().relevance_withheld
+        summary = json.loads((out / "stats_summary.json").read_text())
+        assert summary["withheld"] and summary["bugfix_clusters"] == []
+        assert summary["untested"] == {str(cid): NO_CONTROL_GROUP}
+        # the withheld headers, as when nothing is annotated
+        assert (out / "relevance_matrix.csv").read_text() == "category\n"
+        assert (out / "relevance_long.csv").read_text() == (
+            "cluster_id,feature,category,z,p,relevant,mean,cv,q05,q25,q50,q75,q95\n")
+        rendered = (out / "report.md").read_text()
+        assert "\nWithheld: no BUG-FIX cluster could be tested.\n" in rendered
+        assert f"\n- cluster {cid}: {NO_CONTROL_GROUP}\n" in rendered
+        assert "triaged BUG-FIX yet" not in rendered
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and f"[{cid}]" in warnings[0]
+
+    def test_inclusive_mode_tests_it_against_every_hunk(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        pipeline, cid = one_cluster_pipeline(small_corpus, out, "inclusive")
+        assert not pipeline.run().relevance_withheld
+        summary = json.loads((out / "stats_summary.json").read_text())
+        assert summary["bugfix_clusters"] == [cid] and "untested" not in summary
+        contexts = [json.loads(line)["features"]
+                    for line in (out / "context_vectors.jsonl").read_text().splitlines()]
+        with (out / "relevance_long.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and {row["cluster_id"] for row in rows} == {str(cid)}
+        for row in rows:
+            # the members and the control group are both every hunk
+            values = [features.get(row["feature"], 0.0) for features in contexts]
+            expected = dunn_test(values, values)
+            assert (row["z"], row["p"]) == (repr(expected.z), repr(expected.p))
 
 
 TRACED_RUN = """
@@ -558,9 +631,9 @@ class TestReportReads:
         appendices = []
         render = fixscope.report.render_report
 
-        def capture(report, tested, rows, appendix):
+        def capture(report, tested, rows, appendix, untested):
             appendices.append(appendix)
-            return render(report, tested, rows, appendix)
+            return render(report, tested, rows, appendix, untested)
 
         monkeypatch.setattr(fixscope.report, "render_report", capture)
         pipeline.run_stage("report", force=True)
@@ -582,6 +655,18 @@ def run_python(code: str, *args: str, paths=()) -> dict:
 
 
 class TestBenchmarkTracing:
+    def test_install_finds_every_name_it_wraps(self):
+        # install wraps program names through getattr: a name deleted or
+        # renamed in the package fails here, not only in a traced bench run.
+        # -B keeps the interpreter from writing bytecode, so nothing is written
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(fixscope.__file__).parents[1]), str(bench)]))
+        done = subprocess.run(
+            [sys.executable, "-B", "-c", "import tracing; tracing.install(tracing.Tracer())"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_traced_run_counts_every_stage(self, small_corpus, tmp_path):
         # bench/tracing.py wraps pipeline and cluster functions by name; its
         # patches last for the life of the process, hence the subprocess
@@ -783,6 +868,22 @@ class TestCli:
         capsys.readouterr()
         assert Pipeline(PipelineConfig(output_dir=str(out))).load_annotations() == {
             7: {"label": "BUG-FIX", "description": ""}}
+
+    @pytest.mark.parametrize("first", ["40", "040"])
+    def test_annotations_naming_a_cluster_twice_are_rejected(self, tmp_path, capsys,
+                                                             first):
+        out = tmp_path / "out"
+        good, twice = tmp_path / "good.csv", tmp_path / "twice.csv"
+        good.write_text("cluster_id,label,description\n7,BUG-FIX,kept\n")
+        twice.write_text(f"cluster_id,label,description\n{first},BUG-FIX,x\n"
+                         "40,REFACTORING,y\n")
+        assert cli_main(["annotate", "--file", str(twice), "--out", str(out)]) == 1
+        assert "cluster 40 more than once" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(["annotate", "--file", str(good), "--out", str(out)]) == 0
+        assert cli_main(["annotate", "--file", str(twice), "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert (out / "annotations.csv").read_bytes() == good.read_bytes()
 
     def test_annotations_with_a_byte_order_mark_are_installed(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -168,9 +168,7 @@ def make_context(n, feature_value):
 class TestRelevanceMatrix:
     def test_cluster_equal_to_dataset_is_never_relevant(self):
         context = make_context(30, lambda i: float(i % 7))
-        clusters = {1: tuple(context)}
-        triage = {1: "BUG-FIX"}
-        matrix = relevance_matrix(clusters, triage, context, control_mode="inclusive")
+        matrix = relevance_matrix({1: tuple(context)}, context, control_mode="inclusive")
         assert [col.cluster_id for col in matrix.columns] == [1]
         assert not any(matrix.columns[0].relevant)
 
@@ -179,22 +177,13 @@ class TestRelevanceMatrix:
         values = {f"h{i}": 8.0 for i in range(40)}
         values.update({f"big{i}": 50.0 for i in range(12)})
         context = {h: {"ctx_FunctionDef_body_size": v} for h, v in values.items()}
-        clusters = {9: tuple(f"big{i}" for i in range(12))}
-        matrix = relevance_matrix(clusters, {9: "BUG-FIX"}, context)
+        matrix = relevance_matrix({9: tuple(f"big{i}" for i in range(12))}, context)
         assert ("Function Size", 9) in _relevant_cells(matrix)
-
-    def test_only_bugfix_clusters_tested(self):
-        context = make_context(20, lambda i: float(i))
-        clusters = {1: ("h0", "h1"), 2: ("h2", "h3")}
-        triage = {1: "REFACTORING", 2: "BUG-FIX"}
-        matrix = relevance_matrix(clusters, triage, context)
-        assert matrix.cluster_ids == [2]
-        assert [col.cluster_id for col in matrix.columns] == [2]
 
     def test_seventeen_rows_available(self):
         # every feature's category is one of the 17 rows of the matrix
         context = make_context(20, lambda i: float(i))
-        matrix = relevance_matrix({1: ("h0", "h1")}, {1: "BUG-FIX"}, context)
+        matrix = relevance_matrix({1: ("h0", "h1")}, context)
         assert len(CATEGORIES) == 17
         assert matrix.feature_categories and set(matrix.feature_categories) <= set(CATEGORIES)
 
@@ -222,31 +211,27 @@ def sparse_context(rng, n_hunks, continuous):
     return context
 
 
-def sparse_clusters(rng, context):
-    """Clusters of assorted sizes in shuffled member order: one with members
-    missing from ``context``, one covering every hunk, one of missing hunks
-    only, one planted deviation, and one not triaged BUG-FIX."""
+def sparse_groups(rng, context):
+    """Groups of assorted sizes in shuffled member order, keyed in no
+    sorted order: one covering every hunk and one planted deviation."""
     hunks = sorted(context)
-    clusters = {size: tuple(rng.sample(hunks, size))
-                for size in (1, 2, 5, len(hunks) // 2)}
-    clusters[7] = tuple(rng.sample(hunks, 4)) + ("gone-1", "gone-2")
-    clusters[8] = tuple(rng.sample(hunks, len(hunks)))
-    clusters[9] = ("gone-3",)
+    groups = {size: tuple(rng.sample(hunks, size))
+              for size in (5, 1, len(hunks) // 2, 2)}
+    groups[8] = tuple(rng.sample(hunks, len(hunks)))
     planted = rng.sample(hunks, 6)
     for hunk in planted:
         context[hunk]["ctx_FunctionDef_body_size"] = 40.0 + rng.randint(0, 3)
-    clusters[10] = tuple(planted)
-    clusters[11] = tuple(rng.sample(hunks, 3))
-    triage = {cid: "BUG-FIX" for cid in clusters}
-    triage[11] = "REFACTORING"
-    return clusters, triage
+    groups[10] = tuple(planted)
+    groups[7] = tuple(rng.sample(hunks, 4))
+    return groups
 
 
 def assert_matches_per_feature(matrix, reference):
-    """Every column entry equals the oracle's record by ``repr``, and the
-    marks derived from the columns are the oracle's cells."""
-    cluster_ids, records, cells = reference
-    assert matrix.cluster_ids == cluster_ids
+    """The tested ids are the oracle's, every column entry equals the
+    oracle's record by ``repr``, and the marks derived from the columns
+    are the oracle's cells."""
+    tested, records, cells = reference
+    assert [col.cluster_id for col in matrix.columns] == tested
     got = [(col.cluster_id, feature, category, z, p, hit,
             (mean, cv, defined, dict(zip(QUANTILE_LEVELS, quantiles))))
            for col in matrix.columns
@@ -269,19 +254,19 @@ class TestColumnwiseRelevance:
             for n_hunks, continuous in ((25, False), (60, True), (300, True)):
                 rng = random.Random(seed * 1000 + n_hunks)
                 context = sparse_context(rng, n_hunks, continuous)
-                clusters, triage = sparse_clusters(rng, context)
+                groups = sparse_groups(rng, context)
                 for control_mode in ("exclusive", "inclusive"):
                     for bonferroni in (False, True):
                         matrix = relevance_matrix(
-                            clusters, triage, context, control_mode=control_mode,
+                            groups, context, control_mode=control_mode,
                             bonferroni=bonferroni)
                         assert_matches_per_feature(matrix, oracles.per_feature_relevance(
-                            clusters, triage, context, control_mode=control_mode,
+                            groups, context, control_mode=control_mode,
                             bonferroni=bonferroni))
                         tested = {col.cluster_id for col in matrix.columns}
-                        # the all-hunk cluster has no exclusive control group
-                        assert (8 in tested) == (control_mode == "inclusive")
-                        assert 9 not in tested and 11 not in tested
+                        # all but the all-hunk group, which has no exclusive control
+                        assert tested == set(groups) - ({8} if control_mode == "exclusive"
+                                                        else set())
                         relevant += sum(sum(col.relevant) for col in matrix.columns)
                         degenerate += sum(col.p.count(1.0) for col in matrix.columns)
         assert relevant and degenerate
@@ -298,12 +283,12 @@ class TestColumnwiseRelevance:
         monkeypatch.setattr(fixscope.stats, "_midranks", counting_midranks)
         rng = random.Random(11)
         context = sparse_context(rng, 40, False)
-        clusters, triage = sparse_clusters(rng, context)
+        groups = sparse_groups(rng, context)
         n_features = len({f for values in context.values() for f in values})
         assert n_features > 1
         for control_mode, n_tested, n_rankings in (("exclusive", 6, 1), ("inclusive", 7, 7)):
             calls.clear()
-            matrix = relevance_matrix(clusters, triage, context, control_mode=control_mode)
+            matrix = relevance_matrix(groups, context, control_mode=control_mode)
             assert len({col.cluster_id for col in matrix.columns}) == n_tested
             assert len(matrix.features) == n_features
             assert all(len(col.z) == n_features for col in matrix.columns)
@@ -320,12 +305,23 @@ class TestRejectedInputs:
         context = make_context(10, lambda i: float(i))
         context["h3"]["ctx_including_If"] = math.nan
         with pytest.raises(ValueError, match="'ctx_including_If'.*NaN"):
-            relevance_matrix({1: ("h0", "h1")}, {1: "BUG-FIX"}, context,
-                             control_mode=control_mode)
+            relevance_matrix({1: ("h0", "h1")}, context, control_mode=control_mode)
 
     @pytest.mark.parametrize("control_mode", ["exclusive", "inclusive"])
     def test_cluster_listing_a_hunk_twice_rejected(self, control_mode):
         context = make_context(10, lambda i: float(i))
         with pytest.raises(ValueError, match="more than once"):
-            relevance_matrix({1: ("h0", "h1", "h0")}, {1: "BUG-FIX"}, context,
+            relevance_matrix({1: ("h0", "h1", "h0")}, context, control_mode=control_mode)
+
+    @pytest.mark.parametrize("control_mode", ["exclusive", "inclusive"])
+    def test_group_naming_a_hunk_without_context_rejected(self, control_mode):
+        context = make_context(10, lambda i: float(i))
+        with pytest.raises(ValueError, match="group 7 names hunk 'gone'"):
+            relevance_matrix({1: ("h0",), 7: ("h1", "gone", "h2")}, context,
                              control_mode=control_mode)
+
+    @pytest.mark.parametrize("control_mode", ["exclusive", "inclusive"])
+    def test_empty_group_rejected(self, control_mode):
+        context = make_context(10, lambda i: float(i))
+        with pytest.raises(ValueError, match="group 3 is empty"):
+            relevance_matrix({1: ("h0",), 3: ()}, context, control_mode=control_mode)
