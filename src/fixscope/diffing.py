@@ -39,6 +39,7 @@ from fixscope.grammar import (
     SourceSpan,
     UnsupportedConstructError,
     drive,
+    split_lines,
     tree_height,
 )
 
@@ -170,13 +171,15 @@ class Hunk:
 
 
 def align_versions(before_text: str, after_text: str) -> list[EditBlock]:
-    """Minimal line-level edit script between the two texts.
+    r"""Minimal line-level edit script between the two texts.
 
     LCS-based (Myers), deterministic, and orientation-canonical: the script
-    for (a, b) is exactly the mirrored script for (b, a).
+    for (a, b) is exactly the mirrored script for (b, a).  Lines split at
+    ``\r\n``, ``\r`` and ``\n`` alone, as the parser splits them, so the
+    blocks agree with the AST spans even after a form feed or ``\u2028``.
     """
-    before = before_text.splitlines()
-    after = after_text.splitlines()
+    before = split_lines(before_text)
+    after = split_lines(after_text)
     if before == after:
         return []
     if (before, after) <= (after, before):
@@ -210,11 +213,11 @@ def _myers_matches(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return []
-    max_d = n + m
     v = {1: 0}
+    # trace[d]: v[k] for k = 1 - d, 3 - d, ..., d - 1, all _backtrack reads
     trace = []
-    for d in range(max_d + 1):
-        trace.append(dict(v))
+    for d in range(n + m + 1):
+        trace.append([v[k] for k in range(1 - d, d, 2)])
         for k in range(-d, d + 1, 2):
             if k == -d or (k != d and v[k - 1] < v[k + 1]):
                 x = v[k + 1]
@@ -234,12 +237,13 @@ def _backtrack(trace, d, k, a, b) -> list[tuple[int, int]]:
     matches: list[tuple[int, int]] = []
     x, y = len(a), len(b)
     for depth in range(d, 0, -1):
-        v = trace[depth]
-        if k == -depth or (k != depth and v.get(k - 1, -1) < v.get(k + 1, -1)):
-            prev_k = k + 1
+        frontier = trace[depth]
+        # frontier[up] is diagonal k + 1, frontier[up - 1] diagonal k - 1
+        up = (k + depth) // 2
+        if k == -depth or (k != depth and frontier[up - 1] < frontier[up]):
+            prev_k, prev_x = k + 1, frontier[up]
         else:
-            prev_k = k - 1
-        prev_x = v[prev_k]
+            prev_k, prev_x = k - 1, frontier[up - 1]
         prev_y = prev_x - prev_k
         if prev_k == k + 1:
             mid_x, mid_y = prev_x, prev_y + 1

@@ -9,20 +9,23 @@ each kind's child slots and their order.
 
 Concrete parsing delegates to the host interpreter's ``ast`` module; a
 normalization layer folds the host tree onto the canonical taxonomy.  A
-host node whose fields include its canonical kind's slots (``If``,
-``For``, ``Name``, ...; ``AsyncFor``, ``YieldFrom`` and ``arg`` under
-their classic kinds) is converted by one generic walker that reads the
-table.  Per-kind handlers fold the rest:
+generic walker converts each host class in ``_GENERIC``, whose entry
+gives its canonical kind (``AsyncFor`` -> ``For``, ``arg`` -> ``Name``,
+``AnnAssign`` -> ``Assign``, ...), the host fields of any slot named
+otherwise (``Raise`` reads ``exc`` and ``cause``) and its text rule (a
+name, ``ImportFrom``'s dots and module, ``name as asname``, ...).
+Per-kind handlers remain only where the tree changes shape:
 
 * ``Constant`` splits back into ``Num`` / ``Str`` / ``Name`` leaves,
 * ``Try`` splits into ``TryExcept`` / ``TryFinally`` (nested when both),
 * multi-item ``with`` statements become nested ``With`` chains,
-* ``arg`` objects become ``Name`` leaves under the ``arguments`` node,
+* an empty ``arguments`` node sits at its definition's start, and an
+  ``except`` clause's name becomes a ``Name`` leaf,
+* operators become leaves between their operands, and starred call
+  arguments take the star roles,
 * plain subscript indices are re-wrapped in ``Index`` / ``ExtSlice``,
-* modern sugar with no classic counterpart is folded to the nearest kind
-  (``Await``/``YieldFrom`` -> ``Yield``, f-strings -> ``Str``,
-  ``NamedExpr``/``AnnAssign`` -> ``Assign``, ``Nonlocal`` -> ``Global``,
-  ``async`` definitions -> their plain forms).
+* ``Await``/``Starred`` unwrap to their value, f-strings fold to ``Str``
+  and ``async`` definitions to their plain forms.
 
 Files using constructs with no reasonable counterpart (``match`` blocks)
 raise :class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so
@@ -48,6 +51,7 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -62,6 +66,7 @@ __all__ = [
     "load_taxonomy",
     "taxonomy_checksum",
     "parse_source",
+    "split_lines",
     "node_role",
     "tree_height",
     "drive",
@@ -262,18 +267,36 @@ _UNSUPPORTED = (
     "MatchClass", "MatchStar", "MatchAs", "MatchOr", "TryStar", "TypeAlias",
 )
 
-# host classes whose fields include every slot of their canonical kind,
-# converted by the generic walker alone: host class name -> kind
-_GENERIC = {name: name for name in (
-    "Return", "Delete", "Assign", "For", "While", "If", "Assert", "Import",
-    "Expr", "Pass", "Break", "Continue", "IfExp", "Set", "ListComp", "SetComp",
-    "DictComp", "GeneratorExp", "comprehension", "Yield", "keyword",
-    "Attribute", "Slice", "Name", "List", "Tuple")}
-_GENERIC.update(AsyncFor="For", YieldFrom="Yield", arg="Name")
 
-# the host field holding a generic node's text; `class A(**kw)` has a
-# keyword whose arg is None
-_TEXT_FIELDS = {"Attribute": "attr", "Name": "id", "arg": "arg", "keyword": "arg"}
+def _rule(kind: str, text=None, **fields: tuple[str, ...]):
+    """A ``_GENERIC`` entry: the canonical kind, the host fields of each
+    slot named otherwise, and the text rule (None for no text)."""
+    return kind, fields, text
+
+
+_GENERIC = {name: _rule(name) for name in (
+    "Return", "Delete", "Assign", "For", "While", "If", "Assert", "Import",
+    "Expr", "Pass", "Break", "Continue", "IfExp", "Dict", "Set", "ListComp",
+    "SetComp", "DictComp", "GeneratorExp", "comprehension", "Yield", "Slice",
+    "List", "Tuple")}
+_GENERIC.update(
+    AsyncFor=_rule("For"),
+    YieldFrom=_rule("Yield"),
+    Name=_rule("Name", operator.attrgetter("id")),
+    arg=_rule("Name", operator.attrgetter("arg")),
+    Attribute=_rule("Attribute", operator.attrgetter("attr")),
+    # `class A(**kw)` has a keyword whose arg is None
+    keyword=_rule("keyword", operator.attrgetter("arg")),
+    ClassDef=_rule("ClassDef", operator.attrgetter("name"), bases=("bases", "keywords")),
+    # `x: T = v` and `(x := v)` fold to assignments; a bare `x: T` keeps x
+    AnnAssign=_rule("Assign", targets=("target",)),
+    Raise=_rule("Raise", type=("exc",), inst=("cause",), tback=()),
+    ImportFrom=_rule("ImportFrom", lambda node: "." * (node.level or 0) + (node.module or "")),
+    alias=_rule("alias", lambda node: (
+        f"{node.name} as {node.asname}" if node.asname else node.name)),
+    Global=_rule("Global", lambda node: ",".join(node.names)),
+)
+_GENERIC.update(NamedExpr=_GENERIC["AnnAssign"], Nonlocal=_GENERIC["Global"])
 
 # positionless in the classic grammar: spanned by their children alone
 _CHILD_SPANNED = frozenset({"comprehension", "keyword"})
@@ -289,9 +312,14 @@ def _own_span(node: ast.AST) -> SourceSpan | None:
     return SourceSpan(lineno, node.col_offset, end_lineno, node.end_col_offset)
 
 
-# a source line as the parser splits them: at \r\n, \r or \n only, so a
-# form feed stays inside its line (str.splitlines would break there)
+# a source line as the parser splits them: at \r\n, \r or \n only, so \f,
+# \v, \x1c-\x1e, \x85, \u2028 and \u2029 stay inside (str.splitlines splits)
 _SOURCE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
+def split_lines(text: str) -> list[str]:
+    """``text.splitlines()``, but split only where the parser splits."""
+    return [line.rstrip("\r\n") for line in _SOURCE_LINE.findall(text)]
 
 
 def _point(line: int, col: int) -> SourceSpan:
@@ -395,26 +423,27 @@ class _Normalizer:
         handler = getattr(self, "_h_" + name, None)
         if handler is not None:
             return handler(node, role)
-        kind = _GENERIC.get(name)
-        if kind is None:
+        rule = _GENERIC.get(name)
+        if rule is None:
             raise UnsupportedConstructError(f"unhandled host node {name}")
-        return self._generic(node, name, kind, role)
+        return self._generic(node, rule, role)
 
-    def _generic(self, node, name, kind, role):
-        """Converts the children of each of ``kind``'s slots, in table
-        order; a kind without slots is a finished leaf."""
-        field = _TEXT_FIELDS.get(name)
-        text = (getattr(node, field) or "") if field else ""
+    def _generic(self, node, rule, role):
+        """Converts the children of each of the rule's kind's slots, in
+        table order; a kind without slots is a finished leaf."""
+        kind, fields, text_of = rule
+        text = (text_of(node) or "") if text_of else ""
         span = None if kind in _CHILD_SPANNED else _own_span(node)
         slots = self.taxonomy.slots.get(kind)
         if slots is None:
             return self._make(kind, role, span, text, [])
-        return self._generic_children(node, kind, role, span, text, slots)
+        return self._generic_children(node, kind, fields, role, span, text, slots)
 
-    def _generic_children(self, node, kind, role, span, text, slots):
+    def _generic_children(self, node, kind, fields, role, span, text, slots):
         children = []
         for slot in slots:
-            children += yield from self._slot(kind, slot, getattr(node, slot))
+            for field in fields.get(slot, (slot,)):
+                children += yield from self._slot(kind, slot, getattr(node, field))
         return self._make(kind, role, span, text, children)
 
     # -- statements
@@ -428,28 +457,6 @@ class _Normalizer:
         return self._make("FunctionDef", role, own, node.name, children)
 
     _h_AsyncFunctionDef = _h_FunctionDef
-
-    def _h_ClassDef(self, node, role):
-        children = yield from self._slot("ClassDef", "bases", node.bases)
-        children += yield from self._slot("ClassDef", "bases", node.keywords)
-        children += yield from self._slot("ClassDef", "body", node.body)
-        children += yield from self._slot("ClassDef", "decorator_list", node.decorator_list)
-        return self._make("ClassDef", role, _own_span(node), node.name, children)
-
-    def _h_AnnAssign(self, node, role):
-        # `x: T = v` and `(x := v)` fold to a plain assignment; a bare
-        # declaration keeps only the target
-        children = yield from self._slot("Assign", "targets", node.target)
-        children += yield from self._slot("Assign", "value", node.value)
-        return self._make("Assign", role, _own_span(node), "", children)
-
-    _h_NamedExpr = _h_AnnAssign
-
-    def _h_AugAssign(self, node, role):
-        target = yield self.convert(node.target, node_role("AugAssign", "target"))
-        value = yield self.convert(node.value, node_role("AugAssign", "value"))
-        op = self._op(node.op, node_role("AugAssign", "op"), self._between(target, value))
-        return self._make("AugAssign", role, _own_span(node), "", [target, op, value])
 
     def _h_With(self, node, role):
         # multi-item `with a, b:` nests exactly like the classic parser
@@ -469,11 +476,6 @@ class _Normalizer:
         return inner
 
     _h_AsyncWith = _h_With
-
-    def _h_Raise(self, node, role):
-        children = yield from self._slot("Raise", "type", node.exc)
-        children += yield from self._slot("Raise", "inst", node.cause)
-        return self._make("Raise", role, _own_span(node), "", children)
 
     def _h_Try(self, node, role):
         span = _own_span(node)
@@ -504,20 +506,6 @@ class _Normalizer:
         children += yield from self._slot("ExceptHandler", "body", node.body)
         return self._make("ExceptHandler", role, span, "", children)
 
-    def _h_ImportFrom(self, node, role):
-        text = "." * (node.level or 0) + (node.module or "")
-        names = yield from self._slot("ImportFrom", "names", node.names)
-        return self._make("ImportFrom", role, _own_span(node), text, names)
-
-    def _h_alias(self, node, role):
-        text = node.name if not node.asname else f"{node.name} as {node.asname}"
-        return self._make("alias", role, _own_span(node), text, [])
-
-    def _h_Global(self, node, role):
-        return self._make("Global", role, _own_span(node), ",".join(node.names), [])
-
-    _h_Nonlocal = _h_Global
-
     # -- expressions
 
     def _h_BoolOp(self, node, role):
@@ -526,10 +514,15 @@ class _Normalizer:
         return self._make("BoolOp", role, _own_span(node), "", values + [op])
 
     def _h_BinOp(self, node, role):
-        left = yield self.convert(node.left, node_role("BinOp", "left"))
-        right = yield self.convert(node.right, node_role("BinOp", "right"))
-        op = self._op(node.op, node_role("BinOp", "op"), self._between(left, right))
-        return self._make("BinOp", role, _own_span(node), "", [left, op, right])
+        # `a + b` and `a += b`: two operands and the operator between them
+        kind = type(node).__name__
+        first, op_slot, last = self.taxonomy.slots[kind]
+        left = yield self.convert(getattr(node, first), node_role(kind, first))
+        right = yield self.convert(getattr(node, last), node_role(kind, last))
+        op = self._op(node.op, node_role(kind, op_slot), self._between(left, right))
+        return self._make(kind, role, _own_span(node), "", [left, op, right])
+
+    _h_AugAssign = _h_BinOp
 
     def _h_UnaryOp(self, node, role):
         operand = yield self.convert(node.operand, node_role("UnaryOp", "operand"))
@@ -545,11 +538,6 @@ class _Normalizer:
         children = [self._anchored(args, own)]
         children += yield from self._slot("Lambda", "body", node.body)
         return self._make("Lambda", role, own, "", children)
-
-    def _h_Dict(self, node, role):
-        children = yield from self._slot("Dict", "keys", [k for k in node.keys if k is not None])
-        children += yield from self._slot("Dict", "values", node.values)
-        return self._make("Dict", role, _own_span(node), "", children)
 
     def _h_Await(self, node, role):
         # classic grammar has no await or starred targets; unwrap in place

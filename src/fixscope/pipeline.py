@@ -150,6 +150,13 @@ class PipelineConfig:
             raise ValueError(f"unknown control_mode {self.control_mode!r}")
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        for name in ("inconsistency_depth", "min_cluster_size"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.cutoff is not None and not (
+                isinstance(self.cutoff, (int, float)) and math.isfinite(self.cutoff)):
+            raise ValueError(f"cutoff must be a finite number or null, got {self.cutoff!r}")
         self.projects = tuple(self.projects)
         self.branches = tuple(self.branches)
         self.keywords = tuple(self.keywords)

@@ -10,8 +10,9 @@ histogram bin rule, a relevance matrix that ranks one (cluster, feature)
 pair at a time, a git source that asks git once per commit and once
 per blob side, a character loop that splits a message into words, a
 line map and join regions that scan every edit block instead of
-bisecting, and the recursive forms of every tree walk (normalizer, diff
-join, labeled-root walk, diff-node serialization).
+bisecting, a Myers line diff that traces a copy of its whole frontier
+dictionary per step, and the recursive forms of every tree walk
+(normalizer, diff join, labeled-root walk, diff-node serialization).
 """
 
 from __future__ import annotations
@@ -478,22 +479,24 @@ class RecursiveNormalizer(_grammar._Normalizer):
         handler = getattr(self, "_h_" + name, None)
         if handler is not None:
             return handler(node, role)
-        kind = _grammar._GENERIC.get(name)
-        if kind is None:
+        rule = _grammar._GENERIC.get(name)
+        if rule is None:
             raise _grammar.UnsupportedConstructError(f"unhandled host node {name}")
-        return self._generic(node, name, kind, role)
+        return self._generic(node, rule, role)
 
     def _slot(self, parent_kind, slot, value):
         role = self.taxonomy.role_for(parent_kind, slot)
         items = value if isinstance(value, list) else [value]
         return [self.convert(item, role) for item in items if item is not None]
 
-    def _generic(self, node, name, kind, role):
+    def _generic(self, node, rule, role):
+        # reads each slot from the host field of its name: every host class
+        # whose fields are named otherwise has its own handler below
+        kind, _fields, text_of = rule
         children = []
         for slot in self.taxonomy.slots.get(kind, ()):
             children += self._slot(kind, slot, getattr(node, slot))
-        field = _grammar._TEXT_FIELDS.get(name)
-        text = (getattr(node, field) or "") if field else ""
+        text = (text_of(node) or "") if text_of else ""
         span = None if kind in _grammar._CHILD_SPANNED else _grammar._own_span(node)
         return self._make(kind, role, span, text, children)
 
@@ -582,6 +585,15 @@ class RecursiveNormalizer(_grammar._Normalizer):
         text = "." * (node.level or 0) + (node.module or "")
         return self._make("ImportFrom", role, _grammar._own_span(node), text,
                           self._slot("ImportFrom", "names", node.names))
+
+    def _h_alias(self, node, role):
+        text = node.name if not node.asname else f"{node.name} as {node.asname}"
+        return self._make("alias", role, _grammar._own_span(node), text, [])
+
+    def _h_Global(self, node, role):
+        return self._make("Global", role, _grammar._own_span(node), ",".join(node.names), [])
+
+    _h_Nonlocal = _h_Global
 
     def _h_BoolOp(self, node, role):
         values = self._slot("BoolOp", "values", node.values)
@@ -685,6 +697,59 @@ class RecursiveNormalizer(_grammar._Normalizer):
 def reference_parse_source(text: str):
     """``parse_source`` through the recursive normalizer."""
     return RecursiveNormalizer(text).module(_ast.parse(text))
+
+
+def reference_myers_matches(a, b) -> list[tuple[int, int]]:
+    """Myers' kept lines (i, j), tracing a copy of the whole ``v`` per step."""
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return []
+    v = {1: 0}
+    trace = []
+    for d in range(n + m + 1):
+        trace.append(dict(v))
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v[k - 1] < v[k + 1]):
+                x = v[k + 1]
+            else:
+                x = v[k - 1] + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[k] = x
+            if x >= n and y >= m:
+                return _reference_backtrack(trace, d, k, a, b)
+    return []
+
+
+def _reference_backtrack(trace, d, k, a, b) -> list[tuple[int, int]]:
+    matches = []
+    x, y = len(a), len(b)
+    for depth in range(d, 0, -1):
+        v = trace[depth]
+        if k == -depth or (k != depth and v.get(k - 1, -1) < v.get(k + 1, -1)):
+            prev_k = k + 1
+        else:
+            prev_k = k - 1
+        prev_x = v[prev_k]
+        prev_y = prev_x - prev_k
+        if prev_k == k + 1:
+            mid_x, mid_y = prev_x, prev_y + 1
+        else:
+            mid_x, mid_y = prev_x + 1, prev_y
+        while x > mid_x and y > mid_y:
+            x -= 1
+            y -= 1
+            matches.append((x, y))
+        x, y = prev_x, prev_y
+        k = prev_k
+    while x > 0 and y > 0:
+        x -= 1
+        y -= 1
+        matches.append((x, y))
+    matches.reverse()
+    return matches
 
 
 def reference_graft(node, label, line_of):

@@ -5,13 +5,16 @@ from __future__ import annotations
 import gc
 import json
 import textwrap
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixscope.diffing import (
     ChangeLabel,
     EditBlock,
+    _myers_matches,
     align_versions,
     build_diff_ast,
     dump_enhanced_ast,
@@ -19,6 +22,7 @@ from fixscope.diffing import (
 )
 from fixscope.grammar import parse_source
 
+from oracles import reference_myers_matches
 from test_properties import shape
 
 
@@ -83,6 +87,36 @@ class TestAlignVersions:
             removed = sum(blk.b_end - blk.b_start for blk in blocks)
             kept = len(a) - removed
             assert kept == lcs_len(a, b), (a, b, blocks)
+
+    def test_form_feed_keeps_the_parsers_line_numbers(self):
+        # a form feed is whitespace to the parser, a line break to
+        # str.splitlines: only the deleted call may change
+        before = "def h():\x0c\n    f(y)\n    f(x)\n"
+        after = "def h():\x0c\n    f(x)\n"
+        assert align_versions(before, after) == [EditBlock(2, 3, 2, 2)]
+        (hunk,) = make_hunks(before, after)
+        assert [(n.kind, n.label) for n in hunk.labeled_roots] == [
+            ("Expr", ChangeLabel.MINUS)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("pqrs"), max_size=12),
+           st.lists(st.sampled_from("pqrs"), max_size=12))
+    def test_myers_matches_reference(self, a, b):
+        assert _myers_matches(a, b) == reference_myers_matches(a, b)
+
+    def test_full_rewrite_trace_fits_a_memory_budget(self):
+        # the trace keeps one frontier list per step, not a copy of the
+        # whole diagonal dict: 1.6 MB here against 13.2 MB with the copies
+        before = "".join(f"a{i} = {i}\n" for i in range(300))
+        after = "".join(f"b{i} = {i}\n" for i in range(300))
+        tracemalloc.start()
+        try:
+            script = align_versions(before, after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert script == [EditBlock(1, 301, 1, 301)]
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestBuildDiffAst:

@@ -16,6 +16,7 @@ from fixscope.grammar import (
     load_taxonomy,
     node_role,
     parse_source,
+    split_lines,
     taxonomy_checksum,
     tree_height,
 )
@@ -241,8 +242,30 @@ class TestNormalizerGolden:
 
     @pytest.mark.parametrize("name", sorted(grammar._GENERIC))
     def test_generic_host_fields_cover_the_kind_slots(self, name):
-        slots = load_taxonomy().slots.get(grammar._GENERIC[name], ())
-        assert set(slots) <= set(getattr(ast, name)._fields)
+        # every slot of the entry's kind reads host fields the class has,
+        # and the entry renames no field into a slot the kind lacks
+        kind, fields, _text = grammar._GENERIC[name]
+        slots = load_taxonomy().slots.get(kind, ())
+        assert kind in load_taxonomy().kinds
+        assert set(fields) <= set(slots)
+        read = {field for slot in slots for field in fields.get(slot, (slot,))}
+        assert read <= set(getattr(ast, name)._fields)
+
+    def test_each_host_class_has_one_converter(self):
+        handlers = {attr[3:] for attr in dir(grammar._Normalizer) if attr.startswith("_h_")}
+        # a misspelled handler would never be dispatched
+        for name in handlers | set(grammar._GENERIC):
+            host = getattr(ast, name, None)
+            assert isinstance(host, type) and issubclass(host, ast.AST), name
+        # operators, contexts and `with` items are read by their parent's
+        # handler, the module by `_Normalizer.module`
+        read_by_parent = (ast.operator, ast.unaryop, ast.boolop, ast.cmpop,
+                          ast.expr_context, ast.withitem, ast.Module)
+        source = (self.DATA / "normalizer_fixture.py").read_text()
+        converted = {type(n).__name__ for n in ast.walk(ast.parse(source))
+                     if not isinstance(n, read_by_parent)}
+        for name in converted | handlers | set(grammar._GENERIC):
+            assert (name in handlers) != (name in grammar._GENERIC), name
 
 
 class TestRoundTrip:
@@ -322,6 +345,28 @@ class TestSourceSegment:
         leaves = [n.text for n in parse_source(source).walk()
                   if n.kind == "Str" and n.text.startswith("f")]
         assert sorted(leaves) == sorted(expected)
+
+
+# str.splitlines breaks at these, the parser does not
+NOT_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestSplitLines:
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_lines_are_where_the_parser_puts_them(self, char):
+        source = f"a = 1  # x{char}y\r\nb = 2\rc = [\n]\nd = '{char}'"
+        lines = split_lines(source)
+        assert len(lines) == 5
+        names = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)]
+        assert len(names) == 4
+        for name in names:
+            assert lines[name.lineno - 1].startswith(name.id)
+
+    @pytest.mark.parametrize("source", [
+        "", "\n", "a", "a\n", "a\n\n", "a\r\n\r\nb\r",
+        *(text for text in SEGMENT_SOURCES.values() if "\x0c" not in text)])
+    def test_splitlines_where_no_other_break_occurs(self, source):
+        assert split_lines(source) == source.splitlines()
 
 
 class TestReferenceParserAgreement:

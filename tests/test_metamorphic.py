@@ -7,6 +7,7 @@ library, so the relations need no corpus on disk.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json.decoder
@@ -15,6 +16,7 @@ import string
 import textwrap
 import time
 import tokenize
+import warnings
 from pathlib import Path
 
 from conftest import make_hunks
@@ -23,6 +25,8 @@ LAYOUT_MODULES = (json.decoder, csv, textwrap, string)
 CASES_PER_MODULE = 6
 EDITS_PER_CASE = 4
 LAYOUT_BUDGET_S = 3.0
+FORM_FEED_CASES_PER_MODULE = 8
+FORM_FEED_BUDGET_S = 3.0
 
 
 def logical_line_ends(source: str) -> list[int]:
@@ -64,3 +68,50 @@ def test_layout_edits_yield_no_hunks():
     assert [case for case in cases if case[2]] == []
     assert elapsed <= LAYOUT_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"
 
+
+def line_edit(source: str, rng: random.Random) -> str:
+    """``source`` with one seeded line deleted, or copied to a seeded place."""
+    lines = source.splitlines(keepends=True)
+    line = rng.randrange(len(lines))
+    if rng.random() < 0.5:
+        del lines[line]
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), lines[line])
+    return "".join(lines)
+
+
+def with_form_feed_after_line_1(text: str) -> str:
+    first, newline, rest = text.partition("\n")
+    return first + "\x0c" + newline + rest
+
+
+def hunk_places(before: str, after: str, path: str) -> list:
+    return [(hunk.id, [(root.kind, root.role, root.label, root.span, root.eff_start,
+                        root.eff_end) for root in hunk.labeled_roots])
+            for hunk in make_hunks(before, after, path=path)]
+
+
+def test_form_feed_after_line_1_changes_no_hunk():
+    # the parser reads a form feed as whitespace, so the line diff must not
+    # break a line there either
+    started = time.perf_counter()
+    cases = []
+    for module in LAYOUT_MODULES:
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        for seed in range(FORM_FEED_CASES_PER_MODULE):
+            edited = line_edit(source, random.Random(f"{module.__name__}:{seed}"))
+            try:
+                with warnings.catch_warnings():
+                    # an escape a copied line brings into a plain string
+                    warnings.simplefilter("error")
+                    ast.parse(edited)
+            except SyntaxError:
+                continue
+            plain = hunk_places(source, edited, module.__name__)
+            fed = hunk_places(with_form_feed_after_line_1(source),
+                              with_form_feed_after_line_1(edited), module.__name__)
+            cases.append((module.__name__, seed, bool(plain), plain == fed))
+    elapsed = time.perf_counter() - started
+    assert sum(case[2] for case in cases) >= 8
+    assert [case for case in cases if not case[3]] == []
+    assert elapsed <= FORM_FEED_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"

@@ -74,6 +74,16 @@ class TestConfig:
         ({"alpha": 5.0}, "alpha"), ({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
         ({"alpha": math.nan}, "alpha"), ({"alpha": "0.05"}, "alpha"),
         ({"version": "7"}, "version '7'"),
+        # no cut can use these: a depth below 1 puts every hunk in one
+        # cluster, a NaN cutoff leaves none
+        ({"inconsistency_depth": 0}, "inconsistency_depth"),
+        ({"inconsistency_depth": -1}, "inconsistency_depth"),
+        ({"inconsistency_depth": 2.0}, "inconsistency_depth"),
+        ({"min_cluster_size": 0}, "min_cluster_size"),
+        ({"min_cluster_size": -3}, "min_cluster_size"),
+        ({"min_cluster_size": 2.5}, "min_cluster_size"),
+        ({"cutoff": math.nan}, "cutoff"), ({"cutoff": math.inf}, "cutoff"),
+        ({"cutoff": "1.1"}, "cutoff"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -81,7 +91,8 @@ class TestConfig:
 
     def test_accepted_values_load(self):
         for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
-                    {"version": "1"}):
+                    {"version": "1"}, {"inconsistency_depth": 1}, {"min_cluster_size": 1},
+                    {"cutoff": None}, {"cutoff": 0}, {"cutoff": 1.15}):
             PipelineConfig.from_dict(doc)
 
 
@@ -907,7 +918,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("args, doc", [
-        (["--alpha", "5"], {}), ([], {"control_mode": "bogus"})])
+        (["--alpha", "5"], {}), ([], {"control_mode": "bogus"}),
+        (["--cutoff", "nan"], {}), (["--min-size", "0"], {}),
+        ([], {"inconsistency_depth": 0}), ([], {"min_cluster_size": 2.5})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"
