@@ -536,12 +536,42 @@ def hunk_from_dict(doc: dict) -> Hunk:
                 line_window=SourceSpan(*doc["window"]))
 
 
+def _indented_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document whose
+    keys are strings, written from an explicit stack: with ``indent`` the
+    standard encoder recurses once per nesting level."""
+    parts = []
+    stack = [(doc, 0)]  # (value, depth), or (literal text, None)
+    while stack:
+        value, depth = stack.pop()
+        if depth is None:
+            parts.append(value)
+            continue
+        if isinstance(value, dict) and value:
+            opener, closer = "{", "}"
+            items = [(json.dumps(key) + ": ", item) for key, item in sorted(value.items())]
+        elif isinstance(value, (list, tuple)) and value:
+            opener, closer = "[", "]"
+            items = [("", item) for item in value]
+        else:  # a scalar, or an empty container
+            parts.append(json.dumps(value))
+            continue
+        indent = "\n" + "  " * (depth + 1)
+        todo = [(opener, None)]
+        for k, (prefix, item) in enumerate(items):
+            todo += [(("," if k else "") + indent + prefix, None), (item, depth + 1)]
+        todo.append(("\n" + "  " * depth + closer, None))
+        stack.extend(reversed(todo))
+    return "".join(parts)
+
+
 def dump_enhanced_ast(enhanced: EnhancedAst) -> str:
-    """One JSON document with the labeled tree, for golden tests."""
+    """One JSON document with the labeled tree, for golden tests; any
+    depth of tree dumps, since no step recurses."""
     doc = {
         "change_id": enhanced.change_id,
         "path": enhanced.path,
         "conflicts": enhanced.conflicts,
         "tree": diff_node_to_dict(enhanced.root),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _indented_json(doc)

@@ -326,6 +326,9 @@ def _point(line: int, col: int) -> SourceSpan:
     return SourceSpan(line, col, line, col)
 
 
+_FILE_START = _point(1, 0)
+
+
 class _Normalizer:
     """Folds a host ``ast`` tree onto the canonical taxonomy.
 
@@ -357,17 +360,22 @@ class _Normalizer:
         text: str,
         children: list[AstNode],
     ) -> AstNode:
-        """A node spanning ``span`` and its children; a node with neither
-        sits at the file's start."""
-        for child in children:
-            span = child.span if span is None else span.union(child.span)
-        if span is None:
-            span = _point(1, 0)
-        ordered = sorted(
-            children,
-            key=lambda c: (c.span.start_line, c.span.start_col, c.span.end_line, c.span.end_col),
-        )
-        return AstNode(kind=kind, role=role, span=span, text=text, children=tuple(ordered))
+        """A node spanning ``span`` and its children, which it orders by
+        position; a node with neither sits at the file's start."""
+        if not children:
+            return AstNode(kind, role, span or _FILE_START, text, ())
+        spans = [child.span for child in children]
+        keys = [(s.start_line, s.start_col, s.end_line, s.end_col) for s in spans]
+        start = min(keys)[:2]
+        end = max(key[2:] for key in keys)
+        if span is not None:
+            start = min(start, (span.start_line, span.start_col))
+            end = max(end, (span.end_line, span.end_col))
+        # sorted is stable, so children already in order keep it unsorted
+        if any(map(operator.gt, keys, keys[1:])):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            children = [children[i] for i in order]
+        return AstNode(kind, role, SourceSpan(*start, *end), text, tuple(children))
 
     def _slot(self, parent_kind: str, slot: str, value):
         role = self.taxonomy.role_for(parent_kind, slot)
@@ -415,20 +423,18 @@ class _Normalizer:
 
     def convert(self, node: ast.AST, role: str | None):
         name = type(node).__name__
-        if name in _UNSUPPORTED:
-            err = UnsupportedConstructError(
-                f"{name} has no counterpart in the py27 dialect")
-            err.lineno = getattr(node, "lineno", None)
-            raise err
-        handler = getattr(self, "_h_" + name, None)
-        if handler is not None:
-            return handler(node, role)
-        rule = _GENERIC.get(name)
-        if rule is None:
+        handler = _HANDLERS.get(name)
+        if handler is None:
             raise UnsupportedConstructError(f"unhandled host node {name}")
-        return self._generic(node, rule, role)
+        return handler(self, node, role)
 
-    def _generic(self, node, rule, role):
+    def _unsupported(self, node, role):
+        err = UnsupportedConstructError(
+            f"{type(node).__name__} has no counterpart in the py27 dialect")
+        err.lineno = getattr(node, "lineno", None)
+        raise err
+
+    def _generic(self, node, role, rule):
         """Converts the children of each of the rule's kind's slots, in
         table order; a kind without slots is a finished leaf."""
         kind, fields, text_of = rule
@@ -436,7 +442,7 @@ class _Normalizer:
         span = None if kind in _CHILD_SPANNED else _own_span(node)
         slots = self.taxonomy.slots.get(kind)
         if slots is None:
-            return self._make(kind, role, span, text, [])
+            return AstNode(kind, role, span or _FILE_START, text, ())
         return self._generic_children(node, kind, fields, role, span, text, slots)
 
     def _generic_children(self, node, kind, fields, role, span, text, slots):
@@ -628,3 +634,18 @@ class _Normalizer:
         if node.kwarg is not None:
             stars.append("**" + node.kwarg.arg)
         return self._make("arguments", role, None, ",".join(stars), children)
+
+
+def _handlers() -> dict:
+    """Host class name -> ``convert``'s function for it, built once: a
+    handler of its own, the generic walker with its rule, or the refusal
+    of a construct the dialect cannot express."""
+    table = {name: functools.partial(_Normalizer._generic, rule=rule)
+             for name, rule in _GENERIC.items()}
+    table.update((name[3:], getattr(_Normalizer, name))
+                 for name in dir(_Normalizer) if name.startswith("_h_"))
+    table.update((name, _Normalizer._unsupported) for name in _UNSUPPORTED)
+    return table
+
+
+_HANDLERS = _handlers()

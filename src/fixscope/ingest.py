@@ -8,6 +8,9 @@ so full runs replay offline.  The git source needs no cache: its scan
 runs ``git rev-parse`` and one ``git log`` and reads no blob, since the
 log's object ids tell which files have content, and ``file_pairs``
 streams every blob a stage needs through one ``git cat-file --batch``.
+It names each blob by the object id the same source's scan found, and
+sends no request for a side the scan found empty; without a scan, as in
+a later process, it names blobs by revision and path.
 """
 
 from __future__ import annotations
@@ -334,16 +337,20 @@ class GerritSource:
 
 
 # the empty blob's id under each object format, keyed by hex length
-_EMPTY_BLOBS = {len(oid): oid for oid in (hashlib.sha1(b"blob 0\x00").hexdigest(),
-                                          hashlib.sha256(b"blob 0\x00").hexdigest())}
-_GITLINK = "160000"
+_EMPTY_BLOBS = {len(oid): oid.encode("ascii")
+                for oid in (hashlib.sha1(b"blob 0\x00").hexdigest(),
+                            hashlib.sha256(b"blob 0\x00").hexdigest())}
+_GITLINK = b"160000"
 
 
-def _has_content(mode: str, oid: str) -> bool:
-    """Whether one side of a ``--raw`` entry reads as file content: an
-    all-zero id is absent, and a gitlink names a commit, not a blob."""
-    return (mode != _GITLINK and oid != "0" * len(oid)
-            and oid != _EMPTY_BLOBS.get(len(oid)))
+def _blob_name(mode: bytes, oid: bytes) -> bytes:
+    """The ``cat-file`` request for one side of a ``--raw`` entry: its
+    object id, or b"" when the side reads empty.  An all-zero id is
+    absent, the empty blob has no content, and a gitlink names a commit,
+    not a blob."""
+    if mode == _GITLINK or oid == b"0" * len(oid) or oid == _EMPTY_BLOBS.get(len(oid)):
+        return b""
+    return oid
 
 
 def _send(stdin, names: bytes):
@@ -359,16 +366,21 @@ class GitSource:
     Every non-merge commit is one change; ``merges_only`` restricts the
     scan to merge commits for review workflows that land merges.  A scan
     runs ``git rev-parse`` and one ``git log`` however many commits it
-    reads, and no blob: the log's object ids answer ``has_content``.
-    ``file_pairs`` reads blobs through one ``git cat-file --batch`` per
-    call, fed by a writer thread so no request waits for the reply before
-    it; ``fetch_file_pair`` is the one-pair call of the same reader.
+    reads, and no blob: the log's object ids answer ``has_content``, and
+    the source keeps them.  ``file_pairs`` reads blobs through one ``git
+    cat-file --batch`` per call, fed by a writer thread so no request
+    waits for the reply before it.  It asks for each side by the object
+    id this source's scan found, and never for a side the scan found
+    empty; a file the source has not scanned, as when extract runs alone
+    in a later process, is asked for by name.  ``fetch_file_pair`` is the
+    one-pair call of the same reader.
     """
 
     def __init__(self, repo_path: str | Path):
         self.repo = Path(repo_path)
-        # (revision, path) of scanned files with content on neither side
-        self._contentless: set[tuple[str, str]] = set()
+        # (revision, path) of each scanned file -> the cat-file request for
+        # its (before, after) sides, b"" for a side that reads empty
+        self._blob_ids: dict[tuple[str, str], tuple[bytes, bytes]] = {}
 
     def _git(self, *args: str, missing_ok: bool = False) -> bytes | None:
         """git's output.  With ``missing_ok``, None when git exits 1, as
@@ -410,33 +422,32 @@ class GitSource:
         args.extend(branches)
         args.append("--")  # branches are revisions even where files share their names
         tokens = iter(self._git(*args).split(b"\x00"))
-        commits: list[tuple[str, set[str], set[str]]] = []
+        # each commit's header, and path -> (before, after) request names
+        commits: list[tuple[str, dict[str, tuple[bytes, bytes]]]] = []
         for token in tokens:
             if token.startswith((b":", b"\n:")):
                 src_mode, dst_mode, src_oid, dst_oid, _status = (
-                    token.lstrip(b"\n")[1:].decode("ascii").split())
+                    token.lstrip(b"\n")[1:].split())
                 name = next(tokens)
+                files = commits[-1][1]
                 try:
                     path = name.decode("utf-8")
                 except UnicodeDecodeError:
-                    # git resolves no blob under the replaced spelling
-                    path = name.decode("utf-8", errors="replace")
-                    readable = False
+                    # git resolves no blob under the replaced spelling; a
+                    # file that really bears it keeps its own ids
+                    files.setdefault(name.decode("utf-8", errors="replace"), (b"", b""))
                 else:
-                    readable = (_has_content(src_mode, src_oid)
-                                or _has_content(dst_mode, dst_oid))
-                commits[-1][1].add(path)
-                if readable:
-                    commits[-1][2].add(path)
+                    files[path] = (_blob_name(src_mode, src_oid),
+                                   _blob_name(dst_mode, dst_oid))
             elif token:
-                commits.append((token.decode("utf-8", errors="replace"), set(), set()))
+                commits.append((token.decode("utf-8", errors="replace"), {}))
         records = []
         project = self.repo.name
-        for header, files, readable in commits:
+        for header, files in commits:
             commit, parents, date, message = header.split("\x1f", 3)
             if not merges_only and len(parents.split()) > 1:
                 continue
-            self._contentless.update((commit, path) for path in files - readable)
+            self._blob_ids.update(((commit, path), names) for path, names in files.items())
             records.append(ChangeRecord(
                 change_id=commit, project=project, branch="", revision=commit,
                 message=message, files=tuple(sorted(files)), created=date))
@@ -447,7 +458,8 @@ class GitSource:
         """Whether either side of ``path`` reads as content, for a file of
         a record this source's scan returned.  Answered from the scan's
         object ids; no blob is read."""
-        return (record.revision, path) not in self._contentless
+        names = self._blob_ids.get((record.revision, path))
+        return names is None or any(names)
 
     def file_pairs(self, items):
         """For each ``(record, path)`` in order, its ``FilePair``, or None
@@ -455,28 +467,40 @@ class GitSource:
         something other than a blob, reads as empty.
 
         One ``git cat-file --batch -z`` serves every item: a writer thread
-        sends all the names while this generator reads the replies.
-        Closing the generator, also before it is exhausted, closes the
-        pipes, joins the writer and reaps git.
+        sends all the names while this generator reads the replies.  A
+        side is named by the object id this source's scan found, and a
+        side the scan found empty is not sent at all; a file the source
+        has not scanned is named ``<rev>^:<path>`` and ``<rev>:<path>``.
+        With nothing to send, no process starts.  Closing the generator,
+        also before it is exhausted, closes the pipes, joins the writer
+        and reaps git.
         """
-        requests = [(record, path, f"{record.revision}^:{path}".encode("utf-8"),
-                     f"{record.revision}:{path}".encode("utf-8"))
-                    for record, path in items]
-        if not requests:
+        requests = []
+        for record, path in items:
+            names = self._blob_ids.get((record.revision, path))
+            if names is None:
+                names = (f"{record.revision}^:{path}".encode("utf-8"),
+                         f"{record.revision}:{path}".encode("utf-8"))
+            requests.append((record, path, *names))
+        stream = b"".join(name + b"\x00" for *_, before, after in requests
+                          for name in (before, after) if name)
+        if not stream:
+            yield from (None for _ in requests)
             return
-        names = b"".join(name + b"\x00" for *_, before, after in requests
-                         for name in (before, after))
         with subprocess.Popen(
                 ["git", "-C", str(self.repo), "cat-file", "--batch", "-z"],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL) as batch:
-            writer = threading.Thread(target=_send, args=(batch.stdin, names),
+            writer = threading.Thread(target=_send, args=(batch.stdin, stream),
                                       name="git-cat-file-writer", daemon=True)
             writer.start()
+
+            def read(name: bytes) -> bytes:
+                return self._read(batch.stdout, name) if name else b""
+
             try:
                 for record, path, before, after in requests:
-                    yield _decoded_pair(record, path, self._read(batch.stdout, before),
-                                        self._read(batch.stdout, after))
+                    yield _decoded_pair(record, path, read(before), read(after))
             finally:
                 batch.stdout.close()  # git quits on its next reply, not blocks
                 writer.join()
@@ -485,7 +509,9 @@ class GitSource:
         """The reply to ``name``: the blob, or empty when it is missing or
         not a blob."""
         line = stdout.readline()
-        if b":" in line:  # "<name> missing"; with -z the echoed name may hold LFs
+        # "<name> missing": a path name holds a colon, and with -z its echo
+        # may hold LFs; an object id comes back as it was sent
+        if b":" in line or line == name + b" missing\n":
             for _ in range(name.count(b"\n")):
                 stdout.readline()
             return b""

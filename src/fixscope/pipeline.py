@@ -32,6 +32,7 @@ import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -157,10 +158,17 @@ class PipelineConfig:
         if self.cutoff is not None and not (
                 isinstance(self.cutoff, (int, float)) and math.isfinite(self.cutoff)):
             raise ValueError(f"cutoff must be a finite number or null, got {self.cutoff!r}")
-        self.projects = tuple(self.projects)
-        self.branches = tuple(self.branches)
-        self.keywords = tuple(self.keywords)
-        self.test_markers = tuple(self.test_markers)
+        for name in ("projects", "branches", "keywords", "test_markers"):
+            value = getattr(self, name)
+            # a lone string would load as a tuple of its characters
+            if not (isinstance(value, (list, tuple))
+                    and all(isinstance(item, str) for item in value)):
+                raise ValueError(f"{name} must be a list of strings, got {value!r}")
+            setattr(self, name, tuple(value))
+        for name in ("merges_only", "case_sensitive", "word_bounded", "bonferroni"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):  # "no" would switch the option on
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         # built here, so bad weights are a configuration error at load
         self.weights = WeightConfig(w_type=self.w_type, w_role=self.w_role,
                                     r=self.r, c=self.c)
@@ -373,7 +381,10 @@ class Pipeline:
             raise StageError(stage, exc) from exc
         self._seal(stage)
 
+    @cached_property
     def _source(self):
+        """The one source every stage of this pipeline reads, so extract
+        reads blobs by the object ids ingest's scan found."""
         cfg = self.config
         if cfg.source_mode == "git":
             if not cfg.source_path:
@@ -388,7 +399,7 @@ class Pipeline:
 
     def _stage_ingest(self) -> dict[str, str]:
         cfg = self.config
-        source = self._source()
+        source = self._source
         window = {"projects": cfg.projects, "branches": cfg.branches,
                   "after": cfg.after or None, "before": cfg.before or None}
         if cfg.source_mode == "git":
@@ -429,7 +440,7 @@ class Pipeline:
         counts = {"files_considered": len(items), "files_parsed": 0,
                   "files_skipped_syntax": 0, "files_missing": 0,
                   "alignment_conflicts": 0, "hunks": 0}
-        with closing(self._source().file_pairs(items)) as pairs:
+        with closing(self._source.file_pairs(items)) as pairs:
             for (record, path), pair in zip(items, pairs):
                 if pair is None:
                     counts["files_missing"] += 1

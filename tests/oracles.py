@@ -469,6 +469,16 @@ class RecursiveNormalizer(_grammar._Normalizer):
     def module(self, node):
         return self._make("Module", None, None, "", self._slot("Module", "body", node.body))
 
+    def _make(self, kind, role, span, text, children):
+        # the span grown by one union per child, the children always sorted
+        for child in children:
+            span = child.span if span is None else span.union(child.span)
+        if span is None:
+            span = _grammar._point(1, 0)
+        ordered = sorted(children, key=lambda c: (c.span.start_line, c.span.start_col,
+                                                  c.span.end_line, c.span.end_col))
+        return _grammar.AstNode(kind, role, span, text, tuple(ordered))
+
     def convert(self, node, role):
         name = type(node).__name__
         if name in _grammar._UNSUPPORTED:
@@ -482,14 +492,14 @@ class RecursiveNormalizer(_grammar._Normalizer):
         rule = _grammar._GENERIC.get(name)
         if rule is None:
             raise _grammar.UnsupportedConstructError(f"unhandled host node {name}")
-        return self._generic(node, rule, role)
+        return self._generic(node, role, rule)
 
     def _slot(self, parent_kind, slot, value):
         role = self.taxonomy.role_for(parent_kind, slot)
         items = value if isinstance(value, list) else [value]
         return [self.convert(item, role) for item in items if item is not None]
 
-    def _generic(self, node, rule, role):
+    def _generic(self, node, role, rule):
         # reads each slot from the host field of its name: every host class
         # whose fields are named otherwise has its own handler below
         kind, _fields, text_of = rule

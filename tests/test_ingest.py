@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import re
 import subprocess
 import threading
 import time
@@ -460,7 +461,10 @@ SCANS = [
 
 def _assert_matches_reference(repo, scan):
     """Records, presence answers and file pairs equal the per-commit
-    reference's; a pair the reference finds missing reads as None."""
+    reference's; a pair the reference finds missing reads as None.  The
+    pairs are read both by the scanning source, which names blobs by
+    object id, and by a source that has not scanned, which names them by
+    path."""
     reference = oracles.PerCommitGitSource(repo)
     source = GitSource(repo)
     records = source.fetch_merged_changes(**scan)
@@ -476,6 +480,7 @@ def _assert_matches_reference(repo, scan):
     assert [source.has_content(record, path) for record, path in items] == \
         [pair is not None for pair in expected]
     assert list(source.file_pairs(items)) == expected
+    assert list(GitSource(repo).file_pairs(items)) == expected
 
 
 class BlobReadingGitSource(GitSource):
@@ -543,6 +548,22 @@ class TestGitSourceParity:
         assert record.files == ("caf\ufffd.py",)
         assert not source.has_content(record, "caf\ufffd.py")
 
+    def test_pruned_blob_reads_empty_by_id_as_by_path(self, tmp_path):
+        # "<oid> missing" holds no colon, unlike the reply to a path name
+        git(tmp_path, "init", "-q", "-b", "main")
+        for day, text in ((1, "x = 1\n"), (2, "x = 2\n")):
+            (tmp_path / "mod.py").write_text(text)
+            git(tmp_path, "add", "mod.py")
+            _commit(tmp_path, day, "-m", f"Fix {day}")
+        oid = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD:mod.py"],
+                             capture_output=True, text=True, check=True).stdout.strip()
+        (tmp_path / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+        source = GitSource(tmp_path)
+        items = [(record, "mod.py") for record in source.fetch_merged_changes()]
+        pairs = list(source.file_pairs(items))
+        assert pairs == list(GitSource(tmp_path).file_pairs(items))
+        assert (pairs[1].before_text, pairs[1].after_text) == ("x = 1\n", "")
+
     def test_cases_the_fixture_must_hold(self, parity_repo):
         repo, parent = parity_repo
         source = GitSource(repo)
@@ -603,6 +624,40 @@ class TestGitSourceParity:
             f"decode warning: {revision}:latin.py@parent is not clean UTF-8; replacing",
             f"decode warning: {revision}:latin.py is not clean UTF-8; replacing"]
 
+    def test_cold_extract_reads_by_object_id_only_sides_with_content(
+            self, parity_repo, tmp_path, monkeypatch):
+        repo, _ = parity_repo
+        pipeline = Pipeline(PipelineConfig(source_path=str(repo),
+                                           output_dir=str(tmp_path / "out")))
+        pipeline.run_stage("ingest")
+        counter = CountingSubprocess(monkeypatch)
+        pipeline.run_stage("extract")
+        names = counter.names()
+        assert names and all(re.fullmatch(rb"[0-9a-f]{40}", name) for name in names)
+        # an absent side, the empty blob and a gitlink are never asked for
+        reference = oracles.PerCommitGitSource(repo)
+        sides = [reference._show(f"{change['revision']}{parent}:{path}")
+                 for change in map(json.loads, (tmp_path / "out" / "changes.jsonl")
+                                   .read_text().splitlines())
+                 for path in change["files"] for parent in ("^", "")]
+        assert len(names) == sum(1 for side in sides if side) < len(sides)
+
+    @pytest.mark.parametrize("fixture", ["parity_repo", "sha256_repo"])
+    def test_extract_alone_writes_the_cold_runs_bytes(self, fixture, request,
+                                                      tmp_path, monkeypatch):
+        repo = request.getfixturevalue(fixture)
+        repo = repo[0] if isinstance(repo, tuple) else repo
+        config = PipelineConfig(source_path=str(repo), output_dir=str(tmp_path / "out"))
+        names = ("hunks.jsonl", "extract_counts.json", "extract.manifest.json")
+        Pipeline(config).run(("ingest", "extract"))
+        cold = [(tmp_path / "out" / name).read_bytes() for name in names]
+        counter = CountingSubprocess(monkeypatch)
+        Pipeline(config).run_stage("extract", force=True)
+        # a source that has not scanned names each blob by revision and path
+        assert counter.names() and all(b":" in name for name in counter.names())
+        assert [(tmp_path / "out" / name).read_bytes() for name in names] == cold
+        assert json.loads(cold[1])["files_parsed"] > 0
+
 
 def _linear_repo(path, commits):
     """A repository of ``commits`` fix commits to one module, written by a
@@ -640,11 +695,25 @@ def _wide_repo(path, files):
 
 
 class CountingSubprocess:
-    """Stands in for ``subprocess`` inside ``fixscope.ingest``."""
+    """Stands in for ``subprocess`` inside ``fixscope.ingest``, and records
+    the request bytes sent to each ``git cat-file`` batch."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = 0
         self.batches = []
+        self.sent = []
+        monkeypatch.setattr(fixscope.ingest, "subprocess", self)
+        send = fixscope.ingest._send
+
+        def recording_send(stdin, names):
+            self.sent.append(names)
+            send(stdin, names)
+
+        monkeypatch.setattr(fixscope.ingest, "_send", recording_send)
+
+    def names(self) -> list[bytes]:
+        """Every name requested, in order."""
+        return [name for stream in self.sent for name in stream.split(b"\x00")[:-1]]
 
     def run(self, *args, **kwargs):
         self.calls += 1
@@ -679,8 +748,7 @@ def _bounded(action, timeout=60.0):
 
 class TestGitSourceProcesses:
     def _stage_calls(self, monkeypatch, pipeline, stage):
-        counter = CountingSubprocess()
-        monkeypatch.setattr(fixscope.ingest, "subprocess", counter)
+        counter = CountingSubprocess(monkeypatch)
         try:
             pipeline.run_stage(stage)
         finally:
@@ -725,10 +793,7 @@ class TestStreamingReader:
     @pytest.fixture
     def wide(self, tmp_path, monkeypatch):
         _wide_repo(tmp_path, 600)
-        source = GitSource(tmp_path)
-        [record] = source.fetch_merged_changes()
-        counter = CountingSubprocess()
-        monkeypatch.setattr(fixscope.ingest, "subprocess", counter)
+        [record] = GitSource(tmp_path).fetch_merged_changes()
         send = fixscope.ingest._send
 
         def lingering_send(*args):
@@ -738,9 +803,14 @@ class TestStreamingReader:
             time.sleep(0.2)
 
         monkeypatch.setattr(fixscope.ingest, "_send", lingering_send)
-        return source, [(record, path) for path in record.files], counter
+        counter = CountingSubprocess(monkeypatch)
+        # a source that has not scanned names every side by its path; by
+        # object id, and without the absent before sides, the requests
+        # would fit in a pipe's buffer
+        return GitSource(tmp_path), [(record, path) for path in record.files], counter
 
     def _assert_released(self, counter, threads):
+        assert sum(map(len, counter.sent)) > 64 * 1024  # more than a pipe buffer holds
         assert len(counter.batches) == 1
         assert counter.batches[0].returncode is not None
         assert threading.active_count() == threads

@@ -84,6 +84,12 @@ class TestConfig:
         ({"min_cluster_size": 2.5}, "min_cluster_size"),
         ({"cutoff": math.nan}, "cutoff"), ({"cutoff": math.inf}, "cutoff"),
         ({"cutoff": "1.1"}, "cutoff"),
+        # a string would load as its characters, and any nonempty one is truthy
+        ({"keywords": "bug"}, "keywords"), ({"test_markers": "tests"}, "test_markers"),
+        ({"projects": "nova"}, "projects"), ({"branches": "master"}, "branches"),
+        ({"keywords": ["bug", 1]}, "keywords"), ({"branches": None}, "branches"),
+        ({"bonferroni": "no"}, "bonferroni"), ({"case_sensitive": "false"}, "case_sensitive"),
+        ({"merges_only": 1}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -92,8 +98,15 @@ class TestConfig:
     def test_accepted_values_load(self):
         for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
                     {"version": "1"}, {"inconsistency_depth": 1}, {"min_cluster_size": 1},
-                    {"cutoff": None}, {"cutoff": 0}, {"cutoff": 1.15}):
+                    {"cutoff": None}, {"cutoff": 0}, {"cutoff": 1.15},
+                    {"bonferroni": True}, {"merges_only": False}):
             PipelineConfig.from_dict(doc)
+
+    def test_lists_from_config_json_load_as_tuples(self):
+        config = PipelineConfig.from_dict({"keywords": ["bug"], "test_markers": [],
+                                           "projects": ["nova"], "branches": ["master"]})
+        assert (config.keywords, config.test_markers) == (("bug",), ())
+        assert (config.projects, config.branches) == (("nova",), ("master",))
 
 
 class TestDemoCorpus:
@@ -920,7 +933,8 @@ class TestCli:
     @pytest.mark.parametrize("args, doc", [
         (["--alpha", "5"], {}), ([], {"control_mode": "bogus"}),
         (["--cutoff", "nan"], {}), (["--min-size", "0"], {}),
-        ([], {"inconsistency_depth": 0}), ([], {"min_cluster_size": 2.5})])
+        ([], {"inconsistency_depth": 0}), ([], {"min_cluster_size": 2.5}),
+        ([], {"keywords": "bug"}), ([], {"bonferroni": "no"})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"

@@ -142,6 +142,23 @@ def test_hunk_depth_bound_keeps_its_limit_and_skips_past_it():
     assert err.value.lineno == 1
 
 
+def test_a_diff_tree_600_levels_deep_dumps():
+    # a one-term edit in a 600-term sum; json.dumps(indent=2) recurses in
+    # Python once per level and raised RecursionError on this tree
+    terms = ["1"] * 600
+    before = "x = " + " + ".join(terms) + "\n"
+    terms[300] = "2"
+    enhanced = diff_texts(before, "x = " + " + ".join(terms) + "\n")
+    assert tree_height(enhanced.root) > 600
+    text = dump_enhanced_ast(enhanced)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        assert text == reference_dump_enhanced_ast(enhanced)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # the per-file chain of the extract and features stages, run on a one-term
 # edit in a 400-term sum with the recursion limit cut to 200 frames
 _LOW_LIMIT_CHAIN = """
