@@ -19,8 +19,8 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 
-from fixscope.diffing import ChangeLabel, DiffNode, Hunk
-from fixscope.features import FeatureMatrix, FeatureVector, assemble_matrix
+from fixscope.diffing import DiffNode, Hunk
+from fixscope.features import FeatureMatrix, FeatureVector, _direction, assemble_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +132,7 @@ def inner_context_features(hunk: Hunk) -> dict[str, int]:
     """Occurrence counts of kinds and roles strictly below the labeled roots."""
     counts: dict[str, int] = {}
     for root in hunk.labeled_roots:
-        direction = "add" if root.label is ChangeLabel.PLUS else "rem"
+        direction = _direction(root.label)
         for node in root.walk():
             if node is root:
                 continue

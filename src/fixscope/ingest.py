@@ -7,22 +7,21 @@ cache keyed by (change id, path, revision, side) and verified by digest,
 so full runs replay offline.  The git source needs no cache: its scan
 runs ``git rev-parse`` and one ``git log`` and reads no blob, since the
 log's object ids tell which files have content, and ``file_pairs``
-streams every blob a stage needs through one ``git cat-file --batch``.
-It names each blob by the object id the same source's scan found, and
-sends no request for a side the scan found empty; without a scan, as in
-a later process, it names blobs by revision and path.
+streams every blob a stage needs through one ``git cat-file --batch``,
+asking for each side by its object id.  A source that has not scanned,
+as in a later process, first finds the ids with one ``git diff-tree
+--stdin``, whose output the scan's parser reads.
 """
 
 from __future__ import annotations
 
 import base64
-import contextlib
 import hashlib
 import json
 import logging
 import re
 import subprocess
-import threading
+import tempfile
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -319,21 +318,18 @@ class GerritSource:
         after = self._content(record, path, "after")
         return bool(before or after)
 
-    def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
-        pair = _decoded_pair(record, path, self._content(record, path, "before"),
-                             self._content(record, path, "after"))
-        if pair is None:
-            raise MissingBlobError(f"{record.change_id}:{path}")
-        return pair
-
     def file_pairs(self, items):
         """For each ``(record, path)`` in order, its ``FilePair``, or None
         when neither side has content."""
         for record, path in items:
-            try:
-                yield self.fetch_file_pair(record, path)
-            except MissingBlobError:
-                yield None
+            yield _decoded_pair(record, path, self._content(record, path, "before"),
+                                self._content(record, path, "after"))
+
+    def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
+        [pair] = self.file_pairs([(record, path)])
+        if pair is None:
+            raise MissingBlobError(f"{record.change_id}:{path}")
+        return pair
 
 
 # the empty blob's id under each object format, keyed by hex length
@@ -341,6 +337,15 @@ _EMPTY_BLOBS = {len(oid): oid.encode("ascii")
                 for oid in (hashlib.sha1(b"blob 0\x00").hexdigest(),
                             hashlib.sha256(b"blob 0\x00").hexdigest())}
 _GITLINK = b"160000"
+_FULL_ID = re.compile(r"[0-9a-f]{40}|[0-9a-f]{64}")
+# The scan's ``git log`` and the lookup's ``git diff-tree --stdin`` print
+# the same stream: per commit a NUL-terminated header, then its --raw
+# entries, a ":<modes> <ids> <status>" token and a path token each.
+# Headers start with the hash, status tokens with ":", so neither messages
+# nor paths can shift the boundaries.  --no-renames lists both paths of a
+# rename; merges list no entries.
+_RAW_DIFF = ("-z", "--root", "--no-renames", "--raw", "--no-abbrev",
+             "--format=%H%x1f%P%x1f%aI%x1f%B")
 
 
 def _blob_name(mode: bytes, oid: bytes) -> bytes:
@@ -353,13 +358,6 @@ def _blob_name(mode: bytes, oid: bytes) -> bytes:
     return oid
 
 
-def _send(stdin, names: bytes):
-    """Write every request, then close the pipe so git sees the end of
-    input; a git that has exited has nothing left to read."""
-    with contextlib.suppress(BrokenPipeError), stdin:
-        stdin.write(names)
-
-
 class GitSource:
     """Offline source walking the commits of a local repository.
 
@@ -367,27 +365,29 @@ class GitSource:
     scan to merge commits for review workflows that land merges.  A scan
     runs ``git rev-parse`` and one ``git log`` however many commits it
     reads, and no blob: the log's object ids answer ``has_content``, and
-    the source keeps them.  ``file_pairs`` reads blobs through one ``git
-    cat-file --batch`` per call, fed by a writer thread so no request
-    waits for the reply before it.  It asks for each side by the object
-    id this source's scan found, and never for a side the scan found
-    empty; a file the source has not scanned, as when extract runs alone
-    in a later process, is asked for by name.  ``fetch_file_pair`` is the
+    the source keeps them.  ``file_pairs`` reads blobs by those ids
+    through one ``git cat-file --batch`` per call, and never asks for a
+    side that reads empty.  For commits the source has not scanned, as
+    when extract runs alone in a later process, it first finds the ids
+    with one ``git diff-tree --stdin``.  ``fetch_file_pair`` is the
     one-pair call of the same reader.
     """
 
     def __init__(self, repo_path: str | Path):
         self.repo = Path(repo_path)
-        # (revision, path) of each scanned file -> the cat-file request for
-        # its (before, after) sides, b"" for a side that reads empty
+        # (revision, path) of each file of a scanned or looked-up commit ->
+        # the cat-file request for its (before, after) sides, b"" for a
+        # side that reads empty
         self._blob_ids: dict[tuple[str, str], tuple[bytes, bytes]] = {}
 
-    def _git(self, *args: str, missing_ok: bool = False) -> bytes | None:
-        """git's output.  With ``missing_ok``, None when git exits 1, as
-        ``rev-parse --verify -q`` does for a name that does not resolve;
-        any other failure raises :class:`IngestError`."""
+    def _git(self, *args: str, missing_ok: bool = False,
+             stdin: bytes | None = None) -> bytes | None:
+        """git's output, with ``stdin`` as its input.  With
+        ``missing_ok``, None when git exits 1, as ``rev-parse --verify
+        -q`` does for a name that does not resolve; any other failure
+        raises :class:`IngestError`."""
         proc = subprocess.run(
-            ["git", "-C", str(self.repo), *args],
+            ["git", "-C", str(self.repo), *args], input=stdin,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         if missing_ok and proc.returncode == 1:
             return None
@@ -395,6 +395,33 @@ class GitSource:
             raise IngestError(
                 f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace')}")
         return proc.stdout
+
+    def _read_raw(self, stream: bytes) -> list[tuple[str, set[str]]]:
+        """Each commit's header and the paths it changes, from a stream
+        in the ``_RAW_DIFF`` shape; the ids of every path go to
+        ``_blob_ids``."""
+        tokens = iter(stream.split(b"\x00"))
+        commits: list[tuple[str, set[str]]] = []
+        for token in tokens:
+            if token.startswith((b":", b"\n:")):
+                src_mode, dst_mode, src_oid, dst_oid, _status = (
+                    token.lstrip(b"\n")[1:].split())
+                name = next(tokens)
+                header, paths = commits[-1]
+                commit = header.split("\x1f", 1)[0]
+                try:
+                    path = name.decode("utf-8")
+                    self._blob_ids[commit, path] = (_blob_name(src_mode, src_oid),
+                                                    _blob_name(dst_mode, dst_oid))
+                except UnicodeDecodeError:
+                    # git resolves no blob under the replaced spelling; a
+                    # file that really bears it keeps its own ids
+                    path = name.decode("utf-8", errors="replace")
+                    self._blob_ids.setdefault((commit, path), (b"", b""))
+                paths.add(path)
+            elif token:
+                commits.append((token.decode("utf-8", errors="replace"), set()))
+        return commits
 
     def fetch_merged_changes(
         self,
@@ -406,13 +433,7 @@ class GitSource:
     ) -> list[ChangeRecord]:
         if self._git("rev-parse", "--verify", "-q", "HEAD", missing_ok=True) is None:
             return []  # repository without commits
-        # Each commit is a NUL-terminated header followed by its --raw
-        # entries, a ":<modes> <ids> <status>" token and a path token each.
-        # Headers start with the hash, status tokens with ":", so neither
-        # messages nor paths can shift the boundaries.  --no-renames lists
-        # both paths of a rename; merges list no entries.
-        args = ["log", "-z", "--root", "--no-renames", "--raw", "--no-abbrev",
-                "--format=%H%x1f%P%x1f%aI%x1f%B"]
+        args = ["log", *_RAW_DIFF]
         if merges_only:
             args.append("--merges")
         if after:
@@ -421,36 +442,15 @@ class GitSource:
             args.append(f"--until={before}")
         args.extend(branches)
         args.append("--")  # branches are revisions even where files share their names
-        tokens = iter(self._git(*args).split(b"\x00"))
-        # each commit's header, and path -> (before, after) request names
-        commits: list[tuple[str, dict[str, tuple[bytes, bytes]]]] = []
-        for token in tokens:
-            if token.startswith((b":", b"\n:")):
-                src_mode, dst_mode, src_oid, dst_oid, _status = (
-                    token.lstrip(b"\n")[1:].split())
-                name = next(tokens)
-                files = commits[-1][1]
-                try:
-                    path = name.decode("utf-8")
-                except UnicodeDecodeError:
-                    # git resolves no blob under the replaced spelling; a
-                    # file that really bears it keeps its own ids
-                    files.setdefault(name.decode("utf-8", errors="replace"), (b"", b""))
-                else:
-                    files[path] = (_blob_name(src_mode, src_oid),
-                                   _blob_name(dst_mode, dst_oid))
-            elif token:
-                commits.append((token.decode("utf-8", errors="replace"), {}))
         records = []
         project = self.repo.name
-        for header, files in commits:
+        for header, paths in self._read_raw(self._git(*args)):
             commit, parents, date, message = header.split("\x1f", 3)
             if not merges_only and len(parents.split()) > 1:
                 continue
-            self._blob_ids.update(((commit, path), names) for path, names in files.items())
             records.append(ChangeRecord(
                 change_id=commit, project=project, branch="", revision=commit,
-                message=message, files=tuple(sorted(files)), created=date))
+                message=message, files=tuple(sorted(paths)), created=date))
         records.reverse()  # oldest first
         return records
 
@@ -464,56 +464,55 @@ class GitSource:
     def file_pairs(self, items):
         """For each ``(record, path)`` in order, its ``FilePair``, or None
         when neither side has content.  A side that is missing, or names
-        something other than a blob, reads as empty.
+        something other than a blob, reads as empty, and so does a path
+        the commit's diff does not list, as in a commit git lacks.
 
-        One ``git cat-file --batch -z`` serves every item: a writer thread
-        sends all the names while this generator reads the replies.  A
-        side is named by the object id this source's scan found, and a
-        side the scan found empty is not sent at all; a file the source
-        has not scanned is named ``<rev>^:<path>`` and ``<rev>:<path>``.
-        With nothing to send, no process starts.  Closing the generator,
-        also before it is exhausted, closes the pipes, joins the writer
-        and reaps git.
+        One ``git cat-file --batch`` serves every item.  It reads its
+        requests, each side's object id, from a file, so git never waits
+        for this generator; a side that reads empty is not requested, and
+        with nothing to request no process starts.  Closing the generator,
+        also before it is exhausted, closes git's output and reaps git.
         """
-        requests = []
-        for record, path in items:
-            names = self._blob_ids.get((record.revision, path))
-            if names is None:
-                names = (f"{record.revision}^:{path}".encode("utf-8"),
-                         f"{record.revision}:{path}".encode("utf-8"))
-            requests.append((record, path, *names))
-        stream = b"".join(name + b"\x00" for *_, before, after in requests
-                          for name in (before, after) if name)
+        items = list(items)
+        # One diff-tree finds the ids of the commits this source has not
+        # scanned.  It skips an id git lacks, but prints back a line it
+        # cannot read as an id of the repository's format (a SHA-1 id in a
+        # SHA-256 repository), so longer ids go first: such a line can only
+        # follow the last commit.
+        unscanned = sorted({record.revision for record, path in items
+                            if (record.revision, path) not in self._blob_ids
+                            and _FULL_ID.fullmatch(record.revision)},
+                           key=lambda rev: (-len(rev), rev))
+        if unscanned:
+            self._read_raw(self._git(
+                "diff-tree", "--stdin", "-r", "--always", *_RAW_DIFF,
+                stdin="".join(f"{rev}\n" for rev in unscanned).encode("ascii")))
+        requests = [(record, path, *self._blob_ids.get((record.revision, path), (b"", b"")))
+                    for record, path in items]
+        stream = b"".join(oid + b"\n" for *_, before, after in requests
+                          for oid in (before, after) if oid)
         if not stream:
             yield from (None for _ in requests)
             return
-        with subprocess.Popen(
-                ["git", "-C", str(self.repo), "cat-file", "--batch", "-z"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL) as batch:
-            writer = threading.Thread(target=_send, args=(batch.stdin, stream),
-                                      name="git-cat-file-writer", daemon=True)
-            writer.start()
+        with tempfile.TemporaryFile() as request_file:
+            request_file.write(stream)
+            request_file.seek(0)
+            batch = subprocess.Popen(
+                ["git", "-C", str(self.repo), "cat-file", "--batch"],
+                stdin=request_file, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        with batch:  # on exit git's output closes, so git quits on its next reply
+            for record, path, before, after in requests:
+                yield _decoded_pair(record, path, self._read(batch.stdout, before),
+                                    self._read(batch.stdout, after))
 
-            def read(name: bytes) -> bytes:
-                return self._read(batch.stdout, name) if name else b""
-
-            try:
-                for record, path, before, after in requests:
-                    yield _decoded_pair(record, path, read(before), read(after))
-            finally:
-                batch.stdout.close()  # git quits on its next reply, not blocks
-                writer.join()
-
-    def _read(self, stdout, name: bytes) -> bytes:
-        """The reply to ``name``: the blob, or empty when it is missing or
-        not a blob."""
+    def _read(self, stdout, oid: bytes) -> bytes:
+        """The blob ``oid`` from git's reply; empty when nothing was
+        requested (``oid`` is b""), or the object is missing or not a
+        blob."""
+        if not oid:
+            return b""
         line = stdout.readline()
-        # "<name> missing": a path name holds a colon, and with -z its echo
-        # may hold LFs; an object id comes back as it was sent
-        if b":" in line or line == name + b" missing\n":
-            for _ in range(name.count(b"\n")):
-                stdout.readline()
+        if line == oid + b" missing\n":
             return b""
         fields = line.split()  # "<oid> <type> <size>"
         size = int(fields[2]) if len(fields) == 3 else -1
@@ -523,8 +522,7 @@ class GitSource:
         return data[:-1] if fields[1] == b"blob" else b""
 
     def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
-        with contextlib.closing(self.file_pairs([(record, path)])) as pairs:
-            pair = next(pairs)
+        [pair] = self.file_pairs([(record, path)])
         if pair is None:
             raise MissingBlobError(f"{record.change_id}:{path}")
         return pair

@@ -6,10 +6,10 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import os
 import re
 import subprocess
 import threading
-import time
 import urllib.parse
 from contextlib import closing
 
@@ -19,6 +19,7 @@ import fixscope.ingest
 import fixscope.pipeline
 import oracles
 from fixscope.ingest import (
+    ChangeRecord,
     ContentCache,
     GerritSource,
     GitSource,
@@ -462,9 +463,8 @@ SCANS = [
 def _assert_matches_reference(repo, scan):
     """Records, presence answers and file pairs equal the per-commit
     reference's; a pair the reference finds missing reads as None.  The
-    pairs are read both by the scanning source, which names blobs by
-    object id, and by a source that has not scanned, which names them by
-    path."""
+    pairs are read both by the scanning source and by a source that has
+    not scanned, which finds the object ids with ``git diff-tree``."""
     reference = oracles.PerCommitGitSource(repo)
     source = GitSource(repo)
     records = source.fetch_merged_changes(**scan)
@@ -548,8 +548,8 @@ class TestGitSourceParity:
         assert record.files == ("caf\ufffd.py",)
         assert not source.has_content(record, "caf\ufffd.py")
 
-    def test_pruned_blob_reads_empty_by_id_as_by_path(self, tmp_path):
-        # "<oid> missing" holds no colon, unlike the reply to a path name
+    def test_pruned_blob_reads_empty_scanned_or_not(self, tmp_path):
+        # git answers "<oid> missing", whichever source found the id
         git(tmp_path, "init", "-q", "-b", "main")
         for day, text in ((1, "x = 1\n"), (2, "x = 2\n")):
             (tmp_path / "mod.py").write_text(text)
@@ -653,10 +653,60 @@ class TestGitSourceParity:
         cold = [(tmp_path / "out" / name).read_bytes() for name in names]
         counter = CountingSubprocess(monkeypatch)
         Pipeline(config).run_stage("extract", force=True)
-        # a source that has not scanned names each blob by revision and path
-        assert counter.names() and all(b":" in name for name in counter.names())
+        # a source that has not scanned also asks for every blob by its id
+        assert counter.names() and all(re.fullmatch(rb"[0-9a-f]{40}|[0-9a-f]{64}", name)
+                                       for name in counter.names())
         assert [(tmp_path / "out" / name).read_bytes() for name in names] == cold
         assert json.loads(cold[1])["files_parsed"] > 0
+
+    @pytest.mark.parametrize("absent", ["0" * 40, "0" * 64])
+    @pytest.mark.parametrize("fixture", ["parity_repo", "sha256_repo"])
+    def test_extract_alone_reads_an_absent_commit_as_missing(self, fixture, absent,
+                                                             request, tmp_path):
+        # the absent id sorts before every commit's; a SHA-256 repository
+        # cannot read a 40-hex id, and git prints that line back
+        repo = request.getfixturevalue(fixture)
+        repo = repo[0] if isinstance(repo, tuple) else repo
+        config = PipelineConfig(source_path=str(repo), output_dir=str(tmp_path / "out"))
+        Pipeline(config).run(("ingest", "extract"))
+        changes = tmp_path / "out" / "changes.jsonl"
+        first = next(change for change in map(json.loads, changes.read_text().splitlines())
+                     if change["files"])
+        absent_change = {**first, "change_id": absent, "revision": absent}
+        changes.write_text(json.dumps(absent_change) + "\n" + changes.read_text())
+        cold = json.loads((tmp_path / "out" / "extract_counts.json").read_text())
+        Pipeline(config).run_stage("extract", force=True)
+        counts = json.loads((tmp_path / "out" / "extract_counts.json").read_text())
+        assert counts["files_missing"] == cold["files_missing"] + len(first["files"])
+        assert counts["files_parsed"] == cold["files_parsed"] > 0
+        record = ChangeRecord(change_id=absent, project="", branch="", revision=absent,
+                              message="", files=tuple(first["files"]))
+        assert list(GitSource(repo).file_pairs((record, path) for path in record.files)) \
+            == [None] * len(record.files)
+
+    @pytest.mark.parametrize("fixture", ["parity_repo", "sha256_repo"])
+    def test_lookup_prints_what_the_scan_prints(self, fixture, request, monkeypatch):
+        # a source that has not scanned reads the diff-tree stream with the
+        # scan's parser: fed every commit in the log's order, it must print
+        # the log's bytes
+        repo = request.getfixturevalue(fixture)
+        repo = repo[0] if isinstance(repo, tuple) else repo
+        calls = {}
+        run_git = GitSource._git
+
+        def recording_git(self, *args, **kwargs):
+            calls[args[0]] = args, run_git(self, *args, **kwargs)
+            return calls[args[0]][1]
+
+        monkeypatch.setattr(GitSource, "_git", recording_git)
+        records = GitSource(repo).fetch_merged_changes()
+        list(GitSource(repo).file_pairs(
+            [(record, path) for record in records for path in record.files]))
+        commits = subprocess.run(["git", "-C", str(repo), "rev-list", "HEAD"],
+                                 capture_output=True, check=True).stdout
+        lookup = subprocess.run(["git", "-C", str(repo), *calls["diff-tree"][0]],
+                                input=commits, capture_output=True, check=True)
+        assert lookup.stdout == calls["log"][1]
 
 
 def _linear_repo(path, commits):
@@ -678,9 +728,7 @@ def _linear_repo(path, commits):
 
 
 def _wide_repo(path, files):
-    """One commit adding ``files`` modules under a long directory name,
-    so that neither the names sent to ``git cat-file`` nor its replies fit
-    in a pipe's buffer."""
+    """One commit adding ``files`` modules, each 20 lines long."""
     git(path, "init", "-q", "-b", "main")
     message = b"Fix many modules\n"
     stream = [b"commit refs/heads/main",
@@ -688,40 +736,36 @@ def _wide_repo(path, files):
               b"data %d" % len(message), message]
     for k in range(files):
         body = f"value_{k} = {k}\n".encode() * 20
-        stream += [f"M 100644 inline {'d' * 120}/mod_{k:04d}.py".encode(),
+        stream += [f"M 100644 inline mod_{k:04d}.py".encode(),
                    b"data %d" % len(body), body]
     subprocess.run(["git", "-C", str(path), "fast-import", "--quiet"],
                    input=b"\n".join(stream) + b"\n", check=True)
 
 
 class CountingSubprocess:
-    """Stands in for ``subprocess`` inside ``fixscope.ingest``, and records
-    the request bytes sent to each ``git cat-file`` batch."""
+    """Stands in for ``subprocess`` inside ``fixscope.ingest``: records the
+    git command of each process started, and the requests each ``git
+    cat-file`` batch reads from the file handed to it as stdin."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
+        self.commands = []
         self.batches = []
         self.sent = []
         monkeypatch.setattr(fixscope.ingest, "subprocess", self)
-        send = fixscope.ingest._send
-
-        def recording_send(stdin, names):
-            self.sent.append(names)
-            send(stdin, names)
-
-        monkeypatch.setattr(fixscope.ingest, "_send", recording_send)
 
     def names(self) -> list[bytes]:
-        """Every name requested, in order."""
-        return [name for stream in self.sent for name in stream.split(b"\x00")[:-1]]
+        """Every object requested, in order."""
+        return [name for stream in self.sent for name in stream.splitlines()]
 
-    def run(self, *args, **kwargs):
-        self.calls += 1
-        return subprocess.run(*args, **kwargs)
+    def run(self, args, **kwargs):
+        self.commands.append(args[3])  # git -C <repo> <command>
+        return subprocess.run(args, **kwargs)
 
-    def Popen(self, *args, **kwargs):  # noqa: N802 - mirrors subprocess
-        self.calls += 1
-        self.batches.append(subprocess.Popen(*args, **kwargs))
+    def Popen(self, args, **kwargs):  # noqa: N802 - mirrors subprocess
+        self.commands.append(args[3])
+        requests = kwargs["stdin"].fileno()
+        self.sent.append(os.pread(requests, os.fstat(requests).st_size, 0))
+        self.batches.append(subprocess.Popen(args, **kwargs))
         return self.batches[-1]
 
     def __getattr__(self, name):
@@ -747,26 +791,30 @@ def _bounded(action, timeout=60.0):
 
 
 class TestGitSourceProcesses:
-    def _stage_calls(self, monkeypatch, pipeline, stage):
+    def _stage_commands(self, monkeypatch, pipeline, stage, force=False):
         counter = CountingSubprocess(monkeypatch)
         try:
-            pipeline.run_stage(stage)
+            pipeline.run_stage(stage, force=force)
         finally:
             assert all(batch.returncode is not None for batch in counter.batches)
-        return counter.calls
+        return counter.commands
 
     @pytest.mark.parametrize("commits", [30, 60])
     def test_process_count_does_not_grow_with_commits(self, tmp_path, monkeypatch,
                                                       commits):
         _linear_repo(tmp_path, commits)
         out = tmp_path / "out"
-        pipeline = Pipeline(PipelineConfig(source_path=str(tmp_path), output_dir=str(out)))
-        ingest_calls = self._stage_calls(monkeypatch, pipeline, "ingest")
-        extract_calls = self._stage_calls(monkeypatch, pipeline, "extract")
+        config = PipelineConfig(source_path=str(tmp_path), output_dir=str(out))
+        pipeline = Pipeline(config)
+        assert self._stage_commands(monkeypatch, pipeline, "ingest") == ["rev-parse", "log"]
+        assert self._stage_commands(monkeypatch, pipeline, "extract") == ["cat-file"]
         counts = json.loads((out / "ingest_counts.json").read_text())
         assert counts["changes_matched"] == counts["files_fetched"] == commits
-        assert (ingest_calls, extract_calls) == (2, 1)  # rev-parse, log; cat-file
         assert not (out / "cache").exists()
+        # extract alone in a later process first looks the ids up
+        alone = Pipeline(config)
+        assert self._stage_commands(monkeypatch, alone, "extract", force=True) == [
+            "diff-tree", "cat-file"]
 
     def test_failed_extract_still_reaps_the_batch_process(self, tmp_path, monkeypatch):
         _linear_repo(tmp_path, 30)
@@ -785,7 +833,7 @@ class TestGitSourceProcesses:
         monkeypatch.setattr(fixscope.pipeline, "parse_source", parse_then_crash)
         threads = threading.active_count()
         with pytest.raises(StageError):
-            self._stage_calls(monkeypatch, pipeline, "extract")
+            self._stage_commands(monkeypatch, pipeline, "extract")
         assert threading.active_count() == threads
 
 
@@ -793,24 +841,15 @@ class TestStreamingReader:
     @pytest.fixture
     def wide(self, tmp_path, monkeypatch):
         _wide_repo(tmp_path, 600)
-        [record] = GitSource(tmp_path).fetch_merged_changes()
-        send = fixscope.ingest._send
-
-        def lingering_send(*args):
-            # outlives the pipe a while, so only a joined writer is gone
-            # by the time the reader's cleanup returns
-            send(*args)
-            time.sleep(0.2)
-
-        monkeypatch.setattr(fixscope.ingest, "_send", lingering_send)
-        counter = CountingSubprocess(monkeypatch)
-        # a source that has not scanned names every side by its path; by
-        # object id, and without the absent before sides, the requests
-        # would fit in a pipe's buffer
-        return GitSource(tmp_path), [(record, path) for path in record.files], counter
+        source = GitSource(tmp_path)
+        [record] = source.fetch_merged_changes()
+        items = [(record, path) for path in record.files]
+        # git's replies outgrow a pipe's buffer, so a consumer that stops
+        # early leaves git blocked on a full pipe
+        assert sum(len(pair.after_text) for pair in source.file_pairs(items)) > 64 * 1024
+        return source, items, CountingSubprocess(monkeypatch)
 
     def _assert_released(self, counter, threads):
-        assert sum(map(len, counter.sent)) > 64 * 1024  # more than a pipe buffer holds
         assert len(counter.batches) == 1
         assert counter.batches[0].returncode is not None
         assert threading.active_count() == threads
@@ -851,4 +890,4 @@ class TestStreamingReader:
     def test_no_items_start_no_process(self, wide):
         source, _items, counter = wide
         assert list(source.file_pairs([])) == []
-        assert counter.calls == 0
+        assert counter.commands == []
