@@ -12,6 +12,14 @@ fallback: a modified node, its own text included, always yields a
 Minus+Plus pair, never an in-place update, and a child the line diff
 moved to another parent is removed under one and added under the other.
 
+The trees may hold stubs, statements the parser left unconverted because
+``untouched_tests`` found their lines untouched by the script.  Two stubs
+that cover the same lines and columns hold the same source, so they join
+as one unchanged leaf: nothing inside them could carry a label or an
+in-block anchor.  Any other stub is converted where the join reaches it,
+and a Plus or Minus subtree converts every stub it grafts, so the labeled
+subtrees, and what ``hunks.jsonl`` holds, are those of the full trees.
+
 The tree points one way: a node holds its children and nothing else.  The
 chain of unchanged ancestors around each labeled root comes from the walk
 that finds the root, so no back-pointer, and no self-referencing closure
@@ -31,12 +39,14 @@ import enum
 import json
 import logging
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 from fixscope.grammar import (
     AstNode,
     SourceSpan,
+    StubNode,
     UnsupportedConstructError,
     drive,
     split_lines,
@@ -52,6 +62,7 @@ __all__ = [
     "EnhancedAst",
     "Hunk",
     "align_versions",
+    "untouched_tests",
     "build_diff_ast",
     "extract_hunks",
     "dump_enhanced_ast",
@@ -91,24 +102,34 @@ class EditBlock:
         return EditBlock(self.a_start, self.a_end, self.b_start, self.b_end)
 
 
-@dataclass(eq=False)
 class DiffNode:
     """Node of the joined diff tree.
 
     ``span`` is in the node's native coordinates (after-file for unchanged
     and plus nodes, before-file for minus nodes); ``eff_start``/``eff_end``
     are line numbers normalized to after-file coordinates so that plus and
-    minus nodes can be compared on one axis.
+    minus nodes can be compared on one axis.  Nodes compare by identity.
     """
 
-    kind: str
-    role: str | None
-    text: str
-    label: ChangeLabel
-    span: SourceSpan
-    eff_start: int
-    eff_end: int
-    children: list["DiffNode"] = field(default_factory=list)
+    __slots__ = ("kind", "role", "text", "label", "span", "eff_start", "eff_end",
+                 "children", "__weakref__")
+
+    def __init__(self, kind: str, role: str | None, text: str, label: ChangeLabel,
+                 span: SourceSpan, eff_start: int, eff_end: int,
+                 children: list["DiffNode"] | None = None):
+        self.kind = kind
+        self.role = role
+        self.text = text
+        self.label = label
+        self.span = span
+        self.eff_start = eff_start
+        self.eff_end = eff_end
+        self.children = [] if children is None else children
+
+    def __repr__(self) -> str:
+        return (f"DiffNode({self.kind!r}, {self.role!r}, {self.text!r}, {self.label}, "
+                f"{self.span!r}, {self.eff_start}, {self.eff_end}, "
+                f"<{len(self.children)} children>)")
 
     def walk(self):
         stack = [self]
@@ -307,12 +328,86 @@ class _LineMap:
         return ("in", k) if span.end_line < end else a_end
 
 
+# --- untouched line spans ---------------------------------------------------
+
+
+class _Untouched:
+    """One side's test for an untouched line span: a bisect table of the
+    marks that touch this side, on a doubled line axis.  Line l is the
+    point 2l; the insertion point before line l (a block empty on this
+    side) is 2l - 1, between lines l - 1 and l, so it meets a span only
+    when it falls strictly inside."""
+
+    def __init__(self, marks: list[tuple[int, int]]):
+        marks.sort()  # disjoint, so their high ends sort too
+        self.lows = [low for low, _high in marks]
+        self.highs = [high for _low, high in marks]
+
+    def __call__(self, first: int, last: int) -> bool:
+        """Whether no mark meets lines ``first`` to ``last``."""
+        k = bisect_left(self.highs, 2 * first)
+        return k == len(self.highs) or self.lows[k] > 2 * last
+
+
+def _marks(start: int, end: int) -> tuple[int, int]:
+    # lines [start, end), or the insertion point before line start
+    if end > start:
+        return 2 * start, 2 * end - 2
+    return 2 * start - 1, 2 * start - 1
+
+
+def untouched_tests(script: list[EditBlock], before_text: str, after_text: str
+                    ) -> tuple[_Untouched | None, _Untouched | None]:
+    """For each version, a test of whether its line span ``(first, last)``
+    is untouched by ``script``, the edit script between the two texts:
+    no edit block meets the span on that side, no insertion point falls
+    strictly inside it, and each of its lines equals its counterpart byte
+    for byte, terminator included.  The script compares lines without
+    their terminators; an f-string's text keeps them.  Against an empty
+    version every line is inserted or deleted: both tests are None."""
+    if not (before_text and after_text):
+        return None, None
+    blocks = sorted(script, key=operator.attrgetter("b_start"))
+    before = [_marks(blk.b_start, blk.b_end) for blk in blocks]
+    after = [_marks(blk.a_start, blk.a_end) for blk in blocks]
+    for b_line, a_line in _reterminated(blocks, before_text, after_text):
+        before.append((2 * b_line, 2 * b_line))
+        after.append((2 * a_line, 2 * a_line))
+    return _Untouched(before), _Untouched(after)
+
+
+def _reterminated(blocks: list[EditBlock], before_text: str, after_text: str):
+    """The kept line pairs, before line and after line, whose terminators
+    differ: ``blocks`` compare lines without them."""
+    if ("\r" not in before_text and "\r" not in after_text
+            and before_text.endswith("\n") == after_text.endswith("\n")):
+        # every line ends in "\n" but a last one; the two last lines pair
+        # when kept, and then both end in "\n" or both in nothing
+        return
+    before = split_lines(before_text, keepends=True)
+    after = split_lines(after_text, keepends=True)
+    b_line = a_line = 1  # the first kept line on each side after the last block
+    closing = EditBlock(len(before) + 1, len(before) + 1, len(after) + 1, len(after) + 1)
+    for blk in blocks + [closing]:
+        kept_before = before[b_line - 1:blk.b_start - 1]
+        kept_after = after[a_line - 1:blk.a_start - 1]
+        if kept_before != kept_after:
+            for offset, (b_text, a_text) in enumerate(zip(kept_before, kept_after)):
+                if b_text != a_text:
+                    yield b_line + offset, a_line + offset
+        b_line, a_line = blk.b_end, blk.a_end
+
+
 def _after_line(line: int) -> int:
     # plus nodes already live in after-file coordinates
     return line
 
 
 _CHILDREN = operator.attrgetter("children")
+
+
+def _expanded_children(node: AstNode) -> tuple[AstNode, ...]:
+    return node.expand().children
 
 
 def _copy_tree(root, shallow, source_children, target_children):
@@ -332,13 +427,14 @@ def _copy_tree(root, shallow, source_children, target_children):
 
 
 def _graft(node: AstNode, label: ChangeLabel, line_of) -> DiffNode:
-    """Copy the subtree under ``node`` with every node labeled ``label``;
-    ``line_of`` maps its native line numbers onto the after-file axis."""
+    """Copy the subtree under ``node`` with every node labeled ``label``,
+    converting the stubs in it; ``line_of`` maps its native line numbers
+    onto the after-file axis."""
     def copy(source: AstNode) -> DiffNode:
         return DiffNode(source.kind, source.role, source.text, label, source.span,
                         line_of(source.span.start_line), line_of(source.span.end_line))
 
-    return _copy_tree(node, copy, _CHILDREN, _CHILDREN)
+    return _copy_tree(node, copy, _expanded_children, _CHILDREN)
 
 
 # --- the join ---------------------------------------------------------------
@@ -366,10 +462,28 @@ class _Matcher:
         return drive(self._join(b_node, a_node))
 
     def _join(self, b_node, a_node):
-        """A finished node for two leaves, else a generator for ``drive``."""
+        """A finished node for two leaves or two counterpart stubs, else a
+        generator for ``drive``; any other stub is converted first."""
+        if isinstance(b_node, StubNode) or isinstance(a_node, StubNode):
+            if self._counterparts(b_node, a_node):
+                return _unchanged(a_node, [])
+            b_node, a_node = b_node.expand(), a_node.expand()
         if not (b_node.children or a_node.children):
             return _unchanged(a_node, [])
         return self._join_children(b_node, a_node)
+
+    def _counterparts(self, b_node, a_node) -> bool:
+        """Whether two stubs cover the same untouched lines and columns,
+        so hold the same source and convert to the same tree: joined, it
+        would be unchanged throughout, with no in-block anchor to conflict
+        on.  Their shared key and region already align their first lines;
+        a stub can meet another that starts later on the same line, after
+        a continuation line moved the statement boundaries."""
+        b_span, a_span = b_node.span, a_node.span
+        return (isinstance(b_node, StubNode) and isinstance(a_node, StubNode)
+                and b_span.start_col == a_span.start_col
+                and b_span.end_col == a_span.end_col
+                and self.before.map(b_span.end_line) == a_span.end_line)
 
     def _join_children(self, b_node, a_node):
         a_children = a_node.children
@@ -392,10 +506,15 @@ class _Matcher:
                 self.conflicts.append(
                     f"ambiguous anchor for {anchor[0]!r}; resolved in source order")
             index = pool[rank]
-            built[index] = yield self._join(b_child, a_children[index])
+            joined = self._join(b_child, a_children[index])
+            if type(joined) is GeneratorType:  # a leaf needs no trip through drive
+                joined = yield joined
+            built[index] = joined
         for index, a_child in enumerate(a_children):
             if built[index] is None:
                 built[index] = _graft(a_child, ChangeLabel.PLUS, _after_line)
+        if not minus_built:  # the after children are in position order already
+            return _unchanged(a_node, built)
         merged = sorted(
             built + minus_built,
             key=lambda n: (n.eff_start, n.span.start_col,

@@ -31,6 +31,14 @@ Files using constructs with no reasonable counterpart (``match`` blocks)
 raise :class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so
 the pipeline records and skips them like any unparseable file.
 
+Given a test for untouched line spans, ``parse_source`` leaves each
+statement on untouched lines unconverted, as a :class:`StubNode`: the
+kind, role, text and span its conversion has, read off the host node by
+``_STUB_RULES``, and no children until ``expand`` converts it.  The join
+pairs two counterpart stubs whole, so a small edit to a large module
+converts little more than the statements around it.  Without the test
+every node is converted.
+
 No walk here recurses once per tree level: the normalizer's handlers are
 generators that ``drive`` runs on an explicit stack, so how deep a file
 may nest does not depend on how deep the caller's stack is.  Two limits
@@ -56,10 +64,12 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from types import GeneratorType
+from typing import NamedTuple
 
 __all__ = [
     "SourceSpan",
     "AstNode",
+    "StubNode",
     "Taxonomy",
     "UnknownSlotError",
     "UnsupportedConstructError",
@@ -94,9 +104,9 @@ class UnsupportedConstructError(SyntaxError):
     """Source uses syntax the canonical taxonomy cannot express."""
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Line/column extent of a node (1-based lines, 0-based columns)."""
+class SourceSpan(NamedTuple):
+    """Line/column extent of a node (1-based lines, 0-based columns).  A
+    tuple, so spans order by start, then end."""
 
     start_line: int
     start_col: int
@@ -104,27 +114,38 @@ class SourceSpan:
     end_col: int
 
     def union(self, other: "SourceSpan") -> "SourceSpan":
-        start = min((self.start_line, self.start_col), (other.start_line, other.start_col))
-        end = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return SourceSpan(start[0], start[1], end[0], end[1])
+        return SourceSpan(*min(self[:2], other[:2]), *max(self[2:], other[2:]))
 
 
-@dataclass(frozen=True, eq=False)
 class AstNode:
-    """Immutable canonical tree node.
+    """Canonical tree node.
 
     ``text`` carries the lexeme for identifier/literal-bearing nodes
     (names, numbers, strings, attribute names, definition names) and is
     empty elsewhere.  ``role`` is ``None`` only for the ``Module`` root.
     Nodes compare and hash by identity: a field-wise ``==`` would recurse
-    once per tree level.
+    once per tree level.  Nothing changes a node once it is built; the
+    class is slotted rather than frozen, because a frozen class pays for
+    every field it sets at construction.
     """
 
-    kind: str
-    role: str | None
-    span: SourceSpan
-    text: str = ""
-    children: tuple["AstNode", ...] = ()
+    __slots__ = ("kind", "role", "span", "text", "children", "__weakref__")
+
+    def __init__(self, kind: str, role: str | None, span: SourceSpan, text: str = "",
+                 children: tuple["AstNode", ...] = ()):
+        self.kind = kind
+        self.role = role
+        self.span = span
+        self.text = text
+        self.children = children
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.kind!r}, {self.role!r}, {self.span!r}, "
+                f"{self.text!r}, <{len(self.children)} children>)")
+
+    def expand(self) -> "AstNode":
+        """This node with its children: the node itself; a stub converts."""
+        return self
 
     def walk(self):
         stack = [self]
@@ -132,6 +153,25 @@ class AstNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+
+class StubNode(AstNode):
+    """A host statement on untouched lines, left unconverted.
+
+    Its kind, role, span and text are those its conversion has; it has no
+    children until ``expand`` converts it, one level at a time: statements
+    nested in it come back as stubs again.
+    """
+
+    __slots__ = ("_host", "_normalizer")
+
+    def __init__(self, kind, role, span, text, host: ast.stmt, normalizer: "_Normalizer"):
+        super().__init__(kind, role, span, text)
+        self._host = host
+        self._normalizer = normalizer
+
+    def expand(self) -> AstNode:
+        return drive(self._normalizer.convert(self._host, self.role))
 
 
 @dataclass(frozen=True)
@@ -240,12 +280,19 @@ def drive(call):
             call = done.value
 
 
-def parse_source(text: str) -> AstNode:
+def parse_source(text: str, untouched=None) -> AstNode:
     """Parse ``text`` and normalize it onto the canonical taxonomy.
 
     Raises ``SyntaxError`` (including :class:`UnsupportedConstructError`)
     for files the taxonomy cannot represent; the pipeline records and skips
-    those.  Pure function of ``text``.
+    those.  Pure function of its arguments.
+
+    ``untouched``, when given, tests a line span ``(first, last)`` of
+    ``text``: a statement whose lines, decorators included, it passes
+    comes back as a :class:`StubNode` instead of converted, unless it holds
+    a statement no stub can stand for (``match``, ``try``/``except*``), so
+    a file fails with the error and line it would fail with unstubbed.
+    Without the test every node is converted.
 
     The normalizer walks an explicit stack, so nesting depth is bounded
     only by the host parser: a left-deep sum ``1 + 1 + ...`` of 2,990
@@ -257,7 +304,7 @@ def parse_source(text: str) -> AstNode:
         tree = ast.parse(text)
     except RecursionError as exc:
         raise UnsupportedConstructError("nesting too deep for the host parser") from exc
-    return _Normalizer(text).module(tree)
+    return _Normalizer(text, untouched).module(tree)
 
 
 # --- host-parser normalization -------------------------------------------
@@ -298,6 +345,36 @@ _GENERIC.update(
 )
 _GENERIC.update(NamedExpr=_GENERIC["AnnAssign"], Nonlocal=_GENERIC["Global"])
 
+# the kind and text rule of every statement class a stub can stand for;
+# ``Try``'s kind depends on its clauses (``_Normalizer._stub``)
+_STUB_RULES = {name: rule for name, rule in _GENERIC.items()
+               if issubclass(getattr(ast, name), ast.stmt)}
+_STUB_RULES.update(
+    FunctionDef=_rule("FunctionDef", operator.attrgetter("name")),
+    With=_rule("With"),
+    AugAssign=_rule("AugAssign"),
+    Try=_rule("Try"),
+)
+_STUB_RULES.update(AsyncFunctionDef=_STUB_RULES["FunctionDef"], AsyncWith=_rule("With"))
+
+
+def _stubbable(statement: ast.stmt) -> bool:
+    """Whether a stub can stand for ``statement`` and for every statement
+    nested in it, found by a walk over statement bodies alone: expressions
+    hold no statements.  A statement that holds a ``match`` or an
+    ``except*`` is converted, so it fails where it would unstubbed."""
+    stack = [statement]
+    while stack:
+        node = stack.pop()
+        if type(node).__name__ not in _STUB_RULES:
+            return False
+        for field in ("body", "orelse", "finalbody"):
+            stack.extend(getattr(node, field, ()))
+        for handler in getattr(node, "handlers", ()):
+            stack.extend(handler.body)
+    return True
+
+
 # positionless in the classic grammar: spanned by their children alone
 _CHILD_SPANNED = frozenset({"comprehension", "keyword"})
 
@@ -317,9 +394,18 @@ def _own_span(node: ast.AST) -> SourceSpan | None:
 _SOURCE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
 
 
-def split_lines(text: str) -> list[str]:
-    """``text.splitlines()``, but split only where the parser splits."""
-    return [line.rstrip("\r\n") for line in _SOURCE_LINE.findall(text)]
+def split_lines(text: str, keepends: bool = False) -> list[str]:
+    """``text.splitlines(keepends)``, but split only where the parser splits."""
+    if "\r" in text:
+        lines = _SOURCE_LINE.findall(text)
+        return lines if keepends else [line.rstrip("\r\n") for line in lines]
+    lines = text.split("\n")
+    last = lines.pop()  # empty after a final newline
+    if keepends:
+        lines = [line + "\n" for line in lines]
+    if last:
+        lines.append(last)
+    return lines
 
 
 def _point(line: int, col: int) -> SourceSpan:
@@ -327,6 +413,7 @@ def _point(line: int, col: int) -> SourceSpan:
 
 
 _FILE_START = _point(1, 0)
+_END = operator.itemgetter(2, 3)
 
 
 class _Normalizer:
@@ -339,8 +426,9 @@ class _Normalizer:
     order.
     """
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, untouched=None):
         self.source = source
+        self.untouched = untouched
         self.taxonomy = load_taxonomy()
 
     def module(self, node: ast.Module) -> AstNode:
@@ -365,15 +453,14 @@ class _Normalizer:
         if not children:
             return AstNode(kind, role, span or _FILE_START, text, ())
         spans = [child.span for child in children]
-        keys = [(s.start_line, s.start_col, s.end_line, s.end_col) for s in spans]
-        start = min(keys)[:2]
-        end = max(key[2:] for key in keys)
+        start = min(spans)[:2]
+        end = _END(max(spans, key=_END))
         if span is not None:
-            start = min(start, (span.start_line, span.start_col))
-            end = max(end, (span.end_line, span.end_col))
+            start = min(start, span[:2])
+            end = max(end, span[2:])
         # sorted is stable, so children already in order keep it unsorted
-        if any(map(operator.gt, keys, keys[1:])):
-            order = sorted(range(len(keys)), key=keys.__getitem__)
+        if any(map(operator.gt, spans, spans[1:])):
+            order = sorted(range(len(spans)), key=spans.__getitem__)
             children = [children[i] for i in order]
         return AstNode(kind, role, SourceSpan(*start, *end), text, tuple(children))
 
@@ -384,8 +471,30 @@ class _Normalizer:
         for item in items:
             if item is None:
                 continue
-            out.append((yield self.convert(item, role)))
+            node = None
+            if self.untouched is not None and isinstance(item, ast.stmt):
+                node = self._stub(item, role)
+            if node is None:
+                node = self.convert(item, role)
+                if type(node) is GeneratorType:  # a leaf needs no trip through drive
+                    node = yield node
+            out.append(node)
         return out
+
+    def _stub(self, node: ast.stmt, role: str) -> StubNode | None:
+        """A stub for the statement ``node``, if its lines are untouched."""
+        first = node
+        if getattr(node, "decorator_list", None):
+            first = node.decorator_list[0]
+            while isinstance(first, (ast.Await, ast.Starred)):  # converted unwrapped
+                first = first.value
+        if not (self.untouched(first.lineno, node.end_lineno) and _stubbable(node)):
+            return None
+        kind, _fields, text_of = _STUB_RULES[type(node).__name__]
+        if kind == "Try":
+            kind = "TryExcept" if node.handlers and not node.finalbody else "TryFinally"
+        span = SourceSpan(first.lineno, first.col_offset, node.end_lineno, node.end_col_offset)
+        return StubNode(kind, role, span, (text_of(node) or "") if text_of else "", node, self)
 
     def _op(self, op_node: ast.AST, role: str, span: SourceSpan) -> AstNode:
         kind = type(op_node).__name__
@@ -397,7 +506,7 @@ class _Normalizer:
 
     @functools.cached_property
     def _lines(self) -> list[str]:
-        return _SOURCE_LINE.findall(self.source)
+        return split_lines(self.source, keepends=True)
 
     def _segment(self, node: ast.AST) -> str:
         """``ast.get_source_segment(self.source, node) or ""``, over lines

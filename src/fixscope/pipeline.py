@@ -34,6 +34,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from fixscope.diffing import (
     extract_hunks,
     hunk_from_dict,
     hunk_to_dict,
+    untouched_tests,
 )
 from fixscope.features import (
     FeatureVector,
@@ -64,6 +66,7 @@ from fixscope.ingest import (
     DEFAULT_KEYWORDS,
     ChangeRecord,
     ContentCache,
+    FilePair,
     GerritSource,
     GitSource,
     exclude_test_files,
@@ -79,6 +82,8 @@ __all__ = [
     "StageError",
     "MissingCheckpointError",
     "Pipeline",
+    "ExtractedFile",
+    "extract_file",
     "run_pipeline",
     "export_dataset",
 ]
@@ -208,8 +213,12 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _jsonl_line(doc) -> str:
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _jsonl(docs) -> str:
-    return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+    return "".join(map(_jsonl_line, docs))
 
 
 def _csv(rows) -> str:
@@ -262,6 +271,44 @@ def _relevant_cells(matrix: fstats.ContextRelevanceMatrix) -> set[tuple[str, obj
     list, so a cell's mark is a set lookup."""
     return {(category, col.cluster_id) for col in matrix.columns
             for category, hit in zip(matrix.feature_categories, col.relevant) if hit}
+
+
+class ExtractedFile(NamedTuple):
+    """One file pair's share of the extract stage."""
+
+    lines: list[str]  # its hunks.jsonl lines, in hunk order
+    conflicts: int
+    skipped: dict | None  # its skipped_files entry, for a file skipped
+
+
+def extract_file(pair: FilePair, change_id: str, path: str) -> ExtractedFile:
+    """Align, parse, join and cut one file pair into hunks, and serialize
+    each hunk with its context.  Pure function of its arguments.
+
+    The line script comes first: statements on lines it leaves untouched
+    parse as stubs, which the join pairs whole or converts on demand.  A
+    file the taxonomy cannot represent is skipped, with its error's line.
+    """
+    before_text, after_text = pair.before_text, pair.after_text
+    try:
+        script = align_versions(before_text, after_text)
+        before_untouched, after_untouched = untouched_tests(script, before_text, after_text)
+        before = parse_source(before_text, before_untouched)
+        after = parse_source(after_text, after_untouched)
+        enhanced = build_diff_ast(before, after, script, change_id=change_id, path=path)
+        # a labeled subtree too high for hunks.jsonl skips the file
+        hunks = extract_hunks(enhanced)
+    except SyntaxError as err:
+        return ExtractedFile([], 0, {"change_id": change_id, "path": path,
+                                     "line": err.lineno})
+    lines = []
+    for hunk in hunks:
+        doc = hunk_to_dict(hunk)
+        doc["change_id"] = change_id
+        doc["path"] = path
+        doc["context"] = extract_context(hunk)
+        lines.append(_jsonl_line(doc))
+    return ExtractedFile(lines, len(enhanced.conflicts), None)
 
 
 class Pipeline:
@@ -435,7 +482,7 @@ class Pipeline:
                 message=change["message"], files=tuple(change["files"]),
                 created=change.get("created", ""))
             items.extend((record, path) for path in record.files)
-        hunk_docs = []
+        hunk_lines = []
         skipped = []
         counts = {"files_considered": len(items), "files_parsed": 0,
                   "files_skipped_syntax": 0, "files_missing": 0,
@@ -445,32 +492,19 @@ class Pipeline:
                 if pair is None:
                     counts["files_missing"] += 1
                     continue
-                try:
-                    before = parse_source(pair.before_text)
-                    after = parse_source(pair.after_text)
-                    script = align_versions(pair.before_text, pair.after_text)
-                    enhanced = build_diff_ast(before, after, script,
-                                              change_id=record.change_id, path=path)
-                    # a labeled subtree too high for hunks.jsonl skips the file
-                    hunks = extract_hunks(enhanced)
-                except SyntaxError as err:
+                lines, conflicts, skip = extract_file(pair, record.change_id, path)
+                if skip is not None:
                     counts["files_skipped_syntax"] += 1
-                    skipped.append({"change_id": record.change_id, "path": path,
-                                    "line": err.lineno})
+                    skipped.append(skip)
                     continue
                 counts["files_parsed"] += 1
-                counts["alignment_conflicts"] += len(enhanced.conflicts)
-                for hunk in hunks:
-                    doc = hunk_to_dict(hunk)
-                    doc["change_id"] = record.change_id
-                    doc["path"] = path
-                    doc["context"] = extract_context(hunk)
-                    hunk_docs.append(doc)
-                    counts["hunks"] += 1
+                counts["alignment_conflicts"] += conflicts
+                counts["hunks"] += len(lines)
+                hunk_lines += lines
         counts["skipped_files"] = skipped
         # a modified node always yields a Minus+Plus pair (no update label)
         counts["update_label_policy"] = "minus-plus-pair"
-        return {"hunks.jsonl": _jsonl(hunk_docs), "extract_counts.json": _json_dumps(counts)}
+        return {"hunks.jsonl": "".join(hunk_lines), "extract_counts.json": _json_dumps(counts)}
 
     def _stage_features(self) -> dict[str, str]:
         weights = self.config.weights

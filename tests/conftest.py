@@ -5,8 +5,15 @@ from __future__ import annotations
 
 import pytest
 
+from fixscope.context import extract_context
 from fixscope.democorpus import build_demo_corpus
-from fixscope.diffing import align_versions, build_diff_ast, extract_hunks
+from fixscope.diffing import (
+    align_versions,
+    build_diff_ast,
+    extract_hunks,
+    hunk_to_dict,
+    untouched_tests,
+)
 from fixscope.grammar import parse_source
 
 ACCEPTANCE_LINES: list[str] = []
@@ -30,10 +37,29 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-def diff_texts(before: str, after: str, change_id="chg", path="a.py"):
+def diff_texts(before: str, after: str, change_id="chg", path="a.py", stubs=False):
+    """The diff tree of two texts; with ``stubs``, statements on lines the
+    script leaves untouched parse as stubs, as the extract stage does."""
     script = align_versions(before, after)
-    return build_diff_ast(parse_source(before), parse_source(after), script,
-                          change_id=change_id, path=path)
+    untouched = untouched_tests(script, before, after) if stubs else (None, None)
+    return build_diff_ast(parse_source(before, untouched[0]), parse_source(after, untouched[1]),
+                          script, change_id=change_id, path=path)
+
+
+def file_hunks(before: str, after: str, stubs: bool):
+    """What the extract stage keeps of one file pair: its hunk documents,
+    their contexts, and the conflicts in order."""
+    enhanced = diff_texts(before, after, stubs=stubs)
+    hunks = extract_hunks(enhanced)
+    return ([hunk_to_dict(hunk) for hunk in hunks], [extract_context(hunk) for hunk in hunks],
+            enhanced.conflicts)
+
+
+def assert_stubs_agree(before: str, after: str):
+    """The stub path keeps exactly what the full path keeps, in both
+    directions."""
+    for old, new in ((before, after), (after, before)):
+        assert file_hunks(old, new, stubs=True) == file_hunks(old, new, stubs=False)
 
 
 def make_hunks(before: str, after: str, **kwargs):

@@ -19,17 +19,15 @@ from fixscope.diffing import (
     build_diff_ast,
     dump_enhanced_ast,
     extract_hunks,
+    untouched_tests,
 )
-from fixscope.grammar import parse_source
+from fixscope.grammar import AstNode, StubNode, parse_source
+from fixscope.ingest import FilePair
+from fixscope.pipeline import extract_file
 
+from conftest import assert_stubs_agree, diff_texts, file_hunks
 from oracles import reference_myers_matches
 from test_properties import shape
-
-
-def diff_texts(before: str, after: str, change_id="chg", path="a.py"):
-    script = align_versions(before, after)
-    return build_diff_ast(parse_source(before), parse_source(after), script,
-                          change_id=change_id, path=path)
 
 
 def labeled(enhanced, label):
@@ -393,3 +391,112 @@ class TestReferenceCounting:
             assert labeled_root() is None
         finally:
             gc.enable()
+
+
+class TestUntouchedTests:
+    def test_an_insertion_point_touches_a_span_only_strictly_inside(self):
+        before, after = "a\nb\nc\n", "a\nb\nX\nc\n"
+        script = align_versions(before, after)
+        assert script == [EditBlock(3, 3, 3, 4)]
+        before_test, after_test = untouched_tests(script, before, after)
+        assert before_test(1, 2) and before_test(3, 3)
+        assert not before_test(2, 3)
+        assert after_test(1, 2) and after_test(4, 4)
+        assert not after_test(3, 3) and not after_test(2, 4)
+
+    def test_a_kept_line_with_another_terminator_is_touched(self):
+        for before, after, line in (("a\nb\nc\n", "a\nb\r\nc\n", 2),
+                                    ("a\nb\n", "a\nb", 2)):
+            assert align_versions(before, after) == []
+            for test in untouched_tests([], before, after):
+                assert not test(line, line)
+                assert test(line - 1, line - 1) and test(line + 1, line + 1)
+
+    def test_against_an_empty_version_there_is_no_test(self):
+        assert untouched_tests([EditBlock(1, 1, 1, 2)], "", "x = 1\n") == (None, None)
+        assert untouched_tests([EditBlock(1, 2, 1, 1)], "x = 1\n", "") == (None, None)
+
+
+class TestStubHazards:
+    """Paths where a stub must not stand in for its statement, or must be
+    converted after all."""
+
+    def test_a_line_ending_change_in_a_multiline_fstring_keeps_its_hunk(self):
+        # the script compares lines without terminators, but the Str leaf
+        # holds the f-string's source, \r\n and all
+        before = 'x = f"""a\n{b}\n"""\ny = 1\n'
+        after = before.replace("\n", "\r\n", 3)
+        assert align_versions(before, after) == []
+        docs, _contexts, _conflicts = file_hunks(before, after, stubs=True)
+        assert [[root["kind"] for root in doc["roots"]] for doc in docs] == [["Str", "Str"]]
+        assert_stubs_agree(before, after)
+
+    def test_a_match_inside_an_untouched_function_still_skips_the_file(self):
+        before = ("def f(x):\n"
+                  "    match x:\n"
+                  "        case 1:\n"
+                  "            pass\n"
+                  "y = 1\n")
+        after = before.replace("y = 1", "y = 2")
+        with pytest.raises(SyntaxError) as full:
+            parse_source(before)
+        skipped = extract_file(FilePair("a.py", before, after, "chg"), "chg", "a.py").skipped
+        assert skipped == {"change_id": "chg", "path": "a.py", "line": full.value.lineno}
+        assert skipped["line"] == 2
+
+    def test_a_decorator_only_edit(self):
+        before = "@a\ndef f():\n    return 1\n\n\ndef g():\n    pass\n"
+        after = before.replace("@a", "@b")
+        assert_stubs_agree(before, after)
+        docs, _contexts, _conflicts = file_hunks(before, after, stubs=True)
+        assert [[(root["kind"], root["text"]) for root in doc["roots"]] for doc in docs] == \
+            [[("Name", "a"), ("Name", "b")]]
+
+    def test_a_renamed_class_grafts_its_untouched_methods_whole(self):
+        before = ("class A:\n"
+                  "    def m(self):\n"
+                  "        return 1\n"
+                  "\n"
+                  "    def n(self):\n"
+                  "        if self:\n"
+                  "            return 2\n")
+        after = before.replace("class A", "class B")
+        parsed = parse_source(after, untouched_tests(align_versions(before, after),
+                                                     before, after)[1])
+        assert [type(node) for node in parsed.children[0].children] == [StubNode, StubNode]
+        assert_stubs_agree(before, after)
+        [doc], _contexts, _conflicts = file_hunks(before, after, stubs=True)
+
+        def kinds(root):
+            stack, seen = [root], []
+            while stack:
+                node = stack.pop()
+                seen.append(node["kind"])
+                stack.extend(node["children"])
+            return sorted(seen)
+
+        assert [kinds(root).count("Return") for root in doc["roots"]] == [2, 2]
+        assert [kinds(root).count("If") for root in doc["roots"]] == [1, 1]
+
+    def test_a_stub_paired_with_a_converted_node(self):
+        # the continuation line folds `x = 1` into `y = x = 1` after the
+        # edit: the untouched `x = 1` pairs with it, so it is converted
+        before = "y = 0\nx = 1; z = 2\n"
+        after = "y = \\\nx = 1; z = 2\n"
+        before_test, after_test = untouched_tests(align_versions(before, after), before, after)
+        assert [type(n) for n in parse_source(before, before_test).children] == \
+            [AstNode, StubNode, StubNode]
+        assert [type(n) for n in parse_source(after, after_test).children] == \
+            [AstNode, StubNode]
+        assert_stubs_agree(before, after)
+
+    def test_stubs_on_one_line_that_are_not_counterparts(self):
+        # `f()` and the after-side `g()` share kind, role and first line,
+        # but not their source: joined, they differ inside
+        before = "y = 0\nf(); g()\n"
+        after = "y = \\\nf(); g()\n"
+        assert_stubs_agree(before, after)
+        [doc], _contexts, _conflicts = file_hunks(before, after, stubs=True)
+        # the labels inside the joined pair, which an unchanged leaf would hide
+        assert [(root["kind"], root["label"], root["text"]) for root in doc["roots"]][-2:] == \
+            [("Name", "minus", "f"), ("Name", "plus", "g")]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import textwrap
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from fixscope import grammar
 from fixscope.grammar import (
     AstNode,
+    StubNode,
     UnknownSlotError,
     UnsupportedConstructError,
     load_taxonomy,
@@ -268,6 +270,104 @@ class TestNormalizerGolden:
             assert (name in handlers) != (name in grammar._GENERIC), name
 
 
+# stdlib modules whose statements, between them, take most forms a stub
+# derives its fields for; _STUB_FORMS_SOURCE holds every form for certain
+STUB_MODULES = ("contextlib", "asyncio.tasks", "asyncio.timeouts", "zipfile",
+                "importlib.metadata", "typing", "dataclasses", "enum", "subprocess",
+                "shutil")
+
+_STUB_FORMS_SOURCE = """\
+@deco
+@other.attr(1)
+class A(B, metaclass=M):
+    x: int = 1
+    y: str
+
+    @property
+    async def f(self):
+        async with a, b as c:
+            async for i in c:
+                total += i
+        with d:
+            pass
+        try:
+            g()
+        except E as e:
+            pass
+        else:
+            pass
+        finally:
+            h()
+        try:
+            g()
+        finally:
+            h()
+
+        @(await make())
+        def inner():
+            pass
+"""
+
+
+def _stub_forms(node: ast.stmt) -> set[str]:
+    name = type(node).__name__
+    forms = {name}
+    if getattr(node, "decorator_list", None):
+        forms.add(f"decorated {name}")
+    if isinstance(node, (ast.With, ast.AsyncWith)) and len(node.items) > 1:
+        forms.add(f"multi-item {name}")
+    if isinstance(node, ast.Try):
+        forms.add(" ".join(["Try"] + ["except"] * bool(node.handlers)
+                           + ["finally"] * bool(node.finalbody)))
+    return forms
+
+
+class TestStubIdentity:
+    """A stub carries the kind, role, text and span of its conversion, and
+    expands to it: the stub's rules keep in step with the handlers."""
+
+    FORMS = {"decorated FunctionDef", "decorated AsyncFunctionDef", "decorated ClassDef",
+             "multi-item With", "multi-item AsyncWith", "AsyncWith", "AsyncFor",
+             "Try except", "Try finally", "Try except finally", "AnnAssign", "AugAssign"}
+
+    def test_every_statement_of_stdlib_modules_and_the_fixture(self):
+        sources = [Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
+                   for name in STUB_MODULES]
+        sources += [(TestNormalizerGolden.DATA / "normalizer_fixture.py").read_text(),
+                    _STUB_FORMS_SOURCE]
+        seen: set[str] = set()
+        for source in sources:
+            try:
+                full = parse_source(source)
+            except UnsupportedConstructError as err:  # a `match` statement, say
+                with pytest.raises(UnsupportedConstructError) as stubbed:
+                    parse_source(source, lambda first, last: True)
+                assert stubbed.value.lineno == err.lineno
+                continue
+            stubs = 0
+            stack = [(full, parse_source(source, lambda first, last: True))]
+            while stack:
+                node, stub = stack.pop()
+                assert (stub.kind, stub.role, stub.text, stub.span) == \
+                    (node.kind, node.role, node.text, node.span)
+                if isinstance(stub, StubNode):
+                    stubs += 1
+                    seen |= _stub_forms(stub._host)
+                    stub = stub.expand()
+                assert len(stub.children) == len(node.children)
+                stack.extend(zip(node.children, stub.children))
+            assert stubs == sum(isinstance(n, ast.stmt) for n in ast.walk(ast.parse(source)))
+        assert seen >= self.FORMS
+
+    def test_a_statement_holding_a_match_is_never_stubbed(self):
+        source = "def f(x):\n    if x:\n        match x:\n            case 1:\n                pass\n"
+        with pytest.raises(UnsupportedConstructError) as full:
+            parse_source(source)
+        with pytest.raises(UnsupportedConstructError) as stubbed:
+            parse_source(source, lambda first, last: True)
+        assert stubbed.value.lineno == full.value.lineno == 3
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "stmt",
@@ -355,18 +455,22 @@ class TestSplitLines:
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
     def test_lines_are_where_the_parser_puts_them(self, char):
         source = f"a = 1  # x{char}y\r\nb = 2\rc = [\n]\nd = '{char}'"
-        lines = split_lines(source)
-        assert len(lines) == 5
-        names = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)]
-        assert len(names) == 4
-        for name in names:
-            assert lines[name.lineno - 1].startswith(name.id)
+        # a text without \r splits another way, which must agree
+        for text in (source, source.replace("\r\n", "\n").replace("\r", "\n")):
+            lines = split_lines(text)
+            assert len(lines) == 5
+            assert "".join(split_lines(text, keepends=True)) == text
+            names = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)]
+            assert len(names) == 4
+            for name in names:
+                assert lines[name.lineno - 1].startswith(name.id)
 
     @pytest.mark.parametrize("source", [
         "", "\n", "a", "a\n", "a\n\n", "a\r\n\r\nb\r",
         *(text for text in SEGMENT_SOURCES.values() if "\x0c" not in text)])
     def test_splitlines_where_no_other_break_occurs(self, source):
         assert split_lines(source) == source.splitlines()
+        assert split_lines(source, keepends=True) == source.splitlines(keepends=True)
 
 
 class TestReferenceParserAgreement:

@@ -18,7 +18,8 @@ import fixscope
 from fixscope.cli import main as cli_main
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
-from fixscope.grammar import tree_height
+from fixscope.grammar import _Normalizer, parse_source, tree_height
+from fixscope.ingest import GitSource
 from fixscope.pipeline import (
     NO_CONTROL_GROUP,
     STAGE_ARTIFACTS,
@@ -28,6 +29,7 @@ from fixscope.pipeline import (
     PipelineConfig,
     StageError,
     export_dataset,
+    extract_file,
     run_pipeline,
 )
 from fixscope.stats import dunn_test
@@ -234,6 +236,39 @@ class TestDeepNesting:
                 (tmp_path / "deep" / name).read_bytes(), name
         extract = json.loads((tmp_path / "top" / "extract_counts.json").read_text())
         assert (extract["files_parsed"], extract["hunks"]) == (1, 1)
+
+
+class TestExtractFile:
+    # the share of the whole-file conversions that extract makes on the
+    # demo corpus: 72.4% when statement stubs landed, against 100% without
+    CONVERSION_SHARE_BOUND = 0.80
+
+    def test_extract_converts_only_part_of_the_demo_corpus(self, demo_corpus, monkeypatch):
+        source = GitSource(demo_corpus["repo"])
+        items = [(record, path) for record in source.fetch_merged_changes()
+                 for path in record.files]
+        pairs = [(record, path, pair) for (record, path), pair
+                 in zip(items, source.file_pairs(items)) if pair is not None]
+        calls = []
+        convert = _Normalizer.convert
+
+        def counted(self, node, role):
+            calls.append(None)
+            return convert(self, node, role)
+
+        monkeypatch.setattr(_Normalizer, "convert", counted)
+        for record, path, pair in pairs:
+            extract_file(pair, record.change_id, path)
+        extracted = len(calls)
+        calls.clear()
+        for _record, _path, pair in pairs:
+            for text in (pair.before_text, pair.after_text):
+                try:
+                    parse_source(text)
+                except SyntaxError:
+                    pass
+        assert len(pairs) > 400
+        assert extracted <= self.CONVERSION_SHARE_BOUND * len(calls), (extracted, len(calls))
 
 
 class TestStageArtifacts:

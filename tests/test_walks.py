@@ -29,7 +29,7 @@ from fixscope.diffing import (
 from fixscope.grammar import UnsupportedConstructError, parse_source, tree_height
 from fixscope.ingest import GitSource
 
-from conftest import diff_texts
+from conftest import assert_stubs_agree, diff_texts
 from oracles import (
     reference_build_diff_ast,
     reference_diff_node_from_dict,
@@ -38,7 +38,11 @@ from oracles import (
     reference_hunk_to_dict,
     reference_parse_source,
 )
-from test_properties import assert_accounts_for_both_versions, edit_case
+from test_properties import (
+    assert_accounts_for_both_versions,
+    edit_case,
+    moved_and_renamed_case,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,7 +56,8 @@ def shape(tree) -> list:
 def assert_walks_agree(before_text: str, after_text: str) -> int:
     """The loops and the recursive references give the same trees, the
     same conflicts in the same order, and the same hunk documents, and
-    the diff tree accounts for both versions; returns the number of
+    the diff tree accounts for both versions; the stub path keeps what
+    the full path keeps, in both directions.  Returns the number of
     conflicts."""
     try:
         before, after = parse_source(before_text), parse_source(after_text)
@@ -60,6 +65,9 @@ def assert_walks_agree(before_text: str, after_text: str) -> int:
         with pytest.raises(type(err)):
             reference_parse_source(before_text)
             reference_parse_source(after_text)
+        with pytest.raises(type(err)) as stubbed:
+            diff_texts(before_text, after_text, stubs=True)
+        assert stubbed.value.lineno == err.lineno
         return 0
     ref_before = reference_parse_source(before_text)
     ref_after = reference_parse_source(after_text)
@@ -80,6 +88,7 @@ def assert_walks_agree(before_text: str, after_text: str) -> int:
         for root in doc["roots"]:
             assert reference_diff_node_to_dict(diff_node_from_dict(root)) == root
             assert diff_node_to_dict(reference_diff_node_from_dict(root)) == root
+    assert_stubs_agree(before_text, after_text)
     return len(enhanced.conflicts)
 
 
@@ -126,6 +135,18 @@ class TestParityWithRecursiveReferences:
         before = "x = [a, a]\nx = [a, a]\n"
         after = "x = [a,  a]\nx = [a,  a]\n"
         assert assert_walks_agree(before, after) == 6
+
+
+class TestStubParity:
+    @given(edit_case())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_edits(self, case):
+        assert_stubs_agree(*case)
+
+    @given(moved_and_renamed_case())
+    @settings(max_examples=100, deadline=None)
+    def test_moved_and_renamed_nodes(self, case):
+        assert_stubs_agree(*case)
 
 
 def test_hunk_depth_bound_keeps_its_limit_and_skips_past_it():
