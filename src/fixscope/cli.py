@@ -54,6 +54,8 @@ def _config_from(args) -> PipelineConfig:
     doc = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config} holds no JSON object")
     mode = args.mode or doc.get("source_mode", "git")
     overrides = {
         "output_dir": args.out,

@@ -13,12 +13,13 @@ Minus+Plus pair, never an in-place update, and a child the line diff
 moved to another parent is removed under one and added under the other.
 
 The trees may hold stubs, statements the parser left unconverted because
-``untouched_tests`` found their lines untouched by the script.  Two stubs
-that cover the same lines and columns hold the same source, so they join
-as one unchanged leaf: nothing inside them could carry a label or an
-in-block anchor.  Any other stub is converted where the join reaches it,
-and a Plus or Minus subtree converts every stub it grafts, so the labeled
-subtrees, and what ``hunks.jsonl`` holds, are those of the full trees.
+``untouched_tests`` found no edit block meeting their lines.  Two stubs
+that cover the same lines and columns hold the same source but for line
+terminators, which no node depends on, so they join as one unchanged
+leaf: nothing inside them could carry a label or an in-block anchor.  Any
+other stub is converted where the join reaches it, and a Plus or Minus
+subtree converts every stub it grafts, so the labeled subtrees, and what
+``hunks.jsonl`` holds, are those of the full trees.
 
 The tree points one way: a node holds its children and nothing else.  The
 chain of unchanged ancestors around each labeled root comes from the walk
@@ -39,7 +40,7 @@ import enum
 import json
 import logging
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import GeneratorType
 
@@ -295,9 +296,9 @@ class _LineMap:
     """One side's edit blocks as a bisect table, in script order: block k
     holds this side's lines [start, end) and after lines [a_start, a_end).
 
-    ``map`` carries this side's line numbers onto the after-file axis and
-    ``region`` anchors a node for the join; both find a line's block by
-    one bisect.
+    ``map`` carries this side's line numbers onto the after-file axis,
+    ``region`` anchors a node for the join and ``untouched`` tests a line
+    span for the parser; each finds a line's block by one bisect.
     """
 
     def __init__(self, script: list[EditBlock], before: bool):
@@ -327,75 +328,31 @@ class _LineMap:
             return line + (a_end - end)
         return ("in", k) if span.end_line < end else a_end
 
-
-# --- untouched line spans ---------------------------------------------------
-
-
-class _Untouched:
-    """One side's test for an untouched line span: a bisect table of the
-    marks that touch this side, on a doubled line axis.  Line l is the
-    point 2l; the insertion point before line l (a block empty on this
-    side) is 2l - 1, between lines l - 1 and l, so it meets a span only
-    when it falls strictly inside."""
-
-    def __init__(self, marks: list[tuple[int, int]]):
-        marks.sort()  # disjoint, so their high ends sort too
-        self.lows = [low for low, _high in marks]
-        self.highs = [high for _low, high in marks]
-
-    def __call__(self, first: int, last: int) -> bool:
-        """Whether no mark meets lines ``first`` to ``last``."""
-        k = bisect_left(self.highs, 2 * first)
-        return k == len(self.highs) or self.lows[k] > 2 * last
+    def untouched(self, first: int, last: int) -> bool:
+        """Whether no edit block meets lines ``first`` to ``last``: blocks
+        lie apart, so only the last one starting by ``last`` could, and it
+        does unless it ends by ``first``.  So a block empty on this side,
+        the insertion point before its start line, meets only a span it
+        falls strictly inside."""
+        k = bisect_right(self.starts, last) - 1
+        return k < 0 or self.blocks[k][1] <= first
 
 
-def _marks(start: int, end: int) -> tuple[int, int]:
-    # lines [start, end), or the insertion point before line start
-    if end > start:
-        return 2 * start, 2 * end - 2
-    return 2 * start - 1, 2 * start - 1
+def _line_maps(script: list[EditBlock]) -> tuple[_LineMap, _LineMap]:
+    """The before and after tables of ``script``, sorted into file order."""
+    script = sorted(script, key=operator.attrgetter("b_start"))
+    return _LineMap(script, before=True), _LineMap(script, before=False)
 
 
-def untouched_tests(script: list[EditBlock], before_text: str, after_text: str
-                    ) -> tuple[_Untouched | None, _Untouched | None]:
+def untouched_tests(script: list[EditBlock], before_text: str, after_text: str):
     """For each version, a test of whether its line span ``(first, last)``
-    is untouched by ``script``, the edit script between the two texts:
-    no edit block meets the span on that side, no insertion point falls
-    strictly inside it, and each of its lines equals its counterpart byte
-    for byte, terminator included.  The script compares lines without
-    their terminators; an f-string's text keeps them.  Against an empty
-    version every line is inserted or deleted: both tests are None."""
+    is untouched by ``script``, the edit script between the two texts: no
+    edit block meets the span on that side.  Against an empty version
+    every line is inserted or deleted: both tests are None."""
     if not (before_text and after_text):
         return None, None
-    blocks = sorted(script, key=operator.attrgetter("b_start"))
-    before = [_marks(blk.b_start, blk.b_end) for blk in blocks]
-    after = [_marks(blk.a_start, blk.a_end) for blk in blocks]
-    for b_line, a_line in _reterminated(blocks, before_text, after_text):
-        before.append((2 * b_line, 2 * b_line))
-        after.append((2 * a_line, 2 * a_line))
-    return _Untouched(before), _Untouched(after)
-
-
-def _reterminated(blocks: list[EditBlock], before_text: str, after_text: str):
-    """The kept line pairs, before line and after line, whose terminators
-    differ: ``blocks`` compare lines without them."""
-    if ("\r" not in before_text and "\r" not in after_text
-            and before_text.endswith("\n") == after_text.endswith("\n")):
-        # every line ends in "\n" but a last one; the two last lines pair
-        # when kept, and then both end in "\n" or both in nothing
-        return
-    before = split_lines(before_text, keepends=True)
-    after = split_lines(after_text, keepends=True)
-    b_line = a_line = 1  # the first kept line on each side after the last block
-    closing = EditBlock(len(before) + 1, len(before) + 1, len(after) + 1, len(after) + 1)
-    for blk in blocks + [closing]:
-        kept_before = before[b_line - 1:blk.b_start - 1]
-        kept_after = after[a_line - 1:blk.a_start - 1]
-        if kept_before != kept_after:
-            for offset, (b_text, a_text) in enumerate(zip(kept_before, kept_after)):
-                if b_text != a_text:
-                    yield b_line + offset, a_line + offset
-        b_line, a_line = blk.b_end, blk.a_end
+    before, after = _line_maps(script)
+    return before.untouched, after.untouched
 
 
 def _after_line(line: int) -> int:
@@ -451,9 +408,7 @@ class _Matcher:
     """
 
     def __init__(self, script: list[EditBlock]):
-        script = sorted(script, key=operator.attrgetter("b_start"))
-        self.before = _LineMap(script, before=True)
-        self.after = _LineMap(script, before=False)
+        self.before, self.after = _line_maps(script)
         self.conflicts: list[str] = []
 
     def join(self, b_node: AstNode, a_node: AstNode) -> DiffNode:

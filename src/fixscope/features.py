@@ -31,6 +31,7 @@ import csv
 import io
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,10 @@ class WeightConfig:
     c: float = 0.1
 
     def __post_init__(self):
+        for name in ("w_type", "w_role", "r", "c"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("w_type", "w_role", "c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")

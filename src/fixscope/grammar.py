@@ -25,6 +25,7 @@ Per-kind handlers remain only where the tree changes shape:
   arguments take the star roles,
 * plain subscript indices are re-wrapped in ``Index`` / ``ExtSlice``,
 * ``Await``/``Starred`` unwrap to their value, f-strings fold to ``Str``
+  (their line endings to LF, as the tokenizer folds any other literal's)
   and ``async`` definitions to their plain forms.
 
 Files using constructs with no reasonable counterpart (``match`` blocks)
@@ -703,8 +704,10 @@ class _Normalizer:
         return self._make("Str", role, span, repr(value), [])
 
     def _h_JoinedStr(self, node, role):
-        # f-strings have no classic counterpart; fold to a string leaf
-        return self._make("Str", role, _own_span(node), self._segment(node), [])
+        # f-strings have no classic counterpart; fold to a string leaf whose
+        # line endings fold as the tokenizer folds a plain string's
+        text = self._segment(node).replace("\r\n", "\n").replace("\r", "\n")
+        return self._make("Str", role, _own_span(node), text, [])
 
     _h_FormattedValue = _h_JoinedStr
 

@@ -242,9 +242,9 @@ def _manifest(stage: str) -> str:
 
 def _parse_annotations(text: str) -> dict[int, dict]:
     """cluster_id -> {label, description}; a missing column, a row with
-    an unknown label or a cluster id named twice (``040`` and ``40`` are
-    one id) raises ``ValueError``.  A leading UTF-8 byte order mark, which
-    spreadsheet tools write, is ignored."""
+    an unknown label or no integer cluster id, or a cluster id named twice
+    (``040`` and ``40`` are one id) raises ``ValueError``.  A leading UTF-8
+    byte order mark, which spreadsheet tools write, is ignored."""
     rows = csv.DictReader(io.StringIO(text.removeprefix("\ufeff"), newline=None))
     for name in ("cluster_id", "label"):
         # an empty file has no header and no rows
@@ -255,7 +255,11 @@ def _parse_annotations(text: str) -> dict[int, dict]:
         # a row shorter than the header reads its missing cells as None
         label = (row["label"] or "").strip().upper()
         fc.TriageLabel(label)  # validates
-        cid = int(row["cluster_id"])
+        try:
+            cid = int(row["cluster_id"] or "")
+        except ValueError:
+            raise ValueError(f"annotations line {rows.line_num} has no integer cluster_id: "
+                             f"{row['cluster_id']!r}") from None
         if cid in annotations:
             raise ValueError(f"annotations name cluster {cid} more than once")
         annotations[cid] = {

@@ -9,11 +9,12 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fixscope.diffing import (
     ChangeLabel,
     EditBlock,
+    _line_maps,
     _myers_matches,
     align_versions,
     build_diff_ast,
@@ -404,13 +405,34 @@ class TestUntouchedTests:
         assert after_test(1, 2) and after_test(4, 4)
         assert not after_test(3, 3) and not after_test(2, 4)
 
-    def test_a_kept_line_with_another_terminator_is_touched(self):
-        for before, after, line in (("a\nb\nc\n", "a\nb\r\nc\n", 2),
-                                    ("a\nb\n", "a\nb", 2)):
+    def test_a_kept_line_with_another_terminator_is_untouched(self):
+        # no node depends on a line's terminator, so only edit blocks touch
+        for before, after in (("a\nb\nc\n", "a\nb\r\nc\n"), ("a\nb\rc\n", "a\nb\nc\r\n"),
+                              ("a\nb\n", "a\nb")):
             assert align_versions(before, after) == []
             for test in untouched_tests([], before, after):
-                assert not test(line, line)
-                assert test(line - 1, line - 1) and test(line + 1, line + 1)
+                assert test(1, 2) and test(2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("pqr"), min_size=1, max_size=10),
+           st.lists(st.sampled_from("pqr"), min_size=1, max_size=10))
+    @example(list("pq"), list("xpq"))  # an insertion at line 1
+    @example(list("pq"), list("pqx"))  # an insertion past the last line
+    def test_untouched_is_the_brute_force_rule(self, a, b):
+        script = align_versions("\n".join(a), "\n".join(b))
+        tables = _line_maps(script)
+        sides = ([(blk.b_start, blk.b_end) for blk in script],
+                 [(blk.a_start, blk.a_end) for blk in script])
+        for table, blocks, n in zip(tables, sides, (len(a), len(b))):
+            for first in range(1, n + 1):
+                for last in range(first, n + 1):
+                    # no block's lines meet the span, and no insertion
+                    # point falls strictly inside it
+                    expected = not any(
+                        (first < start <= last) if start == end
+                        else (start <= last and end > first)
+                        for start, end in blocks)
+                    assert table.untouched(first, last) == expected, (script, first, last)
 
     def test_against_an_empty_version_there_is_no_test(self):
         assert untouched_tests([EditBlock(1, 1, 1, 2)], "", "x = 1\n") == (None, None)
@@ -421,15 +443,15 @@ class TestStubHazards:
     """Paths where a stub must not stand in for its statement, or must be
     converted after all."""
 
-    def test_a_line_ending_change_in_a_multiline_fstring_keeps_its_hunk(self):
-        # the script compares lines without terminators, but the Str leaf
-        # holds the f-string's source, \r\n and all
-        before = 'x = f"""a\n{b}\n"""\ny = 1\n'
-        after = before.replace("\n", "\r\n", 3)
-        assert align_versions(before, after) == []
-        docs, _contexts, _conflicts = file_hunks(before, after, stubs=True)
-        assert [[root["kind"] for root in doc["roots"]] for doc in docs] == [["Str", "Str"]]
-        assert_stubs_agree(before, after)
+    def test_a_line_ending_change_in_a_multiline_fstring_yields_no_hunk(self):
+        # the f-string's Str leaf folds its line endings, as a plain
+        # triple-quoted string's value does, so the stub stands for it
+        for quote in ('f"""', '"""'):
+            before = f'x = {quote}a\n{{b}}\n"""\ny = 1\n'
+            for after in (before.replace("\n", "\r\n", 3), before.replace("\n", "\r", 2)):
+                assert align_versions(before, after) == []
+                assert file_hunks(before, after, stubs=False) == ([], [], [])
+                assert_stubs_agree(before, after)
 
     def test_a_match_inside_an_untouched_function_still_skips_the_file(self):
         before = ("def f(x):\n"

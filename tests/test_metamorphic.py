@@ -19,7 +19,10 @@ import tokenize
 import warnings
 from pathlib import Path
 
-from conftest import make_hunks
+from fixscope.grammar import split_lines
+
+from conftest import file_hunks, make_hunks
+from test_grammar import SEGMENT_SOURCES
 
 LAYOUT_MODULES = (json.decoder, csv, textwrap, string)
 CASES_PER_MODULE = 6
@@ -27,6 +30,9 @@ EDITS_PER_CASE = 4
 LAYOUT_BUDGET_S = 3.0
 FORM_FEED_CASES_PER_MODULE = 8
 FORM_FEED_BUDGET_S = 3.0
+TERMINATOR_CASES_PER_MODULE = 3
+FSTRING_TERMINATOR_CASES = 8
+TERMINATOR_BUDGET_S = 3.0
 
 
 def logical_line_ends(source: str) -> list[int]:
@@ -115,3 +121,42 @@ def test_form_feed_after_line_1_changes_no_hunk():
     assert sum(case[2] for case in cases) >= 8
     assert [case for case in cases if not case[3]] == []
     assert elapsed <= FORM_FEED_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"
+
+
+def terminator_edit(source: str, rng: random.Random, lines_at: list[int]) -> str:
+    """``source`` with the LF ending each of ``EDITS_PER_CASE`` seeded lines
+    of ``lines_at`` (1-based) turned into CRLF or a lone CR."""
+    lines = split_lines(source, keepends=True)
+    for line in rng.sample(lines_at, EDITS_PER_CASE):
+        assert lines[line - 1].endswith("\n")
+        lines[line - 1] = lines[line - 1][:-1] + rng.choice(("\r\n", "\r"))
+    return "".join(lines)
+
+
+def test_line_terminator_edits_yield_no_hunks():
+    # no node depends on a line's terminator, an f-string's text included,
+    # so stubbed and fully converted trees both find nothing
+    started = time.perf_counter()
+    cases = []
+    for module in LAYOUT_MODULES:
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        lines = split_lines(source, keepends=True)
+        ends = [end for end in logical_line_ends(source) if lines[end - 1].endswith("\n")]
+        for seed in range(TERMINATOR_CASES_PER_MODULE):
+            rng = random.Random(f"{module.__name__}:{seed}")
+            cases.append((module.__name__, seed, source, terminator_edit(source, rng, ends)))
+    fstrings = SEGMENT_SOURCES["multi-line"]
+    every_line = list(range(1, len(split_lines(fstrings)) + 1))
+    for seed in range(FSTRING_TERMINATOR_CASES):
+        rng = random.Random(f"multi-line:{seed}")
+        cases.append(("multi-line", seed, fstrings, terminator_edit(fstrings, rng, every_line)))
+    failed = []
+    for name, seed, source, edited in cases:
+        assert edited != source
+        for old, new in ((source, edited), (edited, source)):
+            found = [file_hunks(old, new, stubs=stubs) for stubs in (True, False)]
+            if found != [([], [], [])] * 2:
+                failed.append((name, seed))
+    elapsed = time.perf_counter() - started
+    assert failed == []
+    assert elapsed <= TERMINATOR_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"

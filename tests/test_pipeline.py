@@ -913,12 +913,16 @@ class TestCli:
         bad.write_text("cluster_id,label,description\n7,BOGUS,rejected\n")
         short = tmp_path / "short.csv"
         short.write_text("cluster_id,label,description\n7\n")
+        no_id = tmp_path / "no_id.csv"
+        no_id.write_text("label,cluster_id\nBUG-FIX\n")
         assert cli_main(["annotate", "--file", str(bad), "--out", str(out)]) == 1
         assert not (out / "annotations.csv").exists()
         assert cli_main(["annotate", "--file", str(good), "--out", str(out)]) == 0
-        for rejected in (bad, short):
+        for rejected in (bad, short, no_id):
             assert cli_main(["annotate", "--file", str(rejected), "--out", str(out)]) == 1
-        capsys.readouterr()
+        # the row without a cluster_id cell is named, not a traceback
+        assert "fixscope: annotations line 2 has no integer cluster_id: None" in \
+            capsys.readouterr().err
         assert (out / "annotations.csv").read_bytes() == good.read_bytes()
         # a row without a description cell reads as an empty description
         bare = tmp_path / "bare.csv"
@@ -969,7 +973,10 @@ class TestCli:
         (["--alpha", "5"], {}), ([], {"control_mode": "bogus"}),
         (["--cutoff", "nan"], {}), (["--min-size", "0"], {}),
         ([], {"inconsistency_depth": 0}), ([], {"min_cluster_size": 2.5}),
-        ([], {"keywords": "bug"}), ([], {"bonferroni": "no"})])
+        ([], {"keywords": "bug"}), ([], {"bonferroni": "no"}),
+        # a document that is no JSON object, and weights that are no real number
+        ([], []), ([], ["r", 10]), ([], {"w_type": "big"}), ([], {"r": None}),
+        ([], {"c": True}), ([], {"w_role": [1]})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"
