@@ -59,7 +59,7 @@ class DuplicateHunkIdError(ValueError):
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Accumulation weights: all strictly positive, and ``r >= 1``."""
+    """Accumulation weights: all finite and strictly positive, and ``r >= 1``."""
 
     w_type: float = 1e15
     w_role: float = 1e15
@@ -69,8 +69,9 @@ class WeightConfig:
     def __post_init__(self):
         for name in ("w_type", "w_role", "r", "c"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         for name in ("w_type", "w_role", "c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")

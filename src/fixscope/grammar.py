@@ -32,13 +32,22 @@ Files using constructs with no reasonable counterpart (``match`` blocks)
 raise :class:`UnsupportedConstructError`, a ``SyntaxError`` subclass, so
 the pipeline records and skips them like any unparseable file.
 
+A node's span is its host node's own position, from the first decorator
+of a decorated definition (``_own_span``); only a node positionless in the
+classic grammar (``arguments``, ``keyword``, ``comprehension``, ``Index``,
+``ExtSlice``, ``Module``) spans its children.  This relies on a host
+invariant, verified on Python 3.11 only: a node's own position covers its
+children, except a definition's decorators.
+
 Given a test for untouched line spans, ``parse_source`` leaves each
 statement on untouched lines unconverted, as a :class:`StubNode`: the
 kind, role, text and span its conversion has, read off the host node by
 ``_STUB_RULES``, and no children until ``expand`` converts it.  The join
 pairs two counterpart stubs whole, so a small edit to a large module
-converts little more than the statements around it.  Without the test
-every node is converted.
+converts little more than the statements around it.  Stubs are allowed
+per file: one that holds a statement no stub can stand for (``match``,
+``try``/``except*``) ignores the test, and every node is converted, as
+without it.
 
 No walk here recurses once per tree level: the normalizer's handlers are
 generators that ``drive`` runs on an explicit stack, so how deep a file
@@ -113,9 +122,6 @@ class SourceSpan(NamedTuple):
     start_col: int
     end_line: int
     end_col: int
-
-    def union(self, other: "SourceSpan") -> "SourceSpan":
-        return SourceSpan(*min(self[:2], other[:2]), *max(self[2:], other[2:]))
 
 
 class AstNode:
@@ -290,10 +296,11 @@ def parse_source(text: str, untouched=None) -> AstNode:
 
     ``untouched``, when given, tests a line span ``(first, last)`` of
     ``text``: a statement whose lines, decorators included, it passes
-    comes back as a :class:`StubNode` instead of converted, unless it holds
-    a statement no stub can stand for (``match``, ``try``/``except*``), so
-    a file fails with the error and line it would fail with unstubbed.
-    Without the test every node is converted.
+    comes back as a :class:`StubNode` instead of converted.  A file that
+    holds a statement no stub can stand for (``match``, ``try``/``except*``)
+    ignores the test and converts whole, so it fails with the error and
+    line it would fail with unstubbed.  Without the test every node is
+    converted.
 
     The normalizer walks an explicit stack, so nesting depth is bounded
     only by the host parser: a left-deep sum ``1 + 1 + ...`` of 2,990
@@ -305,6 +312,8 @@ def parse_source(text: str, untouched=None) -> AstNode:
         tree = ast.parse(text)
     except RecursionError as exc:
         raise UnsupportedConstructError("nesting too deep for the host parser") from exc
+    if untouched is not None and not all(map(_stubbable, tree.body)):
+        untouched = None
     return _Normalizer(text, untouched).module(tree)
 
 
@@ -362,8 +371,7 @@ _STUB_RULES.update(AsyncFunctionDef=_STUB_RULES["FunctionDef"], AsyncWith=_rule(
 def _stubbable(statement: ast.stmt) -> bool:
     """Whether a stub can stand for ``statement`` and for every statement
     nested in it, found by a walk over statement bodies alone: expressions
-    hold no statements.  A statement that holds a ``match`` or an
-    ``except*`` is converted, so it fails where it would unstubbed."""
+    hold no statements."""
     stack = [statement]
     while stack:
         node = stack.pop()
@@ -378,16 +386,22 @@ def _stubbable(statement: ast.stmt) -> bool:
 
 # positionless in the classic grammar: spanned by their children alone
 _CHILD_SPANNED = frozenset({"comprehension", "keyword"})
+_DECORATED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _own_span(node: ast.AST) -> SourceSpan | None:
-    lineno = getattr(node, "lineno", None)
-    end_lineno = getattr(node, "end_lineno", None)
-    if lineno is None:
+    """The span of ``node``'s conversion: its own position, from the first
+    decorator of a decorated definition (unwrapped through ``await`` and
+    starred, as it converts), or None for a positionless node.  It covers
+    the children while the host's own position covers all but decorators."""
+    if getattr(node, "lineno", None) is None:
         return None
-    if end_lineno is None:
-        return SourceSpan(lineno, node.col_offset, lineno, node.col_offset)
-    return SourceSpan(lineno, node.col_offset, end_lineno, node.end_col_offset)
+    first = node
+    if isinstance(node, _DECORATED) and node.decorator_list:
+        first = node.decorator_list[0]
+        while isinstance(first, (ast.Await, ast.Starred)):
+            first = first.value
+    return SourceSpan(first.lineno, first.col_offset, node.end_lineno, node.end_col_offset)
 
 
 # a source line as the parser splits them: at \r\n, \r or \n only, so \f,
@@ -449,21 +463,18 @@ class _Normalizer:
         text: str,
         children: list[AstNode],
     ) -> AstNode:
-        """A node spanning ``span`` and its children, which it orders by
-        position; a node with neither sits at the file's start."""
-        if not children:
-            return AstNode(kind, role, span or _FILE_START, text, ())
-        spans = [child.span for child in children]
-        start = min(spans)[:2]
-        end = _END(max(spans, key=_END))
-        if span is not None:
-            start = min(start, span[:2])
-            end = max(end, span[2:])
-        # sorted is stable, so children already in order keep it unsorted
-        if any(map(operator.gt, spans, spans[1:])):
-            order = sorted(range(len(spans)), key=spans.__getitem__)
-            children = [children[i] for i in order]
-        return AstNode(kind, role, SourceSpan(*start, *end), text, tuple(children))
+        """A node spanning ``span``, or its children when ``span`` is None,
+        with the children ordered by position; a node with neither sits at
+        the file's start."""
+        if children:
+            spans = [child.span for child in children]
+            if span is None:
+                span = SourceSpan(*min(spans)[:2], *_END(max(spans, key=_END)))
+            # sorted is stable, so children already in order keep it unsorted
+            if any(map(operator.gt, spans, spans[1:])):
+                order = sorted(range(len(spans)), key=spans.__getitem__)
+                children = [children[i] for i in order]
+        return AstNode(kind, role, span or _FILE_START, text, tuple(children))
 
     def _slot(self, parent_kind: str, slot: str, value):
         role = self.taxonomy.role_for(parent_kind, slot)
@@ -484,17 +495,12 @@ class _Normalizer:
 
     def _stub(self, node: ast.stmt, role: str) -> StubNode | None:
         """A stub for the statement ``node``, if its lines are untouched."""
-        first = node
-        if getattr(node, "decorator_list", None):
-            first = node.decorator_list[0]
-            while isinstance(first, (ast.Await, ast.Starred)):  # converted unwrapped
-                first = first.value
-        if not (self.untouched(first.lineno, node.end_lineno) and _stubbable(node)):
+        span = _own_span(node)
+        if not self.untouched(span.start_line, span.end_line):
             return None
         kind, _fields, text_of = _STUB_RULES[type(node).__name__]
         if kind == "Try":
             kind = "TryExcept" if node.handlers and not node.finalbody else "TryFinally"
-        span = SourceSpan(first.lineno, first.col_offset, node.end_lineno, node.end_col_offset)
         return StubNode(kind, role, span, (text_of(node) or "") if text_of else "", node, self)
 
     def _op(self, op_node: ast.AST, role: str, span: SourceSpan) -> AstNode:
@@ -520,14 +526,6 @@ class _Normalizer:
         return "".join([first.encode()[node.col_offset:].decode(),
                         *self._lines[node.lineno:node.end_lineno - 1],
                         last.encode()[:node.end_col_offset].decode()])
-
-    def _anchored(self, node: AstNode, anchor: SourceSpan) -> AstNode:
-        # position-less empty nodes (e.g. bare `arguments`) sit at the
-        # owner's start so child ordering and enclosure stay valid
-        if node.children:
-            return node
-        point = _point(anchor.start_line, anchor.start_col)
-        return AstNode(node.kind, node.role, point, node.text, ())
 
     # -- dispatch
 
@@ -565,12 +563,17 @@ class _Normalizer:
     # -- statements
 
     def _h_FunctionDef(self, node, role):
-        own = _own_span(node)
-        args = yield self.convert(node.args, node_role("FunctionDef", "args"))
-        children = [self._anchored(args, own)]
-        children += yield from self._slot("FunctionDef", "body", node.body)
-        children += yield from self._slot("FunctionDef", "decorator_list", node.decorator_list)
-        return self._make("FunctionDef", role, own, node.name, children)
+        # `def` and `lambda`: the arguments, then the kind's other slots
+        kind = "Lambda" if type(node) is ast.Lambda else "FunctionDef"
+        args_slot, *slots = self.taxonomy.slots[kind]
+        args = yield self.convert(node.args, node_role(kind, args_slot))
+        if not args.children:
+            # a bare `arguments` has no position: it sits at the keyword
+            args = AstNode(args.kind, args.role, _point(node.lineno, node.col_offset), args.text)
+        children = [args]
+        for slot in slots:
+            children += yield from self._slot(kind, slot, getattr(node, slot))
+        return self._make(kind, role, _own_span(node), getattr(node, "name", ""), children)
 
     _h_AsyncFunctionDef = _h_FunctionDef
 
@@ -647,13 +650,6 @@ class _Normalizer:
                              operand.span.start_line, operand.span.start_col)
         op = self._op(node.op, node_role("UnaryOp", "op"), op_span)
         return self._make("UnaryOp", role, span, "", [op, operand])
-
-    def _h_Lambda(self, node, role):
-        own = _own_span(node)
-        args = yield self.convert(node.args, node_role("Lambda", "args"))
-        children = [self._anchored(args, own)]
-        children += yield from self._slot("Lambda", "body", node.body)
-        return self._make("Lambda", role, own, "", children)
 
     def _h_Await(self, node, role):
         # classic grammar has no await or starred targets; unwrap in place
@@ -756,6 +752,7 @@ def _handlers() -> dict:
              for name, rule in _GENERIC.items()}
     table.update((name[3:], getattr(_Normalizer, name))
                  for name in dir(_Normalizer) if name.startswith("_h_"))
+    table["Lambda"] = _Normalizer._h_FunctionDef
     table.update((name, _Normalizer._unsupported) for name in _UNSUPPORTED)
     return table
 

@@ -242,9 +242,10 @@ def _manifest(stage: str) -> str:
 
 def _parse_annotations(text: str) -> dict[int, dict]:
     """cluster_id -> {label, description}; a missing column, a row with
-    an unknown label or no integer cluster id, or a cluster id named twice
-    (``040`` and ``40`` are one id) raises ``ValueError``.  A leading UTF-8
-    byte order mark, which spreadsheet tools write, is ignored."""
+    an unknown label, no integer cluster id or more cells than the header,
+    or a cluster id named twice (``040`` and ``40`` are one id) raises
+    ``ValueError``.  A leading UTF-8 byte order mark, which spreadsheet
+    tools write, is ignored."""
     rows = csv.DictReader(io.StringIO(text.removeprefix("\ufeff"), newline=None))
     for name in ("cluster_id", "label"):
         # an empty file has no header and no rows
@@ -252,9 +253,16 @@ def _parse_annotations(text: str) -> dict[int, dict]:
             raise ValueError(f"annotations lack a {name!r} column")
     annotations = {}
     for row in rows:
+        if None in row:  # DictReader's key for the cells past the header
+            raise ValueError(f"annotations line {rows.line_num} has more cells than "
+                             f"the header: {row[None]!r}")
         # a row shorter than the header reads its missing cells as None
         label = (row["label"] or "").strip().upper()
-        fc.TriageLabel(label)  # validates
+        try:
+            fc.TriageLabel(label)
+        except ValueError:
+            raise ValueError(f"annotations line {rows.line_num} has no known label: "
+                             f"{row['label']!r}") from None
         try:
             cid = int(row["cluster_id"] or "")
         except ValueError:

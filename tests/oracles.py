@@ -463,8 +463,24 @@ class PerCommitGitSource:
 # messages in the same order, the same serialized documents.
 
 
+def _position(node):
+    """A host node's plain position, decorators aside; None for a
+    positionless node.  With the union over every child in ``_make``
+    below, this is the span rule that ``grammar._own_span`` replaced."""
+    lineno = getattr(node, "lineno", None)
+    if lineno is None:
+        return None
+    return _grammar.SourceSpan(lineno, node.col_offset, node.end_lineno, node.end_col_offset)
+
+
+def _union(a, b):
+    return _grammar.SourceSpan(*min(a[:2], b[:2]), *max(a[2:], b[2:]))
+
+
 class RecursiveNormalizer(_grammar._Normalizer):
-    """The normalizer with each handler calling ``convert`` directly."""
+    """The normalizer with each handler calling ``convert`` directly.  The
+    production handlers it inherits read ``grammar._own_span`` only for
+    nodes that never have decorators."""
 
     def module(self, node):
         return self._make("Module", None, None, "", self._slot("Module", "body", node.body))
@@ -472,7 +488,7 @@ class RecursiveNormalizer(_grammar._Normalizer):
     def _make(self, kind, role, span, text, children):
         # the span grown by one union per child, the children always sorted
         for child in children:
-            span = child.span if span is None else span.union(child.span)
+            span = child.span if span is None else _union(span, child.span)
         if span is None:
             span = _grammar._point(1, 0)
         ordered = sorted(children, key=lambda c: (c.span.start_line, c.span.start_col,
@@ -507,11 +523,18 @@ class RecursiveNormalizer(_grammar._Normalizer):
         for slot in self.taxonomy.slots.get(kind, ()):
             children += self._slot(kind, slot, getattr(node, slot))
         text = (text_of(node) or "") if text_of else ""
-        span = None if kind in _grammar._CHILD_SPANNED else _grammar._own_span(node)
+        span = None if kind in _grammar._CHILD_SPANNED else _position(node)
         return self._make(kind, role, span, text, children)
 
+    def _anchored(self, node, anchor):
+        # a bare `arguments` sits at its owner's start
+        if node.children:
+            return node
+        return _grammar.AstNode(node.kind, node.role,
+                                _grammar._point(anchor.start_line, anchor.start_col), node.text)
+
     def _h_FunctionDef(self, node, role):
-        own = _grammar._own_span(node)
+        own = _position(node)
         args = self.convert(node.args, _grammar.node_role("FunctionDef", "args"))
         children = [self._anchored(args, own)]
         children += self._slot("FunctionDef", "body", node.body)
@@ -525,12 +548,12 @@ class RecursiveNormalizer(_grammar._Normalizer):
         children += self._slot("ClassDef", "bases", node.keywords)
         children += self._slot("ClassDef", "body", node.body)
         children += self._slot("ClassDef", "decorator_list", node.decorator_list)
-        return self._make("ClassDef", role, _grammar._own_span(node), node.name, children)
+        return self._make("ClassDef", role, _position(node), node.name, children)
 
     def _h_AnnAssign(self, node, role):
         children = self._slot("Assign", "targets", node.target)
         children += self._slot("Assign", "value", node.value)
-        return self._make("Assign", role, _grammar._own_span(node), "", children)
+        return self._make("Assign", role, _position(node), "", children)
 
     _h_NamedExpr = _h_AnnAssign
 
@@ -539,10 +562,10 @@ class RecursiveNormalizer(_grammar._Normalizer):
         value = self.convert(node.value, _grammar.node_role("AugAssign", "value"))
         op = self._op(node.op, _grammar.node_role("AugAssign", "op"),
                       self._between(target, value))
-        return self._make("AugAssign", role, _grammar._own_span(node), "", [target, op, value])
+        return self._make("AugAssign", role, _position(node), "", [target, op, value])
 
     def _h_With(self, node, role):
-        return self._with_chain(node, node.items, role, _grammar._own_span(node))
+        return self._with_chain(node, node.items, role, _position(node))
 
     _h_AsyncWith = _h_With
 
@@ -560,10 +583,10 @@ class RecursiveNormalizer(_grammar._Normalizer):
     def _h_Raise(self, node, role):
         children = self._slot("Raise", "type", node.exc)
         children += self._slot("Raise", "inst", node.cause)
-        return self._make("Raise", role, _grammar._own_span(node), "", children)
+        return self._make("Raise", role, _position(node), "", children)
 
     def _h_Try(self, node, role):
-        span = _grammar._own_span(node)
+        span = _position(node)
         if node.handlers:
             children = self._slot("TryExcept", "body", node.body)
             children += self._slot("TryExcept", "handlers", node.handlers)
@@ -581,7 +604,7 @@ class RecursiveNormalizer(_grammar._Normalizer):
         return self._make("TryFinally", role, span, "", children)
 
     def _h_ExceptHandler(self, node, role):
-        span = _grammar._own_span(node)
+        span = _position(node)
         children = self._slot("ExceptHandler", "type", node.type)
         if node.name:
             anchor = children[0].span if children else span
@@ -593,15 +616,15 @@ class RecursiveNormalizer(_grammar._Normalizer):
 
     def _h_ImportFrom(self, node, role):
         text = "." * (node.level or 0) + (node.module or "")
-        return self._make("ImportFrom", role, _grammar._own_span(node), text,
+        return self._make("ImportFrom", role, _position(node), text,
                           self._slot("ImportFrom", "names", node.names))
 
     def _h_alias(self, node, role):
         text = node.name if not node.asname else f"{node.name} as {node.asname}"
-        return self._make("alias", role, _grammar._own_span(node), text, [])
+        return self._make("alias", role, _position(node), text, [])
 
     def _h_Global(self, node, role):
-        return self._make("Global", role, _grammar._own_span(node), ",".join(node.names), [])
+        return self._make("Global", role, _position(node), ",".join(node.names), [])
 
     _h_Nonlocal = _h_Global
 
@@ -609,24 +632,24 @@ class RecursiveNormalizer(_grammar._Normalizer):
         values = self._slot("BoolOp", "values", node.values)
         op = self._op(node.op, _grammar.node_role("BoolOp", "op"),
                       self._between(values[0], values[1]))
-        return self._make("BoolOp", role, _grammar._own_span(node), "", values + [op])
+        return self._make("BoolOp", role, _position(node), "", values + [op])
 
     def _h_BinOp(self, node, role):
         left = self.convert(node.left, _grammar.node_role("BinOp", "left"))
         right = self.convert(node.right, _grammar.node_role("BinOp", "right"))
         op = self._op(node.op, _grammar.node_role("BinOp", "op"), self._between(left, right))
-        return self._make("BinOp", role, _grammar._own_span(node), "", [left, op, right])
+        return self._make("BinOp", role, _position(node), "", [left, op, right])
 
     def _h_UnaryOp(self, node, role):
         operand = self.convert(node.operand, _grammar.node_role("UnaryOp", "operand"))
-        span = _grammar._own_span(node)
+        span = _position(node)
         op_span = _grammar.SourceSpan(span.start_line, span.start_col,
                                       operand.span.start_line, operand.span.start_col)
         op = self._op(node.op, _grammar.node_role("UnaryOp", "op"), op_span)
         return self._make("UnaryOp", role, span, "", [op, operand])
 
     def _h_Lambda(self, node, role):
-        own = _grammar._own_span(node)
+        own = _position(node)
         args = self.convert(node.args, _grammar.node_role("Lambda", "args"))
         children = [self._anchored(args, own)]
         children += self._slot("Lambda", "body", node.body)
@@ -635,7 +658,7 @@ class RecursiveNormalizer(_grammar._Normalizer):
     def _h_Dict(self, node, role):
         children = self._slot("Dict", "keys", [k for k in node.keys if k is not None])
         children += self._slot("Dict", "values", node.values)
-        return self._make("Dict", role, _grammar._own_span(node), "", children)
+        return self._make("Dict", role, _position(node), "", children)
 
     def _h_Await(self, node, role):
         return self.convert(node.value, role)
@@ -652,7 +675,7 @@ class RecursiveNormalizer(_grammar._Normalizer):
             children.append(self._op(op_node, _grammar.node_role("Compare", "ops"),
                                      self._between(prev, comp)))
             prev = comp
-        return self._make("Compare", role, _grammar._own_span(node), "", children)
+        return self._make("Compare", role, _position(node), "", children)
 
     def _h_Call(self, node, role):
         children = self._slot("Call", "func", node.func)
@@ -666,12 +689,12 @@ class RecursiveNormalizer(_grammar._Normalizer):
                 children.append(self.convert(kw.value, _grammar.node_role("Call", "kwargs")))
             else:
                 children.append(self.convert(kw, _grammar.node_role("Call", "keywords")))
-        return self._make("Call", role, _grammar._own_span(node), "", children)
+        return self._make("Call", role, _position(node), "", children)
 
     def _h_Subscript(self, node, role):
         children = self._slot("Subscript", "value", node.value)
         children.append(self._subscript_slice(node.slice))
-        return self._make("Subscript", role, _grammar._own_span(node), "", children)
+        return self._make("Subscript", role, _position(node), "", children)
 
     def _subscript_slice(self, sl):
         slice_role = _grammar.node_role("Subscript", "slice")

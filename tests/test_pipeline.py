@@ -915,14 +915,20 @@ class TestCli:
         short.write_text("cluster_id,label,description\n7\n")
         no_id = tmp_path / "no_id.csv"
         no_id.write_text("label,cluster_id\nBUG-FIX\n")
+        extra = tmp_path / "extra.csv"
+        extra.write_text("cluster_id,label,description\n7,BUG-FIX,extra,cells\n")
         assert cli_main(["annotate", "--file", str(bad), "--out", str(out)]) == 1
+        assert "fixscope: annotations line 2 has no known label: 'BOGUS'" in \
+            capsys.readouterr().err
         assert not (out / "annotations.csv").exists()
         assert cli_main(["annotate", "--file", str(good), "--out", str(out)]) == 0
-        for rejected in (bad, short, no_id):
+        for rejected in (bad, short, no_id, extra):
             assert cli_main(["annotate", "--file", str(rejected), "--out", str(out)]) == 1
-        # the row without a cluster_id cell is named, not a traceback
-        assert "fixscope: annotations line 2 has no integer cluster_id: None" in \
-            capsys.readouterr().err
+        # each rejected row is named, not a traceback
+        err = capsys.readouterr().err
+        assert "fixscope: annotations line 2 has no known label: None" in err
+        assert "fixscope: annotations line 2 has no integer cluster_id: None" in err
+        assert "fixscope: annotations line 2 has more cells than the header: ['cells']" in err
         assert (out / "annotations.csv").read_bytes() == good.read_bytes()
         # a row without a description cell reads as an empty description
         bare = tmp_path / "bare.csv"
@@ -976,7 +982,10 @@ class TestCli:
         ([], {"keywords": "bug"}), ([], {"bonferroni": "no"}),
         # a document that is no JSON object, and weights that are no real number
         ([], []), ([], ["r", 10]), ([], {"w_type": "big"}), ([], {"r": None}),
-        ([], {"c": True}), ([], {"w_role": [1]})])
+        ([], {"c": True}), ([], {"w_role": [1]}),
+        # and weights that are no finite number
+        ([], {"w_type": float("nan")}), ([], {"c": float("inf")}),
+        ([], {"r": float("inf")})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"

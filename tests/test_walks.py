@@ -4,6 +4,7 @@ for a shallow one."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,6 +39,7 @@ from oracles import (
     reference_hunk_to_dict,
     reference_parse_source,
 )
+from test_grammar import _STUB_FORMS_SOURCE, STUB_MODULES
 from test_properties import (
     assert_accounts_for_both_versions,
     edit_case,
@@ -115,6 +117,19 @@ class TestParityWithRecursiveReferences:
         source = (DATA / "normalizer_fixture.py").read_text()
         assert shape(parse_source(source)) == shape(reference_parse_source(source))
         assert_walks_agree(source, source.replace("pass", "x = 1"))
+        # real modules, with decorated and `@(await ...)` definitions, async
+        # forms and multi-item `with`: the span rule against the union rule
+        sources = [Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
+                   for name in STUB_MODULES]
+        for source in sources + [_STUB_FORMS_SOURCE]:
+            try:
+                tree = parse_source(source)
+            except UnsupportedConstructError as err:  # a `match` statement, say
+                with pytest.raises(UnsupportedConstructError) as reference:
+                    reference_parse_source(source)
+                assert reference.value.lineno == err.lineno
+                continue
+            assert shape(tree) == shape(reference_parse_source(source))
 
     def test_conflicts_at_several_depths_keep_their_order(self):
         # in-block ambiguous anchors at module level, in an if body and in
