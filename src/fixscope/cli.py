@@ -45,7 +45,6 @@ def _add_common(parser):
     parser.add_argument("--min-size", type=int, help="minimum cluster size")
     parser.add_argument("--cutoff", type=float, help="inconsistency cutoff override")
     parser.add_argument("--alpha", type=float, help="significance level")
-    parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--force", action="store_true",
                         help="rerun stages even when checkpoints are current")
 
@@ -69,7 +68,6 @@ def _config_from(args) -> PipelineConfig:
         "min_cluster_size": args.min_size,
         "cutoff": args.cutoff,
         "alpha": args.alpha,
-        "seed": args.seed,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -93,6 +91,8 @@ def build_parser() -> _Parser:
     _add_common(sample_parser)
     sample_parser.add_argument("--cluster", type=int, required=True)
     sample_parser.add_argument("--n", type=int, default=5)
+    sample_parser.add_argument("--seed", type=int, default=0,
+                               help="seed of the sample (the same seed, the same ids)")
 
     annotate_parser = sub.add_parser("annotate",
                                      help="install a triage annotation CSV")
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
             print(f"stage {args.command} complete")
         elif args.command == "sample":
             clusters = Pipeline(config).load_clusters()
-            for hunk_id in sample_cluster(clusters, args.cluster, n=args.n, seed=config.seed):
+            for hunk_id in sample_cluster(clusters, args.cluster, n=args.n, seed=args.seed):
                 print(hunk_id)
         elif args.command == "annotate":
             target = Pipeline(config).install_annotations(args.file)

@@ -121,7 +121,7 @@ def closest_ancestor_features(hunk: Hunk) -> dict[str, float]:
     if chosen is None:  # unreachable: Module always qualifies
         raise AssertionError("context chain always ends at Module")
     if skipped:
-        logger.info("hunk %s: closest ancestor %s mapped up past %s",
+        logger.debug("hunk %s: closest ancestor %s mapped up past %s",
                     hunk.id, chosen.kind, "/".join(skipped))
     out[f"ctx_including_{chosen.kind}"] = 1.0
     out["ctx_including_node_size"] = float(_ancestor_size(chosen))

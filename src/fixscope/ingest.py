@@ -2,7 +2,9 @@
 
 Two sources share one interface: a Gerrit-style review API (HTTPS JSON
 with the XSSI prefix line, offset pagination, base64 file content) and a
-local git repository.  Remote fetches go through an on-disk content
+local git repository.  Both scan the same window of projects, branches
+and dates; the git source is its own one project, and reads each branch
+name as a revision only.  Remote fetches go through an on-disk content
 cache keyed by (change id, path, revision, side) and verified by digest,
 so full runs replay offline.  The git source needs no cache: its scan
 runs ``git rev-parse`` and one ``git log`` and reads no blob, since the
@@ -44,6 +46,11 @@ __all__ = [
 
 DEFAULT_KEYWORDS = ("bug", "fix", "fault", "fail", "patch")
 XSSI_PREFIX = ")]}'"
+# review-API requests: attempts per request, the first retry's delay in
+# seconds (doubling after each), and changes asked for per query page
+RETRIES = 3
+BACKOFF_S = 0.5
+PAGE_SIZE = 500
 
 
 class IngestError(RuntimeError):
@@ -174,28 +181,18 @@ class GerritSource:
     """Review-API client: merged-change queries and file-content fetches.
 
     ``transport`` is a callable ``(url) -> (status_code, bytes)``; the
-    default speaks HTTPS via requests.  Failed requests are retried with
-    exponential backoff; after the last attempt the error propagates so
-    partial results are never silently returned.
+    default speaks HTTPS via requests.  A failed request is tried
+    ``RETRIES`` times in all, with exponential backoff through ``sleep``;
+    after the last attempt the error propagates so partial results are
+    never silently returned.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        transport=None,
-        cache: ContentCache | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-        sleep=time.sleep,
-        page_size: int = 500,
-    ):
+    def __init__(self, endpoint: str, transport=None,
+                 cache: ContentCache | None = None, sleep=time.sleep):
         self.endpoint = endpoint.rstrip("/")
         self.transport = transport or self._http_transport
         self.cache = cache
-        self.retries = retries
-        self.backoff = backoff
         self.sleep = sleep
-        self.page_size = page_size
 
     @staticmethod
     def _http_transport(url: str) -> tuple[int, bytes]:
@@ -206,7 +203,7 @@ class GerritSource:
 
     def _request(self, url: str) -> tuple[int, bytes]:
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 status, body = self.transport(url)
             except Exception as exc:
@@ -216,9 +213,9 @@ class GerritSource:
                 return status, body
             if status is not None:
                 last_error = IngestError(f"HTTP {status} for {url}")
-            if attempt + 1 < self.retries:
-                self.sleep(self.backoff * (2 ** attempt))
-        raise IngestError(f"request failed after {self.retries} attempts: {url}") \
+            if attempt + 1 < RETRIES:
+                self.sleep(BACKOFF_S * (2 ** attempt))
+        raise IngestError(f"request failed after {RETRIES} attempts: {url}") \
             from last_error
 
     def _json(self, url: str) -> tuple[int, object]:
@@ -254,7 +251,7 @@ class GerritSource:
                 while True:
                     url = (f"{self.endpoint}/changes/?q={query}"
                            f"&o=CURRENT_REVISION&o=CURRENT_FILES"
-                           f"&n={self.page_size}&start={start}")
+                           f"&n={PAGE_SIZE}&start={start}")
                     status, page = self._json(url)
                     if status != 200:
                         raise IngestError(f"query failed with HTTP {status}: {url}")
@@ -361,16 +358,16 @@ def _blob_name(mode: bytes, oid: bytes) -> bytes:
 class GitSource:
     """Offline source walking the commits of a local repository.
 
-    Every non-merge commit is one change; ``merges_only`` restricts the
-    scan to merge commits for review workflows that land merges.  A scan
-    runs ``git rev-parse`` and one ``git log`` however many commits it
-    reads, and no blob: the log's object ids answer ``has_content``, and
-    the source keeps them.  ``file_pairs`` reads blobs by those ids
-    through one ``git cat-file --batch`` per call, and never asks for a
-    side that reads empty.  For commits the source has not scanned, as
-    when extract runs alone in a later process, it first finds the ids
-    with one ``git diff-tree --stdin``.  ``fetch_file_pair`` is the
-    one-pair call of the same reader.
+    Every non-merge commit is one change: a merge's ``--raw`` diff lists
+    no files, so the scan skips merges and reads each fix from the commit
+    that made it.  A scan runs ``git rev-parse`` and one ``git log``
+    however many commits it reads, and no blob: the log's object ids
+    answer ``has_content``, and the source keeps them.  ``file_pairs``
+    reads blobs by those ids through one ``git cat-file --batch`` per
+    call, and never asks for a side that reads empty.  For commits the
+    source has not scanned, as when extract runs alone in a later process,
+    it first finds the ids with one ``git diff-tree --stdin``.
+    ``fetch_file_pair`` is the one-pair call of the same reader.
     """
 
     def __init__(self, repo_path: str | Path):
@@ -429,24 +426,27 @@ class GitSource:
         branches: tuple[str, ...] = (),
         after: str | None = None,
         before: str | None = None,
-        merges_only: bool = False,
     ) -> list[ChangeRecord]:
+        """Every non-merge commit reachable from ``branches`` (HEAD when
+        there are none) and inside the ``after``/``before`` window, oldest
+        first.  ``projects`` is accepted for the shared interface and
+        unused: the repository is the one project.  Branch names are read
+        as revisions only, never as options or paths."""
         if self._git("rev-parse", "--verify", "-q", "HEAD", missing_ok=True) is None:
             return []  # repository without commits
         args = ["log", *_RAW_DIFF]
-        if merges_only:
-            args.append("--merges")
         if after:
             args.append(f"--since={after}")
         if before:
             args.append(f"--until={before}")
-        args.extend(branches)
-        args.append("--")  # branches are revisions even where files share their names
+        # --end-of-options: a branch named "--output=x" is a bad revision,
+        # not an option; "--": one named like a file is still a revision
+        args += ["--end-of-options", *branches, "--"]
         records = []
         project = self.repo.name
         for header, paths in self._read_raw(self._git(*args)):
             commit, parents, date, message = header.split("\x1f", 3)
-            if not merges_only and len(parents.split()) > 1:
+            if len(parents.split()) > 1:  # a merge lists no files of its own
                 continue
             records.append(ChangeRecord(
                 change_id=commit, project=project, branch="", revision=commit,

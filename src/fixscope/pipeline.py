@@ -128,7 +128,6 @@ class PipelineConfig:
     branches: tuple[str, ...] = ()
     after: str = ""
     before: str = ""
-    merges_only: bool = False
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
     case_sensitive: bool = False
     word_bounded: bool = False
@@ -143,25 +142,30 @@ class PipelineConfig:
     alpha: float = 0.05
     control_mode: str = "exclusive"
     bonferroni: bool = False
-    seed: int = 0
     output_dir: str = "fixscope-out"
     cache_dir: str = ""
 
     def __post_init__(self):
         if self.version != "1":
             raise ValueError(f"unknown config version {self.version!r}")
+        for name in ("source_path", "endpoint", "after", "before", "output_dir",
+                     "cache_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.source_mode not in ("git", "gerrit"):
             raise ValueError(f"unknown source_mode {self.source_mode!r}")
         if self.control_mode not in ("exclusive", "inclusive"):
             raise ValueError(f"unknown control_mode {self.control_mode!r}")
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        # a bool is an int, and true would load as 1
         for name in ("inconsistency_depth", "min_cluster_size"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.cutoff is not None and not (
-                isinstance(self.cutoff, (int, float)) and math.isfinite(self.cutoff)):
+        if self.cutoff is not None and (isinstance(self.cutoff, bool) or not (
+                isinstance(self.cutoff, (int, float)) and math.isfinite(self.cutoff))):
             raise ValueError(f"cutoff must be a finite number or null, got {self.cutoff!r}")
         for name in ("projects", "branches", "keywords", "test_markers"):
             value = getattr(self, name)
@@ -170,7 +174,7 @@ class PipelineConfig:
                     and all(isinstance(item, str) for item in value)):
                 raise ValueError(f"{name} must be a list of strings, got {value!r}")
             setattr(self, name, tuple(value))
-        for name in ("merges_only", "case_sensitive", "word_bounded", "bonferroni"):
+        for name in ("case_sensitive", "word_bounded", "bonferroni"):
             value = getattr(self, name)
             if not isinstance(value, bool):  # "no" would switch the option on
                 raise ValueError(f"{name} must be true or false, got {value!r}")
@@ -457,13 +461,14 @@ class Pipeline:
     # -- stages
 
     def _stage_ingest(self) -> dict[str, str]:
+        """The changes the source finds in the configured window whose
+        message matches a keyword, each with its retained Python files.
+        Both sources take the one window: projects, branches, after and
+        before."""
         cfg = self.config
         source = self._source
-        window = {"projects": cfg.projects, "branches": cfg.branches,
-                  "after": cfg.after or None, "before": cfg.before or None}
-        if cfg.source_mode == "git":
-            window["merges_only"] = cfg.merges_only
-        records = source.fetch_merged_changes(**window)
+        records = source.fetch_merged_changes(cfg.projects, cfg.branches,
+                                              cfg.after or None, cfg.before or None)
         matched = [r for r in records
                    if keyword_filter(r.message, cfg.keywords,
                                      cfg.case_sensitive, cfg.word_bounded)]

@@ -403,19 +403,17 @@ class PerCommitGitSource:
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
     def fetch_merged_changes(self, projects=(), branches=(), after=None,
-                             before=None, merges_only=False):
+                             before=None):
         from fixscope.ingest import ChangeRecord
 
         if self._git("rev-parse", "--verify", "HEAD").returncode != 0:
             return []
         args = ["log", "-z", "--pretty=format:%H%x1f%P%x1f%aI%x1f%B"]
-        if merges_only:
-            args.append("--merges")
         if after:
             args.append(f"--since={after}")
         if before:
             args.append(f"--until={before}")
-        args.extend(branches)
+        args += ["--end-of-options", *branches, "--"]
         raw = self._git(*args)
         assert raw.returncode == 0, raw.stderr
         records = []
@@ -423,7 +421,7 @@ class PerCommitGitSource:
             if not entry:
                 continue
             commit, parents, date, message = entry.split("\x1f", 3)
-            if not merges_only and len(parents.split()) > 1:
+            if len(parents.split()) > 1:
                 continue
             # "--": a worktree file may be named after the commit's hash
             names = self._git("diff-tree", "-r", "--root", "--no-commit-id",

@@ -452,10 +452,8 @@ def sha256_repo(tmp_path_factory):
 
 SCANS = [
     {},
-    {"merges_only": True},
     {"after": "2018-01-04", "before": "2018-01-07T23:00:00Z"},
     {"branches": ("side",)},
-    {"branches": ("main",), "merges_only": True},
     {"branches": ("main", "side"), "after": "2018-01-08"},
 ]
 
@@ -592,9 +590,16 @@ class TestGitSourceParity:
                               ("Fix: link a submodule", "sub.py")):
             assert by_message[message].files == (path,)
             assert not source.has_content(by_message[message], path)
-        merges = source.fetch_merged_changes(merges_only=True)
-        assert [m.message for m in merges] == ["Merge the side fix\n"]
-        assert merges[0].files == ()
+
+    def test_branch_names_are_revisions_not_options(self, parity_repo, tmp_path):
+        repo, _ = parity_repo
+        target = tmp_path / "log.txt"
+        branches = (f"--output={target}",)
+        with pytest.raises(IngestError, match="bad revision"):
+            GitSource(repo).fetch_merged_changes(branches=branches)
+        with pytest.raises(AssertionError, match="bad revision"):
+            oracles.PerCommitGitSource(repo).fetch_merged_changes(branches=branches)
+        assert not target.exists()
 
     def test_non_utf8_blob_logs_replacement_warning(self, parity_repo, caplog):
         repo, _ = parity_repo

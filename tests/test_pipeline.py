@@ -16,6 +16,7 @@ import pytest
 
 import fixscope
 from fixscope.cli import main as cli_main
+from fixscope.cluster import sample_cluster
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
 from fixscope.grammar import _Normalizer, parse_source, tree_height
@@ -67,7 +68,8 @@ class TestConfig:
 
     def test_unknown_keys_rejected(self):
         for doc in ({"bogus": 1}, {"streaming_threshold": 16000}, {"sample_size": 5},
-                    {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"}):
+                    {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"},
+                    {"merges_only": False}, {"seed": 0}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(doc)
 
@@ -92,6 +94,13 @@ class TestConfig:
         ({"keywords": ["bug", 1]}, "keywords"), ({"branches": None}, "branches"),
         ({"bonferroni": "no"}, "bonferroni"), ({"case_sensitive": "false"}, "case_sensitive"),
         ({"merges_only": 1}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
+        # a path, endpoint or date that is no string, and a bool for a number
+        ({"source_path": 5}, "source_path"), ({"endpoint": None}, "endpoint"),
+        ({"after": 5}, "after"), ({"before": 20180101}, "before"),
+        ({"output_dir": 5}, "output_dir"), ({"cache_dir": ["c"]}, "cache_dir"),
+        ({"min_cluster_size": True}, "min_cluster_size"),
+        ({"inconsistency_depth": True}, "inconsistency_depth"),
+        ({"cutoff": True}, "cutoff"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -101,7 +110,7 @@ class TestConfig:
         for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
                     {"version": "1"}, {"inconsistency_depth": 1}, {"min_cluster_size": 1},
                     {"cutoff": None}, {"cutoff": 0}, {"cutoff": 1.15},
-                    {"bonferroni": True}, {"merges_only": False}):
+                    {"bonferroni": True}):
             PipelineConfig.from_dict(doc)
 
     def test_lists_from_config_json_load_as_tuples(self):
@@ -1007,6 +1016,19 @@ class TestCli:
         assert cli_main(["sample", "--cluster", str(cluster_id), "--n", "2"] + args) == 0
         sampled = capsys.readouterr().out.strip().splitlines()
         assert len(sampled) == 2
+        # --seed N prints sample_cluster's draw for seed N; the default is 0
+        clusters = Pipeline(PipelineConfig(output_dir=str(out))).load_clusters()
+        for seed in (0, 3):
+            assert cli_main(["sample", "--cluster", str(cluster_id), "--n", "2",
+                             "--seed", str(seed)] + args) == 0
+            assert capsys.readouterr().out.split() == sample_cluster(
+                clusters, cluster_id, n=2, seed=seed)
+        assert sampled == sample_cluster(clusters, cluster_id, n=2, seed=0)
+        # no stage reads a seed, so no other verb takes one
+        with pytest.raises(SystemExit) as err:
+            cli_main(["run", "--seed", "1"] + args)
+        assert err.value.code == 1
+        capsys.readouterr()
 
     def test_annotate_and_export_verbs(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
