@@ -93,6 +93,7 @@ def main() -> None:
         return lambda root: gencorpus.build_corpus(root, SEED, *shape)
 
     runs = [("demo", demo(), full_run)]
+    # the noise count mirrors DemoWorkload.build_demo in bench/workloads.py
     runs += [(f"demo-s{seed}", demo(family_size=workloads.DEMO_FAMILY_SIZE,
                                     noise_count=76 + seed % 9), full_run)
              for seed in DEMO_SEEDS]

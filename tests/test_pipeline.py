@@ -69,7 +69,7 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         for doc in ({"bogus": 1}, {"streaming_threshold": 16000}, {"sample_size": 5},
                     {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"},
-                    {"merges_only": False}, {"seed": 0}):
+                    {"seed": 0}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(doc)
 
@@ -93,7 +93,8 @@ class TestConfig:
         ({"projects": "nova"}, "projects"), ({"branches": "master"}, "branches"),
         ({"keywords": ["bug", 1]}, "keywords"), ({"branches": None}, "branches"),
         ({"bonferroni": "no"}, "bonferroni"), ({"case_sensitive": "false"}, "case_sensitive"),
-        ({"merges_only": 1}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
+        # a removed key, rejected as unknown whatever its value
+        ({"merges_only": False}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
         # a path, endpoint or date that is no string, and a bool for a number
         ({"source_path": 5}, "source_path"), ({"endpoint": None}, "endpoint"),
         ({"after": 5}, "after"), ({"before": 20180101}, "before"),
