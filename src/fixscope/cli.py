@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Every verb takes ``--config`` and ``--out``; only the verbs that run a
+stage (the six stage verbs and ``run``) take the config overrides.
+
 Exit codes: 0 success, 1 usage error, 2 stage failure.
 """
 
@@ -31,9 +34,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser):
+def _verb(sub, name: str, help_text: str):
+    """A verb's parser, with the flags every verb takes."""
+    parser = sub.add_parser(name, help=help_text)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (overrides config)")
+    return parser
+
+
+def _add_overrides(parser):
     parser.add_argument("--source", help="git repo path or review endpoint")
     parser.add_argument("--mode", choices=("git", "gerrit"), help="source mode")
     parser.add_argument("--project", action="append", default=None,
@@ -49,29 +58,26 @@ def _add_common(parser):
                         help="rerun stages even when checkpoints are current")
 
 
+# config key -> its flag; --source sets source_path or endpoint, by mode
+_OVERRIDES = {"output_dir": "out", "source_mode": "mode", "projects": "project",
+              "branches": "branch", "after": "after", "before": "before",
+              "min_cluster_size": "min_size", "cutoff": "cutoff", "alpha": "alpha"}
+
+
 def _config_from(args) -> PipelineConfig:
+    """The config file's document under the flags the verb has and was given."""
     doc = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config} holds no JSON object")
-    mode = args.mode or doc.get("source_mode", "git")
-    overrides = {
-        "output_dir": args.out,
-        "source_path": args.source if mode == "git" else None,
-        "endpoint": args.source if mode == "gerrit" else None,
-        "source_mode": args.mode,
-        "projects": args.project,
-        "branches": args.branch,
-        "after": args.after,
-        "before": args.before,
-        "min_cluster_size": args.min_size,
-        "cutoff": args.cutoff,
-        "alpha": args.alpha,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    flags = vars(args)
+    if flags.get("source") is not None:
+        mode = flags["mode"] or doc.get("source_mode", "git")
+        doc["source_path" if mode == "git" else "endpoint"] = flags["source"]
+    for key, flag in _OVERRIDES.items():
+        if flags.get(flag) is not None:
+            doc[key] = flags[flag]
     return PipelineConfig.from_dict(doc)
 
 
@@ -81,27 +87,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for stage in STAGES:
-        stage_parser = sub.add_parser(stage, help=f"run the {stage} stage")
-        _add_common(stage_parser)
+        _add_overrides(_verb(sub, stage, f"run the {stage} stage"))
+    _add_overrides(_verb(sub, "run", "run all stages"))
 
-    run_parser = sub.add_parser("run", help="run all stages")
-    _add_common(run_parser)
-
-    sample_parser = sub.add_parser("sample", help="sample hunks from a cluster")
-    _add_common(sample_parser)
+    sample_parser = _verb(sub, "sample", "sample hunks from a cluster")
     sample_parser.add_argument("--cluster", type=int, required=True)
     sample_parser.add_argument("--n", type=int, default=5)
     sample_parser.add_argument("--seed", type=int, default=0,
                                help="seed of the sample (the same seed, the same ids)")
 
-    annotate_parser = sub.add_parser("annotate",
-                                     help="install a triage annotation CSV")
-    _add_common(annotate_parser)
+    annotate_parser = _verb(sub, "annotate", "install a triage annotation CSV")
     annotate_parser.add_argument("--file", required=True,
                                  help="CSV with cluster_id,label,description")
 
-    export_parser = sub.add_parser("export", help="export a stage's artifacts")
-    _add_common(export_parser)
+    export_parser = _verb(sub, "export", "export a stage's artifacts")
     export_parser.add_argument("--stage", required=True, choices=STAGES)
     export_parser.add_argument("--dest", required=True)
     return parser
@@ -109,8 +108,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _config_from(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -119,8 +117,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            pipeline = Pipeline(config)
-            report = pipeline.run(force=args.force)
+            report = Pipeline(config).run(force=args.force)
             print(f"run complete: {report.counts.get('hunks', 0)} hunks, "
                   f"{len(report.clusters)} clusters; report at "
                   f"{Path(config.output_dir) / 'report.md'}")
@@ -135,8 +132,7 @@ def main(argv=None) -> int:
             target = Pipeline(config).install_annotations(args.file)
             print(f"annotations installed at {target}")
         elif args.command == "export":
-            copied = export_dataset(config, args.stage, args.dest)
-            for path in copied:
+            for path in export_dataset(config, args.stage, args.dest):
                 print(path)
     except StageError as exc:
         print(f"fixscope: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ class AllZeroError(ValueError):
     """Every inconsistency coefficient is zero; no cutoff exists."""
 
 
-class UnknownClusterError(KeyError):
+class UnknownClusterError(ValueError):
     """Requested cluster id is not in the assignment."""
 
 
@@ -369,10 +369,13 @@ def sample_cluster(clusters: dict, cluster_id: int, n: int = 5, seed: int = 0) -
     """Uniform sample without replacement of a cluster's members, as
     ``clusters`` (cluster id -> member ids) lists them; deterministic under
     the seed."""
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, got {n}")
     try:
         members = clusters[cluster_id]
     except KeyError:
-        raise UnknownClusterError(cluster_id) from None
+        raise UnknownClusterError(
+            f"cluster {cluster_id} is not in cluster_assignment.csv") from None
     ordered = sorted(members)
     if len(ordered) <= n:
         return ordered

@@ -494,7 +494,7 @@ def build_diff_ast(
     matcher = _Matcher(script)
     root = matcher.join(before, after)
     for message in matcher.conflicts:
-        logger.warning("alignment conflict in %s %s: %s", change_id, path, message)
+        logger.debug("alignment conflict in %s %s: %s", change_id, path, message)
     return EnhancedAst(root=root, change_id=change_id, path=path,
                        conflicts=matcher.conflicts)
 

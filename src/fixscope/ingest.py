@@ -1,6 +1,7 @@
 """Collecting candidate bug-fix changes and file pairs.
 
-Two sources share one interface: a Gerrit-style review API (HTTPS JSON
+Two sources share one interface (``fetch_merged_changes``,
+``has_content``, ``file_pairs``): a Gerrit-style review API (HTTPS JSON
 with the XSSI prefix line, offset pagination, base64 file content) and a
 local git repository.  Both scan the same window of projects, branches
 and dates; the git source is its own one project, and reads each branch
@@ -322,12 +323,6 @@ class GerritSource:
             yield _decoded_pair(record, path, self._content(record, path, "before"),
                                 self._content(record, path, "after"))
 
-    def fetch_file_pair(self, record: ChangeRecord, path: str) -> FilePair:
-        [pair] = self.file_pairs([(record, path)])
-        if pair is None:
-            raise MissingBlobError(f"{record.change_id}:{path}")
-        return pair
-
 
 # the empty blob's id under each object format, keyed by hex length
 _EMPTY_BLOBS = {len(oid): oid.encode("ascii")
@@ -367,7 +362,6 @@ class GitSource:
     call, and never asks for a side that reads empty.  For commits the
     source has not scanned, as when extract runs alone in a later process,
     it first finds the ids with one ``git diff-tree --stdin``.
-    ``fetch_file_pair`` is the one-pair call of the same reader.
     """
 
     def __init__(self, repo_path: str | Path):

@@ -501,6 +501,7 @@ class Pipeline:
             items.extend((record, path) for path in record.files)
         hunk_lines = []
         skipped = []
+        conflicted_files = 0
         counts = {"files_considered": len(items), "files_parsed": 0,
                   "files_skipped_syntax": 0, "files_missing": 0,
                   "alignment_conflicts": 0, "hunks": 0}
@@ -516,8 +517,12 @@ class Pipeline:
                     continue
                 counts["files_parsed"] += 1
                 counts["alignment_conflicts"] += conflicts
+                conflicted_files += conflicts > 0
                 counts["hunks"] += len(lines)
                 hunk_lines += lines
+        if counts["alignment_conflicts"]:
+            logger.warning("%d alignment conflicts in %d files, each resolved in source order",
+                           counts["alignment_conflicts"], conflicted_files)
         counts["skipped_files"] = skipped
         # a modified node always yields a Minus+Plus pair (no update label)
         counts["update_label_policy"] = "minus-plus-pair"

@@ -198,7 +198,7 @@ class TestGerritSource:
         with pytest.raises(IngestError):
             source.fetch_merged_changes(projects=("demo",))
 
-    def test_fetch_file_pair_decodes_both_sides(self):
+    def test_file_pairs_decode_both_sides(self):
         quoted = urllib.parse.quote("pkg/mod.py", safe="")
         transport = CannedTransport(files={
             f"{quoted}/content?parent=1": b"x = 1\n",
@@ -207,7 +207,7 @@ class TestGerritSource:
         source = GerritSource("https://review.example.org", transport=transport)
         record_page = json.loads(gerrit_page([{"id": "I1"}]).decode()[5:])[0]
         record = GerritSource._to_record(record_page, "demo", "master")
-        pair = source.fetch_file_pair(record, "pkg/mod.py")
+        [pair] = source.file_pairs([(record, "pkg/mod.py")])
         assert pair.before_text == "x = 1\n"
         assert pair.after_text == "x = 2\n"
 
@@ -217,7 +217,7 @@ class TestGerritSource:
         source = GerritSource("https://review.example.org", transport=transport)
         record_page = json.loads(gerrit_page([{"id": "I2"}]).decode()[5:])[0]
         record = GerritSource._to_record(record_page, "demo", "master")
-        pair = source.fetch_file_pair(record, "pkg/new.py")
+        [pair] = source.file_pairs([(record, "pkg/new.py")])
         assert pair.before_text == ""
         assert pair.after_text == "fresh = True\n"
 
@@ -231,9 +231,9 @@ class TestGerritSource:
                               cache=cache)
         record_page = json.loads(gerrit_page([{"id": "I3"}]).decode()[5:])[0]
         record = GerritSource._to_record(record_page, "demo", "master")
-        first = source.fetch_file_pair(record, "m.py")
+        [first] = source.file_pairs([(record, "m.py")])
         fetches = len(transport.urls)
-        second = source.fetch_file_pair(record, "m.py")
+        [second] = source.file_pairs([(record, "m.py")])
         assert len(transport.urls) == fetches  # served from cache
         assert first == second
 

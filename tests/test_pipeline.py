@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import logging
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fixscope
-from fixscope.cli import main as cli_main
+from fixscope.cli import build_parser, main as cli_main
 from fixscope.cluster import sample_cluster
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
@@ -69,7 +70,7 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         for doc in ({"bogus": 1}, {"streaming_threshold": 16000}, {"sample_size": 5},
                     {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"},
-                    {"seed": 0}):
+                    {"seed": 0}, {"merges_only": False}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(doc)
 
@@ -93,8 +94,9 @@ class TestConfig:
         ({"projects": "nova"}, "projects"), ({"branches": "master"}, "branches"),
         ({"keywords": ["bug", 1]}, "keywords"), ({"branches": None}, "branches"),
         ({"bonferroni": "no"}, "bonferroni"), ({"case_sensitive": "false"}, "case_sensitive"),
+        ({"source_mode": "svn"}, "source_mode 'svn'"),
         # a removed key, rejected as unknown whatever its value
-        ({"merges_only": False}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
+        ({"word_bounded": None}, "word_bounded"),
         # a path, endpoint or date that is no string, and a bool for a number
         ({"source_path": 5}, "source_path"), ({"endpoint": None}, "endpoint"),
         ({"after": 5}, "after"), ({"before": 20180101}, "before"),
@@ -279,6 +281,42 @@ class TestExtractFile:
                     pass
         assert len(pairs) > 400
         assert extracted <= self.CONVERSION_SHARE_BOUND * len(calls), (extracted, len(calls))
+
+
+class TestConflictLog:
+    def test_one_warning_per_extract_run_and_each_conflict_at_debug(self, tmp_path,
+                                                                    caplog):
+        # in-block ambiguous anchors: a whitespace edit inside lines that
+        # hold same-key siblings
+        nested = ("x = [a, a]\nx = [a, a]\ndef f():\n    if c:\n"
+                  "        g(b, b)\n        g(b, b)\n")
+        flat = "x = [a, a]\nx = [a, a]\n"
+        repo = tmp_path / "repo"
+        git = _git_repo(repo)
+        for name, text in (("nested.py", nested), ("flat.py", flat), ("plain.py", "y = 1\n")):
+            (repo / name).write_text(text)
+        git("add", "-A")
+        git("commit", "-q", "-m", "Initial import")
+        for name, text in (("nested.py", nested), ("flat.py", flat), ("plain.py", "y = 2\n")):
+            (repo / name).write_text(text.replace(", ", ",  "))
+        git("commit", "-q", "-am", "Fix the spacing")
+        out = tmp_path / "out"
+        pipeline = Pipeline(PipelineConfig(source_path=str(repo), output_dir=str(out)))
+        pipeline.run_stage("ingest")
+        for force in (False, True):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="fixscope"):
+                pipeline.run_stage("extract", force=force)
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelno >= logging.WARNING]
+            assert warnings == ["18 alignment conflicts in 2 files, each resolved in "
+                                "source order"]
+            conflicts = [r.getMessage() for r in caplog.records
+                         if r.name == "fixscope.diffing"]
+            assert len(conflicts) == 18
+            assert sum("nested.py" in message for message in conflicts) == 12
+        counts = json.loads((out / "extract_counts.json").read_text())
+        assert (counts["alignment_conflicts"], counts["files_parsed"]) == (18, 3)
 
 
 class TestStageArtifacts:
@@ -780,7 +818,7 @@ def transport(url):
 
 source = GerritSource("https://review.example.org", transport=transport)
 records = source.fetch_merged_changes(projects=("demo",))
-pair = source.fetch_file_pair(records[0], "m.py")
+[pair] = source.file_pairs([(records[0], "m.py")])
 print(json.dumps({"on_import": on_import, "after_fetch": loaded(),
                   "changes": len(records), "after_text": pair.after_text}))
 """
@@ -1014,14 +1052,14 @@ class TestCli:
         capsys.readouterr()
         doc = json.loads((out / "run_report.json").read_text())
         cluster_id = doc["clusters"][0]["id"]
-        assert cli_main(["sample", "--cluster", str(cluster_id), "--n", "2"] + args) == 0
+        sample = ["sample", "--out", str(out), "--cluster", str(cluster_id)]
+        assert cli_main(sample + ["--n", "2"]) == 0
         sampled = capsys.readouterr().out.strip().splitlines()
         assert len(sampled) == 2
         # --seed N prints sample_cluster's draw for seed N; the default is 0
         clusters = Pipeline(PipelineConfig(output_dir=str(out))).load_clusters()
         for seed in (0, 3):
-            assert cli_main(["sample", "--cluster", str(cluster_id), "--n", "2",
-                             "--seed", str(seed)] + args) == 0
+            assert cli_main(sample + ["--n", "2", "--seed", str(seed)]) == 0
             assert capsys.readouterr().out.split() == sample_cluster(
                 clusters, cluster_id, n=2, seed=seed)
         assert sampled == sample_cluster(clusters, cluster_id, n=2, seed=0)
@@ -1041,12 +1079,64 @@ class TestCli:
         lines = ["cluster_id,label,description"] + [
             f"{c['id']},BUG-FIX,demo" for c in doc["clusters"]]
         notes.write_text("\n".join(lines) + "\n")
-        assert cli_main(["annotate", "--file", str(notes)] + args) == 0
+        assert cli_main(["annotate", "--file", str(notes), "--out", str(out)]) == 0
         assert cli_main(["run"] + args) == 0
-        assert cli_main(["export", "--stage", "stats",
-                         "--dest", str(tmp_path / "exp")] + args) == 0
+        assert cli_main(["export", "--stage", "stats", "--dest", str(tmp_path / "exp"),
+                         "--out", str(out)]) == 0
         capsys.readouterr()
         assert (tmp_path / "exp" / "relevance_matrix.csv").exists()
+
+    def test_sample_names_what_is_wrong(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--source", small_corpus["repo"], "--out", str(out),
+                         "--min-size", "3"]) == 0
+        cluster_id = json.loads((out / "run_report.json").read_text())["clusters"][0]["id"]
+        capsys.readouterr()
+        assert cli_main(["sample", "--out", str(out), "--cluster", "999999"]) == 1
+        assert capsys.readouterr().err == \
+            "fixscope: cluster 999999 is not in cluster_assignment.csv\n"
+        for n in ("0", "-1"):
+            assert cli_main(["sample", "--out", str(out), "--cluster", str(cluster_id),
+                             "--n", n]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"fixscope: sample size must be at least 1, got {n}\n"
+
+
+# each verb's flags; the stage verbs and run take every override, since
+# each stage's manifest records the whole config
+OUTPUT_FLAGS = {"--config", "--out"}
+RUN_FLAGS = OUTPUT_FLAGS | {"--source", "--mode", "--project", "--branch", "--after",
+                            "--before", "--min-size", "--cutoff", "--alpha", "--force"}
+VERB_FLAGS = {**{verb: RUN_FLAGS for verb in (*STAGES, "run")},
+              "sample": OUTPUT_FLAGS | {"--cluster", "--n", "--seed"},
+              "annotate": OUTPUT_FLAGS | {"--file"},
+              "export": OUTPUT_FLAGS | {"--stage", "--dest"}}
+
+
+class TestCliFlags:
+    def test_each_verb_takes_exactly_its_flags(self):
+        [verbs] = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+        flags = {verb: {option for action in parser._actions
+                        for option in action.option_strings} - {"-h", "--help"}
+                 for verb, parser in verbs.items()}
+        assert flags == VERB_FLAGS
+        assert sum(len(options) for options in flags.values()) == 96
+
+    @pytest.mark.parametrize("verb", [
+        ["sample", "--cluster", "1", "--source", "x"],
+        ["annotate", "--file", "notes.csv", "--alpha", "0.1"],
+        ["export", "--stage", "cluster", "--dest", "exp", "--force"]])
+    def test_an_override_on_a_verb_that_reads_none_is_a_usage_error(self, tmp_path,
+                                                                     monkeypatch, capsys,
+                                                                     verb):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli_main(verb + ["--out", str(tmp_path / "out")])
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPublicNames:
