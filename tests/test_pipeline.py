@@ -70,7 +70,7 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         for doc in ({"bogus": 1}, {"streaming_threshold": 16000}, {"sample_size": 5},
                     {"dialect": "py27"}, {"metric": "euclidean"}, {"linkage": "complete"},
-                    {"seed": 0}, {"merges_only": False}):
+                    {"seed": 0}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_dict(doc)
 
@@ -94,9 +94,8 @@ class TestConfig:
         ({"projects": "nova"}, "projects"), ({"branches": "master"}, "branches"),
         ({"keywords": ["bug", 1]}, "keywords"), ({"branches": None}, "branches"),
         ({"bonferroni": "no"}, "bonferroni"), ({"case_sensitive": "false"}, "case_sensitive"),
-        ({"source_mode": "svn"}, "source_mode 'svn'"),
         # a removed key, rejected as unknown whatever its value
-        ({"word_bounded": None}, "word_bounded"),
+        ({"merges_only": False}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
         # a path, endpoint or date that is no string, and a bool for a number
         ({"source_path": 5}, "source_path"), ({"endpoint": None}, "endpoint"),
         ({"after": 5}, "after"), ({"before": 20180101}, "before"),
@@ -104,6 +103,7 @@ class TestConfig:
         ({"min_cluster_size": True}, "min_cluster_size"),
         ({"inconsistency_depth": True}, "inconsistency_depth"),
         ({"cutoff": True}, "cutoff"),
+        ({"source_mode": "svn"}, "source_mode 'svn'"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message):
