@@ -185,7 +185,6 @@ class StubNode(AstNode):
 class Taxonomy:
     """The closed kind/role enumerations loaded from the shipped table."""
 
-    version: str
     kinds: frozenset[str]
     roles: dict[tuple[str, str], str]
     role_names: frozenset[str]
@@ -211,13 +210,8 @@ def load_taxonomy() -> Taxonomy:
         raw = _read_taxonomy_bytes()
         kinds: list[str] = []
         roles: dict[tuple[str, str], str] = {}
-        version = "unversioned"
         for line in raw.decode("utf-8").splitlines():
             line = line.strip()
-            if line.startswith("#"):
-                if "version=" in line:
-                    version = line.split("version=")[1].split()[0]
-                continue
             if line.startswith("kind "):
                 kinds.append(line[5:].strip())
             elif line.startswith("role "):
@@ -228,7 +222,6 @@ def load_taxonomy() -> Taxonomy:
         for parent, slot in roles:
             slots[parent] = slots.get(parent, ()) + (slot,)
         _TAXONOMY = Taxonomy(
-            version=version,
             kinds=frozenset(kinds),
             roles=roles,
             role_names=frozenset(roles.values()),

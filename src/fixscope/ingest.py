@@ -8,12 +8,12 @@ and dates; the git source is its own one project, and reads each branch
 name as a revision only.  Remote fetches go through an on-disk content
 cache keyed by (change id, path, revision, side) and verified by digest,
 so full runs replay offline.  The git source needs no cache: its scan
-runs ``git rev-parse`` and one ``git log`` and reads no blob, since the
-log's object ids tell which files have content, and ``file_pairs``
-streams every blob a stage needs through one ``git cat-file --batch``,
-asking for each side by its object id.  A source that has not scanned,
-as in a later process, first finds the ids with one ``git diff-tree
---stdin``, whose output the scan's parser reads.
+runs one ``git log`` and reads no blob, since the log's object ids tell
+which files have content, and ``file_pairs`` streams every blob a stage
+needs through one ``git cat-file --batch``, asking for each side by its
+object id.  A source that has not scanned, as in a later process, first
+finds the ids with one ``git diff-tree --stdin``, whose output the
+scan's parser reads.
 """
 
 from __future__ import annotations
@@ -106,24 +106,17 @@ def keyword_filter(
     return False
 
 
-def exclude_test_files(paths, markers: tuple[str, ...] = ("test", "tests")) -> list[str]:
-    """Drop test-only paths; the default rule is documented as aggressive
-    (any segment starting with "test" goes, including testing_utils.py)."""
+def exclude_test_files(paths) -> list[str]:
+    """Drop test-only paths; the rule is documented as aggressive (any
+    segment starting with "test" goes, including testing_utils.py)."""
     retained = []
     for path in paths:
         segments = path.replace("\\", "/").split("/")
-        drop = False
-        for segment in segments:
-            lowered = segment.lower()
-            if lowered in markers or lowered.startswith("test"):
-                drop = True
-                break
-        if not drop:
-            stem = segments[-1].rsplit(".", 1)[0].lower()
-            if stem.endswith("_test"):
-                drop = True
-        if not drop:
-            retained.append(path)
+        if any(segment.lower().startswith("test") for segment in segments):
+            continue
+        if segments[-1].rsplit(".", 1)[0].lower().endswith("_test"):
+            continue
+        retained.append(path)
     return retained
 
 
@@ -355,13 +348,13 @@ class GitSource:
 
     Every non-merge commit is one change: a merge's ``--raw`` diff lists
     no files, so the scan skips merges and reads each fix from the commit
-    that made it.  A scan runs ``git rev-parse`` and one ``git log``
-    however many commits it reads, and no blob: the log's object ids
-    answer ``has_content``, and the source keeps them.  ``file_pairs``
-    reads blobs by those ids through one ``git cat-file --batch`` per
-    call, and never asks for a side that reads empty.  For commits the
-    source has not scanned, as when extract runs alone in a later process,
-    it first finds the ids with one ``git diff-tree --stdin``.
+    that made it.  A scan runs one ``git log`` however many commits it
+    reads, and no blob: the log's object ids answer ``has_content``, and
+    the source keeps them.  ``file_pairs`` reads blobs by those ids
+    through one ``git cat-file --batch`` per call, and never asks for a
+    side that reads empty.  For commits the source has not scanned, as
+    when extract runs alone in a later process, it first finds the ids
+    with one ``git diff-tree --stdin``.
     """
 
     def __init__(self, repo_path: str | Path):
@@ -371,17 +364,12 @@ class GitSource:
         # side that reads empty
         self._blob_ids: dict[tuple[str, str], tuple[bytes, bytes]] = {}
 
-    def _git(self, *args: str, missing_ok: bool = False,
-             stdin: bytes | None = None) -> bytes | None:
-        """git's output, with ``stdin`` as its input.  With
-        ``missing_ok``, None when git exits 1, as ``rev-parse --verify
-        -q`` does for a name that does not resolve; any other failure
-        raises :class:`IngestError`."""
+    def _git(self, *args: str, stdin: bytes | None = None) -> bytes:
+        """git's output, with ``stdin`` as its input; a failure raises
+        :class:`IngestError`."""
         proc = subprocess.run(
             ["git", "-C", str(self.repo), *args], input=stdin,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        if missing_ok and proc.returncode == 1:
-            return None
         if proc.returncode != 0:
             raise IngestError(
                 f"git {' '.join(args)} failed: {proc.stderr.decode('utf-8', 'replace')}")
@@ -425,17 +413,19 @@ class GitSource:
         there are none) and inside the ``after``/``before`` window, oldest
         first.  ``projects`` is accepted for the shared interface and
         unused: the repository is the one project.  Branch names are read
-        as revisions only, never as options or paths."""
-        if self._git("rev-parse", "--verify", "-q", "HEAD", missing_ok=True) is None:
-            return []  # repository without commits
+        as revisions only, never as options or paths, and one that does
+        not resolve is an error; a repository without commits has no
+        changes."""
         args = ["log", *_RAW_DIFF]
         if after:
             args.append(f"--since={after}")
         if before:
             args.append(f"--until={before}")
+        if not branches:  # an unborn HEAD lists nothing; a named branch must resolve
+            args.append("--ignore-missing")
         # --end-of-options: a branch named "--output=x" is a bad revision,
         # not an option; "--": one named like a file is still a revision
-        args += ["--end-of-options", *branches, "--"]
+        args += ["--end-of-options", *(branches or ("HEAD",)), "--"]
         records = []
         project = self.repo.name
         for header, paths in self._read_raw(self._git(*args)):

@@ -131,7 +131,6 @@ class PipelineConfig:
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
     case_sensitive: bool = False
     word_bounded: bool = False
-    test_markers: tuple[str, ...] = ("test", "tests")
     w_type: float = 1e15
     w_role: float = 1e15
     r: float = 10.0
@@ -167,7 +166,7 @@ class PipelineConfig:
         if self.cutoff is not None and (isinstance(self.cutoff, bool) or not (
                 isinstance(self.cutoff, (int, float)) and math.isfinite(self.cutoff))):
             raise ValueError(f"cutoff must be a finite number or null, got {self.cutoff!r}")
-        for name in ("projects", "branches", "keywords", "test_markers"):
+        for name in ("projects", "branches", "keywords"):
             value = getattr(self, name)
             # a lone string would load as a tuple of its characters
             if not (isinstance(value, (list, tuple))
@@ -184,7 +183,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
-        for key in ("projects", "branches", "keywords", "test_markers"):
+        for key in ("projects", "branches", "keywords"):
             doc[key] = list(doc[key])
         return doc
 
@@ -297,15 +296,16 @@ class ExtractedFile(NamedTuple):
     skipped: dict | None  # its skipped_files entry, for a file skipped
 
 
-def extract_file(pair: FilePair, change_id: str, path: str) -> ExtractedFile:
+def extract_file(pair: FilePair) -> ExtractedFile:
     """Align, parse, join and cut one file pair into hunks, and serialize
-    each hunk with its context.  Pure function of its arguments.
+    each hunk with its context.  Pure function of the pair.
 
     The line script comes first: statements on lines it leaves untouched
     parse as stubs, which the join pairs whole or converts on demand.  A
     file the taxonomy cannot represent is skipped, with its error's line.
     """
     before_text, after_text = pair.before_text, pair.after_text
+    change_id, path = pair.change_id, pair.path
     try:
         script = align_versions(before_text, after_text)
         before_untouched, after_untouched = untouched_tests(script, before_text, after_text)
@@ -454,6 +454,9 @@ class Pipeline:
                 # git -C "" would scan whatever repository the shell is in
                 raise ValueError("git mode needs a repository path (--source)")
             return GitSource(cfg.source_path)
+        if not cfg.endpoint:
+            # every request would go to a URL with no host, and be retried
+            raise ValueError("gerrit mode needs a review endpoint (--source)")
         # only remote content is cached: git's object store is already local
         cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else self.out / "cache"
         return GerritSource(cfg.endpoint, cache=ContentCache(cache_dir))
@@ -466,6 +469,9 @@ class Pipeline:
         Both sources take the one window: projects, branches, after and
         before."""
         cfg = self.config
+        if cfg.source_mode == "gerrit" and not cfg.projects:
+            # the review source queries each project, so none finds nothing
+            raise ValueError("gerrit mode needs at least one project (--project)")
         source = self._source
         records = source.fetch_merged_changes(cfg.projects, cfg.branches,
                                               cfg.after or None, cfg.before or None)
@@ -478,7 +484,7 @@ class Pipeline:
         rows = []
         for record in matched:
             python_files = [p for p in record.files if p.endswith(".py")]
-            retained = exclude_test_files(python_files, cfg.test_markers)
+            retained = exclude_test_files(python_files)
             counts["files_total"] += len(record.files)
             counts["files_retained"] += len(retained)
             for path in retained:
@@ -506,11 +512,11 @@ class Pipeline:
                   "files_skipped_syntax": 0, "files_missing": 0,
                   "alignment_conflicts": 0, "hunks": 0}
         with closing(self._source.file_pairs(items)) as pairs:
-            for (record, path), pair in zip(items, pairs):
+            for pair in pairs:
                 if pair is None:
                     counts["files_missing"] += 1
                     continue
-                lines, conflicts, skip = extract_file(pair, record.change_id, path)
+                lines, conflicts, skip = extract_file(pair)
                 if skip is not None:
                     counts["files_skipped_syntax"] += 1
                     skipped.append(skip)

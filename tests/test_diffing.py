@@ -462,7 +462,7 @@ class TestStubHazards:
         after = before.replace("y = 1", "y = 2")
         with pytest.raises(SyntaxError) as full:
             parse_source(before)
-        skipped = extract_file(FilePair("a.py", before, after, "chg"), "chg", "a.py").skipped
+        skipped = extract_file(FilePair("a.py", before, after, "chg")).skipped
         assert skipped == {"change_id": "chg", "path": "a.py", "line": full.value.lineno}
         assert skipped["line"] == 2
 

@@ -345,6 +345,18 @@ class TestGitSource:
         git(tmp_path, "init", "-q", "-b", "main")
         assert GitSource(tmp_path).fetch_merged_changes() == []
 
+    def test_repository_without_commits_starts_only_log(self, tmp_path, monkeypatch):
+        git(tmp_path, "init", "-q", "-b", "main")
+        counter = CountingSubprocess(monkeypatch)
+        assert GitSource(tmp_path).fetch_merged_changes() == []
+        assert counter.commands == ["log"]
+
+    def test_unresolved_branch_fails_in_a_repository_without_commits(self, tmp_path):
+        # a named branch must resolve, whether or not the repository has commits
+        git(tmp_path, "init", "-q", "-b", "main")
+        with pytest.raises(IngestError, match="bad revision 'main'"):
+            GitSource(tmp_path).fetch_merged_changes(branches=("main",))
+
     @pytest.mark.parametrize("where", ["plain", "missing"])
     def test_non_repository_source_fails(self, tmp_path, monkeypatch, where):
         # a scan that cannot reach a repository must not pass for an empty one
@@ -352,7 +364,7 @@ class TestGitSource:
         path = tmp_path / where
         if where == "plain":
             path.mkdir()
-        with pytest.raises(IngestError, match="rev-parse"):
+        with pytest.raises(IngestError, match="git log"):
             GitSource(path).fetch_merged_changes()
 
 
@@ -811,7 +823,7 @@ class TestGitSourceProcesses:
         out = tmp_path / "out"
         config = PipelineConfig(source_path=str(tmp_path), output_dir=str(out))
         pipeline = Pipeline(config)
-        assert self._stage_commands(monkeypatch, pipeline, "ingest") == ["rev-parse", "log"]
+        assert self._stage_commands(monkeypatch, pipeline, "ingest") == ["log"]
         assert self._stage_commands(monkeypatch, pipeline, "extract") == ["cat-file"]
         counts = json.loads((out / "ingest_counts.json").read_text())
         assert counts["changes_matched"] == counts["files_fetched"] == commits

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -21,7 +22,7 @@ from fixscope.cluster import sample_cluster
 from fixscope.democorpus import _commit_stamp, build_demo_corpus
 from fixscope.diffing import hunk_from_dict
 from fixscope.grammar import _Normalizer, parse_source, tree_height
-from fixscope.ingest import GitSource
+from fixscope.ingest import GerritSource, GitSource
 from fixscope.pipeline import (
     NO_CONTROL_GROUP,
     STAGE_ARTIFACTS,
@@ -106,8 +107,11 @@ class TestConfig:
         ({"source_mode": "svn"}, "source_mode 'svn'"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as err:
             PipelineConfig.from_dict(doc)
+        # a removed key (merges_only, test_markers) is rejected as unknown
+        if not set(doc) <= {f.name for f in dataclasses.fields(PipelineConfig)}:
+            assert str(err.value).startswith("unknown config keys")
 
     def test_accepted_values_load(self):
         for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
@@ -117,10 +121,20 @@ class TestConfig:
             PipelineConfig.from_dict(doc)
 
     def test_lists_from_config_json_load_as_tuples(self):
-        config = PipelineConfig.from_dict({"keywords": ["bug"], "test_markers": [],
-                                           "projects": ["nova"], "branches": ["master"]})
-        assert (config.keywords, config.test_markers) == (("bug",), ())
+        config = PipelineConfig.from_dict({"keywords": ["bug"], "projects": ["nova"],
+                                           "branches": ["master"]})
+        assert config.keywords == ("bug",)
         assert (config.projects, config.branches) == (("nova",), ("master",))
+
+    def test_every_config_key_is_pinned(self):
+        # each key is read by a stage or by the source it builds; a new key
+        # changes every manifest, so it must be added here on purpose
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "version", "source_mode", "source_path", "endpoint", "projects",
+            "branches", "after", "before", "keywords", "case_sensitive",
+            "word_bounded", "w_type", "w_role", "r", "c", "inconsistency_depth",
+            "min_cluster_size", "cutoff", "alpha", "control_mode", "bonferroni",
+            "output_dir", "cache_dir"]
 
 
 class TestDemoCorpus:
@@ -259,8 +273,7 @@ class TestExtractFile:
         source = GitSource(demo_corpus["repo"])
         items = [(record, path) for record in source.fetch_merged_changes()
                  for path in record.files]
-        pairs = [(record, path, pair) for (record, path), pair
-                 in zip(items, source.file_pairs(items)) if pair is not None]
+        pairs = [pair for pair in source.file_pairs(items) if pair is not None]
         calls = []
         convert = _Normalizer.convert
 
@@ -269,11 +282,11 @@ class TestExtractFile:
             return convert(self, node, role)
 
         monkeypatch.setattr(_Normalizer, "convert", counted)
-        for record, path, pair in pairs:
-            extract_file(pair, record.change_id, path)
+        for pair in pairs:
+            extract_file(pair)
         extracted = len(calls)
         calls.clear()
-        for _record, _path, pair in pairs:
+        for pair in pairs:
             for text in (pair.before_text, pair.after_text):
                 try:
                     parse_source(text)
@@ -886,8 +899,32 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--source", str(tmp_path / "absent"),
                          "--out", str(out)]) == 2
-        assert "rev-parse" in capsys.readouterr().err
+        assert "git log" in capsys.readouterr().err
         assert not (out / "changes.jsonl").exists()
+
+    def _refused_gerrit_ingest(self, monkeypatch, capsys, out, flags) -> str:
+        """stderr of a gerrit-mode ingest that must fail before any request."""
+        urls = []
+        monkeypatch.setattr(GerritSource, "_http_transport",
+                            staticmethod(lambda url: urls.append(url) or (404, b"")))
+        assert cli_main(["ingest", "--mode", "gerrit", "--out", str(out), *flags]) == 2
+        assert urls == []
+        assert not (out / "changes.jsonl").exists()
+        assert not (out / "cache").exists()
+        return capsys.readouterr().err
+
+    def test_gerrit_mode_without_endpoint_is_refused(self, tmp_path, monkeypatch, capsys):
+        # every query would go to a URL with no host, and be retried
+        err = self._refused_gerrit_ingest(monkeypatch, capsys, tmp_path / "out",
+                                          ["--project", "nova"])
+        assert "--source" in err
+
+    def test_gerrit_mode_without_project_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the review source queries each project, so with none ingest
+        # would seal an empty scan
+        err = self._refused_gerrit_ingest(monkeypatch, capsys, tmp_path / "out",
+                                          ["--source", "https://review.example.org"])
+        assert "--project" in err
 
     def test_git_mode_without_source_is_refused(self, small_corpus, tmp_path,
                                                monkeypatch, capsys):
