@@ -15,7 +15,6 @@ u=277, 72 MB at u=3000.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ __all__ = [
     "select_cutoff",
     "cut_clusters",
     "sample_cluster",
-    "dendrogram_to_json",
 ]
 
 
@@ -381,19 +379,3 @@ def sample_cluster(clusters: dict, cluster_id: int, n: int = 5, seed: int = 0) -
         return ordered
     return random.Random(seed).sample(ordered, n)
 
-
-def _json_float(x: float) -> str:
-    """``json.dumps(x)``: the float's repr, or NaN, Infinity, -Infinity."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
-def dendrogram_to_json(dendrogram: Dendrogram) -> str:
-    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` for
-    ``{"merges": [{"height", "left", "right", "size"}, ...], "n_leaves"}``,
-    written without the pure-Python encoder that ``indent`` selects."""
-    merges = ",\n".join(
-        f'    {{\n      "height": {_json_float(m.height)},\n      "left": {m.left},\n'
-        f'      "right": {m.right},\n      "size": {m.size}\n    }}'
-        for m in dendrogram.merges)
-    body = f"[\n{merges}\n  ]" if merges else "[]"
-    return f'{{\n  "merges": {body},\n  "n_leaves": {dendrogram.n_leaves}\n}}'

@@ -39,9 +39,11 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
 from fixscope.grammar import (
@@ -67,6 +69,7 @@ __all__ = [
     "build_diff_ast",
     "extract_hunks",
     "dump_enhanced_ast",
+    "indented_json",
     "diff_node_to_dict",
     "diff_node_from_dict",
     "hunk_to_dict",
@@ -199,9 +202,11 @@ def align_versions(before_text: str, after_text: str) -> list[EditBlock]:
     for (a, b) is exactly the mirrored script for (b, a).  Lines split at
     ``\r\n``, ``\r`` and ``\n`` alone, as the parser splits them, so the
     blocks agree with the AST spans even after a form feed or ``\u2028``.
+    Lines compare without their trailing spaces and tabs, which are not
+    syntax: ``untouched_tests`` still sees where a kept line's bytes differ.
     """
-    before = split_lines(before_text)
-    after = split_lines(after_text)
+    before = [line.rstrip(" \t") for line in split_lines(before_text)]
+    after = [line.rstrip(" \t") for line in split_lines(after_text)]
     if before == after:
         return []
     if (before, after) <= (after, before):
@@ -299,12 +304,15 @@ class _LineMap:
     ``map`` carries this side's line numbers onto the after-file axis,
     ``region`` anchors a node for the join and ``untouched`` tests a line
     span for the parser; each finds a line's block by one bisect.
+    ``changed`` lists, sorted, the kept lines whose raw text differs from
+    their counterpart's in trailing blanks; ``untouched`` bisects it too.
     """
 
-    def __init__(self, script: list[EditBlock], before: bool):
+    def __init__(self, script: list[EditBlock], before: bool, changed=()):
         self.blocks = [((blk.b_start, blk.b_end) if before else (blk.a_start, blk.a_end))
                        + (blk.a_start, blk.a_end) for blk in script]
         self.starts = [blk[0] for blk in self.blocks]
+        self.changed = changed
 
     def map(self, line: int) -> int:
         k = bisect_right(self.starts, line) - 1
@@ -333,9 +341,11 @@ class _LineMap:
         lie apart, so only the last one starting by ``last`` could, and it
         does unless it ends by ``first``.  So a block empty on this side,
         the insertion point before its start line, meets only a span it
-        falls strictly inside."""
+        falls strictly inside.  A kept line in ``changed`` touches a span
+        that holds it: inside a string literal its trailing blanks are text."""
         k = bisect_right(self.starts, last) - 1
-        return k < 0 or self.blocks[k][1] <= first
+        return ((k < 0 or self.blocks[k][1] <= first)
+                and bisect_left(self.changed, first) == bisect_right(self.changed, last))
 
 
 def _line_maps(script: list[EditBlock]) -> tuple[_LineMap, _LineMap]:
@@ -347,12 +357,23 @@ def _line_maps(script: list[EditBlock]) -> tuple[_LineMap, _LineMap]:
 def untouched_tests(script: list[EditBlock], before_text: str, after_text: str):
     """For each version, a test of whether its line span ``(first, last)``
     is untouched by ``script``, the edit script between the two texts: no
-    edit block meets the span on that side.  Against an empty version
-    every line is inserted or deleted: both tests are None."""
+    edit block meets the span on that side, and it holds no kept line
+    whose raw text differs from its counterpart's.  Against an empty
+    version every line is inserted or deleted: both tests are None."""
     if not (before_text and after_text):
         return None, None
-    before, after = _line_maps(script)
-    return before.untouched, after.untouched
+    script = sorted(script, key=operator.attrgetter("b_start"))
+    before_lines, after_lines = split_lines(before_text), split_lines(after_text)
+    changed = []  # (before line, after line) of each kept pair whose raw text differs
+    # each run of kept lines ends at a block's start; a block past the last
+    # lines ends the final run
+    b = a = 1
+    for blk in script + [EditBlock(len(before_lines) + 1, 0, len(after_lines) + 1, 0)]:
+        kept = zip(before_lines[b - 1:blk.b_start - 1], after_lines[a - 1:blk.a_start - 1])
+        changed += [(b + k, a + k) for k, (old, new) in enumerate(kept) if old != new]
+        b, a = blk.b_end, blk.a_end
+    return (_LineMap(script, True, [b for b, _a in changed]).untouched,
+            _LineMap(script, False, [a for _b, a in changed]).untouched)
 
 
 def _after_line(line: int) -> int:
@@ -610,32 +631,41 @@ def hunk_from_dict(doc: dict) -> Hunk:
                 line_window=SourceSpan(*doc["window"]))
 
 
-def _indented_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document whose
-    keys are strings, written from an explicit stack: with ``indent`` the
-    standard encoder recurses once per nesting level."""
+def indented_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, the text of every
+    ``.json`` artifact and manifest, written from an explicit stack: with
+    ``indent`` the standard encoder recurses once per nesting level.  A
+    key that is not a string raises ``TypeError``."""
     parts = []
-    stack = [(doc, 0)]  # (value, depth), or (literal text, None)
+    stack = [(iter([("", doc)]), "")]  # each open container's items left, and its closer
     while stack:
-        value, depth = stack.pop()
-        if depth is None:
-            parts.append(value)
-            continue
-        if isinstance(value, dict) and value:
-            opener, closer = "{", "}"
-            items = [(json.dumps(key) + ": ", item) for key, item in sorted(value.items())]
-        elif isinstance(value, (list, tuple)) and value:
-            opener, closer = "[", "]"
-            items = [("", item) for item in value]
-        else:  # a scalar, or an empty container
-            parts.append(json.dumps(value))
-            continue
-        indent = "\n" + "  " * (depth + 1)
-        todo = [(opener, None)]
-        for k, (prefix, item) in enumerate(items):
-            todo += [(("," if k else "") + indent + prefix, None), (item, depth + 1)]
-        todo.append(("\n" + "  " * depth + closer, None))
-        stack.extend(reversed(todo))
+        items, closer = stack[-1]
+        for before, value in items:
+            kind = type(value)
+            if kind is str:
+                parts.append(before + encode_basestring_ascii(value))
+            elif kind is int or kind is float and math.isfinite(value):
+                parts.append(before + kind.__repr__(value))
+            elif not isinstance(value, (dict, list, tuple)):
+                parts.append(before + json.dumps(value))  # NaN, ±Infinity, bool, None, subclasses
+            elif not value:
+                parts.append(before + ("{}" if isinstance(value, dict) else "[]"))
+            else:
+                inner = ",\n" + "  " * len(stack)
+                if isinstance(value, dict):  # the key encoder refuses a non-string
+                    pairs = [(inner + encode_basestring_ascii(key) + ": ", item)
+                             for key, item in sorted(value.items())]
+                    opener, end = "{", "}"
+                else:
+                    pairs = [(inner, item) for item in value]
+                    opener, end = "[", "]"
+                parts.append(before + opener)
+                pairs[0] = (pairs[0][0][1:], pairs[0][1])  # no comma before the first
+                stack.append((iter(pairs), "\n" + "  " * (len(stack) - 1) + end))
+                break
+        else:
+            parts.append(closer)
+            stack.pop()
     return "".join(parts)
 
 
@@ -648,4 +678,4 @@ def dump_enhanced_ast(enhanced: EnhancedAst) -> str:
         "conflicts": enhanced.conflicts,
         "tree": diff_node_to_dict(enhanced.root),
     }
-    return _indented_json(doc)
+    return indented_json(doc)

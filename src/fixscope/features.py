@@ -22,13 +22,11 @@ depth.
 the feature matrix here, and the context tables that
 ``fixscope.context.context_matrix`` builds for the features and stats
 stages.  It takes a column for every name a vector holds, in
-lexicographic order, and ``matrix_to_csv`` writes any such table.
+lexicographic order.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 import numbers
@@ -47,7 +45,6 @@ __all__ = [
     "DuplicateHunkIdError",
     "hunk_feature_vector",
     "assemble_matrix",
-    "matrix_to_csv",
 ]
 
 MAX_WEIGHTED_LEVEL = 15
@@ -155,12 +152,3 @@ def assemble_matrix(vectors: list[FeatureVector]) -> FeatureMatrix:
         values=grid,
     )
 
-
-def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    """Header row of feature names, first column hunk_id; floats via repr."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["hunk_id"] + matrix.feature_names)
-    for row, hunk_id in enumerate(matrix.hunk_ids):
-        writer.writerow([hunk_id] + [repr(float(v)) for v in matrix.values[row]])
-    return out.getvalue()

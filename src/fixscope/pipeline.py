@@ -52,6 +52,7 @@ from fixscope.diffing import (
     extract_hunks,
     hunk_from_dict,
     hunk_to_dict,
+    indented_json,
     untouched_tests,
 )
 from fixscope.features import (
@@ -59,7 +60,6 @@ from fixscope.features import (
     WeightConfig,
     assemble_matrix,
     hunk_feature_vector,
-    matrix_to_csv,
 )
 from fixscope.grammar import parse_source, taxonomy_checksum
 from fixscope.ingest import (
@@ -177,6 +177,13 @@ class PipelineConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):  # "no" would switch the option on
                 raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not self.keywords:
+            raise ValueError("keywords is empty, so ingest would keep no change")
+        for keyword in self.keywords:
+            # one that does not match a message made of itself matches none
+            if not keyword_filter(keyword, (keyword,), self.case_sensitive, self.word_bounded):
+                raise ValueError(f"keyword {keyword!r} can never match: under "
+                                 "word_bounded a keyword must be one word")
         # built here, so bad weights are a configuration error at load
         self.weights = WeightConfig(w_type=self.w_type, w_role=self.w_role,
                                     r=self.r, c=self.c)
@@ -213,7 +220,7 @@ class RunReport:
 
 
 def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return indented_json(doc) + "\n"
 
 
 def _jsonl_line(doc) -> str:
@@ -228,6 +235,14 @@ def _csv(rows) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def _matrix_rows(matrix):
+    """A dense table's CSV rows, one at a time: hunk_id and the feature
+    names, then each hunk's id and values (floats print as their repr)."""
+    yield ["hunk_id", *matrix.feature_names]
+    for hunk_id, row in zip(matrix.hunk_ids, matrix.values):
+        yield [hunk_id, *row.tolist()]
 
 
 def _csv_records(text: str) -> list[dict]:
@@ -544,10 +559,10 @@ class Pipeline:
         # a duplicate hunk id raises in the first assemble_matrix, before
         # ``contexts`` could have merged it away
         return {
-            "feature_matrix.csv": matrix_to_csv(assemble_matrix(vectors)),
+            "feature_matrix.csv": _csv(_matrix_rows(assemble_matrix(vectors))),
             "feature_vectors.jsonl": _jsonl({"hunk_id": v.hunk_id, "features": v.entries}
                                             for v in vectors),
-            "context_matrix.csv": matrix_to_csv(context_matrix(contexts)),
+            "context_matrix.csv": _csv(_matrix_rows(context_matrix(contexts))),
             "context_vectors.jsonl": _jsonl({"hunk_id": hunk_id, "features": features}
                                             for hunk_id, features in contexts.items()),
         }
@@ -595,7 +610,10 @@ class Pipeline:
             summary["cluster_sizes"] = {str(cid): len(members)
                                         for cid, members in sorted(cut.clusters.items())}
         return {
-            "dendrogram.json": fc.dendrogram_to_json(dendrogram) + "\n",
+            "dendrogram.json": _json_dumps({
+                "merges": [{"height": m.height, "left": m.left, "right": m.right,
+                            "size": m.size} for m in dendrogram.merges],
+                "n_leaves": dendrogram.n_leaves}),
             # csv writes an unclustered hunk's None as an empty cell
             "cluster_assignment.csv": _csv([("hunk_id", "cluster_id"),
                                             *assignment.items()]),

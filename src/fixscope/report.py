@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-
+from fixscope.diffing import indented_json
 from fixscope.pipeline import RunReport
 
 CHECK = "✓"
@@ -109,7 +108,7 @@ def render_report(report: RunReport, relevance_clusters: list[str],
     lines.append("## Configuration echo")
     lines.append("")
     lines.append("```json")
-    lines.append(json.dumps(report.config, indent=2, sort_keys=True))
+    lines.append(indented_json(report.config))
     lines.append("```")
     lines.append("")
     return "\n".join(lines)

@@ -25,6 +25,7 @@ from fixscope.cluster import (
     single_linkage,
     single_linkage_rows,
 )
+from fixscope.pipeline import Pipeline, PipelineConfig, _json_dumps
 
 import oracles
 
@@ -444,25 +445,41 @@ class TestSampleCluster:
             sample_cluster(self.make_clusters(3), 99)
 
 
+def dendrogram_doc(dendrogram) -> dict:
+    return {"n_leaves": dendrogram.n_leaves,
+            "merges": [{"left": m.left, "right": m.right, "height": m.height, "size": m.size}
+                       for m in dendrogram.merges]}
+
+
 def reference_dendrogram_json(dendrogram) -> str:
-    doc = {"n_leaves": dendrogram.n_leaves,
-           "merges": [{"left": m.left, "right": m.right, "height": m.height, "size": m.size}
-                      for m in dendrogram.merges]}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(dendrogram_doc(dendrogram), indent=2, sort_keys=True) + "\n"
+
+
+def stage_dendrogram_json(tmp_path, rows) -> str:
+    """The cluster stage's ``dendrogram.json`` for one feature vector per row."""
+    with open(tmp_path / "feature_vectors.jsonl", "w") as handle:
+        for i, row in enumerate(rows):
+            features = {f"f{j}": float(v) for j, v in enumerate(row) if v}
+            handle.write(json.dumps({"hunk_id": f"h{i}", "features": features}) + "\n")
+    pipeline = Pipeline(PipelineConfig(output_dir=str(tmp_path), min_cluster_size=1))
+    return pipeline._stage_cluster()["dendrogram.json"]
 
 
 class TestDendrogramJson:
+    """``dendrogram.json`` holds the bytes ``json.dumps(indent=2, sort_keys=True)``
+    gives the merge history."""
+
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_json_dumps_on_seeded_dendrograms(self, seed):
+    def test_matches_json_dumps_on_seeded_dendrograms(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 4, size=(int(rng.integers(2, 80)), 3)) * rng.uniform(0.1, 3.0, 3)
         dend = single_linkage(pairwise_distances(rows))
-        assert fc.dendrogram_to_json(dend) == reference_dendrogram_json(dend)
+        assert stage_dendrogram_json(tmp_path, rows) == reference_dendrogram_json(dend)
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_matches_json_dumps_without_merges(self, n):
-        dend = fc.Dendrogram(n, ())
-        assert fc.dendrogram_to_json(dend) == reference_dendrogram_json(dend)
+    def test_matches_json_dumps_without_merges(self, n, tmp_path):
+        text = stage_dendrogram_json(tmp_path, [[1.0, 2.0]] * n)
+        assert text == reference_dendrogram_json(fc.Dendrogram(n, ()))
 
     def test_matches_json_dumps_on_edge_heights(self):
         heights = [0.0, -0.0, 5e-324, 1e15, 0.1 + 0.2, math.inf, math.nan]
@@ -471,4 +488,4 @@ class TestDendrogramJson:
             merges.append(fc.Merge(left=k + 2, right=len(heights) + 1 + k,
                                    height=height, size=k + 3))
         dend = fc.Dendrogram(len(heights) + 1, tuple(merges))
-        assert fc.dendrogram_to_json(dend) == reference_dendrogram_json(dend)
+        assert _json_dumps(dendrogram_doc(dend)) == reference_dendrogram_json(dend)

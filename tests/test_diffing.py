@@ -42,6 +42,10 @@ def fingerprints(nodes):
     return sorted(shape(n) for n in nodes)
 
 
+# lines that differ only in trailing blanks, or in leading ones
+BLANKED_LINES = ["p", "p ", "p\t ", "q", " q", "q\t", "", " "]
+
+
 class TestAlignVersions:
     def test_identical_texts(self):
         text = "a = 1\nb = 2\n"
@@ -96,6 +100,17 @@ class TestAlignVersions:
         (hunk,) = make_hunks(before, after)
         assert [(n.kind, n.label) for n in hunk.labeled_roots] == [
             ("Expr", ChangeLabel.MINUS)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(BLANKED_LINES), max_size=10),
+           st.lists(st.sampled_from(BLANKED_LINES), max_size=10),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    @example(["p", "p "], ["p ", "p"], "\n")
+    def test_trailing_blanks_are_not_seen(self, a, b, newline):
+        def text(lines, strip=False):
+            return "".join((line.rstrip(" \t") if strip else line) + newline for line in lines)
+
+        assert align_versions(text(a), text(b)) == align_versions(text(a, True), text(b, True))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from("pqrs"), max_size=12),
@@ -452,6 +467,16 @@ class TestStubHazards:
                 assert align_versions(before, after) == []
                 assert file_hunks(before, after, stubs=False) == ([], [], [])
                 assert_stubs_agree(before, after)
+
+    def test_a_trailing_blank_change_inside_a_string_keeps_its_hunk(self):
+        # the line diff keeps the line, but the literal's text changed
+        before = 'x = """a\nb  \nc"""\ny = 1\n'
+        after = before.replace("b  \n", "b\n")
+        assert align_versions(before, after) == []
+        assert_stubs_agree(before, after)
+        docs, _contexts, _conflicts = file_hunks(before, after, stubs=True)
+        assert [[(root["kind"], root["text"]) for root in doc["roots"]] for doc in docs] == \
+            [[("Str", "a\nb  \nc"), ("Str", "a\nb\nc")]]
 
     def test_a_match_inside_an_untouched_function_still_skips_the_file(self):
         before = ("def f(x):\n"

@@ -11,9 +11,9 @@ from fixscope.features import (
     WeightConfig,
     assemble_matrix,
     hunk_feature_vector,
-    matrix_to_csv,
 )
 from fixscope.grammar import SourceSpan
+from fixscope.pipeline import _csv, _matrix_rows
 
 from conftest import single_hunk
 
@@ -192,7 +192,7 @@ class TestAssembleMatrix:
 
     def test_csv_shape(self):
         matrix = assemble_matrix([FeatureVector("h1", {"b": 1.0, "a": 2.0})])
-        text = matrix_to_csv(matrix)
+        text = _csv(_matrix_rows(matrix))
         lines = text.strip().splitlines()
         assert lines[0] == "hunk_id,a,b"
         assert lines[1].startswith("h1,2.0,1.0")

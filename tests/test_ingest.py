@@ -51,6 +51,12 @@ class TestKeywordFilter:
     def test_word_bounded_toggle(self):
         assert not keyword_filter("dispatch events correctly", word_bounded=True)
         assert keyword_filter("apply the patch now", word_bounded=True)
+        # a keyword of two words, or with a hyphen, is no token: the config
+        # refuses it under word_bounded
+        for keyword, message in (("null pointer", "Fix the null pointer in x"),
+                                 ("fix-up", "a fix-up of the parser")):
+            assert not keyword_filter(message, (keyword,), word_bounded=True)
+            assert keyword_filter(message, (keyword,))
 
     @pytest.mark.parametrize("message", [
         "Fix the scheduler_race, bug #12!",

@@ -19,9 +19,10 @@ import tokenize
 import warnings
 from pathlib import Path
 
+from fixscope.diffing import extract_hunks
 from fixscope.grammar import split_lines
 
-from conftest import file_hunks, make_hunks
+from conftest import diff_texts, file_hunks, make_hunks
 from test_grammar import SEGMENT_SOURCES
 
 LAYOUT_MODULES = (json.decoder, csv, textwrap, string)
@@ -61,6 +62,8 @@ def layout_edit(source: str, rng: random.Random) -> str:
 
 
 def test_layout_edits_yield_no_hunks():
+    # nor an alignment conflict, in either direction: a trailing space on
+    # a line holding two same-key siblings once made them ambiguous anchors
     started = time.perf_counter()
     cases = []
     for module in LAYOUT_MODULES:
@@ -68,10 +71,13 @@ def test_layout_edits_yield_no_hunks():
         for seed in range(CASES_PER_MODULE):
             edited = layout_edit(source, random.Random(f"{module.__name__}:{seed}"))
             assert edited != source
-            hunks = make_hunks(source, edited, path=module.__name__)
-            cases.append((module.__name__, seed, [hunk.id for hunk in hunks]))
+            for before, after, direction in ((source, edited, "+"), (edited, source, "-")):
+                enhanced = diff_texts(before, after, path=module.__name__)
+                cases.append((module.__name__, seed, direction,
+                              [hunk.id for hunk in extract_hunks(enhanced)],
+                              len(enhanced.conflicts)))
     elapsed = time.perf_counter() - started
-    assert [case for case in cases if case[2]] == []
+    assert [case for case in cases if case[3] or case[4]] == []
     assert elapsed <= LAYOUT_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"
 
 

@@ -105,6 +105,10 @@ class TestConfig:
         ({"inconsistency_depth": True}, "inconsistency_depth"),
         ({"cutoff": True}, "cutoff"),
         ({"source_mode": "svn"}, "source_mode 'svn'"),
+        # keywords that can never match: ingest would keep no change
+        ({"keywords": []}, "keywords is empty"),
+        ({"keywords": ["fix", "null pointer"], "word_bounded": True}, "'null pointer'"),
+        ({"keywords": ["fix-up"], "word_bounded": True, "case_sensitive": True}, "'fix-up'"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message) as err:
@@ -117,7 +121,8 @@ class TestConfig:
         for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
                     {"version": "1"}, {"inconsistency_depth": 1}, {"min_cluster_size": 1},
                     {"cutoff": None}, {"cutoff": 0}, {"cutoff": 1.15},
-                    {"bonferroni": True}):
+                    {"bonferroni": True}, {"keywords": ["null pointer", "fix-up"]},
+                    {"keywords": ["fix_up", "bug2"], "word_bounded": True}):
             PipelineConfig.from_dict(doc)
 
     def test_lists_from_config_json_load_as_tuples(self):
@@ -1070,7 +1075,9 @@ class TestCli:
         ([], {"c": True}), ([], {"w_role": [1]}),
         # and weights that are no finite number
         ([], {"w_type": float("nan")}), ([], {"c": float("inf")}),
-        ([], {"r": float("inf")})])
+        ([], {"r": float("inf")}),
+        # and keywords that can never match
+        ([], {"keywords": []}), ([], {"keywords": ["null pointer"], "word_bounded": True})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"
