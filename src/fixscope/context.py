@@ -14,13 +14,12 @@ package (checked for totality at test time).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
-from importlib import resources
 
 from fixscope.diffing import DiffNode, Hunk
 from fixscope.features import FeatureMatrix, FeatureVector, _direction, assemble_matrix
+from fixscope.grammar import _packaged_table
 
 logger = logging.getLogger(__name__)
 
@@ -170,28 +169,23 @@ class _CategoryTable:
     checksum: str
 
 
-_TABLE: _CategoryTable | None = None
+def _parse_table(text: str, checksum: str) -> _CategoryTable:
+    outer: dict[str, str] = {}
+    kinds: dict[str, str] = {}
+    roles: dict[str, str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        prefix, rest = line.split(" ", 1)
+        key, category = rest.split("=", 1)
+        target = {"outer": outer, "kind": kinds, "role": roles}[prefix]
+        target[key] = category
+    return _CategoryTable(outer=outer, kinds=kinds, roles=roles, checksum=checksum)
 
 
 def _load_table() -> _CategoryTable:
-    global _TABLE
-    if _TABLE is None:
-        raw = resources.files("fixscope.data").joinpath(CATEGORY_RESOURCE).read_bytes()
-        outer: dict[str, str] = {}
-        kinds: dict[str, str] = {}
-        roles: dict[str, str] = {}
-        for line in raw.decode("utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            prefix, rest = line.split(" ", 1)
-            key, category = rest.split("=", 1)
-            target = {"outer": outer, "kind": kinds, "role": roles}[prefix]
-            target[key] = category
-        _TABLE = _CategoryTable(
-            outer=outer, kinds=kinds, roles=roles,
-            checksum=hashlib.sha256(raw).hexdigest())
-    return _TABLE
+    return _packaged_table(CATEGORY_RESOURCE, _parse_table)
 
 
 def category_table_checksum() -> str:

@@ -13,7 +13,7 @@ Minus+Plus pair, never an in-place update, and a child the line diff
 moved to another parent is removed under one and added under the other.
 
 The trees may hold stubs, statements the parser left unconverted because
-``untouched_tests`` found no edit block meeting their lines.  Two stubs
+their side's ``_LineMap`` found no edit block meeting their lines.  Two stubs
 that cover the same lines and columns hold the same source but for line
 terminators, which no node depends on, so they join as one unchanged
 leaf: nothing inside them could carry a label or an in-block anchor.  Any
@@ -65,7 +65,7 @@ __all__ = [
     "EnhancedAst",
     "Hunk",
     "align_versions",
-    "untouched_tests",
+    "line_maps",
     "build_diff_ast",
     "extract_hunks",
     "dump_enhanced_ast",
@@ -135,12 +135,7 @@ class DiffNode:
                 f"{self.span!r}, {self.eff_start}, {self.eff_end}, "
                 f"<{len(self.children)} children>)")
 
-    def walk(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+    walk = AstNode.walk
 
 
 @dataclass
@@ -203,7 +198,7 @@ def align_versions(before_text: str, after_text: str) -> list[EditBlock]:
     ``\r\n``, ``\r`` and ``\n`` alone, as the parser splits them, so the
     blocks agree with the AST spans even after a form feed or ``\u2028``.
     Lines compare without their trailing spaces and tabs, which are not
-    syntax: ``untouched_tests`` still sees where a kept line's bytes differ.
+    syntax: ``line_maps`` still sees where a kept line's bytes differ.
     """
     before = [line.rstrip(" \t") for line in split_lines(before_text)]
     after = [line.rstrip(" \t") for line in split_lines(after_text)]
@@ -301,18 +296,21 @@ class _LineMap:
     """One side's edit blocks as a bisect table, in script order: block k
     holds this side's lines [start, end) and after lines [a_start, a_end).
 
-    ``map`` carries this side's line numbers onto the after-file axis,
-    ``region`` anchors a node for the join and ``untouched`` tests a line
-    span for the parser; each finds a line's block by one bisect.
-    ``changed`` lists, sorted, the kept lines whose raw text differs from
-    their counterpart's in trailing blanks; ``untouched`` bisects it too.
+    ``map`` carries this side's line numbers onto the after-file axis (on
+    the after side, the identity), ``region`` anchors a node for the join
+    and ``untouched`` tests a line span for the parser; each finds a
+    line's block by one bisect.  ``changed`` lists, sorted, the kept lines
+    whose raw text differs from their counterpart's in trailing blanks;
+    ``untouched`` bisects it too.  It is None against an empty version,
+    and then ``stub_test`` is None: the parser tries no stub.
     """
 
-    def __init__(self, script: list[EditBlock], before: bool, changed=()):
+    def __init__(self, script: list[EditBlock], before: bool, changed):
         self.blocks = [((blk.b_start, blk.b_end) if before else (blk.a_start, blk.a_end))
                        + (blk.a_start, blk.a_end) for blk in script]
         self.starts = [blk[0] for blk in self.blocks]
-        self.changed = changed
+        side = 0 if before else 1
+        self.changed = None if changed is None else [pair[side] for pair in changed]
 
     def map(self, line: int) -> int:
         k = bisect_right(self.starts, line) - 1
@@ -347,38 +345,32 @@ class _LineMap:
         return ((k < 0 or self.blocks[k][1] <= first)
                 and bisect_left(self.changed, first) == bisect_right(self.changed, last))
 
+    @property
+    def stub_test(self):
+        """``untouched`` for ``parse_source``, or None against an empty
+        version, where every line of the other is inserted or deleted."""
+        return None if self.changed is None else self.untouched
 
-def _line_maps(script: list[EditBlock]) -> tuple[_LineMap, _LineMap]:
-    """The before and after tables of ``script``, sorted into file order."""
+
+def line_maps(script: list[EditBlock], before_text: str,
+              after_text: str) -> tuple[_LineMap, _LineMap]:
+    """The before and after tables of ``script``, the edit script between
+    the two texts, sorted into file order once.  Both tables list the kept
+    line pairs whose raw text differs, found in one walk over them; against
+    an empty version no text is split, and neither table tests stubs."""
     script = sorted(script, key=operator.attrgetter("b_start"))
-    return _LineMap(script, before=True), _LineMap(script, before=False)
-
-
-def untouched_tests(script: list[EditBlock], before_text: str, after_text: str):
-    """For each version, a test of whether its line span ``(first, last)``
-    is untouched by ``script``, the edit script between the two texts: no
-    edit block meets the span on that side, and it holds no kept line
-    whose raw text differs from its counterpart's.  Against an empty
-    version every line is inserted or deleted: both tests are None."""
-    if not (before_text and after_text):
-        return None, None
-    script = sorted(script, key=operator.attrgetter("b_start"))
-    before_lines, after_lines = split_lines(before_text), split_lines(after_text)
-    changed = []  # (before line, after line) of each kept pair whose raw text differs
-    # each run of kept lines ends at a block's start; a block past the last
-    # lines ends the final run
-    b = a = 1
-    for blk in script + [EditBlock(len(before_lines) + 1, 0, len(after_lines) + 1, 0)]:
-        kept = zip(before_lines[b - 1:blk.b_start - 1], after_lines[a - 1:blk.a_start - 1])
-        changed += [(b + k, a + k) for k, (old, new) in enumerate(kept) if old != new]
-        b, a = blk.b_end, blk.a_end
-    return (_LineMap(script, True, [b for b, _a in changed]).untouched,
-            _LineMap(script, False, [a for _b, a in changed]).untouched)
-
-
-def _after_line(line: int) -> int:
-    # plus nodes already live in after-file coordinates
-    return line
+    changed = None  # (before line, after line) of each kept pair whose raw text differs
+    if before_text and after_text:
+        before_lines, after_lines = split_lines(before_text), split_lines(after_text)
+        changed = []
+        # each run of kept lines ends at a block's start; a block past the
+        # last lines ends the final run
+        b = a = 1
+        for blk in script + [EditBlock(len(before_lines) + 1, 0, len(after_lines) + 1, 0)]:
+            kept = zip(before_lines[b - 1:blk.b_start - 1], after_lines[a - 1:blk.a_start - 1])
+            changed += [(b + k, a + k) for k, (old, new) in enumerate(kept) if old != new]
+            b, a = blk.b_end, blk.a_end
+    return _LineMap(script, True, changed), _LineMap(script, False, changed)
 
 
 _CHILDREN = operator.attrgetter("children")
@@ -428,8 +420,8 @@ class _Matcher:
     in-block region, resolved in source order.
     """
 
-    def __init__(self, script: list[EditBlock]):
-        self.before, self.after = _line_maps(script)
+    def __init__(self, tables: tuple[_LineMap, _LineMap]):
+        self.before, self.after = tables
         self.conflicts: list[str] = []
 
     def join(self, b_node: AstNode, a_node: AstNode) -> DiffNode:
@@ -488,7 +480,7 @@ class _Matcher:
             built[index] = joined
         for index, a_child in enumerate(a_children):
             if built[index] is None:
-                built[index] = _graft(a_child, ChangeLabel.PLUS, _after_line)
+                built[index] = _graft(a_child, ChangeLabel.PLUS, self.after.map)
         if not minus_built:  # the after children are in position order already
             return _unchanged(a_node, built)
         merged = sorted(
@@ -507,12 +499,13 @@ def _unchanged(a_node: AstNode, children: list[DiffNode]) -> DiffNode:
 def build_diff_ast(
     before: AstNode,
     after: AstNode,
-    script: list[EditBlock],
+    tables: tuple[_LineMap, _LineMap],
     change_id: str = "",
     path: str = "",
 ) -> EnhancedAst:
-    """Join the two canonical trees into a single labeled diff tree."""
-    matcher = _Matcher(script)
+    """Join the two canonical trees into a single labeled diff tree;
+    ``tables`` are the ``line_maps`` of the two texts' edit script."""
+    matcher = _Matcher(tables)
     root = matcher.join(before, after)
     for message in matcher.conflicts:
         logger.debug("alignment conflict in %s %s: %s", change_id, path, message)
@@ -590,8 +583,7 @@ def diff_node_to_dict(node: DiffNode) -> dict:
             "role": source.role,
             "label": source.label.value,
             "text": source.text,
-            "span": [source.span.start_line, source.span.start_col,
-                     source.span.end_line, source.span.end_col],
+            "span": list(source.span),
             "eff": [source.eff_start, source.eff_end],
             "children": [],
         }
@@ -619,8 +611,7 @@ def hunk_to_dict(hunk: Hunk) -> dict:
     synopsis; enough to recompute feature vectors under any weights."""
     return {
         "id": hunk.id,
-        "window": [hunk.line_window.start_line, hunk.line_window.start_col,
-                   hunk.line_window.end_line, hunk.line_window.end_col],
+        "window": list(hunk.line_window),
         "roots": [diff_node_to_dict(r) for r in hunk.labeled_roots],
     }
 

@@ -199,39 +199,36 @@ class Taxonomy:
             raise UnknownSlotError(f"{parent_kind}.{slot} is not a grammar slot") from None
 
 
-def _read_taxonomy_bytes() -> bytes:
-    return resources.files("fixscope.data").joinpath(TAXONOMY_RESOURCE).read_bytes()
+@functools.cache
+def _packaged_table(resource: str, parse):
+    """``parse(text, checksum)`` of the table ``resource`` shipped in
+    ``fixscope.data``: its text and the sha256 of its bytes.  Each table
+    is read and parsed once per process."""
+    raw = resources.files("fixscope.data").joinpath(resource).read_bytes()
+    return parse(raw.decode("utf-8"), hashlib.sha256(raw).hexdigest())
+
+
+def _parse_taxonomy(text: str, checksum: str) -> Taxonomy:
+    kinds: list[str] = []
+    roles: dict[tuple[str, str], str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("kind "):
+            kinds.append(line[5:].strip())
+        elif line.startswith("role "):
+            key, name = line[5:].split("=", 1)
+            parent, slot = key.strip().split(".")
+            roles[(parent, slot)] = name.strip()
+    slots: dict[str, tuple[str, ...]] = {}
+    for parent, slot in roles:
+        slots[parent] = slots.get(parent, ()) + (slot,)
+    return Taxonomy(kinds=frozenset(kinds), roles=roles,
+                    role_names=frozenset(roles.values()), checksum=checksum, slots=slots)
 
 
 def load_taxonomy() -> Taxonomy:
-    """Parse the shipped taxonomy table (cached)."""
-    global _TAXONOMY
-    if _TAXONOMY is None:
-        raw = _read_taxonomy_bytes()
-        kinds: list[str] = []
-        roles: dict[tuple[str, str], str] = {}
-        for line in raw.decode("utf-8").splitlines():
-            line = line.strip()
-            if line.startswith("kind "):
-                kinds.append(line[5:].strip())
-            elif line.startswith("role "):
-                key, name = line[5:].split("=", 1)
-                parent, slot = key.strip().split(".")
-                roles[(parent, slot)] = name.strip()
-        slots: dict[str, tuple[str, ...]] = {}
-        for parent, slot in roles:
-            slots[parent] = slots.get(parent, ()) + (slot,)
-        _TAXONOMY = Taxonomy(
-            kinds=frozenset(kinds),
-            roles=roles,
-            role_names=frozenset(roles.values()),
-            checksum=hashlib.sha256(raw).hexdigest(),
-            slots=slots,
-        )
-    return _TAXONOMY
-
-
-_TAXONOMY: Taxonomy | None = None
+    """The shipped taxonomy table, parsed once."""
+    return _packaged_table(TAXONOMY_RESOURCE, _parse_taxonomy)
 
 
 def taxonomy_checksum() -> str:

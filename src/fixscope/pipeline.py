@@ -13,7 +13,9 @@ outputs.
 A stage is current while its manifest matches the config and every file
 it names still hashes the same, so a truncated or hand-edited artifact
 makes its stage, and each stage that read it, rerun; interrupted runs
-resume from the last valid checkpoint.  ``config.json`` is written only
+resume from the last valid checkpoint.  That check and
+``export_dataset`` read a manifest through ``_sealed`` and the files it
+names through ``_files``.  ``config.json`` is written only
 when a stage runs, once per ``Pipeline``: by the first stage it runs.
 All artifacts are deterministic functions of
 (config, cached inputs, annotations): no timestamps, sorted keys,
@@ -39,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from fixscope import cluster as fc
+from fixscope import report as freport
 from fixscope import stats as fstats
 from fixscope.context import (
     CATEGORIES,
@@ -53,7 +56,7 @@ from fixscope.diffing import (
     hunk_from_dict,
     hunk_to_dict,
     indented_json,
-    untouched_tests,
+    line_maps,
 )
 from fixscope.features import (
     FeatureVector,
@@ -180,6 +183,9 @@ class PipelineConfig:
         if not self.keywords:
             raise ValueError("keywords is empty, so ingest would keep no change")
         for keyword in self.keywords:
+            if not keyword.strip():  # as a substring it is in nearly every message
+                raise ValueError(f"keyword {keyword!r} is blank, so it would match "
+                                 "almost any message")
             # one that does not match a message made of itself matches none
             if not keyword_filter(keyword, (keyword,), self.case_sensitive, self.word_bounded):
                 raise ValueError(f"keyword {keyword!r} can never match: under "
@@ -322,11 +328,10 @@ def extract_file(pair: FilePair) -> ExtractedFile:
     before_text, after_text = pair.before_text, pair.after_text
     change_id, path = pair.change_id, pair.path
     try:
-        script = align_versions(before_text, after_text)
-        before_untouched, after_untouched = untouched_tests(script, before_text, after_text)
-        before = parse_source(before_text, before_untouched)
-        after = parse_source(after_text, after_untouched)
-        enhanced = build_diff_ast(before, after, script, change_id=change_id, path=path)
+        tables = line_maps(align_versions(before_text, after_text), before_text, after_text)
+        before = parse_source(before_text, tables[0].stub_test)
+        after = parse_source(after_text, tables[1].stub_test)
+        enhanced = build_diff_ast(before, after, tables, change_id=change_id, path=path)
         # a labeled subtree too high for hunks.jsonl skips the file
         hunks = extract_hunks(enhanced)
     except SyntaxError as err:
@@ -372,8 +377,9 @@ class Pipeline:
         data = self._read_bytes(name, missing_ok)
         return None if data is None else data.decode("utf-8")
 
-    def _read_json(self, name: str):
-        return json.loads(self._read(name))
+    def _read_json(self, name: str, missing_ok: bool = False):
+        text = self._read(name, missing_ok)
+        return None if text is None else json.loads(text)
 
     def _read_jsonl(self, name: str) -> list[dict]:
         # one decode of the nonblank lines as the items of one array
@@ -402,23 +408,29 @@ class Pipeline:
         return {"stage": stage, "config": self._config_doc,
                 "inputs": inputs, "outputs": outputs}
 
+    def _sealed(self, stage: str):
+        """The stage's manifest as it is now.  Raises ``FileNotFoundError``
+        when there is none, and ``ValueError`` when it is no JSON."""
+        return json.loads((self.out / _manifest(stage)).read_bytes())
+
+    def _files(self, names):
+        """(name, bytes, sha256) of each file as it is now, read through the
+        store one at a time; bytes and digest are None for an absent file.
+        A stage's trace starts empty when it runs, so this leaves none."""
+        for name in names:
+            data = self._read_bytes(name, missing_ok=True)
+            yield name, data, self._reads[name]
+
     def _is_current(self, stage: str) -> bool:
         """Whether the stage's manifest matches the config and every file
         it recorded still hashes to the recorded digest."""
         try:
-            sealed = json.loads((self.out / _manifest(stage)).read_bytes())
-            inputs = self._digests(sealed["inputs"])
+            sealed = self._sealed(stage)
+            inputs, outputs = ({name: digest for name, _data, digest in self._files(names)}
+                               for names in (sealed["inputs"], STAGE_ARTIFACTS[stage]))
         except (OSError, ValueError, KeyError, TypeError):
             return False
-        return sealed == self._trace(stage, inputs, self._digests(STAGE_ARTIFACTS[stage]))
-
-    def _digests(self, names) -> dict[str, str | None]:
-        """name -> sha256 of the file as it is now (None when absent)."""
-        digests = {}
-        for name in names:
-            path = self.out / name
-            digests[name] = _digest(path.read_bytes()) if path.exists() else None
-        return digests
+        return sealed == self._trace(stage, inputs, outputs)
 
     def _seal(self, stage: str):
         outputs = {name: self._writes[name] for name in STAGE_ARTIFACTS[stage]}
@@ -429,10 +441,10 @@ class Pipeline:
     def run(self, stages: tuple[str, ...] = STAGES, force: bool = False) -> RunReport:
         for stage in stages:
             self.run_stage(stage, force=force)
-        text = self._read("run_report.json", missing_ok=True)
-        if text is None:
+        doc = self._read_json("run_report.json", missing_ok=True)
+        if doc is None:
             return RunReport(config=self.config.to_dict())
-        return RunReport(**json.loads(text))
+        return RunReport(**doc)
 
     def run_stage(self, stage: str, force: bool = False):
         if stage not in STAGES:
@@ -704,8 +716,6 @@ class Pipeline:
         }
 
     def _stage_report(self) -> dict[str, str]:
-        from fixscope.report import render_report
-
         ingest_counts = self._read_json("ingest_counts.json")
         extract_counts = self._read_json("extract_counts.json")
         clustering = self._read_json("clustering_summary.json")
@@ -750,8 +760,8 @@ class Pipeline:
         )
         return {
             "run_report.json": _json_dumps(report.to_dict()),
-            "report.md": render_report(report, tested, relevance_rows, appendix,
-                                       stats_summary.get("untested", {})),
+            "report.md": freport.render_report(report, tested, relevance_rows, appendix,
+                                               stats_summary.get("untested", {})),
         }
 
 
@@ -770,9 +780,9 @@ def export_dataset(config: PipelineConfig, stage: str, dest: str | Path) -> list
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    out = Path(config.output_dir)
+    pipeline = Pipeline(config)
     try:
-        outputs = json.loads((out / _manifest(stage)).read_bytes())["outputs"]
+        outputs = pipeline._sealed(stage)["outputs"]
     except FileNotFoundError:
         raise MissingCheckpointError(f"stage {stage!r} has no checkpoint") from None
     except (ValueError, KeyError, TypeError):
@@ -780,14 +790,11 @@ def export_dataset(config: PipelineConfig, stage: str, dest: str | Path) -> list
     if not isinstance(outputs, dict):
         raise MissingCheckpointError(f"stage {stage!r} has a checkpoint that seals no outputs")
     contents = {}
-    for name in STAGE_ARTIFACTS[stage]:
-        try:
-            contents[name] = (out / name).read_bytes()
-        except FileNotFoundError:
-            contents[name] = None
-        if _digest(contents[name]) != outputs.get(name):
+    for name, data, digest in pipeline._files(STAGE_ARTIFACTS[stage]):
+        if data is None or digest != outputs.get(name):
             raise MissingCheckpointError(
                 f"{name} no longer matches the {stage!r} checkpoint; rerun the stage")
+        contents[name] = data
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     copied = []

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from fixscope.diffing import indented_json
-from fixscope.pipeline import RunReport
+
+if TYPE_CHECKING:  # the pipeline imports this module, and calls it at run time
+    from fixscope.pipeline import RunReport
 
 CHECK = "✓"
 

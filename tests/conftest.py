@@ -12,7 +12,7 @@ from fixscope.diffing import (
     build_diff_ast,
     extract_hunks,
     hunk_to_dict,
-    untouched_tests,
+    line_maps,
 )
 from fixscope.grammar import parse_source
 
@@ -40,10 +40,10 @@ def pytest_terminal_summary(terminalreporter):
 def diff_texts(before: str, after: str, change_id="chg", path="a.py", stubs=False):
     """The diff tree of two texts; with ``stubs``, statements on lines the
     script leaves untouched parse as stubs, as the extract stage does."""
-    script = align_versions(before, after)
-    untouched = untouched_tests(script, before, after) if stubs else (None, None)
-    return build_diff_ast(parse_source(before, untouched[0]), parse_source(after, untouched[1]),
-                          script, change_id=change_id, path=path)
+    tables = line_maps(align_versions(before, after), before, after)
+    tests = [table.stub_test if stubs else None for table in tables]
+    return build_diff_ast(parse_source(before, tests[0]), parse_source(after, tests[1]),
+                          tables, change_id=change_id, path=path)
 
 
 def file_hunks(before: str, after: str, stubs: bool):

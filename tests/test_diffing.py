@@ -14,13 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from fixscope.diffing import (
     ChangeLabel,
     EditBlock,
-    _line_maps,
     _myers_matches,
     align_versions,
     build_diff_ast,
     dump_enhanced_ast,
     extract_hunks,
-    untouched_tests,
+    line_maps,
 )
 from fixscope.grammar import AstNode, StubNode, parse_source
 from fixscope.ingest import FilePair
@@ -414,7 +413,7 @@ class TestUntouchedTests:
         before, after = "a\nb\nc\n", "a\nb\nX\nc\n"
         script = align_versions(before, after)
         assert script == [EditBlock(3, 3, 3, 4)]
-        before_test, after_test = untouched_tests(script, before, after)
+        before_test, after_test = [table.stub_test for table in line_maps(script, before, after)]
         assert before_test(1, 2) and before_test(3, 3)
         assert not before_test(2, 3)
         assert after_test(1, 2) and after_test(4, 4)
@@ -425,8 +424,8 @@ class TestUntouchedTests:
         for before, after in (("a\nb\nc\n", "a\nb\r\nc\n"), ("a\nb\rc\n", "a\nb\nc\r\n"),
                               ("a\nb\n", "a\nb")):
             assert align_versions(before, after) == []
-            for test in untouched_tests([], before, after):
-                assert test(1, 2) and test(2, 2)
+            for table in line_maps([], before, after):
+                assert table.stub_test(1, 2) and table.stub_test(2, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from("pqr"), min_size=1, max_size=10),
@@ -435,7 +434,7 @@ class TestUntouchedTests:
     @example(list("pq"), list("pqx"))  # an insertion past the last line
     def test_untouched_is_the_brute_force_rule(self, a, b):
         script = align_versions("\n".join(a), "\n".join(b))
-        tables = _line_maps(script)
+        tables = line_maps(script, "\n".join(a), "\n".join(b))
         sides = ([(blk.b_start, blk.b_end) for blk in script],
                  [(blk.a_start, blk.a_end) for blk in script])
         for table, blocks, n in zip(tables, sides, (len(a), len(b))):
@@ -450,8 +449,10 @@ class TestUntouchedTests:
                     assert table.untouched(first, last) == expected, (script, first, last)
 
     def test_against_an_empty_version_there_is_no_test(self):
-        assert untouched_tests([EditBlock(1, 1, 1, 2)], "", "x = 1\n") == (None, None)
-        assert untouched_tests([EditBlock(1, 2, 1, 1)], "x = 1\n", "") == (None, None)
+        for script, before, after in (([EditBlock(1, 1, 1, 2)], "", "x = 1\n"),
+                                      ([EditBlock(1, 2, 1, 1)], "x = 1\n", "")):
+            assert [table.stub_test for table in line_maps(script, before, after)] == \
+                [None, None]
 
 
 class TestStubHazards:
@@ -508,8 +509,8 @@ class TestStubHazards:
                   "        if self:\n"
                   "            return 2\n")
         after = before.replace("class A", "class B")
-        parsed = parse_source(after, untouched_tests(align_versions(before, after),
-                                                     before, after)[1])
+        parsed = parse_source(after, line_maps(align_versions(before, after),
+                                               before, after)[1].stub_test)
         assert [type(node) for node in parsed.children[0].children] == [StubNode, StubNode]
         assert_stubs_agree(before, after)
         [doc], _contexts, _conflicts = file_hunks(before, after, stubs=True)
@@ -530,7 +531,8 @@ class TestStubHazards:
         # edit: the untouched `x = 1` pairs with it, so it is converted
         before = "y = 0\nx = 1; z = 2\n"
         after = "y = \\\nx = 1; z = 2\n"
-        before_test, after_test = untouched_tests(align_versions(before, after), before, after)
+        before_test, after_test = [
+            table.stub_test for table in line_maps(align_versions(before, after), before, after)]
         assert [type(n) for n in parse_source(before, before_test).children] == \
             [AstNode, StubNode, StubNode]
         assert [type(n) for n in parse_source(after, after_test).children] == \

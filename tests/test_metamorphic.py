@@ -34,6 +34,9 @@ FORM_FEED_BUDGET_S = 3.0
 TERMINATOR_CASES_PER_MODULE = 3
 FSTRING_TERMINATOR_CASES = 8
 TERMINATOR_BUDGET_S = 3.0
+LITERAL_CASES_PER_MODULE = 3
+FSTRING_LITERAL_CASES = 8
+LITERAL_BUDGET_S = 3.0
 
 
 def logical_line_ends(source: str) -> list[int]:
@@ -166,3 +169,55 @@ def test_line_terminator_edits_yield_no_hunks():
     elapsed = time.perf_counter() - started
     assert failed == []
     assert elapsed <= TERMINATOR_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"
+
+
+def literal_lines(source: str) -> list[int]:
+    """Line numbers (1-based) of the lines that end inside a string literal
+    and not after a backslash: blanks added at their end are text of the
+    literal, though the line diff keeps the line."""
+    lines = split_lines(source)
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sorted({line for tok in tokens if tok.type == tokenize.STRING
+                   for line in range(tok.start[0], tok.end[0])
+                   if not lines[line - 1].endswith("\\")})
+
+
+def trailing_blank_edit(source: str, rng: random.Random, lines_at: list[int]) -> str:
+    """``source`` with spaces or a tab added at the end of ``EDITS_PER_CASE``
+    seeded lines of ``lines_at`` (1-based)."""
+    lines = split_lines(source, keepends=True)
+    for line in rng.sample(lines_at, EDITS_PER_CASE):
+        text = lines[line - 1]
+        body = text.rstrip("\r\n")
+        lines[line - 1] = body + rng.choice((" ", "  ", "\t", " \t")) + text[len(body):]
+    return "".join(lines)
+
+
+def test_trailing_blanks_inside_literals_keep_their_str_hunks():
+    # a kept line whose trailing blanks changed inside a literal touches the
+    # statement that holds it: stubbed and fully converted trees agree, and
+    # every labeled root is the literal's Str
+    started = time.perf_counter()
+    cases = []
+    for module in LAYOUT_MODULES:
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        inside = literal_lines(source)
+        for seed in range(LITERAL_CASES_PER_MODULE):
+            rng = random.Random(f"{module.__name__}:{seed}")
+            cases.append((module.__name__, seed, source, trailing_blank_edit(source, rng, inside)))
+    fstrings = SEGMENT_SOURCES["multi-line"]
+    inside = literal_lines(fstrings)
+    for seed in range(FSTRING_LITERAL_CASES):
+        rng = random.Random(f"multi-line:{seed}")
+        cases.append(("multi-line", seed, fstrings, trailing_blank_edit(fstrings, rng, inside)))
+    failed = []
+    for name, seed, source, edited in cases:
+        assert edited != source
+        for old, new in ((source, edited), (edited, source)):
+            stubbed, full = (file_hunks(old, new, stubs=stubs) for stubs in (True, False))
+            kinds = [root["kind"] for doc in full[0] for root in doc["roots"]]
+            if stubbed != full or not kinds or set(kinds) != {"Str"}:
+                failed.append((name, seed, kinds))
+    elapsed = time.perf_counter() - started
+    assert failed == []
+    assert elapsed <= LITERAL_BUDGET_S, f"{elapsed:.2f} s for {len(cases)} cases"

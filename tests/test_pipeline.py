@@ -109,6 +109,10 @@ class TestConfig:
         ({"keywords": []}, "keywords is empty"),
         ({"keywords": ["fix", "null pointer"], "word_bounded": True}, "'null pointer'"),
         ({"keywords": ["fix-up"], "word_bounded": True, "case_sensitive": True}, "'fix-up'"),
+        # blank keywords: as substrings they match almost every message
+        ({"keywords": [""]}, "keyword '' is blank"),
+        ({"keywords": [" "]}, "keyword ' ' is blank"),
+        ({"keywords": ["bug", ""]}, "keyword '' is blank"),
     ])
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message) as err:
@@ -872,13 +876,12 @@ class TestStartUpImports:
         assert doc["on_import"] == []
         assert doc["after_fetch"] == []
 
-    def test_a_full_annotated_run_imports_only_the_report_module(self, small_corpus,
-                                                                 tmp_path):
-        # every module a run needs loads in set-up, outside the timed stages;
-        # report.py imports pipeline, so the report stage imports it lazily
+    def test_a_full_annotated_run_imports_no_new_module(self, small_corpus, tmp_path):
+        # every module a run needs loads in set-up, outside the timed stages,
+        # the report module included: it no longer imports the pipeline
         doc = run_python(ANNOTATED_RUN, small_corpus["repo"], str(tmp_path / "out"))
         assert doc["clusters"] and not doc["withheld"]
-        assert doc["new_modules"] == ["fixscope.report"]
+        assert doc["new_modules"] == []
 
 
 class TestCli:
@@ -984,7 +987,16 @@ class TestCli:
         manifest.write_text(json.dumps(sealed))
         assert cli_main(export + [str(tmp_path / "unsealed")]) == 2
         assert not (tmp_path / "unsealed").exists()
-        capsys.readouterr()
+        # a seal that names none of the artifacts, all of them gone: an
+        # absent file is never a match, though both digests read None
+        sealed["outputs"] = {}
+        manifest.write_text(json.dumps(sealed))
+        for name in ("feature_matrix.csv", "feature_vectors.jsonl", "context_matrix.csv",
+                     "context_vectors.jsonl"):
+            (out / name).unlink()
+        assert cli_main(export + [str(tmp_path / "gone")]) == 2
+        assert "no longer matches" in capsys.readouterr().err
+        assert not (tmp_path / "gone").exists()
 
     def test_weights_growing_with_depth_are_a_usage_error(self, small_corpus, tmp_path,
                                                           capsys):
@@ -1077,7 +1089,9 @@ class TestCli:
         ([], {"w_type": float("nan")}), ([], {"c": float("inf")}),
         ([], {"r": float("inf")}),
         # and keywords that can never match
-        ([], {"keywords": []}), ([], {"keywords": ["null pointer"], "word_bounded": True})])
+        ([], {"keywords": []}), ([], {"keywords": ["null pointer"], "word_bounded": True}),
+        # and a blank keyword, which would match almost every message
+        ([], {"keywords": ["bug", " "]})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"

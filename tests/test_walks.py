@@ -26,6 +26,7 @@ from fixscope.diffing import (
     extract_hunks,
     hunk_from_dict,
     hunk_to_dict,
+    line_maps,
 )
 from fixscope.grammar import UnsupportedConstructError, parse_source, tree_height
 from fixscope.ingest import GitSource
@@ -76,7 +77,8 @@ def assert_walks_agree(before_text: str, after_text: str) -> int:
     assert shape(before) == shape(ref_before)
     assert shape(after) == shape(ref_after)
     script = align_versions(before_text, after_text)
-    enhanced = build_diff_ast(before, after, script, change_id="chg", path="a.py")
+    enhanced = build_diff_ast(before, after, line_maps(script, before_text, after_text),
+                              change_id="chg", path="a.py")
     reference = reference_build_diff_ast(ref_before, ref_after, script,
                                          change_id="chg", path="a.py")
     assert dump_enhanced_ast(enhanced) == reference_dump_enhanced_ast(reference)
@@ -201,7 +203,7 @@ _LOW_LIMIT_CHAIN = """
 import json, sys
 from fixscope.context import extract_context
 from fixscope.diffing import (
-    align_versions, build_diff_ast, extract_hunks, hunk_from_dict, hunk_to_dict)
+    align_versions, build_diff_ast, extract_hunks, hunk_from_dict, hunk_to_dict, line_maps)
 from fixscope.features import hunk_feature_vector
 from fixscope.grammar import parse_source
 
@@ -211,7 +213,7 @@ terms[200] = "2"
 after = "x = " + " + ".join(terms) + "\\n"
 sys.setrecursionlimit(200)
 enhanced = build_diff_ast(parse_source(before), parse_source(after),
-                          align_versions(before, after))
+                          line_maps(align_versions(before, after), before, after))
 hunks = extract_hunks(enhanced)
 vectors = [hunk_feature_vector(hunk_from_dict(hunk_to_dict(hunk))).entries
            for hunk in hunks]

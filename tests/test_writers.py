@@ -1,5 +1,7 @@
 """One writer per artifact format: ``indented_json`` writes every ``.json``
-artifact and manifest, and ``pipeline._csv`` every CSV table."""
+artifact and manifest, and ``pipeline._csv`` every CSV table.  The same
+``ast`` scan of ``src/fixscope/`` holds two more jobs to one function
+each: building a file pair's line tables, and reading a stage manifest."""
 
 from __future__ import annotations
 
@@ -72,29 +74,76 @@ class TestIndentedJson:
             indented_json({"a": [{key: 1}]})
 
 
-def writer_calls(tree: ast.Module) -> list[tuple[str, str]]:
-    """(function, call) for each call that passes ``indent=`` or calls
-    ``csv.writer``, by the innermost function around it."""
+def calls_by_function(tree: ast.Module, classify) -> list[tuple[str, str]]:
+    """(function, what) for each call that ``classify`` names ``what`` (None
+    skips it), by the innermost function around the call."""
     found = []
     functions = [(node.name, node) for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        writes_csv = (isinstance(func, ast.Attribute) and func.attr == "writer"
-                      and isinstance(func.value, ast.Name) and func.value.id == "csv")
-        if writes_csv or any(kw.arg == "indent" for kw in node.keywords):
+        what = classify(node) if isinstance(node, ast.Call) else None
+        if what is not None:
             inside = [(fn.lineno, name) for name, fn in functions
                       if fn.lineno <= node.lineno <= fn.end_lineno]
-            found.append((max(inside)[1] if inside else "<module>",
-                          "csv.writer" if writes_csv else "indent="))
+            found.append((max(inside)[1] if inside else "<module>", what))
     return found
+
+
+def source_calls(classify, skip=()) -> dict[str, list[tuple[str, str]]]:
+    """``calls_by_function`` for each module of ``src/fixscope/`` but
+    ``skip``, keeping the modules where it found a call."""
+    calls = {path.stem: calls_by_function(ast.parse(path.read_text(encoding="utf-8")), classify)
+             for path in sorted(SRC.glob("*.py")) if path.stem not in skip}
+    return {module: found for module, found in calls.items() if found}
+
+
+def writer_call(call: ast.Call) -> str | None:
+    """A call that passes ``indent=`` or calls ``csv.writer``."""
+    func = call.func
+    if (isinstance(func, ast.Attribute) and func.attr == "writer"
+            and isinstance(func.value, ast.Name) and func.value.id == "csv"):
+        return "csv.writer"
+    return "indent=" if any(kw.arg == "indent" for kw in call.keywords) else None
+
+
+def callee(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def line_map_construction(call: ast.Call) -> str | None:
+    return "_LineMap" if callee(call) == "_LineMap" else None
+
+
+def manifest_read(call: ast.Call) -> str | None:
+    """A call that reads (``read*``, ``_read*``, ``open``, ``load*``) a
+    path made by ``_manifest`` or spelled with ``.manifest.json``."""
+    name = callee(call)
+    if not (name.lstrip("_").startswith(("read", "load")) or name == "open"):
+        return None
+    for node in ast.walk(call):
+        if ((isinstance(node, ast.Call) and callee(node) == "_manifest")
+                or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.endswith(".manifest.json"))):
+            return "manifest read"
+    return None
 
 
 def test_one_json_writer_and_one_csv_writer():
     # democorpus.py writes a corpus, not an artifact, with json.dumps
-    calls = {path.stem: writer_calls(ast.parse(path.read_text(encoding="utf-8")))
-             for path in sorted(SRC.glob("*.py")) if path.stem != "democorpus"}
-    assert {module: found for module, found in calls.items() if found} == {
+    assert source_calls(writer_call, skip=("democorpus",)) == {
         "pipeline": [("_csv", "csv.writer")]}
+
+
+def test_one_function_builds_the_line_tables():
+    # both tables of a file pair come from one sort of its edit script
+    found = source_calls(line_map_construction)
+    assert {(module, function) for module, calls in found.items()
+            for function, _what in calls} == {("diffing", "line_maps")}
+
+
+def test_one_function_reads_stage_manifests():
+    # the currency check and export read a manifest through the same method
+    found = source_calls(manifest_read)
+    assert {(module, function) for module, calls in found.items()
+            for function, _what in calls} == {("pipeline", "_sealed")}
