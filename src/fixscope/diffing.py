@@ -3,7 +3,7 @@
 The matcher is line-anchored: a minimal line-level edit script is computed
 first, then the two trees are joined from the root down by one rule.  At
 every joined pair, a before child joins the first not-yet-joined after
-sibling with the same key (kind, role, stripped text) and the same
+sibling with the same key (kind, role, text) and the same
 region: ``("in", k)`` for a node wholly inside edit block k, else the
 after-file line of the node's first kept line.  Every other before child
 becomes a ``Minus`` subtree root, every other after child a ``Plus``
@@ -286,7 +286,7 @@ def _backtrack(trace, d, k, a, b) -> list[tuple[int, int]]:
 
 
 def _key(node: AstNode) -> tuple[str, str | None, str]:
-    return (node.kind, node.role, node.text.strip())
+    return (node.kind, node.role, node.text)
 
 
 # --- one bisect table of edit blocks per side -------------------------------

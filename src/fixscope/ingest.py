@@ -81,29 +81,15 @@ class FilePair:
     change_id: str
 
 
-def keyword_filter(
-    message: str,
-    keywords: tuple[str, ...] = DEFAULT_KEYWORDS,
-    case_sensitive: bool = False,
-    word_bounded: bool = False,
-) -> bool:
-    """True when the message contains any keyword as a substring.
+def keyword_filter(message: str, keywords: tuple[str, ...] = DEFAULT_KEYWORDS) -> bool:
+    """True when the lowercased message contains some lowercased keyword.
 
     Substring matching deliberately catches inflections ("fixes",
     "failure"); it also yields a documented false-positive class
     ("dispatch" contains "patch"), accepted and left to manual triage.
     """
-    haystack = message if case_sensitive else message.lower()
-    # on str, \w is exactly str.isalnum() or "_"
-    tokens = set(re.findall(r"\w+", haystack)) if word_bounded else None
-    for keyword in keywords:
-        needle = keyword if case_sensitive else keyword.lower()
-        if word_bounded:
-            if needle in tokens:
-                return True
-        elif needle in haystack:
-            return True
-    return False
+    haystack = message.lower()
+    return any(keyword.lower() in haystack for keyword in keywords)
 
 
 def exclude_test_files(paths) -> list[str]:

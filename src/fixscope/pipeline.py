@@ -132,8 +132,6 @@ class PipelineConfig:
     after: str = ""
     before: str = ""
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
-    case_sensitive: bool = False
-    word_bounded: bool = False
     w_type: float = 1e15
     w_role: float = 1e15
     r: float = 10.0
@@ -176,20 +174,14 @@ class PipelineConfig:
                     and all(isinstance(item, str) for item in value)):
                 raise ValueError(f"{name} must be a list of strings, got {value!r}")
             setattr(self, name, tuple(value))
-        for name in ("case_sensitive", "word_bounded", "bonferroni"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):  # "no" would switch the option on
-                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.bonferroni, bool):  # "no" would switch it on
+            raise ValueError(f"bonferroni must be true or false, got {self.bonferroni!r}")
         if not self.keywords:
             raise ValueError("keywords is empty, so ingest would keep no change")
         for keyword in self.keywords:
             if not keyword.strip():  # as a substring it is in nearly every message
                 raise ValueError(f"keyword {keyword!r} is blank, so it would match "
                                  "almost any message")
-            # one that does not match a message made of itself matches none
-            if not keyword_filter(keyword, (keyword,), self.case_sensitive, self.word_bounded):
-                raise ValueError(f"keyword {keyword!r} can never match: under "
-                                 "word_bounded a keyword must be one word")
         # built here, so bad weights are a configuration error at load
         self.weights = WeightConfig(w_type=self.w_type, w_role=self.w_role,
                                     r=self.r, c=self.c)
@@ -502,9 +494,7 @@ class Pipeline:
         source = self._source
         records = source.fetch_merged_changes(cfg.projects, cfg.branches,
                                               cfg.after or None, cfg.before or None)
-        matched = [r for r in records
-                   if keyword_filter(r.message, cfg.keywords,
-                                     cfg.case_sensitive, cfg.word_bounded)]
+        matched = [r for r in records if keyword_filter(r.message, cfg.keywords)]
         counts = {"changes_total": len(records), "changes_matched": len(matched),
                   "files_total": 0, "files_retained": 0,
                   "files_fetched": 0, "files_missing": 0}

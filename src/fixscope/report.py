@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 from fixscope.diffing import indented_json
@@ -12,11 +13,17 @@ if TYPE_CHECKING:  # the pipeline imports this module, and calls it at run time
 CHECK = "✓"
 
 
+def _cell(value) -> str:
+    """``value`` as one table cell: a ``|`` would end the cell and a line
+    break the row, so the first is escaped and each break is a ``<br>``."""
+    return re.sub(r"\r\n?|\n", "<br>", str(value).replace("|", "\\|"))
+
+
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |",
+    lines = ["| " + " | ".join(map(_cell, header)) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        lines.append("| " + " | ".join(map(_cell, row)) + " |")
     return lines
 
 

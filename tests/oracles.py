@@ -375,20 +375,6 @@ def per_feature_relevance(groups, context_data, alpha=0.05,
                 cells[(category, gid)] = True
     return tested, records, cells
 
-def reference_word_tokens(text: str) -> set[str]:
-    """Maximal runs of characters that are ``str.isalnum()`` or ``_``:
-    the words ``keyword_filter(word_bounded=True)`` matches against."""
-    tokens = set()
-    word = []
-    for ch in text + " ":
-        if ch.isalnum() or ch == "_":
-            word.append(ch)
-        elif word:
-            tokens.add("".join(word))
-            word = []
-    return tokens
-
-
 class PerCommitGitSource:
     """Reference git source: ``git log`` for the commits, one ``git
     diff-tree`` per commit for its files and one ``git show`` per blob

@@ -479,6 +479,17 @@ class TestStubHazards:
         assert [[(root["kind"], root["text"]) for root in doc["roots"]] for doc in docs] == \
             [[("Str", "a\nb  \nc"), ("Str", "a\nb\nc")]]
 
+    @pytest.mark.parametrize("before, after", [
+        ('x = "  a"\n', 'x = "a"\n'),
+        ('x = """a\n  b\n"""\n', 'x = """a\n  b \n"""\n')])
+    def test_a_blank_edit_at_either_end_of_a_string_keeps_its_hunk(self, before, after):
+        # the join key holds the literal's text as it is, blanks included
+        for old, new in ((before, after), (after, before)):
+            for stubs in (True, False):
+                docs, _contexts, _conflicts = file_hunks(old, new, stubs=stubs)
+                assert [[(root["kind"], root["label"]) for root in doc["roots"]]
+                        for doc in docs] == [[("Str", "minus"), ("Str", "plus")]]
+
     def test_a_match_inside_an_untouched_function_still_skips_the_file(self):
         before = ("def f(x):\n"
                   "    match x:\n"

@@ -44,38 +44,6 @@ class TestKeywordFilter:
     def test_inflections_match(self):
         assert keyword_filter("fixes the failure path")
 
-    def test_case_sensitive_toggle(self):
-        assert not keyword_filter("Fix it", case_sensitive=True)
-        assert keyword_filter("please fix it", case_sensitive=True)
-
-    def test_word_bounded_toggle(self):
-        assert not keyword_filter("dispatch events correctly", word_bounded=True)
-        assert keyword_filter("apply the patch now", word_bounded=True)
-        # a keyword of two words, or with a hyphen, is no token: the config
-        # refuses it under word_bounded
-        for keyword, message in (("null pointer", "Fix the null pointer in x"),
-                                 ("fix-up", "a fix-up of the parser")):
-            assert not keyword_filter(message, (keyword,), word_bounded=True)
-            assert keyword_filter(message, (keyword,))
-
-    @pytest.mark.parametrize("message", [
-        "Fix the scheduler_race, bug #12!",
-        "naïve Ünicode fix: ÆØÅ straße",
-        "修复 bug in кэш",
-        "digits ٣٤ and ²³ and Ⅻ fix",
-        "e\u0301 fix\u0301 \u0301fix cafe\u0301",
-        "İstanbul fix",
-        "__init__ fix_ _ x_1",
-        "tab\tnew\nline\u00a0nbsp\u200dzwj fix",
-    ])
-    def test_word_bounded_tokens_match_the_reference_loop(self, message):
-        # ASCII, non-ASCII letters and digits, "_" and combining marks
-        tokens = oracles.reference_word_tokens(message.lower())
-        candidates = tokens | set(message.lower().split()) | {"fix", "bug"}
-        for keyword in sorted(candidates):
-            assert keyword_filter(message, (keyword,), word_bounded=True) == \
-                (keyword in tokens), keyword
-
     def test_enlarging_keywords_is_monotone(self):
         messages = ["Fix a bug", "improve logging", "handle fault", "cleanup"]
         small = {m for m in messages if keyword_filter(m, keywords=("bug", "fix"))}

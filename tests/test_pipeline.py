@@ -9,8 +9,10 @@ import json
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,12 +32,17 @@ from fixscope.pipeline import (
     MissingCheckpointError,
     Pipeline,
     PipelineConfig,
+    RunReport,
     StageError,
+    _parse_annotations,
     export_dataset,
     extract_file,
     run_pipeline,
 )
+from fixscope.report import render_report
 from fixscope.stats import dunn_test
+
+IRRELEVANT_HISTORY_BUDGET_S = 20.0  # copy, three commits and two cold runs
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +101,9 @@ class TestConfig:
         ({"keywords": "bug"}, "keywords"), ({"test_markers": "tests"}, "test_markers"),
         ({"projects": "nova"}, "projects"), ({"branches": "master"}, "branches"),
         ({"keywords": ["bug", 1]}, "keywords"), ({"branches": None}, "branches"),
-        ({"bonferroni": "no"}, "bonferroni"), ({"case_sensitive": "false"}, "case_sensitive"),
+        ({"bonferroni": "no"}, "bonferroni"),
         # a removed key, rejected as unknown whatever its value
+        ({"case_sensitive": "false"}, "case_sensitive"),
         ({"merges_only": False}, "merges_only"), ({"word_bounded": None}, "word_bounded"),
         # a path, endpoint or date that is no string, and a bool for a number
         ({"source_path": 5}, "source_path"), ({"endpoint": None}, "endpoint"),
@@ -105,11 +113,11 @@ class TestConfig:
         ({"inconsistency_depth": True}, "inconsistency_depth"),
         ({"cutoff": True}, "cutoff"),
         ({"source_mode": "svn"}, "source_mode 'svn'"),
-        # keywords that can never match: ingest would keep no change
+        # no keywords: ingest would keep no change
         ({"keywords": []}, "keywords is empty"),
-        ({"keywords": ["fix", "null pointer"], "word_bounded": True}, "'null pointer'"),
-        ({"keywords": ["fix-up"], "word_bounded": True, "case_sensitive": True}, "'fix-up'"),
         # blank keywords: as substrings they match almost every message
+        ({"keywords": ["\t"]}, r"keyword '\\t' is blank"),
+        ({"keywords": ["fix", "\r\n"]}, r"keyword '\\r\\n' is blank"),
         ({"keywords": [""]}, "keyword '' is blank"),
         ({"keywords": [" "]}, "keyword ' ' is blank"),
         ({"keywords": ["bug", ""]}, "keyword '' is blank"),
@@ -117,7 +125,8 @@ class TestConfig:
     def test_bad_values_rejected_at_load(self, doc, message):
         with pytest.raises(ValueError, match=message) as err:
             PipelineConfig.from_dict(doc)
-        # a removed key (merges_only, test_markers) is rejected as unknown
+        # a removed key (case_sensitive, merges_only, test_markers,
+        # word_bounded) is rejected as unknown
         if not set(doc) <= {f.name for f in dataclasses.fields(PipelineConfig)}:
             assert str(err.value).startswith("unknown config keys")
 
@@ -125,8 +134,7 @@ class TestConfig:
         for doc in ({"control_mode": "inclusive"}, {"alpha": 0.999}, {"alpha": 1e-9},
                     {"version": "1"}, {"inconsistency_depth": 1}, {"min_cluster_size": 1},
                     {"cutoff": None}, {"cutoff": 0}, {"cutoff": 1.15},
-                    {"bonferroni": True}, {"keywords": ["null pointer", "fix-up"]},
-                    {"keywords": ["fix_up", "bug2"], "word_bounded": True}):
+                    {"bonferroni": True}, {"keywords": ["null pointer", "fix-up"]}):
             PipelineConfig.from_dict(doc)
 
     def test_lists_from_config_json_load_as_tuples(self):
@@ -140,10 +148,9 @@ class TestConfig:
         # changes every manifest, so it must be added here on purpose
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
             "version", "source_mode", "source_path", "endpoint", "projects",
-            "branches", "after", "before", "keywords", "case_sensitive",
-            "word_bounded", "w_type", "w_role", "r", "c", "inconsistency_depth",
-            "min_cluster_size", "cutoff", "alpha", "control_mode", "bonferroni",
-            "output_dir", "cache_dir"]
+            "branches", "after", "before", "keywords", "w_type", "w_role",
+            "r", "c", "inconsistency_depth", "min_cluster_size", "cutoff", "alpha",
+            "control_mode", "bonferroni", "output_dir", "cache_dir"]
 
 
 class TestDemoCorpus:
@@ -567,6 +574,38 @@ class TestDeterminism:
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
 
+    def test_keyword_less_history_changes_only_the_scan_count(self, small_corpus,
+                                                              tmp_path):
+        # a relation: commits the message filter drops reach no artifact
+        # past the count of scanned changes
+        start = time.perf_counter()
+        repo = tmp_path / "repo"
+        shutil.copytree(small_corpus["repo"], repo)  # the shared fixture stays as is
+        env = dict(os.environ, GIT_AUTHOR_NAME="demo", GIT_AUTHOR_EMAIL="demo@example.org",
+                   GIT_COMMITTER_NAME="demo", GIT_COMMITTER_EMAIL="demo@example.org",
+                   GIT_AUTHOR_DATE="2018-03-01T00:00:00Z",
+                   GIT_COMMITTER_DATE="2018-03-01T00:00:00Z")
+        messages = ("Add a retry helper", "Document the scheduler options",
+                    "Move constants into their own module")
+        for i, message in enumerate(messages):
+            (repo / "service" / f"later_{i}.py").write_text(f"LATER_{i} = {i}\n")
+            for args in (["add", "-A"], ["commit", "-q", "-m", message]):
+                subprocess.run(["git", "-C", str(repo), *args], check=True, env=env)
+        outs = []
+        for name, source in (("old", small_corpus["repo"]), ("new", str(repo))):
+            out = tmp_path / name
+            run_pipeline(small_config(small_corpus, out, source_path=source))
+            outs.append(out)
+        old, new = outs
+        compared = [name for stage in ("ingest", "extract", "features", "cluster", "stats")
+                    for name in STAGE_ARTIFACTS[stage] if name != "ingest_counts.json"]
+        for name in compared:
+            assert (old / name).read_bytes() == (new / name).read_bytes(), name
+        counts = json.loads((old / "ingest_counts.json").read_text())
+        assert json.loads((new / "ingest_counts.json").read_text()) == \
+            {**counts, "changes_total": counts["changes_total"] + 3}
+        assert time.perf_counter() - start < IRRELEVANT_HISTORY_BUDGET_S
+
 
 class TestAnnotationsAndStats:
     def test_unannotated_run_withholds_relevance(self, completed_run):
@@ -769,6 +808,19 @@ class TestReportReads:
         with (out / "relevance_long.csv").open(newline="") as handle:
             expected = [row for row in csv.DictReader(handle) if row["relevant"] == "yes"]
         assert expected and appendices == [expected]
+
+    def test_a_description_with_a_bar_or_line_breaks_keeps_its_table_row(self):
+        annotations = _parse_annotations('cluster_id,label,description\n'
+                                         '7,BUG-FIX,"guard a|b\nsecond line"\n'
+                                         '8,REFACTORING,"one\r\ntwo\rthree|"\n')
+        report = RunReport(clusters=[{"id": cid, "size": 3, **entry}
+                                     for cid, entry in annotations.items()])
+        rendered = render_report(report, [], [], [], {})
+        table = rendered.split("## Clusters\n\n")[1].split("\n\n")[0].splitlines()
+        assert table == ["| cluster | size | triage | description |",
+                         "| --- | --- | --- | --- |",
+                         "| 7 | 3 | BUG-FIX | guard a\\|b<br>second line |",
+                         "| 8 | 3 | REFACTORING | one<br>two<br>three\\| |"]
 
 
 def run_python(code: str, *args: str, paths=()) -> dict:
@@ -1088,10 +1140,12 @@ class TestCli:
         # and weights that are no finite number
         ([], {"w_type": float("nan")}), ([], {"c": float("inf")}),
         ([], {"r": float("inf")}),
-        # and keywords that can never match
-        ([], {"keywords": []}), ([], {"keywords": ["null pointer"], "word_bounded": True}),
+        # and no keywords, and a removed key
+        ([], {"keywords": []}), ([], {"word_bounded": True}),
         # and a blank keyword, which would match almost every message
-        ([], {"keywords": ["bug", " "]})])
+        ([], {"keywords": ["bug", " "]}),
+        # and the other removed key
+        ([], {"case_sensitive": False})])
     def test_bad_config_values_are_a_usage_error(self, small_corpus, tmp_path, capsys,
                                                  args, doc):
         out = tmp_path / "out"
@@ -1099,7 +1153,11 @@ class TestCli:
         config_path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(config_path), "--source",
                          small_corpus["repo"], "--out", str(out)] + args) == 1
-        assert "bad configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad configuration" in err
+        if isinstance(doc, dict) and not set(doc) <= {
+                f.name for f in dataclasses.fields(PipelineConfig)}:
+            assert "unknown config keys" in err
         assert not out.exists()
 
     def test_full_run_and_sample(self, small_corpus, tmp_path, capsys):
