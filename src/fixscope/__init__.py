@@ -8,30 +8,3 @@ nonparametric statistics over context features.
 """
 
 __version__ = "0.1.0"
-
-from fixscope.grammar import (  # noqa: F401
-    AstNode,
-    SourceSpan,
-    parse_source,
-    node_role,
-    tree_height,
-)
-from fixscope.diffing import (  # noqa: F401
-    ChangeLabel,
-    EnhancedAst,
-    Hunk,
-    align_versions,
-    build_diff_ast,
-    extract_hunks,
-)
-from fixscope.features import (  # noqa: F401
-    WeightConfig,
-    FeatureVector,
-    FeatureMatrix,
-    hunk_feature_vector,
-    assemble_matrix,
-)
-from fixscope.context import (  # noqa: F401
-    categorize,
-    extract_context,
-)

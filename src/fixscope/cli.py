@@ -22,6 +22,7 @@ from fixscope.pipeline import (
     PipelineConfig,
     StageError,
     export_dataset,
+    run_pipeline,
 )
 
 USAGE_EXIT = 1
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            report = Pipeline(config).run(force=args.force)
+            report = run_pipeline(config, force=args.force)
             print(f"run complete: {report.counts.get('hunks', 0)} hunks, "
                   f"{len(report.clusters)} clusters; report at "
                   f"{Path(config.output_dir) / 'report.md'}")

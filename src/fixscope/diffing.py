@@ -68,7 +68,6 @@ __all__ = [
     "line_maps",
     "build_diff_ast",
     "extract_hunks",
-    "dump_enhanced_ast",
     "indented_json",
     "diff_node_to_dict",
     "diff_node_from_dict",
@@ -151,10 +150,6 @@ class EnhancedAst:
         """Maximal Plus/Minus subtree roots in document order, each with
         its chain of unchanged ancestors, nearest first."""
         return _chained_roots(self.root)
-
-    def labeled_roots(self) -> list[DiffNode]:
-        """Maximal Plus/Minus subtree roots in document order."""
-        return [root for root, _chain in self.chained_roots()]
 
 
 def _chained_roots(root: DiffNode) -> list[tuple[DiffNode, tuple[DiffNode, ...]]]:
@@ -573,7 +568,7 @@ def _common_chain(chains: list[tuple[DiffNode, ...]]) -> tuple[DiffNode, ...]:
     return shortest[-shared:] if shared else ()
 
 
-# --- debug dump --------------------------------------------------------------
+# --- serialization -----------------------------------------------------------
 
 
 def diff_node_to_dict(node: DiffNode) -> dict:
@@ -659,14 +654,3 @@ def indented_json(doc) -> str:
             stack.pop()
     return "".join(parts)
 
-
-def dump_enhanced_ast(enhanced: EnhancedAst) -> str:
-    """One JSON document with the labeled tree, for golden tests; any
-    depth of tree dumps, since no step recurses."""
-    doc = {
-        "change_id": enhanced.change_id,
-        "path": enhanced.path,
-        "conflicts": enhanced.conflicts,
-        "tree": diff_node_to_dict(enhanced.root),
-    }
-    return indented_json(doc)

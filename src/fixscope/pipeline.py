@@ -430,8 +430,8 @@ class Pipeline:
 
     # -- driving
 
-    def run(self, stages: tuple[str, ...] = STAGES, force: bool = False) -> RunReport:
-        for stage in stages:
+    def run(self, force: bool = False) -> RunReport:
+        for stage in STAGES:
             self.run_stage(stage, force=force)
         doc = self._read_json("run_report.json", missing_ok=True)
         if doc is None:

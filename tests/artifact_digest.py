@@ -7,7 +7,10 @@ when an earlier run left them there:
 - ``demo-s1`` .. ``demo-s3``: the benchmark's demo corpora for seeds 1-3
   (``family_size=30``, ``noise_count=76 + seed % 9``);
 - ``bigfile-s1`` and ``recluster-s1``: the benchmark's generated corpora
-  for seed 1 (``bench/gencorpus.py``).
+  for seed 1 (``bench/gencorpus.py``);
+- ``self-d1d1ae4``: this repository's own history up to ``d1d1ae4``,
+  cloned from ``tests/data/self-d1d1ae4.bundle``, scanned on its one
+  branch.
 
 It then runs the pipeline on each into an emptied ``DIR/out/<corpus>``
 as the benchmark's ops do: a full run at the benchmark's config, and for
@@ -45,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gencorpus  # noqa: E402
 import workloads  # noqa: E402
+from conftest import SELF_BRANCH, clone_self_history  # noqa: E402
 from fixscope.democorpus import build_demo_corpus  # noqa: E402
 from fixscope.pipeline import Pipeline, PipelineConfig, run_pipeline  # noqa: E402
 
@@ -75,9 +79,13 @@ def full_run(repo: Path, out: Path):
 
 def recluster_run(repo: Path, out: Path):
     cfg = config(repo, out, min_cluster_size=workloads.RECLUSTER_MIN_SIZE)
-    Pipeline(cfg).run(("ingest", "extract", "features", "cluster"))
+    pipeline = Pipeline(cfg)
+    for stage in ("ingest", "extract", "features", "cluster"):
+        pipeline.run_stage(stage)
     workloads.annotate_bugfix(out, workloads.RECLUSTER_BUGFIX)
-    Pipeline(cfg).run(("cluster", "stats", "report"), force=True)
+    pipeline = Pipeline(cfg)
+    for stage in ("cluster", "stats", "report"):
+        pipeline.run_stage(stage, force=True)
 
 
 def main() -> None:
@@ -98,7 +106,9 @@ def main() -> None:
                                     noise_count=76 + seed % 9), full_run)
              for seed in DEMO_SEEDS]
     runs += [(f"bigfile-s{SEED}", generated(workloads.BIGFILE), full_run),
-             (f"recluster-s{SEED}", generated(workloads.RECLUSTER), recluster_run)]
+             (f"recluster-s{SEED}", generated(workloads.RECLUSTER), recluster_run),
+             (SELF_BRANCH, lambda root: clone_self_history(root / "repo"),
+              lambda repo, out: run_pipeline(config(repo, out, branches=[SELF_BRANCH])))]
     for name, build, run in runs:
         repo = corpus(work, name, build)
         out = work / "out" / name

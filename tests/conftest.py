@@ -3,6 +3,12 @@ acceptance-criterion summary printed at the end of a run."""
 
 from __future__ import annotations
 
+import json
+import logging
+import subprocess
+from pathlib import Path
+from typing import NamedTuple
+
 import pytest
 
 from fixscope.context import extract_context
@@ -10,11 +16,19 @@ from fixscope.democorpus import build_demo_corpus
 from fixscope.diffing import (
     align_versions,
     build_diff_ast,
+    diff_node_to_dict,
     extract_hunks,
     hunk_to_dict,
+    indented_json,
     line_maps,
 )
 from fixscope.grammar import parse_source
+from fixscope.ingest import ChangeRecord, GitSource
+from fixscope.pipeline import Pipeline, PipelineConfig
+
+# this repository's own history up to d1d1ae4, as one branch of a git bundle
+SELF_BUNDLE = Path(__file__).parent / "data" / "self-d1d1ae4.bundle"
+SELF_BRANCH = "self-d1d1ae4"
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -23,6 +37,53 @@ ACCEPTANCE_LINES: list[str] = []
 def demo_corpus(tmp_path_factory):
     """The default demo corpus, built once; tests only read it."""
     return build_demo_corpus(tmp_path_factory.mktemp("demo-corpus"))
+
+
+class SelfHistory(NamedTuple):
+    config: PipelineConfig  # ingest and extract have run into its output_dir
+    pairs: list  # the FilePair of each file the matched changes retained
+    warnings: list[str]  # what the two stages logged at WARNING
+
+
+def clone_self_history(dest: Path) -> Path:
+    """Clone the bundled history into ``dest``; returns ``dest``."""
+    subprocess.run(["git", "clone", "-q", "--branch", SELF_BRANCH, str(SELF_BUNDLE),
+                    str(dest)], check=True, capture_output=True)
+    return dest
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@pytest.fixture(scope="session")
+def self_history(tmp_path_factory):
+    """This repository's history cloned once, with ingest and extract run
+    on its pinned branch; tests only read it."""
+    root = tmp_path_factory.mktemp("self-history")
+    config = PipelineConfig(source_path=str(clone_self_history(root / "repo")),
+                            branches=(SELF_BRANCH,), output_dir=str(root / "out"))
+    warnings = _Warnings()
+    logger = logging.getLogger("fixscope")
+    logger.addHandler(warnings)
+    try:
+        pipeline = Pipeline(config)
+        for stage in ("ingest", "extract"):
+            pipeline.run_stage(stage)
+    finally:
+        logger.removeHandler(warnings)
+    changes = (root / "out" / "changes.jsonl").read_text().splitlines()
+    items = []
+    for change in map(json.loads, changes):
+        record = ChangeRecord(**{**change, "files": tuple(change["files"])})
+        items.extend((record, path) for path in record.files)
+    return SelfHistory(config, list(GitSource(config.source_path).file_pairs(items)),
+                       warnings.messages)
 
 
 def record_acceptance(line: str):
@@ -44,6 +105,23 @@ def diff_texts(before: str, after: str, change_id="chg", path="a.py", stubs=Fals
     tests = [table.stub_test if stubs else None for table in tables]
     return build_diff_ast(parse_source(before, tests[0]), parse_source(after, tests[1]),
                           tables, change_id=change_id, path=path)
+
+
+def labeled_roots(enhanced):
+    """Maximal Plus/Minus subtree roots in document order."""
+    return [root for root, _chain in enhanced.chained_roots()]
+
+
+def dump_enhanced_ast(enhanced) -> str:
+    """One JSON document with the labeled tree, for golden tests; any
+    depth of tree dumps, since no step recurses."""
+    doc = {
+        "change_id": enhanced.change_id,
+        "path": enhanced.path,
+        "conflicts": enhanced.conflicts,
+        "tree": diff_node_to_dict(enhanced.root),
+    }
+    return indented_json(doc)
 
 
 def file_hunks(before: str, after: str, stubs: bool):

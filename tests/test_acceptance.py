@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import diff_texts, record_acceptance, single_hunk
+from conftest import diff_texts, labeled_roots, record_acceptance, single_hunk
 from test_properties import edit_case, fingerprints
 
 from fixscope.cluster import (
@@ -189,7 +189,7 @@ class TestCriterion4HunkRuleProperties:
                 forward = diff_texts(before, after)
                 hunks = extract_hunks(forward)
 
-                roots = forward.labeled_roots()
+                roots = labeled_roots(forward)
                 assigned = [r for h in hunks for r in h.labeled_roots]
                 assert len(assigned) == len(roots)
                 assert {id(r) for r in assigned} == {id(r) for r in roots}

@@ -17,7 +17,6 @@ from fixscope.diffing import (
     _myers_matches,
     align_versions,
     build_diff_ast,
-    dump_enhanced_ast,
     extract_hunks,
     line_maps,
 )
@@ -25,7 +24,13 @@ from fixscope.grammar import AstNode, StubNode, parse_source
 from fixscope.ingest import FilePair
 from fixscope.pipeline import extract_file
 
-from conftest import assert_stubs_agree, diff_texts, file_hunks
+from conftest import (
+    assert_stubs_agree,
+    diff_texts,
+    dump_enhanced_ast,
+    file_hunks,
+    labeled_roots,
+)
 from oracles import reference_myers_matches
 from test_properties import shape
 
@@ -159,8 +164,8 @@ class TestBuildDiffAst:
             """
         )
         enhanced = diff_texts(before, after)
-        plus_roots = [r for r in enhanced.labeled_roots() if r.label is ChangeLabel.PLUS]
-        minus_roots = [r for r in enhanced.labeled_roots() if r.label is ChangeLabel.MINUS]
+        plus_roots = [r for r in labeled_roots(enhanced) if r.label is ChangeLabel.PLUS]
+        minus_roots = [r for r in labeled_roots(enhanced) if r.label is ChangeLabel.MINUS]
         assert [r.kind for r in plus_roots] == ["If"]
         assert [r.kind for r in minus_roots] == ["Assign"]
         # descendants inherit the insertion label, including the x = 0 copy
@@ -174,7 +179,7 @@ class TestBuildDiffAst:
         after = ('class DiskFilter(BaseHostFilter):\n    """doc."""\n'
                  '    RUN_ON_REBUILD = False\n')
         enhanced = diff_texts(before, after)
-        roots = enhanced.labeled_roots()
+        roots = labeled_roots(enhanced)
         assert len(roots) == 1
         root = roots[0]
         assert (root.kind, root.label) == ("Assign", ChangeLabel.PLUS)
@@ -187,14 +192,14 @@ class TestBuildDiffAst:
         before = "r = self.post(url, payload)\n"
         after = "r = self.post(url, payload, global_request_id=context.global_id)\n"
         enhanced = diff_texts(before, after)
-        roots = enhanced.labeled_roots()
+        roots = labeled_roots(enhanced)
         assert [(r.kind, r.label) for r in roots] == [("keyword", ChangeLabel.PLUS)]
         ((_root, chain),) = enhanced.chained_roots()
         assert chain[0].kind == "Call"
 
     def test_modified_node_becomes_minus_plus_pair(self):
         enhanced = diff_texts("x = compute(a)\n", "x = compute(b)\n")
-        roots = enhanced.labeled_roots()
+        roots = labeled_roots(enhanced)
         kinds = sorted((r.kind, r.text, r.label.value) for r in roots)
         assert kinds == [("Name", "a", "minus"), ("Name", "b", "plus")]
 
@@ -210,7 +215,7 @@ class TestBuildDiffAst:
 
     def test_whitespace_only_edit_yields_no_labels(self):
         enhanced = diff_texts("x = 1\ny = 2\n", "x = 1\n\ny = 2\n")
-        assert enhanced.labeled_roots() == []
+        assert labeled_roots(enhanced) == []
 
     def test_golden_dump(self):
         enhanced = diff_texts("x = 1\n", "x = 2\n", change_id="123", path="m.py")

@@ -640,7 +640,9 @@ class TestGitSourceParity:
         repo = repo[0] if isinstance(repo, tuple) else repo
         config = PipelineConfig(source_path=str(repo), output_dir=str(tmp_path / "out"))
         names = ("hunks.jsonl", "extract_counts.json", "extract.manifest.json")
-        Pipeline(config).run(("ingest", "extract"))
+        pipeline = Pipeline(config)
+        for stage in ("ingest", "extract"):
+            pipeline.run_stage(stage)
         cold = [(tmp_path / "out" / name).read_bytes() for name in names]
         counter = CountingSubprocess(monkeypatch)
         Pipeline(config).run_stage("extract", force=True)
@@ -659,7 +661,9 @@ class TestGitSourceParity:
         repo = request.getfixturevalue(fixture)
         repo = repo[0] if isinstance(repo, tuple) else repo
         config = PipelineConfig(source_path=str(repo), output_dir=str(tmp_path / "out"))
-        Pipeline(config).run(("ingest", "extract"))
+        pipeline = Pipeline(config)
+        for stage in ("ingest", "extract"):
+            pipeline.run_stage(stage)
         changes = tmp_path / "out" / "changes.jsonl"
         first = next(change for change in map(json.loads, changes.read_text().splitlines())
                      if change["files"])

@@ -921,7 +921,18 @@ print(json.dumps({"new_modules": sorted(set(sys.modules) - before),
 """
 
 
+TREE_MODULES = """
+import json, sys
+import fixscope.grammar, fixscope.diffing
+print(json.dumps({"numpy": "numpy" in sys.modules}))
+"""
+
+
 class TestStartUpImports:
+    def test_the_tree_modules_load_no_numpy(self):
+        # tests/interp_digest.py runs them under interpreters that may lack it
+        assert run_python(TREE_MODULES) == {"numpy": False}
+
     def test_cli_and_injected_gerrit_transport_load_no_scipy_or_requests(self):
         doc = run_python(GERRIT_FETCH)
         assert doc["changes"] == 1 and doc["after_text"] == "x = 1\n"
@@ -1267,3 +1278,99 @@ class TestPublicNames:
             assert [n for n in names if not hasattr(module, n)] == [], module.__name__
             listed += len(names)
         assert listed
+
+
+CALL_PROFILE = """
+import csv, importlib, inspect, json, pkgutil, sys
+from pathlib import Path
+
+codes = set()
+
+
+def profile(frame, event, _arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+
+sys.setprofile(profile)
+import fixscope.cli
+
+repo, work = sys.argv[1], Path(sys.argv[2])
+out = str(work / "out")
+flags = ["--source", repo, "--out", out, "--min-size", "3"]
+main = fixscope.cli.main
+exits = [main(["run", *flags])]
+with open(work / "out" / "cluster_assignment.csv", newline="") as handle:
+    ids = sorted({row["cluster_id"] for row in csv.DictReader(handle) if row["cluster_id"]})
+(work / "triage.csv").write_text("cluster_id,label,description\\n" + "".join(
+    f"{cid},BUG-FIX,planted pattern\\n" for cid in ids))
+exits.append(main(["annotate", "--file", str(work / "triage.csv"), "--out", out]))
+exits.append(main(["run", *flags]))
+for stage in fixscope.cli.STAGES:
+    exits.append(main([stage, *flags, "--force"]))
+exits.append(main(["sample", "--cluster", ids[0], "--out", out]))
+exits.append(main(["export", "--stage", "cluster", "--dest", str(work / "export"),
+                   "--out", out]))
+try:
+    main(["sample", "--out", out])
+except SystemExit as exc:
+    exits.append(exc.code)
+sys.setprofile(None)
+
+
+def public_methods(cls):
+    for name, member in vars(cls).items():
+        if isinstance(member, (staticmethod, classmethod)):
+            member = member.__func__
+        elif isinstance(member, property):
+            member = member.fget
+        if not name.startswith("_") and inspect.isfunction(member):
+            yield name, member
+
+
+unreached = []
+for module in [fixscope, *(importlib.import_module(f"fixscope.{info.name}")
+                           for info in pkgutil.iter_modules(fixscope.__path__))]:
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue  # imported, not defined here
+        members = public_methods(value) if inspect.isclass(value) else [("", value)]
+        for attr, function in members:
+            function = inspect.unwrap(function)
+            if inspect.isfunction(function) and function.__code__ not in codes:
+                unreached.append(".".join(filter(None, (module.__name__, name, attr))))
+print(json.dumps({"exits": exits, "unreached": sorted(unreached), "clusters": len(ids)}))
+"""
+
+# what no verb reaches, and why it may stay; an entry names a function,
+# a class (its public methods) or a module (everything defined in it)
+UNREACHED_BY_VERBS = {
+    "fixscope.ingest.GerritSource": "the review source needs a network",
+    "fixscope.ingest.ContentCache": "it caches the review source's content",
+    # TestBenchmarkTracing pins the names bench/tracing.py wraps
+    "fixscope.cluster.single_linkage_rows": "bench/tracing.py wraps it by name",
+    "fixscope.cluster.cophenetic_coefficient_rows": "bench/tracing.py wraps it by name",
+    "fixscope.ingest.GitSource.fetch_file_pair": "bench/tracing.py wraps it by name",
+    "fixscope.stats.dunn_test": "bench/tracing.py wraps it by name",
+    "fixscope.democorpus": "bench/workloads.py hashes it, bench/worker.py imports it",
+}
+
+
+class TestEveryFunctionIsReached:
+    def test_the_verbs_call_every_function(self, small_corpus, tmp_path):
+        # the profile hook is set before the package is imported, so a
+        # function called at import time counts too; every module-level
+        # function is checked, and of a class its public methods
+        doc = run_python(CALL_PROFILE, small_corpus["repo"], str(tmp_path))
+        assert doc["clusters"] > 0
+        # run, annotate, a warm run, the six stages, sample and export
+        # succeed; sample without --cluster is a usage error
+        assert doc["exits"] == [0] * 11 + [1]
+
+        def entry(name):
+            return next((allowed for allowed in UNREACHED_BY_VERBS
+                         if name == allowed or name.startswith(allowed + ".")), None)
+
+        assert [name for name in doc["unreached"] if entry(name) is None] == []
+        # an entry that names only reached code is stale
+        assert set(map(entry, doc["unreached"])) == set(UNREACHED_BY_VERBS)

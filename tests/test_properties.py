@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fixscope.diffing import ChangeLabel
 from fixscope.grammar import parse_source
 
-from conftest import diff_texts
+from conftest import diff_texts, labeled_roots
 
 
 def unit_lines(index: int, shape: int) -> list[str]:
@@ -72,10 +72,6 @@ def moved_and_renamed_case(draw):
     return program(), program()
 
 
-def labeled_roots_of(enhanced):
-    return enhanced.labeled_roots()
-
-
 def shape(node, dropped=None):
     """``(kind, role, text, sorted children)`` of the tree under ``node``,
     without the subtrees labeled ``dropped``."""
@@ -117,7 +113,7 @@ class TestHunkRuleProperties:
         enhanced = diff_texts(before, after)
         from fixscope.diffing import extract_hunks
         hunks = extract_hunks(enhanced)
-        roots = labeled_roots_of(enhanced)
+        roots = labeled_roots(enhanced)
         assigned = [root for hunk in hunks for root in hunk.labeled_roots]
         assert len(assigned) == len(roots)
         assert {id(r) for r in assigned} == {id(r) for r in roots}

@@ -22,7 +22,6 @@ from fixscope.diffing import (
     build_diff_ast,
     diff_node_from_dict,
     diff_node_to_dict,
-    dump_enhanced_ast,
     extract_hunks,
     hunk_from_dict,
     hunk_to_dict,
@@ -31,7 +30,7 @@ from fixscope.diffing import (
 from fixscope.grammar import UnsupportedConstructError, parse_source, tree_height
 from fixscope.ingest import GitSource
 
-from conftest import assert_stubs_agree, diff_texts
+from conftest import assert_stubs_agree, diff_texts, dump_enhanced_ast
 from oracles import (
     reference_build_diff_ast,
     reference_diff_node_from_dict,
