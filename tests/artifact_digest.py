@@ -48,9 +48,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gencorpus  # noqa: E402
 import workloads  # noqa: E402
-from conftest import SELF_BRANCH, clone_self_history  # noqa: E402
 from fixscope.democorpus import build_demo_corpus  # noqa: E402
 from fixscope.pipeline import Pipeline, PipelineConfig, run_pipeline  # noqa: E402
+from self_bundle import SELF_BRANCH, clone_self_history  # noqa: E402
 
 SEED = 1  # of the bigfile and recluster corpora
 DEMO_SEEDS = (1, 2, 3)

@@ -5,30 +5,18 @@ from __future__ import annotations
 
 import json
 import logging
-import subprocess
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from fixscope.context import extract_context
 from fixscope.democorpus import build_demo_corpus
-from fixscope.diffing import (
-    align_versions,
-    build_diff_ast,
-    diff_node_to_dict,
-    extract_hunks,
-    hunk_to_dict,
-    indented_json,
-    line_maps,
-)
-from fixscope.grammar import parse_source
+from fixscope.diffing import diff_node_to_dict, extract_hunks, hunk_to_dict, indented_json
 from fixscope.ingest import ChangeRecord, GitSource
 from fixscope.pipeline import Pipeline, PipelineConfig
 
-# this repository's own history up to d1d1ae4, as one branch of a git bundle
-SELF_BUNDLE = Path(__file__).parent / "data" / "self-d1d1ae4.bundle"
-SELF_BRANCH = "self-d1d1ae4"
+from interp_digest import diff_texts
+from self_bundle import SELF_BRANCH, clone_self_history
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -43,13 +31,6 @@ class SelfHistory(NamedTuple):
     config: PipelineConfig  # ingest and extract have run into its output_dir
     pairs: list  # the FilePair of each file the matched changes retained
     warnings: list[str]  # what the two stages logged at WARNING
-
-
-def clone_self_history(dest: Path) -> Path:
-    """Clone the bundled history into ``dest``; returns ``dest``."""
-    subprocess.run(["git", "clone", "-q", "--branch", SELF_BRANCH, str(SELF_BUNDLE),
-                    str(dest)], check=True, capture_output=True)
-    return dest
 
 
 class _Warnings(logging.Handler):
@@ -96,15 +77,6 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
-
-
-def diff_texts(before: str, after: str, change_id="chg", path="a.py", stubs=False):
-    """The diff tree of two texts; with ``stubs``, statements on lines the
-    script leaves untouched parse as stubs, as the extract stage does."""
-    tables = line_maps(align_versions(before, after), before, after)
-    tests = [table.stub_test if stubs else None for table in tables]
-    return build_diff_ast(parse_source(before, tests[0]), parse_source(after, tests[1]),
-                          tables, change_id=change_id, path=path)
 
 
 def labeled_roots(enhanced):

@@ -3,14 +3,14 @@ the tests it names must catch that.
 
 Usage, from anywhere::
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
 The runner copies this checkout's ``src/`` to a temporary directory.  For
-each row (or each row named), it replaces the row's exact old text in its
+each row, it replaces the row's exact old text in its
 file with the new text, runs ``python -m pytest -x -q`` on the row's test
 ids with ``PYTHONPATH`` on the copy, and puts the file back.  A row is
 
-- ``killed`` when a named test fails, or the run outlasts the timeout;
+- ``killed`` when a named test fails, or the run outlasts ``TIMEOUT``;
 - ``survived`` when every named test passes;
 - ``stale`` when its old text no longer occurs exactly once in its file.
 
@@ -24,7 +24,6 @@ Reference: DeMillo, Lipton & Sayward, "Hints on test data selection"
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -36,6 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds a row's tests may take; a longer run counts as killed
 
 
 class Mutant(NamedTuple):
@@ -89,7 +89,7 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, tests, timeout: float) -> str:
+def run_tests(src: Path, tests) -> str:
     """``passed``, ``failed`` or ``timeout`` for the tests under ``src``,
     or ``error <exit status>`` when pytest could not run them."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -100,7 +100,7 @@ def run_tests(src: Path, tests, timeout: float) -> str:
     proc = subprocess.Popen(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        status = proc.wait(timeout=timeout)
+        status = proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -110,26 +110,17 @@ def run_tests(src: Path, tests, timeout: float) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("names", nargs="*", help="rows to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds a row's tests may take; a longer run counts as killed")
-    args = parser.parse_args()
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such rows: {sorted(unknown)}")
-    rows = [m for m in MUTANTS if not args.names or m.name in args.names]
     start = time.monotonic()
     bad = 0
     with tempfile.TemporaryDirectory(prefix="fixscope-mutants-") as work:
         src = Path(work) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        tests = sorted({test for m in rows for test in m.tests})
-        outcome = run_tests(src, tests, args.timeout)
+        tests = sorted({test for m in MUTANTS for test in m.tests})
+        outcome = run_tests(src, tests)
         print(f"unmutated: {outcome}", flush=True)
         if outcome != "passed":
             return 1
-        for mutant in rows:
+        for mutant in MUTANTS:
             path = src / mutant.file
             text = path.read_text(encoding="utf-8")
             if text.count(mutant.old) != 1:
@@ -137,14 +128,14 @@ def main() -> int:
             else:
                 path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
                 try:
-                    outcome = run_tests(src, mutant.tests, args.timeout)
+                    outcome = run_tests(src, mutant.tests)
                 finally:
                     path.write_text(text, encoding="utf-8")
                 verdict = {"failed": "killed", "timeout": "killed",
                            "passed": "survived"}.get(outcome, outcome)
             bad += verdict != "killed"
             print(f"{verdict}: {mutant.name}", flush=True)
-    print(f"{len(rows) - bad} of {len(rows)} killed in {time.monotonic() - start:.1f} s")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed in {time.monotonic() - start:.1f} s")
     return 1 if bad else 0
 
 

@@ -6,12 +6,15 @@ gives the same hunks."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import fixscope
 
 INTERP_DIGEST = Path(__file__).parent / "interp_digest.py"
 CLAIMED = ("3.10", "3.12", "3.13")  # beside the running one; requires-python >=3.10
@@ -53,7 +56,11 @@ class TestExtractGate:
 
 
 def interp_digest(python: str, pairs: Path) -> str:
-    done = subprocess.run([python, str(INTERP_DIGEST), str(pairs)],
+    # the package under test, not whatever src the script sits beside
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(fixscope.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([python, "-B", str(INTERP_DIGEST), str(pairs)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
