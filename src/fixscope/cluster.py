@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-# np.percentile imports numpy.ma on its first call: load it with numpy instead
-import numpy.ma  # noqa: F401
 
 __all__ = [
     "DistanceTable",
@@ -37,6 +35,7 @@ __all__ = [
     "cophenetic_coefficient",
     "cophenetic_coefficient_rows",
     "inconsistency_coefficients",
+    "linear_quantiles",
     "select_cutoff",
     "cut_clusters",
     "sample_cluster",
@@ -298,11 +297,44 @@ def inconsistency_coefficients(dendrogram: Dendrogram, depth: int = 2) -> np.nda
     return coefs
 
 
+def linear_quantiles(rows: np.ndarray, levels) -> np.ndarray:
+    """Quantiles of each row of a 2-D float64 array, one column per level.
+
+    The rule is linear interpolation between order statistics, definition 7
+    of Hyndman & Fan ("Sample quantiles in statistical packages", The
+    American Statistician, 1996) and numpy's default ``linear`` method, with
+    numpy's bits.  Level q of n values sits at v = (n-1) q, between
+    a = x[floor(v)] and b = x[floor(v) + 1]; once v >= n-1 both read index
+    -1, the last value, and the weight is g = v - (-1), as in numpy.  The
+    lerp is two-sided: b - (b-a) (1-g) when g >= 0.5, else a + (b-a) g.
+    A row holding a NaN reads NaN.
+    """
+    n = rows.shape[1]
+    picks = []
+    for q in levels:
+        v = (n - 1) * q
+        lo = -1 if v >= n - 1 else math.floor(v)
+        picks.append((lo, -1 if lo < 0 else lo + 1, v - lo))
+    # numpy's index set: where ties hold both 0.0 and -0.0, partitioning
+    # at the same indices puts the same zero at each
+    kth = sorted({0, -1, *(i for lo, hi, _ in picks for i in (lo, hi))})
+    part = np.partition(rows, kth, axis=1)
+    out = np.empty((rows.shape[0], len(picks)))
+    for j, (lo, hi, g) in enumerate(picks):
+        a, b = part[:, lo], part[:, hi]
+        out[:, j] = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+    # partitioning at -1 puts a NaN last
+    out[np.isnan(part[:, -1])] = np.nan
+    return out
+
+
 def select_cutoff(coefficients: np.ndarray) -> float:
     """Left edge of the highest-valued nonempty histogram bin.
 
     Bin width follows the Freedman-Diaconis rule, falling back to Scott's
-    rule when the interquartile range is zero.
+    rule when the interquartile range is zero.  The quartiles interpolate
+    linearly between order statistics (``linear_quantiles``, numpy's
+    default rule).
     """
     vals = np.asarray(coefficients, dtype=np.float64)
     if vals.size == 0 or np.all(vals == 0.0):
@@ -311,7 +343,8 @@ def select_cutoff(coefficients: np.ndarray) -> float:
     if vmin == vmax:
         return vmax
     n = vals.size
-    iqr = float(np.percentile(vals, 75) - np.percentile(vals, 25))
+    q75, q25 = linear_quantiles(vals[None], (0.75, 0.25))[0].tolist()
+    iqr = q75 - q25
     width = 2.0 * iqr / n ** (1.0 / 3.0)
     if width <= 0.0:
         width = 3.49 * float(np.std(vals, ddof=1)) / n ** (1.0 / 3.0)

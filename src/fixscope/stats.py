@@ -19,7 +19,9 @@ per call, and a group's test needs only the sum of its members' ranks.
 The inclusive control pools the members with every hunk, so each tested
 group ranks its own pooled rows.  The midranks come from ``_midranks``,
 a numpy kernel in this module that sorts each column once and gives every
-tie group the mean of the ranks it spans.  The result is held as columns
+tie group the mean of the ranks it spans; the members' quantiles come
+from ``fixscope.cluster.linear_quantiles``, the kernel that also gives the
+cut its quartiles.  The result is held as columns
 only, one ``ClusterColumns`` per tested group; a caller that needs a
 category's mark derives it from a column's ``relevant`` list and the
 matrix's ``feature_categories``.  ``dunn_test`` is the one-column entry
@@ -34,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from fixscope.cluster import linear_quantiles
 from fixscope.context import categorize, context_matrix
 
 __all__ = [
@@ -166,7 +169,7 @@ def _summaries(rows: np.ndarray):
     stds = rows.std(axis=1, ddof=0)
     defined = means != 0.0
     cvs = np.divide(stds, means, out=np.full_like(means, np.nan), where=defined)
-    quantiles = np.quantile(rows, QUANTILE_LEVELS, axis=1).T
+    quantiles = linear_quantiles(rows, QUANTILE_LEVELS)
     return means.tolist(), cvs.tolist(), defined.tolist(), quantiles.tolist()
 
 

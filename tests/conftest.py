@@ -1,14 +1,19 @@
 """Shared helpers for building hunks from source pairs, plus the
-acceptance-criterion summary printed at the end of a run."""
+acceptance-criterion summary printed at the end of a run.  A session
+stops at its start when ``PYTHONPATH`` names a source tree other than the
+one the tests import."""
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import fixscope
 from fixscope.context import extract_context
 from fixscope.democorpus import build_demo_corpus
 from fixscope.diffing import diff_node_to_dict, extract_hunks, hunk_to_dict, indented_json
@@ -19,6 +24,18 @@ from interp_digest import diff_texts
 from self_bundle import SELF_BRANCH, clone_self_history
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_sessionstart(session):
+    # pyproject.toml's pythonpath puts the checkout's src ahead of
+    # PYTHONPATH, so a tree named there would go untested
+    imported = Path(fixscope.__file__).resolve()
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        named = Path(entry, "fixscope", "__init__.py")
+        if named.is_file() and named.resolve() != imported:
+            pytest.exit(f"PYTHONPATH names {named.resolve()}, but the tests import "
+                        f"{imported}; run with -o pythonpath= to test the tree PYTHONPATH "
+                        f"names", returncode=pytest.ExitCode.USAGE_ERROR)
 
 
 @pytest.fixture(scope="session")

@@ -86,6 +86,20 @@ MUTANTS = [
     Mutant("narrower-hunk-gap", "fixscope/diffing.py",
            "HUNK_LINE_GAP = 3\n", "HUNK_LINE_GAP = 2\n",
            ("tests/test_self_history.py::TestExtractGate::test_ingest_and_extract_counts",)),
+    Mutant("one-sided-quantile-lerp", "fixscope/cluster.py",
+           "if g >= 0.5 else", "if g > 0.5 else",
+           ("tests/test_cluster.py::TestLinearQuantiles::test_the_lerp_is_two_sided",)),
+    Mutant("quantiles-skip-nan-rows", "fixscope/cluster.py",
+           "    out[np.isnan(part[:, -1])] = np.nan\n", "",
+           ("tests/test_cluster.py::TestLinearQuantiles::test_bits_equal_numpy_quantile",)),
+    Mutant("equal-size-side-counts-larger", "fixscope/cluster.py",
+           "            if sizes[small] > sizes[large]:\n",
+           "            if sizes[small] >= sizes[large]:\n",
+           ("tests/test_cluster.py::TestCophenetic::test_matches_bruteforce_oracle",)),
+    Mutant("prim-without-inf-fallback", "fixscope/cluster.py",
+           "        if not outside[k]:  # every key left is inf (distances overflowed)\n"
+           "            k = int(np.argmax(outside))\n", "",
+           ("tests/test_cluster.py::TestPrimScan::test_edges_equal_reference_scan",)),
 ]
 
 

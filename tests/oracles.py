@@ -259,6 +259,25 @@ def bruteforce_cutoff(values) -> float:
     return vmin + idx * width
 
 
+def reference_select_cutoff(coefficients) -> float:
+    """``select_cutoff`` with numpy's quartiles: one ``np.percentile`` call
+    per quartile, as the cut computed them before it had its own kernel."""
+    vals = np.asarray(coefficients, dtype=np.float64)
+    vmin, vmax = float(vals.min()), float(vals.max())
+    if vmin == vmax:
+        return vmax
+    n = vals.size
+    iqr = float(np.percentile(vals, 75) - np.percentile(vals, 25))
+    width = 2.0 * iqr / n ** (1.0 / 3.0)
+    if width <= 0.0:
+        width = 3.49 * float(np.std(vals, ddof=1)) / n ** (1.0 / 3.0)
+    if width <= 0.0:
+        return vmax
+    nbins = max(1, math.ceil((vmax - vmin) / width))
+    idx = min(int((vmax - vmin) / width), nbins - 1)
+    return vmin + idx * width
+
+
 def bruteforce_midranks(values) -> list[float]:
     """Average ranks computed by explicit tie-group scanning."""
     order = sorted(range(len(values)), key=lambda i: values[i])

@@ -19,6 +19,7 @@ from fixscope.cluster import (
     cophenetic_coefficient_rows,
     cut_clusters,
     inconsistency_coefficients,
+    linear_quantiles,
     pairwise_distances,
     sample_cluster,
     select_cutoff,
@@ -26,6 +27,7 @@ from fixscope.cluster import (
     single_linkage_rows,
 )
 from fixscope.pipeline import Pipeline, PipelineConfig, _json_dumps
+from fixscope.stats import QUANTILE_LEVELS
 
 import oracles
 
@@ -364,6 +366,70 @@ class TestSelectCutoff:
     def test_all_zero_raises(self):
         with pytest.raises(AllZeroError):
             select_cutoff(np.zeros(5))
+
+
+def quantile_cases(seed):
+    """Seeded 2-D float arrays, rows of n = 1-59 values each: small-integer
+    ties, ties of 0.0 and -0.0, 1e15-scaled counts, infinities, and
+    normals with one row holding a NaN."""
+    rng = np.random.default_rng(seed)
+    cases = [np.array([[-0.0], [0.0], [3.5], [math.inf], [math.nan]]),
+             np.array([[0.8, 7.6], [-0.0, -0.0], [0.0, -0.0], [-math.inf, math.inf],
+                       [2.0, math.nan]])]
+    for k in range(300):
+        n, kind = int(rng.integers(1, 60)), k % 5
+        if kind == 0:
+            rows = rng.integers(0, 4, size=(4, n)).astype(float)
+        elif kind == 1:
+            rows = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(4, n))
+        elif kind == 2:
+            rows = rng.integers(0, 1000, size=(4, n)) * 1e15
+        elif kind == 3:
+            rows = rng.choice([-math.inf, math.inf, -0.0, 0.0, 2.5], size=(4, n))
+        else:
+            rows = rng.normal(size=(4, n))
+            rows[0, rng.integers(0, n)] = math.nan
+        cases.append(rows)
+    return cases
+
+
+class TestLinearQuantiles:
+    # numpy is the oracle; inf - inf in a lerp reads NaN on both sides
+    @pytest.mark.parametrize("levels", [QUANTILE_LEVELS, (0.75, 0.25), (0.0, 0.5, 1.0)])
+    def test_bits_equal_numpy_quantile(self, levels):
+        with np.errstate(invalid="ignore"):
+            for rows in quantile_cases(5):
+                mine = linear_quantiles(rows, levels)
+                theirs = np.quantile(rows, levels, axis=1).T
+                assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), rows
+
+    def test_bits_equal_numpy_percentile_pair(self):
+        with np.errstate(invalid="ignore"):
+            for rows in quantile_cases(6):
+                for percent in (75, 25):
+                    mine = linear_quantiles(rows, (percent / 100,))[:, 0]
+                    theirs = np.percentile(rows, percent, axis=1)
+                    assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), rows
+
+    def test_the_lerp_is_two_sided(self):
+        # g = 0.5 takes b - (b - a) (1 - g); a + (b - a) g reads 4.2
+        assert linear_quantiles(np.array([[0.8, 7.6]]), (0.5,)).tolist() == \
+            [[4.199999999999999]]
+
+    def test_cut_keeps_the_bits_of_numpy_quartiles(self):
+        # one partition for both quartiles may put a tie's 0.0 and -0.0
+        # elsewhere than two calls do; only a zero's sign can move, and the
+        # width test reads 0.0 and -0.0 alike
+        rng = random.Random(31)
+        cases = [[rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0]) for _ in range(rng.randint(2, 60))]
+                 for _ in range(300)]
+        for _ in range(30):
+            dend = single_linkage(points_to_table(random_points(rng, rng.randint(3, 40))))
+            cases.append(inconsistency_coefficients(dend).tolist())
+        for values in cases:
+            if any(values):
+                assert bits(select_cutoff(np.array(values))) == \
+                    bits(oracles.reference_select_cutoff(values)), values
 
 
 class TestCutClusters:

@@ -907,6 +907,7 @@ from fixscope.pipeline import Pipeline, PipelineConfig
 # set-up as the benchmark's worker does it: the import, then the table loads
 taxonomy_checksum(), category_table_checksum()
 before = set(sys.modules)
+masked_on_set_up = "numpy.ma" in sys.modules
 out = Path(sys.argv[2])
 pipeline = Pipeline(PipelineConfig(source_mode="git", source_path=sys.argv[1],
                                    min_cluster_size=3, output_dir=str(out)))
@@ -916,6 +917,7 @@ lines += [f"{entry['id']},BUG-FIX,planted pattern" for entry in report.clusters]
 (out / "annotations.csv").write_text("\\n".join(lines) + "\\n")
 report = pipeline.run()
 print(json.dumps({"new_modules": sorted(set(sys.modules) - before),
+                  "masked": [masked_on_set_up, "numpy.ma" in sys.modules],
                   "clusters": len(report.clusters),
                   "withheld": report.relevance_withheld}))
 """
@@ -945,6 +947,26 @@ class TestStartUpImports:
         doc = run_python(ANNOTATED_RUN, small_corpus["repo"], str(tmp_path / "out"))
         assert doc["clusters"] and not doc["withheld"]
         assert doc["new_modules"] == []
+        # the cut and the summaries compute their own quantiles: numpy's
+        # quantile code would load numpy.ma, in set-up or in a stage
+        assert doc["masked"] == [False, False]
+
+
+class TestPytestSession:
+    def test_stops_when_pythonpath_names_another_tree(self, tmp_path):
+        # pyproject.toml's pythonpath would otherwise test the checkout
+        named = tmp_path / "fixscope" / "__init__.py"
+        named.parent.mkdir()
+        named.write_text("")
+        checkout = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only",
+             "tests/test_writers.py"],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+            cwd=checkout, capture_output=True, text=True, timeout=300)
+        assert done.returncode == pytest.ExitCode.USAGE_ERROR
+        assert str(named.resolve()) in done.stdout
+        assert str(checkout / "src" / "fixscope" / "__init__.py") in done.stdout
 
 
 class TestCli:

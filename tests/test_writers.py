@@ -1,7 +1,8 @@
 """One writer per artifact format: ``indented_json`` writes every ``.json``
 artifact and manifest, and ``pipeline._csv`` every CSV table.  The same
 ``ast`` scan of ``src/fixscope/`` holds two more jobs to one function
-each: building a file pair's line tables, and reading a stage manifest."""
+each, building a file pair's line tables and reading a stage manifest,
+and keeps numpy's quantile code, which loads ``numpy.ma``, out."""
 
 from __future__ import annotations
 
@@ -129,6 +130,16 @@ def manifest_read(call: ast.Call) -> str | None:
     return None
 
 
+def numpy_quantile_call(call: ast.Call) -> str | None:
+    """An attribute call of numpy's quantile code, or of ``unique``, which
+    it calls; on its first call it imports ``numpy.ma``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in (
+            "percentile", "nanpercentile", "quantile", "nanquantile", "unique"):
+        return func.attr
+    return None
+
+
 def test_one_json_writer_and_one_csv_writer():
     # democorpus.py writes a corpus, not an artifact, with json.dumps
     assert source_calls(writer_call, skip=("democorpus",)) == {
@@ -147,3 +158,9 @@ def test_one_function_reads_stage_manifests():
     found = source_calls(manifest_read)
     assert {(module, function) for module, calls in found.items()
             for function, _what in calls} == {("pipeline", "_sealed")}
+
+
+def test_no_numpy_quantile_code():
+    # cluster.linear_quantiles computes the cut's quartiles and the
+    # relevance summaries
+    assert source_calls(numpy_quantile_call) == {}
