@@ -36,8 +36,10 @@ A node's span is its host node's own position, from the first decorator
 of a decorated definition (``_own_span``); only a node positionless in the
 classic grammar (``arguments``, ``keyword``, ``comprehension``, ``Index``,
 ``ExtSlice``, ``Module``) spans its children.  This relies on a host
-invariant, verified on Python 3.11 only: a node's own position covers its
-children, except a definition's decorators.
+invariant: a node's own position covers its children, except a
+definition's decorators.  It holds under Python 3.10 to 3.13 on the
+bundled file pairs, where ``tests/interp_digest.py`` gives each
+interpreter the same hunks.
 
 Given a test for untouched line spans, ``parse_source`` leaves each
 statement on untouched lines unconverted, as a :class:`StubNode`: the

@@ -1,15 +1,17 @@
 """Collecting candidate bug-fix changes and file pairs.
 
 Two sources share one interface (``fetch_merged_changes``,
-``has_content``, ``file_pairs``): a Gerrit-style review API (HTTPS JSON
-with the XSSI prefix line, offset pagination, base64 file content) and a
-local git repository.  Both scan the same window of projects, branches
-and dates; the git source is its own one project, and reads each branch
-name as a revision only.  Remote fetches go through an on-disk content
-cache keyed by (change id, path, revision, side) and verified by digest,
-so full runs replay offline.  The git source needs no cache: its scan
-runs one ``git log`` and reads no blob, since the log's object ids tell
-which files have content, and ``file_pairs`` streams every blob a stage
+``file_pairs``): a Gerrit-style review API (HTTPS JSON with the XSSI
+prefix line, offset pagination, base64 file content) and a local git
+repository.  Both scan the same window of projects, branches and dates;
+the git source is its own one project, and reads each branch name as a
+revision only.  A scan reads no file content in either source:
+``file_pairs`` is the one reader, and a file neither of whose sides has
+content reads as None.  Remote content is fetched when ``file_pairs``
+asks for it, through an on-disk content cache keyed by (change id, path,
+revision, side) and verified by digest, so full runs replay offline.
+The git source needs no cache: its scan runs one ``git log`` and keeps
+each file's object ids, and ``file_pairs`` streams every blob a stage
 needs through one ``git cat-file --batch``, asking for each side by its
 object id.  A source that has not scanned, as in a later process, first
 finds the ids with one ``git diff-tree --stdin``, whose output the
@@ -160,11 +162,13 @@ def _decoded_pair(record: ChangeRecord, path: str, before: bytes,
 class GerritSource:
     """Review-API client: merged-change queries and file-content fetches.
 
-    ``transport`` is a callable ``(url) -> (status_code, bytes)``; the
-    default speaks HTTPS via requests.  A failed request is tried
-    ``RETRIES`` times in all, with exponential backoff through ``sleep``;
-    after the last attempt the error propagates so partial results are
-    never silently returned.
+    The query reads no file content: ``file_pairs`` fetches both sides
+    of each file, through the cache when there is one.  ``transport`` is
+    a callable ``(url) -> (status_code, bytes)``; the default speaks
+    HTTPS via requests.  A failed request is tried ``RETRIES`` times in
+    all, with exponential backoff through ``sleep``; after the last
+    attempt the error propagates so partial results are never silently
+    returned.
     """
 
     def __init__(self, endpoint: str, transport=None,
@@ -288,13 +292,6 @@ class GerritSource:
             self.cache.put(key, data)
         return data
 
-    def has_content(self, record: ChangeRecord, path: str) -> bool:
-        """Whether either side of ``path`` has content.  Fetches both
-        sides, which fills the cache for offline replays."""
-        before = self._content(record, path, "before")
-        after = self._content(record, path, "after")
-        return bool(before or after)
-
     def file_pairs(self, items):
         """For each ``(record, path)`` in order, its ``FilePair``, or None
         when neither side has content."""
@@ -335,12 +332,12 @@ class GitSource:
     Every non-merge commit is one change: a merge's ``--raw`` diff lists
     no files, so the scan skips merges and reads each fix from the commit
     that made it.  A scan runs one ``git log`` however many commits it
-    reads, and no blob: the log's object ids answer ``has_content``, and
-    the source keeps them.  ``file_pairs`` reads blobs by those ids
-    through one ``git cat-file --batch`` per call, and never asks for a
-    side that reads empty.  For commits the source has not scanned, as
-    when extract runs alone in a later process, it first finds the ids
-    with one ``git diff-tree --stdin``.
+    reads, and no blob: the source keeps the log's object ids, and
+    ``file_pairs`` reads blobs by those ids through one ``git cat-file
+    --batch`` per call, and never asks for a side that reads empty.  For
+    commits the source has not scanned, as when extract runs alone in a
+    later process, it first finds the ids with one ``git diff-tree
+    --stdin``.
     """
 
     def __init__(self, repo_path: str | Path):
@@ -423,13 +420,6 @@ class GitSource:
                 message=message, files=tuple(sorted(paths)), created=date))
         records.reverse()  # oldest first
         return records
-
-    def has_content(self, record: ChangeRecord, path: str) -> bool:
-        """Whether either side of ``path`` reads as content, for a file of
-        a record this source's scan returned.  Answered from the scan's
-        object ids; no blob is read."""
-        names = self._blob_ids.get((record.revision, path))
-        return names is None or any(names)
 
     def file_pairs(self, items):
         """For each ``(record, path)`` in order, its ``FilePair``, or None

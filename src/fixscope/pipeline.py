@@ -486,27 +486,23 @@ class Pipeline:
         """The changes the source finds in the configured window whose
         message matches a keyword, each with its retained Python files.
         Both sources take the one window: projects, branches, after and
-        before."""
+        before.  No file content is read: extract is its one reader, and
+        counts the files that have none."""
         cfg = self.config
         if cfg.source_mode == "gerrit" and not cfg.projects:
             # the review source queries each project, so none finds nothing
             raise ValueError("gerrit mode needs at least one project (--project)")
-        source = self._source
-        records = source.fetch_merged_changes(cfg.projects, cfg.branches,
-                                              cfg.after or None, cfg.before or None)
+        records = self._source.fetch_merged_changes(cfg.projects, cfg.branches,
+                                                    cfg.after or None, cfg.before or None)
         matched = [r for r in records if keyword_filter(r.message, cfg.keywords)]
         counts = {"changes_total": len(records), "changes_matched": len(matched),
-                  "files_total": 0, "files_retained": 0,
-                  "files_fetched": 0, "files_missing": 0}
+                  "files_total": 0, "files_retained": 0}
         rows = []
         for record in matched:
             python_files = [p for p in record.files if p.endswith(".py")]
             retained = exclude_test_files(python_files)
             counts["files_total"] += len(record.files)
             counts["files_retained"] += len(retained)
-            for path in retained:
-                fetched = source.has_content(record, path)
-                counts["files_fetched" if fetched else "files_missing"] += 1
             rows.append({"change_id": record.change_id, "project": record.project,
                          "branch": record.branch, "revision": record.revision,
                          "message": record.message, "created": record.created,
@@ -516,11 +512,7 @@ class Pipeline:
     def _stage_extract(self) -> dict[str, str]:
         items = []
         for change in self._read_jsonl("changes.jsonl"):
-            record = ChangeRecord(
-                change_id=change["change_id"], project=change["project"],
-                branch=change["branch"], revision=change["revision"],
-                message=change["message"], files=tuple(change["files"]),
-                created=change.get("created", ""))
+            record = ChangeRecord(**{**change, "files": tuple(change["files"])})
             items.extend((record, path) for path in record.files)
         hunk_lines = []
         skipped = []

@@ -96,6 +96,15 @@ MUTANTS = [
            "            if sizes[small] > sizes[large]:\n",
            "            if sizes[small] >= sizes[large]:\n",
            ("tests/test_cluster.py::TestCophenetic::test_matches_bruteforce_oracle",)),
+    Mutant("empty-pair-reads-as-content", "fixscope/ingest.py",
+           "    if not before and not after:\n", "    if False:\n",
+           ("tests/test_ingest.py::TestGitSourceParity"
+            "::test_a_pruned_blob_is_missing_in_extract_counts_only",
+            "tests/test_ingest.py::TestGerritSource::test_ingest_fetches_no_content",
+            "tests/test_ingest.py::TestGitSourceParity::test_sha256_repository",
+            "tests/test_ingest.py::TestGitSourceParity::test_cases_the_fixture_must_hold",
+            "tests/test_ingest.py::TestGitSourceParity"
+            "::test_ingest_counts_match_blob_reads[all]")),
     Mutant("prim-without-inf-fallback", "fixscope/cluster.py",
            "        if not outside[k]:  # every key left is inf (distances overflowed)\n"
            "            k = int(np.argmax(outside))\n", "",

@@ -195,6 +195,28 @@ class TestGerritSource:
         assert pair.before_text == ""
         assert pair.after_text == "fresh = True\n"
 
+    def test_ingest_fetches_no_content(self, tmp_path, monkeypatch):
+        # extract is the one reader of file content, and counts what has none
+        quoted = urllib.parse.quote("pkg/mod.py", safe="")
+        transport = CannedTransport(
+            pages=[(1, gerrit_page([{"id": "I1", "files": {"pkg/mod.py": {},
+                                                           "pkg/gone.py": {}}}]))],
+            files={f"{quoted}/content": b"x = 1\n"})
+        monkeypatch.setattr(GerritSource, "_http_transport", staticmethod(transport))
+        pipeline = Pipeline(PipelineConfig(source_mode="gerrit",
+                                           endpoint="https://review.example.org",
+                                           projects=("demo",),
+                                           output_dir=str(tmp_path / "out")))
+        pipeline.run_stage("ingest")
+        assert transport.urls and not [url for url in transport.urls if "/files/" in url]
+        assert json.loads((tmp_path / "out" / "ingest_counts.json").read_text()) == {
+            "changes_total": 1, "changes_matched": 1, "files_total": 2, "files_retained": 2}
+        transport.urls.clear()
+        pipeline.run_stage("extract")
+        assert len([url for url in transport.urls if "/files/" in url]) == 4
+        counts = json.loads((tmp_path / "out" / "extract_counts.json").read_text())
+        assert (counts["files_considered"], counts["files_missing"]) == (2, 1)
+
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
         quoted = urllib.parse.quote("m.py", safe="")
         payload = "x = 'é'\n".encode("utf-8")
@@ -310,10 +332,9 @@ class TestGitSource:
         source = GitSource(tmp_path)
         record = source.fetch_merged_changes()[-1]
         assert record.files == ("pkg.py", "pkg.py/inner.py")
-        pair = source.fetch_file_pair(record, "pkg.py")
-        assert source.has_content(record, "pkg.py")
-        assert source.has_content(record, "pkg.py/inner.py")
-        assert (pair.before_text, pair.after_text) == ("", "b = 2\n")
+        flat, inner = source.file_pairs([(record, "pkg.py"), (record, "pkg.py/inner.py")])
+        assert (flat.before_text, flat.after_text) == ("", "b = 2\n")
+        assert (inner.before_text, inner.after_text) == ("a = 1\n", "")
 
     def test_repository_without_commits_has_no_changes(self, tmp_path):
         git(tmp_path, "init", "-q", "-b", "main")
@@ -445,10 +466,10 @@ SCANS = [
 
 
 def _assert_matches_reference(repo, scan):
-    """Records, presence answers and file pairs equal the per-commit
-    reference's; a pair the reference finds missing reads as None.  The
-    pairs are read both by the scanning source and by a source that has
-    not scanned, which finds the object ids with ``git diff-tree``."""
+    """Records and file pairs equal the per-commit reference's; a pair
+    the reference finds missing reads as None.  The pairs are read both
+    by the scanning source and by a source that has not scanned, which
+    finds the object ids with ``git diff-tree``."""
     reference = oracles.PerCommitGitSource(repo)
     source = GitSource(repo)
     records = source.fetch_merged_changes(**scan)
@@ -461,35 +482,37 @@ def _assert_matches_reference(repo, scan):
             expected.append(reference.fetch_file_pair(record, path))
         except MissingBlobError:
             expected.append(None)
-    assert [source.has_content(record, path) for record, path in items] == \
-        [pair is not None for pair in expected]
     assert list(source.file_pairs(items)) == expected
     assert list(GitSource(repo).file_pairs(items)) == expected
 
 
-class BlobReadingGitSource(GitSource):
-    """Answers ``has_content`` the way ingest did before it read object
-    ids: by reading both blobs, here through the per-commit reference."""
-
-    def has_content(self, record, path):
+def _assert_counts_match_blob_reads(repo, scan, out) -> dict:
+    """Runs ingest and extract; ingest's four counts must be those of the
+    per-commit reference's records, and extract's ``files_missing`` the
+    retained files whose blobs the reference cannot read.  Returns the
+    extract counts."""
+    pipeline = Pipeline(PipelineConfig(source_path=str(repo), output_dir=str(out), **scan))
+    for stage in ("ingest", "extract"):
+        pipeline.run_stage(stage)
+    reference = oracles.PerCommitGitSource(repo)
+    records = reference.fetch_merged_changes(**scan)
+    matched = [record for record in records if keyword_filter(record.message)]
+    retained = [(record, path) for record in matched
+                for path in exclude_test_files(p for p in record.files if p.endswith(".py"))]
+    missing = 0
+    for record, path in retained:
         try:
-            oracles.PerCommitGitSource(self.repo).fetch_file_pair(record, path)
+            reference.fetch_file_pair(record, path)
         except MissingBlobError:
-            return False
-        return True
-
-
-def _assert_ingest_matches_blob_reads(repo, scan, out, monkeypatch):
-    written = {}
-    for source_class in (GitSource, BlobReadingGitSource):
-        monkeypatch.setattr(fixscope.pipeline, "GitSource", source_class)
-        stage_out = out / source_class.__name__
-        Pipeline(PipelineConfig(source_path=str(repo), output_dir=str(stage_out),
-                                **scan)).run_stage("ingest")
-        written[source_class] = [(stage_out / name).read_bytes()
-                                 for name in ("changes.jsonl", "ingest_counts.json")]
-    assert written[GitSource] == written[BlobReadingGitSource]
-    return json.loads(written[GitSource][1])
+            missing += 1
+    assert json.loads((out / "ingest_counts.json").read_text()) == {
+        "changes_total": len(records),
+        "changes_matched": len(matched),
+        "files_total": sum(len(record.files) for record in matched),
+        "files_retained": len(retained)}
+    counts = json.loads((out / "extract_counts.json").read_text())
+    assert (counts["files_considered"], counts["files_missing"]) == (len(retained), missing)
+    return counts
 
 
 class TestGitSourceParity:
@@ -499,23 +522,22 @@ class TestGitSourceParity:
         _assert_matches_reference(repo, scan)
 
     @pytest.mark.parametrize("scan", SCANS, ids=lambda scan: ",".join(scan) or "all")
-    def test_ingest_counts_match_blob_reads(self, parity_repo, scan, tmp_path,
-                                            monkeypatch):
+    def test_ingest_counts_match_blob_reads(self, parity_repo, scan, tmp_path):
         repo, _ = parity_repo
-        counts = _assert_ingest_matches_blob_reads(repo, scan, tmp_path, monkeypatch)
+        counts = _assert_counts_match_blob_reads(repo, scan, tmp_path)
         if not scan:
             assert counts["files_missing"] == 4  # the four empty-reading commits
 
-    def test_sha256_repository(self, sha256_repo, tmp_path, monkeypatch):
+    def test_sha256_repository(self, sha256_repo, tmp_path):
         _assert_matches_reference(sha256_repo, {})
         source = GitSource(sha256_repo)
         first, second = source.fetch_merged_changes()
         assert len(first.revision) == 64
-        assert not source.has_content(first, "empty.py")
-        assert not source.has_content(second, "empty.py")
-        assert not source.has_content(second, "sub.py")
-        counts = _assert_ingest_matches_blob_reads(sha256_repo, {}, tmp_path, monkeypatch)
-        assert (counts["files_fetched"], counts["files_missing"]) == (2, 3)
+        assert list(source.file_pairs([(first, "empty.py"), (second, "empty.py"),
+                                       (second, "sub.py")])) == [None] * 3
+        counts = _assert_counts_match_blob_reads(sha256_repo, {}, tmp_path)
+        assert (counts["files_considered"] - counts["files_missing"],
+                counts["files_missing"]) == (2, 3)
 
     def test_non_utf8_path_reads_missing(self, tmp_path):
         # git cannot resolve the U+FFFD spelling the records carry
@@ -530,7 +552,7 @@ class TestGitSourceParity:
         source = GitSource(tmp_path)
         [record] = source.fetch_merged_changes()
         assert record.files == ("caf\ufffd.py",)
-        assert not source.has_content(record, "caf\ufffd.py")
+        assert list(source.file_pairs([(record, "caf\ufffd.py")])) == [None]
 
     def test_pruned_blob_reads_empty_scanned_or_not(self, tmp_path):
         # git answers "<oid> missing", whichever source found the id
@@ -548,6 +570,25 @@ class TestGitSourceParity:
         assert pairs == list(GitSource(tmp_path).file_pairs(items))
         assert (pairs[1].before_text, pairs[1].after_text) == ("x = 1\n", "")
 
+    def test_a_pruned_blob_is_missing_in_extract_counts_only(self, tmp_path):
+        # the scan's object ids name a blob git no longer has: ingest reads
+        # no content, so only extract, which reads it, counts the file
+        git(tmp_path, "init", "-q", "-b", "main")
+        (tmp_path / "mod.py").write_text("x = 1\n")
+        git(tmp_path, "add", "mod.py")
+        _commit(tmp_path, 1, "-m", "Fix: add the module")
+        oid = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD:mod.py"],
+                             capture_output=True, text=True, check=True).stdout.strip()
+        (tmp_path / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+        out = tmp_path / "out"
+        pipeline = Pipeline(PipelineConfig(source_path=str(tmp_path), output_dir=str(out)))
+        for stage in ("ingest", "extract"):
+            pipeline.run_stage(stage)
+        assert json.loads((out / "ingest_counts.json").read_text()) == {
+            "changes_total": 1, "changes_matched": 1, "files_total": 1, "files_retained": 1}
+        counts = json.loads((out / "extract_counts.json").read_text())
+        assert (counts["files_considered"], counts["files_missing"]) == (1, 1)
+
     def test_cases_the_fixture_must_hold(self, parity_repo):
         repo, parent = parity_repo
         source = GitSource(repo)
@@ -564,18 +605,23 @@ class TestGitSourceParity:
         assert by_message["Fix verbatim message"].message == (
             "Fix verbatim message\n\n\n  trailing blank lines")
         assert "Merge the side fix" not in by_message
-        added = source.fetch_file_pair(by_message["Fix paths"], NEWLINE_PATH)
-        assert (added.before_text, added.after_text) == ("", "n = 1\n")
-        deleted = source.fetch_file_pair(by_message["Fix: drop mod"], "mod.py")
-        assert (deleted.before_text, deleted.after_text) == ("x = 1\n", "")
         with pytest.raises(MissingBlobError):
             source.fetch_file_pair(by_message["Fix paths"], "absent.py")
+        empty_reading = []
         for message, path in (("Fix: add an empty module", "empty.py"),
                               ("Fix the mode of the empty module", "empty.py"),
                               ("Fix: drop the empty module", "empty.py"),
                               ("Fix: link a submodule", "sub.py")):
             assert by_message[message].files == (path,)
-            assert not source.has_content(by_message[message], path)
+            empty_reading.append((by_message[message], path))
+        # read in one batch with files that have content, so each empty
+        # pair is decoded rather than skipped with the batch
+        added, deleted, *empty = source.file_pairs(
+            [(by_message["Fix paths"], NEWLINE_PATH),
+             (by_message["Fix: drop mod"], "mod.py"), *empty_reading])
+        assert (added.before_text, added.after_text) == ("", "n = 1\n")
+        assert (deleted.before_text, deleted.after_text) == ("x = 1\n", "")
+        assert empty == [None] * 4
 
     def test_branch_names_are_revisions_not_options(self, parity_repo, tmp_path):
         repo, _ = parity_repo
@@ -803,8 +849,10 @@ class TestGitSourceProcesses:
         pipeline = Pipeline(config)
         assert self._stage_commands(monkeypatch, pipeline, "ingest") == ["log"]
         assert self._stage_commands(monkeypatch, pipeline, "extract") == ["cat-file"]
-        counts = json.loads((out / "ingest_counts.json").read_text())
-        assert counts["changes_matched"] == counts["files_fetched"] == commits
+        matched = json.loads((out / "ingest_counts.json").read_text())["changes_matched"]
+        counts = json.loads((out / "extract_counts.json").read_text())
+        assert (matched, counts["files_considered"], counts["files_missing"]) == \
+            (commits, commits, 0)
         assert not (out / "cache").exists()
         # extract alone in a later process first looks the ids up
         alone = Pipeline(config)

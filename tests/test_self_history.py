@@ -28,7 +28,7 @@ class TestExtractGate:
     def test_ingest_and_extract_counts(self, self_history):
         assert read_json(self_history.config, "ingest_counts.json") == {
             "changes_total": 39, "changes_matched": 13, "files_total": 152,
-            "files_retained": 51, "files_fetched": 51, "files_missing": 0}
+            "files_retained": 51}
         assert read_json(self_history.config, "extract_counts.json") == {
             "files_considered": 51, "files_parsed": 51, "files_skipped_syntax": 0,
             "files_missing": 0, "alignment_conflicts": 60, "hunks": 248,
