@@ -37,13 +37,10 @@ make the minimal script ambiguous.
 from __future__ import annotations
 
 import enum
-import json
 import logging
-import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
 from fixscope.grammar import (
@@ -68,7 +65,6 @@ __all__ = [
     "line_maps",
     "build_diff_ast",
     "extract_hunks",
-    "indented_json",
     "diff_node_to_dict",
     "diff_node_from_dict",
     "hunk_to_dict",
@@ -615,42 +611,3 @@ def hunk_from_dict(doc: dict) -> Hunk:
     roots = tuple(diff_node_from_dict(r) for r in doc["roots"])
     return Hunk(id=doc["id"], labeled_roots=roots, context_chain=(),
                 line_window=SourceSpan(*doc["window"]))
-
-
-def indented_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, the text of every
-    ``.json`` artifact and manifest, written from an explicit stack: with
-    ``indent`` the standard encoder recurses once per nesting level.  A
-    key that is not a string raises ``TypeError``."""
-    parts = []
-    stack = [(iter([("", doc)]), "")]  # each open container's items left, and its closer
-    while stack:
-        items, closer = stack[-1]
-        for before, value in items:
-            kind = type(value)
-            if kind is str:
-                parts.append(before + encode_basestring_ascii(value))
-            elif kind is int or kind is float and math.isfinite(value):
-                parts.append(before + kind.__repr__(value))
-            elif not isinstance(value, (dict, list, tuple)):
-                parts.append(before + json.dumps(value))  # NaN, ±Infinity, bool, None, subclasses
-            elif not value:
-                parts.append(before + ("{}" if isinstance(value, dict) else "[]"))
-            else:
-                inner = ",\n" + "  " * len(stack)
-                if isinstance(value, dict):  # the key encoder refuses a non-string
-                    pairs = [(inner + encode_basestring_ascii(key) + ": ", item)
-                             for key, item in sorted(value.items())]
-                    opener, end = "{", "}"
-                else:
-                    pairs = [(inner, item) for item in value]
-                    opener, end = "[", "]"
-                parts.append(before + opener)
-                pairs[0] = (pairs[0][0][1:], pairs[0][1])  # no comma before the first
-                stack.append((iter(pairs), "\n" + "  " * (len(stack) - 1) + end))
-                break
-        else:
-            parts.append(closer)
-            stack.pop()
-    return "".join(parts)
-

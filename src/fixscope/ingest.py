@@ -113,7 +113,6 @@ class ContentCache:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _paths(self, key: tuple) -> tuple[Path, Path]:
         digest = hashlib.sha256(json.dumps(list(key)).encode("utf-8")).hexdigest()

@@ -38,8 +38,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from fixscope import cluster as fc
 from fixscope import report as freport
 from fixscope import stats as fstats
@@ -55,7 +53,6 @@ from fixscope.diffing import (
     extract_hunks,
     hunk_from_dict,
     hunk_to_dict,
-    indented_json,
     line_maps,
 )
 from fixscope.features import (
@@ -218,7 +215,8 @@ class RunReport:
 
 
 def _json_dumps(doc) -> str:
-    return indented_json(doc) + "\n"
+    """The text of every ``.json`` artifact, manifest and ``config.json``."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _jsonl_line(doc) -> str:
@@ -433,10 +431,8 @@ class Pipeline:
     def run(self, force: bool = False) -> RunReport:
         for stage in STAGES:
             self.run_stage(stage, force=force)
-        doc = self._read_json("run_report.json", missing_ok=True)
-        if doc is None:
-            return RunReport(config=self.config.to_dict())
-        return RunReport(**doc)
+        # the report stage wrote it, or found it current
+        return RunReport(**self._read_json("run_report.json"))
 
     def run_stage(self, stage: str, force: bool = False):
         if stage not in STAGES:
@@ -594,7 +590,7 @@ class Pipeline:
                     summary["cutoff_source"] = "automatic"
                 except fc.AllZeroError:
                     # undefined cutoff: everything lands in a single cluster
-                    cutoff = float(np.max(coefs)) + 1.0 if len(coefs) else 1.0
+                    cutoff = 1.0
                     summary["cutoff_source"] = "all-zero-single-cluster"
             summary["cutoff"] = cutoff
             cut = fc.cut_clusters(dendrogram, coefs, cutoff,
@@ -743,7 +739,8 @@ class Pipeline:
         return {
             "run_report.json": _json_dumps(report.to_dict()),
             "report.md": freport.render_report(report, tested, relevance_rows, appendix,
-                                               stats_summary.get("untested", {})),
+                                               stats_summary.get("untested", {}),
+                                               _json_dumps(self._config_doc)[:-1]),
         }
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from fixscope.diffing import indented_json
-
 if TYPE_CHECKING:  # the pipeline imports this module, and calls it at run time
     from fixscope.pipeline import RunReport
 
@@ -29,9 +27,12 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def render_report(report: RunReport, relevance_clusters: list[str],
                   relevance_rows: list[list[str]],
-                  appendix_rows: list[dict], untested: dict[str, str]) -> str:
+                  appendix_rows: list[dict], untested: dict[str, str],
+                  config_text: str) -> str:
     """Self-contained markdown document for one pipeline run.  ``untested``
-    maps each BUG-FIX cluster that could not be tested to the reason."""
+    maps each BUG-FIX cluster that could not be tested to the reason, and
+    ``config_text`` is the echoed configuration, ``config.json`` without
+    its last newline."""
     lines = ["# fixscope run report", ""]
 
     lines.append("## Corpus counts")
@@ -119,7 +120,7 @@ def render_report(report: RunReport, relevance_clusters: list[str],
     lines.append("## Configuration echo")
     lines.append("")
     lines.append("```json")
-    lines.append(indented_json(report.config))
+    lines.append(config_text)
     lines.append("```")
     lines.append("")
     return "\n".join(lines)

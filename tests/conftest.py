@@ -16,7 +16,7 @@ import pytest
 import fixscope
 from fixscope.context import extract_context
 from fixscope.democorpus import build_demo_corpus
-from fixscope.diffing import diff_node_to_dict, extract_hunks, hunk_to_dict, indented_json
+from fixscope.diffing import diff_node_to_dict, extract_hunks, hunk_to_dict
 from fixscope.ingest import ChangeRecord, GitSource
 from fixscope.pipeline import Pipeline, PipelineConfig
 
@@ -102,15 +102,16 @@ def labeled_roots(enhanced):
 
 
 def dump_enhanced_ast(enhanced) -> str:
-    """One JSON document with the labeled tree, for golden tests; any
-    depth of tree dumps, since no step recurses."""
+    """One JSON document with the labeled tree, for golden tests.  The
+    encoder recurses once per level, so a tree some hundred levels deep
+    dumps only under a raised recursion limit."""
     doc = {
         "change_id": enhanced.change_id,
         "path": enhanced.path,
         "conflicts": enhanced.conflicts,
         "tree": diff_node_to_dict(enhanced.root),
     }
-    return indented_json(doc)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def file_hunks(before: str, after: str, stubs: bool):

@@ -109,6 +109,11 @@ MUTANTS = [
            "        if not outside[k]:  # every key left is inf (distances overflowed)\n"
            "            k = int(np.argmax(outside))\n", "",
            ("tests/test_cluster.py::TestPrimScan::test_edges_equal_reference_scan",)),
+    Mutant("json-writer-unsorted-keys", "fixscope/pipeline.py",
+           'json.dumps(doc, indent=2, sort_keys=True) + "\\n"',
+           'json.dumps(doc, indent=2, sort_keys=False) + "\\n"',
+           ("tests/test_pipeline.py::TestStageArtifacts"
+            "::test_json_files_are_indented_sorted_standard_text",)),
 ]
 
 

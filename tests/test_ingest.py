@@ -211,9 +211,12 @@ class TestGerritSource:
         assert transport.urls and not [url for url in transport.urls if "/files/" in url]
         assert json.loads((tmp_path / "out" / "ingest_counts.json").read_text()) == {
             "changes_total": 1, "changes_matched": 1, "files_total": 2, "files_retained": 2}
+        # the cache is made by its first write, and ingest writes none
+        assert not (tmp_path / "out" / "cache").exists()
         transport.urls.clear()
         pipeline.run_stage("extract")
         assert len([url for url in transport.urls if "/files/" in url]) == 4
+        assert [path for path in (tmp_path / "out" / "cache").rglob("*") if path.is_file()]
         counts = json.loads((tmp_path / "out" / "extract_counts.json").read_text())
         assert (counts["files_considered"], counts["files_missing"]) == (2, 1)
 

@@ -34,6 +34,7 @@ from fixscope.pipeline import (
     PipelineConfig,
     RunReport,
     StageError,
+    _manifest,
     _parse_annotations,
     export_dataset,
     extract_file,
@@ -197,6 +198,30 @@ def _sum(terms: int, edited: int | None = None) -> str:
     if edited is not None:
         values[edited] = "2"
     return "x = " + " + ".join(values) + "\n"
+
+
+class TestAllZeroCoefficients:
+    def test_hunks_with_one_feature_vector_form_one_cluster(self, tmp_path):
+        # the same edit in four files: every merge height and every
+        # inconsistency coefficient is zero, so no cutoff can be selected
+        git = _git_repo(tmp_path / "repo")
+        names = [f"mod{i}.py" for i in range(4)]
+        for name in names:
+            (tmp_path / "repo" / name).write_text("x = 1\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "Initial import")
+        for name in names:
+            (tmp_path / "repo" / name).write_text("x = 2\n")
+        git("commit", "-q", "-am", "Fix the constants")
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(source_path=str(tmp_path / "repo"), output_dir=str(out),
+                                    min_cluster_size=1))
+        lines = (out / "feature_vectors.jsonl").read_text().splitlines()
+        assert len({json.dumps(json.loads(line)["features"]) for line in lines}) == 1
+        summary = json.loads((out / "clustering_summary.json").read_text())
+        assert (summary["cutoff"], summary["cutoff_source"]) == (1.0, "all-zero-single-cluster")
+        assert summary["n_hunks"] == 4
+        assert list(summary["cluster_sizes"].values()) == [4]
 
 
 class TestDeepNesting:
@@ -384,6 +409,18 @@ class TestStageArtifacts:
     def test_keyword_less_changes_filtered(self, completed_run):
         config, report = completed_run
         assert report.counts["changes_scanned"] > report.counts["changes"]
+
+    def test_json_files_are_indented_sorted_standard_text(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        annotated_pipeline(small_corpus, out)
+        texts = {path.name: path.read_text(encoding="utf-8") for path in out.glob("*.json")}
+        assert set(texts) == {"config.json", *map(_manifest, STAGES), *(
+            name for names in STAGE_ARTIFACTS.values() for name in names
+            if name.endswith(".json"))}
+        for name, text in texts.items():
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+        report = (out / "report.md").read_text(encoding="utf-8")
+        assert report.split("```json\n")[1].split("\n```\n")[0] == texts["config.json"][:-1]
 
 
 class TestCheckpointing:
@@ -799,9 +836,9 @@ class TestReportReads:
         appendices = []
         render = fixscope.report.render_report
 
-        def capture(report, tested, rows, appendix, untested):
+        def capture(report, tested, rows, appendix, untested, config_text):
             appendices.append(appendix)
-            return render(report, tested, rows, appendix, untested)
+            return render(report, tested, rows, appendix, untested, config_text)
 
         monkeypatch.setattr(fixscope.report, "render_report", capture)
         pipeline.run_stage("report", force=True)
@@ -815,7 +852,7 @@ class TestReportReads:
                                          '8,REFACTORING,"one\r\ntwo\rthree|"\n')
         report = RunReport(clusters=[{"id": cid, "size": 3, **entry}
                                      for cid, entry in annotations.items()])
-        rendered = render_report(report, [], [], [], {})
+        rendered = render_report(report, [], [], [], {}, "{}")
         table = rendered.split("## Clusters\n\n")[1].split("\n\n")[0].splitlines()
         assert table == ["| cluster | size | triage | description |",
                          "| --- | --- | --- | --- |",

@@ -180,18 +180,18 @@ def test_hunk_depth_bound_keeps_its_limit_and_skips_past_it():
 
 
 def test_a_diff_tree_600_levels_deep_dumps():
-    # a one-term edit in a 600-term sum; json.dumps(indent=2) recurses in
-    # Python once per level and raised RecursionError on this tree
+    # a one-term edit in a 600-term sum: diff_node_to_dict walks it with a
+    # loop, and json.dumps(indent=2), in both dumps, recurses in Python once
+    # per level, so the comparison needs a raised recursion limit
     terms = ["1"] * 600
     before = "x = " + " + ".join(terms) + "\n"
     terms[300] = "2"
     enhanced = diff_texts(before, "x = " + " + ".join(terms) + "\n")
     assert tree_height(enhanced.root) > 600
-    text = dump_enhanced_ast(enhanced)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20_000)
     try:
-        assert text == reference_dump_enhanced_ast(enhanced)
+        assert dump_enhanced_ast(enhanced) == reference_dump_enhanced_ast(enhanced)
     finally:
         sys.setrecursionlimit(limit)
 
